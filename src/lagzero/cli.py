@@ -254,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    # deep adaptive-quadrature recursion near the interval endpoints
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 10000))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

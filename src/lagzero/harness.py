@@ -267,7 +267,11 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None,
     """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
 
     Returns (zset, ctx, gamma, r_hat); ctx and gamma are None when
-    -alpha/n falls outside (0,1) or alpha is an integer. Retries once at
+    -alpha/n falls outside (0,1), and gamma alone when alpha is an
+    integer or r_hat exceeds the tracer's reach. The root finder starts
+    from quantiles of the limit measure on gamma and [beta1, beta2], from
+    interval quantiles alone for integer alpha, and from a Cauchy-bound
+    circle when ctx is None or gamma was not traced. Retries once at
     doubled precision on NonConvergence, then propagates.
     """
     alpha_f = laguerre.parse_alpha(alpha)
@@ -284,12 +288,11 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None,
         work = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
     if 0 < a_n < 1:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
-        if r_hat <= _TRACE_R_MAX:
-            if r_hat == math.inf:
-                spec_m = measure.make_measure(ctx, math.inf)
-            else:
-                gamma = contour.trace_gamma(ctx, r_hat, max_step=max_step)
-                spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
+        if r_hat == math.inf:
+            spec_m = measure.make_measure(ctx, math.inf)
+        elif r_hat <= _TRACE_R_MAX:
+            gamma = contour.trace_gamma(ctx, r_hat, max_step=max_step)
+            spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
 
     coeffs = laguerre.monic_rescaled(work, scale=n)
     tol = mp.mpf(2) ** (-(bits // 2))

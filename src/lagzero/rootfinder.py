@@ -1,8 +1,12 @@
 """Simultaneous zero finding for monic polynomials at arbitrary precision.
 
 Aberth-Ehrlich iteration: Jacobi-style sweep where each approximation moves by
-newton / (1 - newton * sum_j 1/(z_i - z_j)). Residuals are recorded as
-|P(z)| / max(1, |z|)^n so the certificate is scale-free.
+newton / (1 - newton * sum_j 1/(z_i - z_j)). A root whose step falls below
+tol is frozen: later sweeps no longer update it, though it still enters the
+other roots' pair sums, and the iteration stops once every root is frozen
+(Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
+the frozen approximations. Residuals are recorded as |P(z)| / max(1, |z|)^n
+so the certificate is scale-free.
 """
 
 from __future__ import annotations
@@ -50,13 +54,20 @@ def _residual(coeffs, z, n):
 
 
 def _sorted_key(z):
-    return (mp.mpf(z.real), mp.mpf(z.imag))
+    # the printed doubles, so iteration noise in the real parts of a
+    # conjugate pair cannot decide which member comes first
+    return (float(z.real), float(z.imag))
 
 
 def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
                seeds=None, max_iterations: int = MAX_ITERATIONS,
                origin_multiplicity: int = 0) -> ZeroSet:
     """All zeros of the monic polynomial given by coeffs.
+
+    Each Aberth sweep updates only the roots whose last step exceeded
+    tol * max(1, |z|); the sweeps end when none is left, and a final Newton
+    step z -= P(z)/P'(z) polishes every root. ZeroSet.iterations counts the
+    sweeps. Without seeds the roots start on a Cauchy-bound circle.
 
     tol must satisfy tol >= 2^(-precision_bits/2). Raises NonConvergence when
     the sweep exhausts max_iterations; caller policy is a single retry at
@@ -75,23 +86,24 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
         cs = work.coeffs
         dcs = tuple(cs[k] * k for k in range(1, n + 1))
         if seeds is None:
-            seeds = initial_guesses(n, None, None, coeffs=work.coeffs)
+            seeds = initial_guesses(n, coeffs=work.coeffs)
         zs = [mp.mpc(s) for s in seeds]
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
+        active = list(range(n))
         for it in range(1, max_iterations + 1):
-            converged = True
-            new = []
-            for i, z in enumerate(zs):
+            moved = []
+            still = []
+            for i in active:
+                z = zs[i]
                 p, dp = _horner2(cs, dcs, z)
                 if p == 0:
-                    new.append(z)
                     continue
                 if dp == 0:
                     # nudge off the critical point; rare with spread seeds
-                    new.append(z + mp.mpc(tol, tol))
-                    converged = False
+                    moved.append((i, z + mp.mpc(tol, tol)))
+                    still.append(i)
                     continue
                 newton = p / dp
                 s = mp.mpc(0)
@@ -104,14 +116,24 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
                 denom = 1 - newton * s
                 corr = newton if denom == 0 else newton / denom
                 if abs(corr) > tol * max(1, abs(z)):
-                    converged = False
-                new.append(z - corr)
-            zs = new
-            if converged:
+                    still.append(i)
+                moved.append((i, z - corr))
+            for i, z in moved:
+                zs[i] = z
+            active = still
+            if not active:
                 break
         else:
             worst = max(_residual(cs, z, n) for z in zs)
             raise NonConvergence(max_iterations, worst)
+
+        # a frozen root keeps the error its last step left, which later
+        # moves of the other roots no longer shrink; one Newton step
+        # squares it without any pair sums
+        for i, z in enumerate(zs):
+            p, dp = _horner2(cs, dcs, z)
+            if dp != 0:
+                zs[i] = z - p / dp
 
         # real coefficients force conjugate symmetry: an imaginary part at
         # the quarter-precision level is iteration dust on a real zero
@@ -136,44 +158,20 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
         )
 
 
-def initial_guesses(n: int, ctx, r_hat, coeffs=None) -> list:
-    """Seed points for find_zeros.
+def initial_guesses(n: int, coeffs=None) -> list:
+    """n seed points on a circle that encloses every zero.
 
-    With a landscape context: ceil(n*A) seeds on Gamma_{r_hat} at
-    arclength quantiles of nu_r (a small circle near the origin when
-    r_hat is infinite), the rest at Marchenko-Pastur quantiles on
-    [beta1, beta2]. Without one: a Cauchy-bound circle.
+    The radius is the Cauchy bound 1 + max|c_k| of the monic coefficients,
+    or 2 without them. Seeds placed on the predicted limit set come from
+    harness._seeds_for.
     """
-    import math
-
-    if ctx is None:
-        radius = 2.0
-        if coeffs is not None:
-            radius = 1.0 + max(float(abs(c)) for c in coeffs)
-        return [
-            radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + 0.25) / n))
-            for k in range(n)
-        ]
-
-    from . import contour, measure
-
-    n_loop = math.ceil(n * float(ctx.A))
-    n_int = n - n_loop
-    seeds = []
-    if n_loop > 0:
-        if r_hat is None or r_hat == mp.inf or r_hat == float("inf"):
-            seeds.extend(
-                0.05 * complex(math.cos(2 * math.pi * k / n_loop),
-                               math.sin(2 * math.pi * k / n_loop))
-                for k in range(n_loop)
-            )
-        else:
-            gamma = contour.trace_gamma(ctx, float(r_hat))
-            spec = measure.MeasureSpec(ctx, float(r_hat), gamma)
-            seeds.extend(measure.loop_quantiles(spec, n_loop))
-    if n_int > 0:
-        seeds.extend(measure.interval_quantiles(ctx, n_int))
-    return [mp.mpc(s) for s in seeds]
+    radius = 2.0
+    if coeffs is not None:
+        radius = 1.0 + max(float(abs(c)) for c in coeffs)
+    return [
+        radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + 0.25) / n))
+        for k in range(n)
+    ]
 
 
 def certify(coeffs: CoefficientList, zset: ZeroSet) -> ZeroSet:

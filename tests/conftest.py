@@ -1,15 +1,10 @@
 """Shared fixtures for the lagzero test suite."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 
-# the adaptive quadrature bisects recursively; the default interpreter
-# cap is too tight once integrand frames stack on top of the recursion
-sys.setrecursionlimit(10000)
-
-from lagzero import landscape  # noqa: E402
+from lagzero import landscape
 
 
 @pytest.fixture(scope="session")

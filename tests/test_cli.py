@@ -62,6 +62,20 @@ def test_zeros_precision_stability(capsys):
     assert strip(base) == strip(hi)
 
 
+@pytest.mark.parametrize("n,alpha", [("12", "-9.6"), ("25", "-10.5")])
+def test_zeros_conjugate_pairs_print_minus_first(capsys, n, alpha):
+    _, out, _ = run_cli(capsys, "zeros", "--n", n, "--alpha", alpha)
+    rows = [tuple(float(v) for v in row.split(",")[:2])
+            for row in out.splitlines()[1:]]
+    pairs = 0
+    for k, (re, im) in enumerate(rows):
+        if im > 0:
+            mate = rows.index((re, -im))
+            assert mate < k, f"{(re, im)} prints before its conjugate"
+            pairs += 1
+    assert pairs > 0
+
+
 def test_zeros_byte_deterministic(capsys):
     _, a, _ = run_cli(capsys, "zeros", "--n", "12", "--alpha", "-9.7")
     _, b, _ = run_cli(capsys, "zeros", "--n", "12", "--alpha", "-9.7")

@@ -129,6 +129,19 @@ def test_min_modulus_tracks_distance():
     assert mins[0] > mins[1] > mins[2]
 
 
+@pytest.mark.parametrize("n,alpha", [(80, "-64"), (112, "-89")])
+def test_integer_alpha_seeds_on_the_interval(n, alpha):
+    # past the origin factor every zero is real and on [beta1, beta2];
+    # seeded at interval quantiles the sweeps converge at once, where the
+    # Cauchy-circle start took 89 (n=80) and 177 (n=112) sweeps
+    zset, ctx, gamma, r_hat = harness.compute_zeros(n, alpha)
+    assert r_hat == math.inf and gamma is None
+    assert zset.origin_multiplicity == -int(alpha)
+    assert zset.iterations <= 10
+    b1, b2 = ctx.beta1, ctx.beta2
+    assert all(z.imag == 0 and b1 <= z.real <= b2 for z in zset.zeros)
+
+
 def test_run_comparison_deterministic():
     a = harness.run_comparison(25, "-10.5")
     b = harness.run_comparison(25, "-10.5")

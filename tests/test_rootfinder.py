@@ -121,6 +121,6 @@ def test_determinism():
 
 
 def test_initial_guesses_circle_fallback():
-    guesses = rootfinder.initial_guesses(7, None, float("inf"))
+    guesses = rootfinder.initial_guesses(7)
     assert len(guesses) == 7
     assert len(set(guesses)) == 7
