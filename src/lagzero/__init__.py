@@ -4,10 +4,12 @@ negative parameters.
 The package is organized around the scaled family L_n^(alpha)(n z) with
 alpha = -n A, A in (0, 1).  Modules:
 
-- laguerre:    exact coefficients, evaluation, integer-parameter reduction
+- laguerre:    exact coefficients, evaluation, integer-parameter reduction,
+               the A_n in (0, 1) domain check
 - rootfinder:  certified simultaneous root solver for the monic rescaling
 - landscape:   potential-theoretic machinery (R, phi, g, constants)
-- contour:     tracing of the predicted limit curves Gamma_r
+- contour:     tracing of the predicted limit curves Gamma_r; distance
+               and projection to the limit set
 - measure:     limit measures mu_r, quantiles, CDFs, log potentials
 - asymptotics: strong asymptotics in the outer and oscillatory regions
 - harness:     end-to-end comparison of computed zeros against predictions
@@ -31,7 +33,6 @@ from lagzero.laguerre import (
     LaguerreSpec,
     build_coefficients,
     default_precision,
-    eval_laguerre,
     integer_reduction,
     monic_rescaled,
     parse_alpha,
@@ -124,7 +125,6 @@ __all__ = [
     "default_precision",
     "dist_to_integers",
     "ell_constant",
-    "eval_laguerre",
     "find_zeros",
     "g_eval",
     "integer_reduction",

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Tuple
 
 from mpmath import mp
 
-from . import laguerre, measure
+from . import contour, laguerre, measure
 from .errors import DomainError
 from .landscape import PotentialContext, ell_constant, make_context
 
@@ -51,12 +50,6 @@ class AsymptoticPrediction:
     claimed_error_order: str
 
 
-def _segment_gap(z, a: float, b: float) -> float:
-    x, y = float(z.real), float(z.imag)
-    t = min(max(x, a), b)
-    return float(mp.sqrt((x - t) ** 2 + y ** 2))
-
-
 def outer_ratio(ctx_n: PotentialContext, n: int, z) -> AsymptoticPrediction:
     """Outer-parametrix value N11(z) = (a(z) + a(z)^{-1})/2.
 
@@ -66,12 +59,10 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> AsymptoticPrediction:
     at distance >= 0.2 from the interval and from the loop region.
     """
     zc = mp.mpc(z)
-    b1 = float(ctx_n.beta1)
-    b2 = float(ctx_n.beta2)
-    gap = _segment_gap(zc, b1, b2)
+    gap = float(contour.interval_gap(ctx_n, complex(zc)))
     # Gamma_0 stays inside |z| <= beta1, so clearance from that disk
     # covers every Gamma_r
-    loop_gap = float(abs(zc)) - b1
+    loop_gap = float(abs(zc)) - float(ctx_n.beta1)
     if min(gap, loop_gap) < OUTER_CLEARANCE:
         raise DomainError(
             f"z={complex(zc)} is within {OUTER_CLEARANCE} of the limit set"
@@ -91,10 +82,7 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
     Valid on the compact window [beta1 + d, beta2 - d] with
     d = 0.1 (beta2 - beta1); raises DomainError outside.
     """
-    alpha_f = laguerre.parse_alpha(alpha)
-    a_n = Fraction(-alpha_f, n)
-    if not 0 < a_n < 1:
-        raise DomainError(f"-alpha/n = {a_n} outside (0,1)")
+    a_n = laguerre.theorem_ratio(n, alpha)
     bits = laguerre.default_precision(n)
     ctx = make_context(a_n, precision_bits=bits)
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
@@ -123,8 +111,7 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
 
 def oscillatory_phase(n: int, alpha, x: float) -> float:
     """Phase of the cosine in oscillatory_value, for zero counting."""
-    alpha_f = laguerre.parse_alpha(alpha)
-    a_n = Fraction(-alpha_f, n)
+    a_n = laguerre.theorem_ratio(n, alpha)
     ctx = make_context(a_n, precision_bits=laguerre.default_precision(n))
     with mp.workprec(ctx.precision_bits):
         phase = n * mp.pi * measure.cdf_from_beta2(ctx, x)

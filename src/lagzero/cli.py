@@ -166,9 +166,7 @@ def cmd_asymp(args) -> int:
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
             lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
     elif args.regime == "outer":
-        from fractions import Fraction
-
-        a_n = Fraction(-alpha_f, n)
+        a_n = laguerre.theorem_ratio(n, alpha_f)
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
         coeffs = laguerre.monic_rescaled(lspec, scale=n)
@@ -181,9 +179,7 @@ def cmd_asymp(args) -> int:
                 rel = float(abs(complex(pred) / complex(exact) - 1))
             lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
     elif args.regime == "nth_root":
-        from fractions import Fraction
-
-        a_n = Fraction(-alpha_f, n)
+        a_n = laguerre.theorem_ratio(n, alpha_f)
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         r = _parse_r(args.r)
         spec_m = measure.make_measure(ctx, r)

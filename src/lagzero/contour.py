@@ -381,30 +381,51 @@ def trace_gamma(
 # geometry
 
 
-def _segment_distance(z: complex, a: complex, b: complex) -> float:
-    d = b - a
-    L2 = (d.real * d.real + d.imag * d.imag)
-    if L2 == 0:
-        return abs(z - a)
-    t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
-    t = max(0.0, min(1.0, t))
-    return abs(z - (a + t * d))
+def project_to_loop(
+    gamma: ContourPolyline, zs
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per point of zs: (arclength of the nearest polyline point, distance
+    to it), as float64 arrays; ties go to the first segment.
+
+    Distances use hypot on the componentwise difference, which rounds like
+    abs() of a builtin complex.  Each point is projected onto all segments
+    at once; points go one at a time, so the working set stays a few
+    vertex-length arrays rather than points x vertices.
+    """
+    z = np.asarray(zs, dtype=np.complex128).reshape(-1)
+    pts, arcs = gamma.as_arrays()
+    ax, ay = pts.real[:-1], pts.imag[:-1]
+    dx, dy = np.diff(pts.real), np.diff(pts.imag)
+    L2 = dx * dx + dy * dy
+    moving = L2 > 0
+    s = np.empty(len(z))
+    dist = np.empty(len(z))
+    for k, (x, y) in enumerate(zip(z.real, z.imag)):
+        t = np.zeros_like(L2)
+        np.divide((x - ax) * dx + (y - ay) * dy, L2, out=t, where=moving)
+        np.clip(t, 0.0, 1.0, out=t)
+        d = np.hypot(x - (ax + t * dx), y - (ay + t * dy))
+        i = int(np.argmin(d))
+        s[k] = arcs[i] + t[i] * (arcs[i + 1] - arcs[i])
+        dist[k] = d[i]
+    return s, dist
+
+
+def interval_gap(ctx: PotentialContext, zs) -> np.ndarray:
+    """Distance from each point of zs to the real segment [beta1, beta2]."""
+    z = np.asarray(zs, dtype=np.complex128)
+    x = np.clip(z.real, float(ctx.beta1), float(ctx.beta2))
+    return np.hypot(z.real - x, z.imag)
 
 
 def limit_set_distance(
-    ctx: PotentialContext, gamma: ContourPolyline, z: complex
+    ctx: PotentialContext, gamma: Optional[ContourPolyline], z: complex
 ) -> float:
-    """Distance from z to Gamma_r union [beta1, beta2]."""
+    """Distance from z to Gamma_r union [beta1, beta2]; gamma=None stands
+    for r = inf, whose loop is the atom at the origin."""
     z = complex(z)
-    pts = gamma.points
-    best = _segment_distance(
-        z, complex(float(ctx.beta1), 0.0), complex(float(ctx.beta2), 0.0)
-    )
-    for i in range(len(pts) - 1):
-        d = _segment_distance(z, pts[i], pts[i + 1])
-        if d < best:
-            best = d
-    return best
+    loop = abs(z) if gamma is None else project_to_loop(gamma, z)[1][0]
+    return float(min(interval_gap(ctx, z), loop))
 
 
 def point_in_loop(gamma: ContourPolyline, z: complex) -> bool:
@@ -414,12 +435,9 @@ def point_in_loop(gamma: ContourPolyline, z: complex) -> bool:
     meaningless there).
     """
     z = complex(z)
-    pts = gamma.points
-    near = min(
-        _segment_distance(z, pts[i], pts[i + 1]) for i in range(len(pts) - 1)
-    )
-    if near <= gamma.level_tol:
+    if project_to_loop(gamma, z)[1][0] <= gamma.level_tol:
         raise OnBoundary(f"{z} lies on the traced curve")
+    pts = gamma.points
     inside = False
     x, y = z.real, z.imag
     for i in range(len(pts) - 1):

@@ -52,7 +52,6 @@ class RunOptions:
     classify_tol: float = 0.1
     sweep: Tuple[float, ...] = (0.05, 0.1, 0.2)
     precision_bits: Optional[int] = None
-    max_step: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -178,36 +177,20 @@ def make_plan(A, r: float, n_values: Sequence[int],
     return ParameterPlan(A, float(r), n_values, tuple(alphas))
 
 
-def _segment_gap(z: complex, a: float, b: float) -> float:
-    t = min(max(z.real, a), b)
-    return math.hypot(z.real - t, z.imag)
-
-
-def _limit_distance(ctx, gamma, z: complex) -> float:
-    if gamma is None:
-        seg = _segment_gap(z, float(ctx.beta1), float(ctx.beta2))
-        return min(abs(z), seg)
-    return contour.limit_set_distance(ctx, gamma, z)
-
-
-def _classify(zeros: Sequence[complex], ctx, gamma,
-              delta: float) -> List[str]:
+def _classify(zs: np.ndarray, d_int: np.ndarray, d_loop: np.ndarray,
+              delta: float) -> np.ndarray:
     # both sets can match near beta1 at loose tolerances; the nearer one
     # wins, with the interval taking exact ties
-    b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    labels = []
-    for z in zeros:
-        d_int = _segment_gap(z, b1, b2)
-        int_ok = d_int <= delta and abs(z.imag) < delta
-        d_loop = abs(z) if gamma is None else measure.project_to_loop(gamma, z)[1]
-        loop_ok = d_loop <= delta
-        if int_ok and (not loop_ok or d_int <= d_loop):
-            labels.append("interval")
-        elif loop_ok:
-            labels.append("loop")
-        else:
-            labels.append("outlier")
-    return labels
+    int_ok = (d_int <= delta) & (np.abs(zs.imag) < delta)
+    loop_ok = d_loop <= delta
+    interval = int_ok & (~loop_ok | (d_int <= d_loop))
+    return np.where(interval, "interval",
+                    np.where(loop_ok, "loop", "outlier"))
+
+
+def _counts(labels: np.ndarray) -> Tuple[int, int, int]:
+    return tuple(int(np.count_nonzero(labels == lab))
+                 for lab in ("loop", "interval", "outlier"))
 
 
 def _ks_interval(xs: Sequence[float], ctx) -> float:
@@ -223,12 +206,13 @@ def _ks_interval(xs: Sequence[float], ctx) -> float:
     return d
 
 
-def _ks_loop(zs: Sequence[complex], spec: measure.MeasureSpec) -> float:
-    if not zs:
+def _ks_loop(ss: Sequence[float], spec: measure.MeasureSpec) -> float:
+    # ss: the loop zeros' arclength coordinates on spec.gamma
+    if not ss:
         return 0.0
     arcs, cum = measure.loop_cdf_points(spec)
     total = float(cum[-1])
-    ss = sorted(measure.project_to_loop(spec.gamma, z)[0] for z in zs)
+    ss = sorted(ss)
     k = len(ss)
     d = 0.0
     for j, s in enumerate(ss):
@@ -262,8 +246,7 @@ def working_precision(n: int, alpha) -> int:
     return bits
 
 
-def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None,
-                  max_step: Optional[float] = None):
+def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
 
     Returns (zset, ctx, gamma, r_hat); ctx and gamma are None when
@@ -291,7 +274,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None,
         if r_hat == math.inf:
             spec_m = measure.make_measure(ctx, math.inf)
         elif r_hat <= _TRACE_R_MAX:
-            gamma = contour.trace_gamma(ctx, r_hat, max_step=max_step)
+            gamma = contour.trace_gamma(ctx, r_hat)
             spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
 
     coeffs = laguerre.monic_rescaled(work, scale=n)
@@ -317,9 +300,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     toward the loop mass (the limit measure's atom at 0).
     """
     alpha_f = laguerre.parse_alpha(alpha)
-    a_n = Fraction(-alpha_f, n)
-    if not 0 < a_n < 1:
-        raise DomainError(f"-alpha/n = {a_n} outside (0,1)")
+    a_n = laguerre.theorem_ratio(n, alpha_f)
     r_hat = r_hat_from(n, alpha_f)
     if r_hat != math.inf and r_hat > _TRACE_R_MAX:
         raise DomainError(
@@ -327,7 +308,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
             "below the tracer's resolution"
         )
     zset, ctx, gamma, r_hat = compute_zeros(
-        n, alpha_f, precision_bits=opts.precision_bits, max_step=opts.max_step
+        n, alpha_f, precision_bits=opts.precision_bits
     )
     origin_mult = zset.origin_multiplicity
     if gamma is None:
@@ -336,40 +317,41 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
         spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
     valid = not zset.suspect
 
+    # one projection per zero; every tolerance below only thresholds it
     zeros = [complex(z) for z in zset.zeros]
-    labels = _classify(zeros, ctx, gamma, opts.classify_tol)
-    loop_zs = [z for z, lab in zip(zeros, labels) if lab == "loop"]
-    int_xs = [z.real for z, lab in zip(zeros, labels) if lab == "interval"]
-    n_out = sum(1 for lab in labels if lab == "outlier")
-
-    max_dev = 0.0
-    for z in zeros:
-        max_dev = max(max_dev, _limit_distance(ctx, gamma, z))
-
-    ks_loop = 0.0 if gamma is None else _ks_loop(loop_zs, spec_m)
-    mass = Fraction(len(loop_zs) + origin_mult, n) - a_n
-    sweep = []
-    for delta in opts.sweep:
-        labs = _classify(zeros, ctx, gamma, delta)
-        sweep.append((delta, labs.count("loop"), labs.count("interval"),
-                      labs.count("outlier")))
+    zs = np.array(zeros, dtype=np.complex128)
+    d_int = contour.interval_gap(ctx, zs)
+    if gamma is None:
+        # hypot, not np.abs: it rounds like abs() of a builtin complex
+        s_loop, d_loop = None, np.hypot(zs.real, zs.imag)
+    else:
+        s_loop, d_loop = contour.project_to_loop(gamma, zs)
+    labels = _classify(zs, d_int, d_loop, opts.classify_tol)
+    n_loop, n_int, n_out = _counts(labels)
+    max_dev = float(np.max(np.minimum(d_int, d_loop), initial=0.0))
+    ks_loop = 0.0
+    if gamma is not None:
+        ks_loop = _ks_loop(s_loop[labels == "loop"].tolist(), spec_m)
+    mass = Fraction(n_loop + origin_mult, n) - a_n
+    sweep = tuple((delta, *_counts(_classify(zs, d_int, d_loop, delta)))
+                  for delta in opts.sweep)
 
     return ComparisonReport(
         n=n,
         alpha=decimal_str(alpha_f),
         r_hat=r_hat,
         max_deviation=max_dev,
-        loop_count=len(loop_zs),
-        interval_count=len(int_xs),
+        loop_count=n_loop,
+        interval_count=n_int,
         outlier_count=n_out,
-        ks_interval=_ks_interval(int_xs, ctx),
+        ks_interval=_ks_interval(zs.real[labels == "interval"].tolist(), ctx),
         ks_loop=ks_loop,
         mass_error=abs(float(mass)),
         residual_max=float(max(zset.residuals, default=mp.mpf(0))),
         origin_multiplicity=origin_mult,
         valid=valid,
-        sweep=tuple(sweep),
-        zeros=tuple((z.real, z.imag, lab) for z, lab in zip(zeros, labels)),
+        sweep=sweep,
+        zeros=tuple((z.real, z.imag, str(lab)) for z, lab in zip(zeros, labels)),
     )
 
 

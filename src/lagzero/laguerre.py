@@ -48,6 +48,17 @@ def default_precision(n: int) -> int:
     return max(256, 4 * n + 64)
 
 
+def theorem_ratio(n: int, alpha: AlphaLike) -> Fraction:
+    """A_n = -alpha/n exactly; DomainError unless n >= 1 and A_n in (0,1),
+    the range every limit-set and asymptotic statement assumes."""
+    if n < 1:
+        raise DomainError(f"degree n must be >= 1, got {n}")
+    a_n = Fraction(-parse_alpha(alpha), n)
+    if not 0 < a_n < 1:
+        raise DomainError(f"-alpha/n = {a_n} outside (0,1)")
+    return a_n
+
+
 @dataclass(frozen=True)
 class LaguerreSpec:
     """Degree, exact parameter, and working precision for one polynomial."""
@@ -71,13 +82,6 @@ class LaguerreSpec:
         if self.n == 0:
             raise DomainError("A_n undefined for degree 0")
         return -self.alpha / self.n
-
-    def require_theorem_range(self) -> None:
-        """Experiments assume n >= 1 and A_n in (0,1); plain evaluation does not."""
-        if self.n < 1:
-            raise DomainError("degenerate degree-0 spec cannot drive an experiment")
-        if not (0 < self.A_n < 1):
-            raise DomainError(f"A_n = {self.A_n} outside (0,1)")
 
 
 @dataclass(frozen=True)
@@ -138,17 +142,6 @@ def eval_poly(coeffs: Sequence, z, precision_bits: int):
         for c in reversed(coeffs):
             acc = acc * zz + c
         return acc
-
-
-def eval_laguerre(spec: LaguerreSpec, z):
-    """L_n^(alpha)(z) by Horner at spec.precision_bits.
-
-    The accuracy statement (relative 2^-precision/2 against a doubled
-    precision run) holds when the cancellation budget fits, i.e. away from
-    the deep oscillatory regime at large n; the default budget 4n+64 keeps
-    roughly 64 - 0.2n bits of headroom there.
-    """
-    return eval_poly(build_coefficients(spec).coeffs, z, spec.precision_bits)
 
 
 def monic_rescaled(spec: LaguerreSpec, scale: int | None = None) -> CoefficientList:

@@ -261,16 +261,6 @@ def _right_integral(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
     return quad_seg(f, 0, U, ctx.tol / 2)
 
 
-def interval_gap_integral(ctx: PotentialContext) -> mp.mpf:
-    """K(beta2) = Integral over the full cut of sqrt((s-b1)(b2-s))/s ds.
-
-    Equals 2 pi (1 - A); exposed for cross-checks against the measure
-    module's interval mass.
-    """
-    with mp.workprec(ctx.precision_bits):
-        return 2 * mp.pi * (1 - ctx.A)
-
-
 def phi_eval(
     ctx: PotentialContext,
     z: Union[complex, mp.mpc, Scalar],
@@ -407,19 +397,27 @@ def rate_from_c(n: int, c: Union[complex, mp.mpc]) -> mp.mpf:
 # g-function
 
 
-def _interval_log_integral(ctx: PotentialContext, z: mp.mpc) -> mp.mpc:
-    # Integral over [beta1, beta2] of log(z - s) dmu_MP(s); the cosine
-    # substitution absorbs both square-root endpoint zeros
+def interval_integral(
+    ctx: PotentialContext,
+    f: Callable[[mp.mpf], Union[mp.mpf, mp.mpc]],
+    tol: mp.mpf,
+) -> Union[mp.mpf, mp.mpc]:
+    """Integral over [beta1, beta2] of f(s) against the Marchenko-Pastur
+    density sqrt((s-beta1)(beta2-s))/(2 pi s), at the caller's precision.
+
+    The substitution s = mid - half*cos(t) absorbs both square-root
+    endpoint zeros of the density.
+    """
     b1, b2 = ctx.beta1, ctx.beta2
     mid = (b1 + b2) / 2
     half = (b2 - b1) / 2
 
-    def f(t):
+    def g(t):
         s = mid - half * mp.cos(t)
         w = half * mp.sin(t)
-        return mp.log(z - s) * w * w / (2 * mp.pi * s)
+        return f(s) * w * w / (2 * mp.pi * s)
 
-    return quad_seg(f, 0, mp.pi, ctx.tol / 2)
+    return quad_seg(g, 0, mp.pi, tol)
 
 
 @lru_cache(maxsize=32)
@@ -479,7 +477,10 @@ def g_eval(
             loop_part = ctx.A * mp.log(w)
         else:
             loop_part = _loop_log_trapezoid(ctx, gamma, w, _measure)
-        return loop_part + _interval_log_integral(ctx, w)
+        interval_part = interval_integral(
+            ctx, lambda s: mp.log(w - s), ctx.tol / 2
+        )
+        return loop_part + interval_part
 
 
 def _loop_log_trapezoid(ctx, gamma, z, measure_mod) -> mp.mpc:

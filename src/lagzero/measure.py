@@ -20,9 +20,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 import numpy as np
 from mpmath import mp
 
-from lagzero.contour import ContourPolyline, _segment_distance
+from lagzero.contour import ContourPolyline, project_to_loop
 from lagzero.errors import DomainError
-from lagzero.landscape import PotentialContext, quad_seg
+from lagzero.landscape import PotentialContext, interval_integral, quad_seg
 
 INF = math.inf
 
@@ -107,11 +107,7 @@ def nu_arclength_density(spec: MeasureSpec, p: complex) -> float:
     if math.isinf(spec.r):
         raise DomainError("the r=inf loop is an atom; no arclength density")
     gamma = spec.gamma
-    pts = gamma.points
-    dist = min(
-        _segment_distance(complex(p), pts[i], pts[i + 1])
-        for i in range(len(pts) - 1)
-    )
+    dist = project_to_loop(gamma, complex(p))[1][0]
     if dist > max(10 * gamma.level_tol, 1e-8):
         raise DomainError(f"{p} is not on the traced Gamma_{spec.r}")
     return nu_density_at(spec.ctx, complex(p))
@@ -181,15 +177,7 @@ def interval_mass(ctx: PotentialContext) -> mp.mpf:
     shortcut, so it exercises the density itself.
     """
     with mp.workprec(ctx.precision_bits):
-        b1, b2 = ctx.beta1, ctx.beta2
-        mid = (b1 + b2) / 2
-        half = (b2 - b1) / 2
-
-        def f(t):
-            s = mid - half * mp.cos(t)
-            return half * half * mp.sin(t) ** 2 / (2 * mp.pi * s)
-
-        return quad_seg(f, mp.mpf(0), mp.pi, ctx.tol)
+        return interval_integral(ctx, lambda s: 1, ctx.tol)
 
 
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
@@ -232,19 +220,6 @@ def cdf_from_beta2(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 # log potential
 
 
-def _interval_log_abs(ctx: PotentialContext, z: mp.mpc) -> mp.mpf:
-    b1, b2 = ctx.beta1, ctx.beta2
-    mid = (b1 + b2) / 2
-    half = (b2 - b1) / 2
-
-    def f(t):
-        s = mid - half * mp.cos(t)
-        w = half * mp.sin(t)
-        return mp.log(abs(z - s)) * w * w / (2 * mp.pi * s)
-
-    return quad_seg(f, 0, mp.pi, ctx.tol)
-
-
 def log_potential(spec: MeasureSpec, z: complex) -> float:
     """U(z) = Integral log|z - s| dmu_r(s), z off the support.
 
@@ -268,13 +243,14 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
             dist = contour.limit_set_distance(ctx, spec.gamma, complex(z))
             if dist <= max(10 * spec.gamma.level_tol, 1e-8):
                 raise DomainError("z on the support of mu_r")
-            pts, arcs = spec.gamma.as_arrays()
-            dens = np.array(
-                [nu_density_at(ctx, complex(p)) for p in pts]
-            )
+            pts, _ = spec.gamma.as_arrays()
+            dens, arcs = _vertex_densities(spec)
             vals = np.log(np.abs(complex(z) - pts)) * dens
             loop_part = _simpson_irregular(arcs, vals)
-        return loop_part + float(_interval_log_abs(ctx, w))
+        interval_part = interval_integral(
+            ctx, lambda s: mp.log(abs(w - s)), ctx.tol
+        )
+        return loop_part + float(interval_part)
 
 
 # ---------------------------------------------------------------------------
@@ -316,23 +292,3 @@ def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
     t_q = np.interp(targets, cum, t)
     return [float(mid - half * math.cos(tv)) for tv in t_q]
 
-
-def project_to_loop(gamma: ContourPolyline, z: complex) -> Tuple[float, float]:
-    """(arclength of nearest polyline point, distance to it)."""
-    z = complex(z)
-    pts = gamma.points
-    arcs = gamma.arclengths
-    best = (0.0, math.inf)
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        d = b - a
-        L2 = d.real * d.real + d.imag * d.imag
-        t = 0.0
-        if L2 > 0:
-            t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
-            t = max(0.0, min(1.0, t))
-        p = a + t * d
-        dist = abs(z - p)
-        if dist < best[1]:
-            best = (arcs[i] + t * (arcs[i + 1] - arcs[i]), dist)
-    return best

@@ -88,6 +88,10 @@ def test_oscillatory_needs_interior_ratio():
         asymptotics.oscillatory_value(40, 2, 1.3)
     with pytest.raises(DomainError):
         asymptotics.oscillatory_value(40, -50, 1.3)
+    # -alpha/n = 1 collapses the interval; the phase refuses it too
+    for alpha in ("-40", 2):
+        with pytest.raises(DomainError):
+            asymptotics.oscillatory_phase(40, alpha, 1.0)
 
 
 def test_phase_at_midpoint(ctx81):

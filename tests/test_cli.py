@@ -158,6 +158,15 @@ def test_asymp_domain_exit_code(capsys):
     assert "window" in err
 
 
+@pytest.mark.parametrize("regime", ["outer", "nth_root"])
+def test_asymp_ratio_outside_range_exit_code(capsys, regime):
+    # -alpha/n = 1 is outside (0,1) for every regime, not only oscillatory
+    code, _, err = run_cli(capsys, "asymp", "--n", "40", "--alpha", "-40",
+                           "--regime", regime, "--points", "3")
+    assert code == cli.EXIT_ASYMP_DOMAIN
+    assert "outside (0,1)" in err
+
+
 def test_asymp_needs_points(capsys):
     code, _, err = run_cli(capsys, "asymp", "--n", "40", "--alpha", "-32.4",
                            "--regime", "oscillatory")

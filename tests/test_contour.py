@@ -1,6 +1,7 @@
 """Level-curve tracing: crossings, closure, orientation, CSV output."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -98,6 +99,77 @@ def test_limit_set_distance(ctx81):
     mid = (float(ctx81.beta1) + b2) / 2
     assert contour.limit_set_distance(ctx81, g, mid) == 0.0
     assert contour.limit_set_distance(ctx81, g, g.points[3]) == 0.0
+
+
+def _reference_projection(gamma, z):
+    # plain per-segment loop; strict < keeps the first of equal minima
+    pts, arcs = gamma.points, gamma.arclengths
+    best = (0.0, math.inf)
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        d = b - a
+        L2 = d.real * d.real + d.imag * d.imag
+        t = 0.0
+        if L2 > 0:
+            t = ((z - a).real * d.real + (z - a).imag * d.imag) / L2
+            t = max(0.0, min(1.0, t))
+        dist = abs(z - (a + t * d))
+        if dist < best[1]:
+            best = (arcs[i] + t * (arcs[i + 1] - arcs[i]), dist)
+    return best
+
+
+def _reference_gap(ctx, z):
+    return abs(z - min(max(z.real, float(ctx.beta1)), float(ctx.beta2)))
+
+
+def _assert_kernel_matches_reference(ctx, gamma, zs):
+    s, d = contour.project_to_loop(gamma, zs)
+    gaps = contour.interval_gap(ctx, zs)
+    for k, z in enumerate(zs):
+        ref_s, ref_d = _reference_projection(gamma, z)
+        assert (s[k], d[k]) == (ref_s, ref_d)
+        assert gaps[k] == _reference_gap(ctx, z)
+        assert contour.limit_set_distance(ctx, gamma, z) == min(
+            _reference_gap(ctx, z), ref_d)
+        assert contour.limit_set_distance(ctx, None, z) == min(
+            _reference_gap(ctx, z), abs(z))
+
+
+@pytest.mark.parametrize("r", [0.0, 3.0])
+def test_project_to_loop_matches_segment_loop(ctx81, r):
+    # bit for bit: points just off Gamma_r, on its vertices and far away
+    g = contour.trace_gamma(ctx81, r)
+    size = max(abs(p) for p in g.points)
+    rng = random.Random(7)
+    zs = [p + size * 1e-2 * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+          for p in g.points[::23]]
+    zs += list(g.points[::97])
+    zs += [0j, 5 + 3j, -4 - 2j, 1e3j, float(ctx81.beta2) + 1.0,
+           (float(ctx81.beta1) + float(ctx81.beta2)) / 2 + 0.01j]
+    _assert_kernel_matches_reference(ctx81, g, zs)
+
+
+def test_project_to_loop_zero_length_segment(ctx81):
+    # a repeated vertex makes a zero-length segment; equidistant segments
+    # resolve to the first one, as in the loop
+    pts = (-0.5 + 0j, 0.5j, 0.5j, 0.5 + 0j, -0.5j, -0.5 + 0j)
+    arcs = [0.0]
+    for a, b in zip(pts, pts[1:]):
+        arcs.append(arcs[-1] + abs(b - a))
+    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(arcs),
+                                max_step=1.0, level_tol=1e-9)
+    zs = [0.6j, 0.5j, 0.1 + 0.55j, -0.1 + 0.7j, 0j, 2 + 2j, -0.5 + 0j]
+    _assert_kernel_matches_reference(ctx81, g, zs)
+
+
+def test_project_to_loop(ctx81):
+    gamma = contour.trace_gamma(ctx81, 0.0)
+    s, dist = contour.project_to_loop(gamma, gamma.points[12])
+    assert dist[0] == 0.0
+    assert abs(s[0] - gamma.arclengths[12]) <= 1e-12
+    _, d0 = contour.project_to_loop(gamma, 0j)
+    assert abs(d0[0] - min(abs(p) for p in gamma.points)) <= 1e-6
 
 
 def test_halving_max_step_is_consistent(ctx81):

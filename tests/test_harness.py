@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from lagzero import harness
+from lagzero import contour, harness
 from lagzero.errors import DomainError, PlanError
 
 
@@ -117,6 +117,28 @@ def test_run_comparison_near_integer():
     ints = [x for x, y, lab in rep.zeros if lab == "interval"]
     assert max(loops) == pytest.approx(0.1399523048826555, abs=1e-6)
     assert min(ints) == pytest.approx(0.4336336830986336, abs=1e-6)
+
+
+@pytest.mark.parametrize("n,alpha,tol", [(25, "-10.5", 0.05), (40, -32, 0.2)])
+def test_sweep_row_at_classify_tol_matches_headline(n, alpha, tol):
+    rep = harness.run_comparison(n, alpha, harness.RunOptions(classify_tol=tol))
+    rows = {d: (lo, iv, ou) for d, lo, iv, ou in rep.sweep}
+    assert rows[tol] == (rep.loop_count, rep.interval_count, rep.outlier_count)
+
+
+def test_run_comparison_projects_each_zero_once(monkeypatch):
+    # every tolerance thresholds one projection of all zeros
+    calls = []
+    project = contour.project_to_loop
+
+    def counting(gamma, zs):
+        calls.append(len(zs))
+        return project(gamma, zs)
+
+    monkeypatch.setattr(contour, "project_to_loop", counting)
+    rep = harness.run_comparison(25, "-10.5")
+    assert calls == [25]
+    assert len(rep.sweep) == 3
 
 
 def test_min_modulus_tracks_distance():

@@ -59,7 +59,8 @@ def test_eval_against_mpmath_laguerre(n, alpha, x):
     spec = LaguerreSpec.create(n, alpha, 320)
     with mp.workprec(320):
         x = mp.mpf(x)
-        mine = laguerre.eval_laguerre(spec, x)
+        mine = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs, x,
+                                  spec.precision_bits)
         ref = mp.laguerre(n, mp.mpf(alpha.numerator) / alpha.denominator, x)
         assert abs(mine - ref) <= mp.mpf(2) ** -240 * abs(ref)
 
@@ -76,8 +77,11 @@ def test_integer_parameter_reduction_identity():
     s4 = LaguerreSpec.create(4, 3, 320)
     with mp.workprec(320):
         for z in (mp.mpf("0.9"), mp.mpc(2, 1)):
-            lhs = laguerre.eval_laguerre(s7, z)
-            rhs = mp.mpf(24) / 5040 * (-z) ** 3 * laguerre.eval_laguerre(s4, z)
+            lhs = laguerre.eval_poly(laguerre.build_coefficients(s7).coeffs,
+                                     z, s7.precision_bits)
+            l4 = laguerre.eval_poly(laguerre.build_coefficients(s4).coeffs,
+                                    z, s4.precision_bits)
+            rhs = mp.mpf(24) / 5040 * (-z) ** 3 * l4
             assert abs(lhs - rhs) <= mp.mpf(2) ** -200
 
 
@@ -99,7 +103,8 @@ def test_monic_rescaled_is_monic_and_consistent():
     with mp.workprec(320):
         z = mp.mpf("0.83")
         pv = laguerre.eval_poly(mon.coeffs, z, 320)
-        lv = laguerre.eval_laguerre(spec, 6 * z) * mp.mpf(720) / 6**6
+        lv = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs,
+                                6 * z, spec.precision_bits) * mp.mpf(720) / 6**6
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
@@ -110,7 +115,8 @@ def test_monic_rescaled_explicit_scale():
     with mp.workprec(256):
         z = mp.mpf("0.6")
         pv = laguerre.eval_poly(mon4.coeffs, z, 256)
-        lv = laguerre.eval_laguerre(spec, 4 * z) * mp.mpf(2) / 16
+        lv = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs,
+                                4 * z, spec.precision_bits) * mp.mpf(2) / 16
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
@@ -133,6 +139,7 @@ def test_spec_validation():
         LaguerreSpec(3, Fraction(1, 2), 32)
     spec = LaguerreSpec.create(40, "-32.4")
     assert spec.A_n == Fraction(81, 100)
-    spec.require_theorem_range()
-    with pytest.raises(DomainError):
-        LaguerreSpec.create(40, "-80").require_theorem_range()
+    assert laguerre.theorem_ratio(40, "-32.4") == Fraction(81, 100)
+    for n, alpha in ((40, "-80"), (40, "-40"), (40, "2"), (0, "-1")):
+        with pytest.raises(DomainError):
+            laguerre.theorem_ratio(n, alpha)

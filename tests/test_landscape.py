@@ -221,12 +221,6 @@ def test_phi_minus_phi_tilde_constant(ctx81):
             assert abs(d - expected) <= 1e-30
 
 
-def test_interval_gap_integral(ctx81):
-    with mp.workprec(256):
-        assert abs(landscape.interval_gap_integral(ctx81)
-                   - 2 * mp.pi * (1 - ctx81.A)) <= 1e-30
-
-
 # ---------------------------------------------------------------------------
 # c_n and the rate
 

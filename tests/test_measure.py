@@ -118,9 +118,8 @@ def test_loop_quantiles(ctx81, mu81_r0):
     qs = measure.loop_quantiles(mu81_r0, 9)
     assert len(qs) == 9
     assert len(set(qs)) == 9
-    for q in qs:
-        _, dist = measure.project_to_loop(mu81_r0.gamma, q)
-        assert dist <= 1e-9
+    _, dist = contour.project_to_loop(mu81_r0.gamma, qs)
+    assert all(dist <= 1e-9)
 
 
 def test_interval_quantiles(ctx81):
@@ -133,15 +132,6 @@ def test_interval_quantiles(ctx81):
     for j, q in enumerate(qs):
         target = (j + 0.5) / 8 * (1 - 0.81)
         assert abs(float(measure.cdf_interval(ctx81, q)) - target) <= 1e-6
-
-
-def test_project_to_loop(mu81_r0):
-    gamma = mu81_r0.gamma
-    s, dist = measure.project_to_loop(gamma, gamma.points[12])
-    assert dist == 0.0
-    assert abs(s - gamma.arclengths[12]) <= 1e-12
-    _, d0 = measure.project_to_loop(gamma, 0j)
-    assert abs(d0 - min(abs(p) for p in gamma.points)) <= 1e-6
 
 
 def test_log_potential_r_independent_outside(ctx80):
