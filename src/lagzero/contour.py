@@ -262,15 +262,18 @@ def trace_gamma(
     geometrically and inserts beta1 exactly.  The lower half is the
     conjugate mirror of the traced upper half.
 
-    Raises StepCollapse below a 1e-8 step floor and ClosureError when
-    the step budget is exhausted.
+    Raises DomainError when beta2 = beta1 (A = 1) or max_step <= 0,
+    StepCollapse below a 1e-8 step floor and ClosureError when the step
+    budget is exhausted.
     """
     fast = _FastPhase(ctx)
     span = fast.b2 - fast.b1
+    if span <= 0:
+        raise DomainError(f"beta2 - beta1 = {span} at A = {ctx.A}; Gamma_r needs A < 1")
     if max_step is None:
         max_step = span / 400
-    if max_step <= 0:
-        raise ValueError("max_step must be positive")
+    if not max_step > 0:
+        raise DomainError(f"max_step must be positive, got {max_step}")
     level = r / 2
     level_tol = DEFAULT_LEVEL_TOL
     theta_max = max_step / span

@@ -77,12 +77,6 @@ class LaguerreSpec:
     def create(cls, n: int, alpha: AlphaLike, precision_bits: int | None = None) -> "LaguerreSpec":
         return cls(n, parse_alpha(alpha), precision_bits or default_precision(n))
 
-    @property
-    def A_n(self) -> Fraction:
-        if self.n == 0:
-            raise DomainError("A_n undefined for degree 0")
-        return -self.alpha / self.n
-
 
 @dataclass(frozen=True)
 class CoefficientList:

@@ -7,13 +7,20 @@ other roots' pair sums, and the iteration stops once every root is frozen
 (Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
 the frozen approximations. Residuals are recorded as |P(z)| / max(1, |z|)^n
 so the certificate is scale-free.
-"""
+
+The sweeps and the polish run on fixed-point Gaussian integers: (X, Y)
+stands for (X + iY) 2^-P, so each product is one big-integer multiply in C
+instead of an mpc operation in pure Python. P is the working precision plus
+the bits the smallest nonzero coefficient sits below 1, plus 16 guard bits,
+so every coefficient keeps at least precision + 16 significant bits. The
+roots then return to mpc for the residual check and certify."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
 import mpmath as mp
+from mpmath.libmp import to_fixed
 
 from .errors import NonConvergence
 from .laguerre import CoefficientList
@@ -36,16 +43,6 @@ class ZeroSet:
         return len(self.zeros) + self.origin_multiplicity
 
 
-def _horner2(coeffs, dcoeffs, z):
-    p = mp.mpf(0)
-    for c in reversed(coeffs):
-        p = p * z + c
-    dp = mp.mpf(0)
-    for c in reversed(dcoeffs):
-        dp = dp * z + c
-    return p, dp
-
-
 def _residual(coeffs, z, n):
     p = mp.mpf(0)
     for c in reversed(coeffs):
@@ -59,6 +56,116 @@ def _sorted_key(z):
     return (float(z.real), float(z.imag))
 
 
+def _fixed_horner(cs, x, y, prec):
+    # P(z) and P'(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n scaled by
+    # 2^prec. Each complex product takes three multiplies (Gauss); the
+    # integers are exact, so the shift alone rounds.
+    px, py, dx, dy = cs[-1], 0, 0, 0
+    xpy, ymx = x + y, y - x
+    for c in reversed(cs[:-1]):
+        k = x * (dx + dy)
+        dx, dy = ((k - dy * xpy) >> prec) + px, ((k + dx * ymx) >> prec) + py
+        k = x * (px + py)
+        px, py = ((k - py * xpy) >> prec) + c, (k + px * ymx) >> prec
+    return px, py, dx, dy
+
+
+def _fixed_div(ax, ay, bx, by, prec):
+    # (a / b) 2^prec for fixed-point a, b != 0
+    bb = bx * bx + by * by
+    return ((ax * bx + ay * by) << prec) // bb, ((ay * bx - ax * by) << prec) // bb
+
+
+def _pair_sums(zs, active, prec, floor):
+    """sum_{j != i} 1/(z_i - z_j) for every active i, in fixed point.
+
+    Each term is conj(e) r with e = z_i - z_j and r = 2^(3 prec) // |e|^2,
+    held in 2^-(2 prec) units until the total is shifted back. r is
+    symmetric in i and j and the sweep is Jacobi, so two active roots share
+    one division and receive exactly opposite terms.
+    """
+    cube = 1 << (3 * prec)
+    acc = {i: [0, 0] for i in active}
+    for i in active:
+        x, y = zs[i]
+        si = acc[i]
+        for j, (wx, wy) in enumerate(zs):
+            sj = acc.get(j)
+            if j == i or (sj is not None and j < i):
+                continue  # an active j < i already added this pair
+            ex, ey = x - wx, y - wy
+            if ex == 0 and ey == 0:
+                # coincident approximations: opposite offsets part them
+                ex = ey = floor
+            r = cube // (ex * ex + ey * ey)
+            tx, ty = ex * r, ey * r
+            si[0] += tx
+            si[1] -= ty
+            if sj is not None:
+                sj[0] -= tx
+                sj[1] += ty
+    return {i: (sx >> prec, sy >> prec) for i, (sx, sy) in acc.items()}
+
+
+def _aberth_fixed(cs, zs, prec, tol, floor, max_iterations):
+    """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
+
+    Returns the sweep count, or None when max_iterations run out; zs is
+    updated in place either way.
+    """
+    one = 1 << prec
+    tol2 = tol * tol
+    active = list(range(len(zs)))
+    for it in range(1, max_iterations + 1):
+        # every pair sum is taken before any root moves (Jacobi order)
+        sums = _pair_sums(zs, active, prec, floor)
+        still = []
+        for i in active:
+            x, y = zs[i]
+            px, py, dx, dy = _fixed_horner(cs, x, y, prec)
+            if px == 0 and py == 0:
+                continue
+            if dx == 0 and dy == 0:
+                # nudge off the critical point; rare with spread seeds
+                zs[i] = (x + tol, y + tol)
+                still.append(i)
+                continue
+            nx, ny = _fixed_div(px, py, dx, dy, prec)
+            sx, sy = sums[i]
+            ax = one - ((nx * sx - ny * sy) >> prec)
+            ay = -((nx * sy + ny * sx) >> prec)
+            if ax == 0 and ay == 0:
+                cx, cy = nx, ny
+            else:
+                cx, cy = _fixed_div(nx, ny, ax, ay, prec)
+            # |corr| > tol max(1, |z|), squared and scaled by 2^(4 prec)
+            if (cx * cx + cy * cy) << (2 * prec) > tol2 * max(one * one, x * x + y * y):
+                still.append(i)
+            zs[i] = (x - cx, y - cy)
+        active = still
+        if not active:
+            break
+    else:
+        return None
+
+    # a frozen root keeps the error its last step left, which later
+    # moves of the other roots no longer shrink; one Newton step
+    # squares it without any pair sums
+    for i, (x, y) in enumerate(zs):
+        px, py, dx, dy = _fixed_horner(cs, x, y, prec)
+        if dx != 0 or dy != 0:
+            nx, ny = _fixed_div(px, py, dx, dy, prec)
+            zs[i] = (x - nx, y - ny)
+    return it
+
+
+def _guard_bits(exact) -> int:
+    # an integer >= -log2 min |c_k| over the nonzero c_k (at most two bits
+    # over), or 0 when every |c_k| >= 1
+    return max(0, max(c.denominator.bit_length() - abs(c.numerator).bit_length() + 1
+                      for c in exact if c))
+
+
 def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
                seeds=None, max_iterations: int = MAX_ITERATIONS,
                origin_multiplicity: int = 0) -> ZeroSet:
@@ -69,9 +176,17 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
     step z -= P(z)/P'(z) polishes every root. ZeroSet.iterations counts the
     sweeps. Without seeds the roots start on a Cauchy-bound circle.
 
+    The sweeps and the polish run in fixed point: a number is a pair of
+    Python ints (X, Y) standing for (X + iY) 2^-P, and the coefficients
+    are rounded once from coeffs.exact. The guard rule
+    P = precision_bits + max(0, -log2 min_k |c_k|) + 16 over the nonzero
+    c_k leaves every coefficient at least precision_bits + 16 significant
+    bits. The roots return to mpc at precision_bits for the snap, the
+    residual check and certify.
+
     tol must satisfy tol >= 2^(-precision_bits/2). Raises NonConvergence when
-    the sweep exhausts max_iterations; caller policy is a single retry at
-    doubled precision.
+    the sweep exhausts max_iterations, or when a residual at precision_bits
+    exceeds tol; caller policy is a single retry at doubled precision.
     """
     n = coeffs.degree
     if n == 0:
@@ -84,56 +199,22 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
             raise ValueError(f"tol {tol} below 2^-precision/2 = {floor}")
         assert work.coeffs[-1] == 1, "find_zeros expects a monic polynomial"
         cs = work.coeffs
-        dcs = tuple(cs[k] * k for k in range(1, n + 1))
         if seeds is None:
             seeds = initial_guesses(n, coeffs=work.coeffs)
         zs = [mp.mpc(s) for s in seeds]
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        active = list(range(n))
-        for it in range(1, max_iterations + 1):
-            moved = []
-            still = []
-            for i in active:
-                z = zs[i]
-                p, dp = _horner2(cs, dcs, z)
-                if p == 0:
-                    continue
-                if dp == 0:
-                    # nudge off the critical point; rare with spread seeds
-                    moved.append((i, z + mp.mpc(tol, tol)))
-                    still.append(i)
-                    continue
-                newton = p / dp
-                s = mp.mpc(0)
-                for j, w in enumerate(zs):
-                    if j != i:
-                        d = z - w
-                        if d == 0:
-                            d = mp.mpc(floor, floor)
-                        s += 1 / d
-                denom = 1 - newton * s
-                corr = newton if denom == 0 else newton / denom
-                if abs(corr) > tol * max(1, abs(z)):
-                    still.append(i)
-                moved.append((i, z - corr))
-            for i, z in moved:
-                zs[i] = z
-            active = still
-            if not active:
-                break
-        else:
+        prec = precision_bits + _guard_bits(coeffs.exact) + 16
+        fixed = [(to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec))
+                 for z in zs]
+        it = _aberth_fixed([round(c * (1 << prec)) for c in coeffs.exact], fixed,
+                           prec, to_fixed(tol._mpf_, prec),
+                           to_fixed(floor._mpf_, prec), max_iterations)
+        zs = [mp.mpc(mp.mpf((x, -prec)), mp.mpf((y, -prec))) for x, y in fixed]
+        if it is None:
             worst = max(_residual(cs, z, n) for z in zs)
             raise NonConvergence(max_iterations, worst)
-
-        # a frozen root keeps the error its last step left, which later
-        # moves of the other roots no longer shrink; one Newton step
-        # squares it without any pair sums
-        for i, z in enumerate(zs):
-            p, dp = _horner2(cs, dcs, z)
-            if dp != 0:
-                zs[i] = z - p / dp
 
         # real coefficients force conjugate symmetry: an imaginary part at
         # the quarter-precision level is iteration dust on a real zero

@@ -105,6 +105,23 @@ def test_contour_rejects_infinite_r(capsys):
     assert "degenerates" in err
 
 
+def test_contour_rejects_collapsed_interval(capsys):
+    # A = 1 gives beta1 = beta2 = 1, so the default step would be 0
+    code, out, err = run_cli(capsys, "contour", "--A", "1", "--r", "0")
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: beta2 - beta1 = 0")
+
+
+@pytest.mark.parametrize("step", ["0", "-1"])
+def test_contour_rejects_nonpositive_step(capsys, step):
+    code, out, err = run_cli(capsys, "contour", "--A", "0.81", "--r", "0",
+                             "--step", step)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error: max_step must be positive")
+
+
 def test_verify_integer_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "40", "--alpha", "-32")
     assert code == 0

@@ -6,10 +6,11 @@ import math
 from fractions import Fraction
 
 import jsonschema
+import mpmath as mp
 import pytest
 
-from lagzero import contour, harness
-from lagzero.errors import DomainError, PlanError
+from lagzero import contour, harness, rootfinder
+from lagzero.errors import DomainError, NonConvergence, PlanError
 
 
 def test_dist_to_integers_exact():
@@ -223,3 +224,28 @@ def test_compute_zeros_outside_theorem_range():
     assert ctx is None and gamma is None
     assert len(zset.zeros) == 3
     assert all(z.imag == 0 and z.real > 0 for z in zset.zeros)
+
+
+def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
+    find, certify = rootfinder.find_zeros, rootfinder.certify
+    calls, certified = [], []
+
+    def first_fails(coeffs, bits, tol, **kwargs):
+        calls.append((bits, tol))
+        if len(calls) == 1:
+            raise NonConvergence(rootfinder.MAX_ITERATIONS, mp.mpf(1))
+        return find(coeffs, bits, tol, **kwargs)
+
+    def spy(coeffs, zset):
+        certified.append(zset.precision_bits)
+        return certify(coeffs, zset)
+
+    monkeypatch.setattr(rootfinder, "find_zeros", first_fails)
+    monkeypatch.setattr(rootfinder, "certify", spy)
+    zset, _, _, _ = harness.compute_zeros(12, "-9.6")
+    bits = harness.working_precision(12, "-9.6")
+    assert calls == [(bits, mp.mpf(2) ** -(bits // 2)), (2 * bits, mp.mpf(2) ** -bits)]
+    assert certified == [2 * bits]
+    assert zset.precision_bits == 2 * bits
+    assert zset.count == 12
+    assert zset.suspect == ()

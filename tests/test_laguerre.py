@@ -137,8 +137,6 @@ def test_spec_validation():
         LaguerreSpec.create(-1, Fraction(1, 2))
     with pytest.raises(DomainError):
         LaguerreSpec(3, Fraction(1, 2), 32)
-    spec = LaguerreSpec.create(40, "-32.4")
-    assert spec.A_n == Fraction(81, 100)
     assert laguerre.theorem_ratio(40, "-32.4") == Fraction(81, 100)
     for n, alpha in ((40, "-80"), (40, "-40"), (40, "2"), (0, "-1")):
         with pytest.raises(DomainError):

@@ -1,11 +1,12 @@
 """Aberth iteration checked against mpmath.polyroots and hand-built polynomials."""
 
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
-from lagzero import laguerre, rootfinder
+from lagzero import harness, laguerre, rootfinder
 from lagzero.errors import NonConvergence
 from lagzero.laguerre import CoefficientList, LaguerreSpec
 
@@ -36,22 +37,79 @@ def test_recovers_integer_roots():
             assert mp.im(z) == 0
 
 
+def _polyroots_gap(mon, zeros, bits, extraprec):
+    # largest distance to mp.polyroots, both sorted by their printed doubles
+    with mp.workprec(bits):
+        ref = mp.polyroots(
+            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon.exact)],
+            maxsteps=200,
+            extraprec=extraprec,
+        )
+        ref = sorted((mp.mpc(r) for r in ref),
+                     key=lambda w: (float(mp.re(w)), float(mp.im(w))))
+        return max(abs(a - b) for a, b in zip(zeros, ref))
+
+
 def test_matches_polyroots_on_laguerre():
     spec = LaguerreSpec.create(6, Fraction(1, 2), 320)
     mon = laguerre.monic_rescaled(spec)
     zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
-    with mp.workprec(320):
-        ref = mp.polyroots(
-            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon.exact)],
-            maxsteps=200,
-            extraprec=200,
-        )
-        ref = sorted((mp.mpc(r) for r in ref),
-                     key=lambda w: (float(mp.re(w)), float(mp.im(w))))
-        worst = max(abs(a - b) for a, b in zip(zset.zeros, ref))
-        assert worst <= mp.mpf(2) ** -280
+    assert _polyroots_gap(mon, zset.zeros, 320, 200) <= mp.mpf(2) ** -280
     assert zset.suspect == ()
     assert max(zset.residuals) <= float(mp.mpf(2) ** -280)
+
+
+def test_matches_polyroots_near_integer():
+    # dist(alpha, Z) = 1e-15 pulls the constant coefficient down to about
+    # 2^-75, so the fixed-point sweep runs with that many extra guard bits
+    spec = LaguerreSpec.create(12, "-9.000000000000001", 320)
+    mon = laguerre.monic_rescaled(spec)
+    assert abs(mon.exact[0]) < Fraction(1, 2 ** 74)
+    zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
+    assert _polyroots_gap(mon, zset.zeros, 320, 400) <= mp.mpf(2) ** -280
+    assert zset.suspect == ()
+
+
+@pytest.mark.parametrize("alpha, bits, sweeps", [
+    ("-32.3564", 256, 9),
+    ("-31.99999886", 360, 37),
+])
+def test_sweep_counts_and_moments(alpha, bits, sweeps):
+    # the counts the mpc sweep produced: the fixed-point kernel runs the
+    # same iteration, not merely one that lands on the same zeros
+    zset, _, _, _ = harness.compute_zeros(40, alpha)
+    assert zset.precision_bits == bits
+    assert zset.iterations == sweeps
+    # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
+    mon = laguerre.monic_rescaled(LaguerreSpec.create(40, alpha, bits))
+    with mp.workprec(bits):
+        c1, c2 = (mp.mpf(c.numerator) / c.denominator
+                  for c in (mon.exact[-2], mon.exact[-3]))
+        tol = mp.mpf(2) ** -(bits // 2)
+        assert abs(mp.fsum(zset.zeros) + c1) <= tol
+        assert abs(mp.fsum(z * z for z in zset.zeros) - (c1 * c1 - 2 * c2)) <= tol
+
+
+def test_pair_sums_match_per_root_loop():
+    # two active roots share one division; the terms must come out as if
+    # every active root had summed over all the others on its own
+    prec = 300
+    rng = random.Random(5)
+    zs = [(rng.randint(-3 << prec, 3 << prec), rng.randint(-3 << prec, 3 << prec))
+          for _ in range(9)]
+    active = [0, 2, 3, 7]
+    sums = rootfinder._pair_sums(zs, active, prec, floor=1)
+    assert sorted(sums) == active
+    for i in active:
+        x, y = zs[i]
+        sx = sy = 0
+        for j, (wx, wy) in enumerate(zs):
+            if j != i:
+                ex, ey = x - wx, y - wy
+                r = (1 << (3 * prec)) // (ex * ex + ey * ey)
+                sx += ex * r
+                sy -= ey * r
+        assert sums[i] == (sx >> prec, sy >> prec)
 
 
 def test_real_zeros_carry_no_imaginary_dust():
