@@ -61,7 +61,6 @@ from lagzero.contour import (
 )
 from lagzero.measure import (
     MeasureSpec,
-    cdf_from_beta2,
     cdf_interval,
     interval_mass,
     log_potential,
@@ -117,7 +116,6 @@ __all__ = [
     "axis_crossing",
     "build_coefficients",
     "c_constant",
-    "cdf_from_beta2",
     "cdf_interval",
     "certify",
     "compute_zeros",

@@ -97,7 +97,7 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
         xm = mp.mpf(x)
         # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
         # phase; the integral term vanishes at x = beta2
-        phase = n * mp.pi * measure.cdf_from_beta2(ctx, x)
+        phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
         phase += mp.asin((2 * xm - ctx.beta1 - ctx.beta2)
                          / (ctx.beta2 - ctx.beta1)) / 2
         envelope = mp.power(n, n) / mp.factorial(n)
@@ -114,7 +114,7 @@ def oscillatory_phase(n: int, alpha, x: float) -> float:
     a_n = laguerre.theorem_ratio(n, alpha)
     ctx = make_context(a_n, precision_bits=laguerre.default_precision(n))
     with mp.workprec(ctx.precision_bits):
-        phase = n * mp.pi * measure.cdf_from_beta2(ctx, x)
+        phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
         phase += mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
                          / (ctx.beta2 - ctx.beta1)) / 2
     return float(phase)

@@ -11,8 +11,8 @@ alpha and A are accepted only as exact decimal strings; parsing them
 through binary floating point would wreck the near-integer regimes the
 experiments are about. Every command is deterministic: identical flags
 produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
-closure failure, 4 root-finder non-convergence, 5 asymptotic-domain
-violation.
+failure (no closure, or no crossing of the level), 4 root-finder
+non-convergence, 5 asymptotic-domain violation.
 
 The LAGZERO_PRECISION environment variable overrides the default
 working precision (bits) wherever --precision is not given explicitly.
@@ -25,12 +25,13 @@ import math
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from mpmath import mp
 
 from . import asymptotics, contour, harness, laguerre, measure
 from .errors import (
+    BracketError,
     BranchCutError,
     ClosureError,
     DomainError,
@@ -122,7 +123,10 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sweep = tuple(float(t) for t in args.sweep.split(",")) if args.sweep else (0.05, 0.1, 0.2)
+    try:
+        sweep = tuple(float(t) for t in args.sweep.split(",")) if args.sweep else (0.05, 0.1, 0.2)
+    except ValueError as exc:
+        raise DomainError(f"--sweep wants a comma list of numbers, got {args.sweep!r}") from exc
     opts = harness.RunOptions(
         classify_tol=args.classify_tol,
         sweep=sweep,
@@ -133,10 +137,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _parse_points(args) -> List[str]:
+def _parse_points(args, parse) -> List[Tuple[str, object]]:
+    # (token, parse(token)) pairs; the token is echoed in the output
     if args.points:
-        return [tok.strip() for tok in args.points.split(",") if tok.strip()]
-    if args.grid:
+        tokens = [tok.strip() for tok in args.points.split(",") if tok.strip()]
+    elif args.grid:
         try:
             start, stop, count = args.grid.split(":")
             start, stop, count = float(start), float(stop), int(count)
@@ -144,12 +149,21 @@ def _parse_points(args) -> List[str]:
             raise DomainError(f"--grid wants start:stop:count, got {args.grid!r}") from exc
         if count < 2:
             raise DomainError("--grid needs at least 2 points")
-        return [repr(start + (stop - start) * k / (count - 1)) for k in range(count)]
-    raise DomainError("asymp needs --points or --grid")
+        tokens = [repr(start + (stop - start) * k / (count - 1)) for k in range(count)]
+    else:
+        raise DomainError("asymp needs --points or --grid")
+    pairs = []
+    for tok in tokens:
+        try:
+            pairs.append((tok, parse(tok)))
+        except ValueError as exc:
+            raise DomainError(f"cannot parse point {tok!r}") from exc
+    return pairs
 
 
 def cmd_asymp(args) -> int:
-    tokens = _parse_points(args)
+    complex_point = lambda tok: complex(tok.replace(" ", ""))
+    points = _parse_points(args, float if args.regime == "oscillatory" else complex_point)
     bits = _precision_from(args) or laguerre.default_precision(args.n)
     n = args.n
     alpha_f = laguerre.parse_alpha(args.alpha)
@@ -158,8 +172,7 @@ def cmd_asymp(args) -> int:
     if args.regime == "oscillatory":
         lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
         coeffs = laguerre.build_coefficients(lspec)
-        for tok in tokens:
-            x = float(tok)
+        for tok, x in points:
             pred = asymptotics.oscillatory_value(n, alpha_f, x).value
             with mp.workprec(bits):
                 exact = laguerre.eval_poly(coeffs.coeffs, mp.mpf(n) * x, bits)
@@ -170,8 +183,7 @@ def cmd_asymp(args) -> int:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
         coeffs = laguerre.monic_rescaled(lspec, scale=n)
-        for tok in tokens:
-            z = complex(tok.replace(" ", ""))
+        for tok, z in points:
             pred = asymptotics.outer_ratio(ctx, n, z).value
             with mp.workprec(bits):
                 p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
@@ -183,8 +195,7 @@ def cmd_asymp(args) -> int:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         r = _parse_r(args.r)
         spec_m = measure.make_measure(ctx, r)
-        for tok in tokens:
-            z = complex(tok.replace(" ", ""))
+        for tok, z in points:
             emp, pred = asymptotics.nth_root_exponent(n, alpha_f, spec_m, z)
             rel = abs(emp / pred - 1) if pred != 0 else math.inf
             lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
@@ -260,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ClosureError, StepCollapse) as exc:
+    except (ClosureError, StepCollapse, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE
     except (NonConvergence, QuadratureError) as exc:

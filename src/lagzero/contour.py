@@ -2,10 +2,9 @@
 
 The curves are closed, encircle the origin once clockwise, and avoid
 (beta1, inf); together with [beta1, beta2] they form the predicted limit
-set for the zeros.  Tracing runs in float64 (the landscape module's
-mpmath phase is the reference; the evaluator here is an independent
-double-precision reduction of the same integrals, accurate to ~1e-13,
-far below the 1e-9 level tolerance).
+set for the zeros.  Tracing runs in float64: Re phi is the landscape
+module's closed form evaluated with cmath, within 1e-13 of the mpmath
+phase, far below the 1e-9 level tolerance.
 
 Only the upper half of each curve is actually traced.  Both real-axis
 crossings are known by bisection (the negative-axis crossing x_r and the
@@ -15,6 +14,7 @@ so the lower half is the conjugate mirror and closure is structural.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
@@ -28,13 +28,11 @@ from lagzero.errors import (
     OnBoundary,
     StepCollapse,
 )
-from lagzero.landscape import PotentialContext
+from lagzero.landscape import PotentialContext, phi_closed_form
 
 DEFAULT_LEVEL_TOL = 1e-9
 _STEP_FLOOR = 1e-8
 _STEP_BUDGET = 100_000
-
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 @dataclass(frozen=True)
@@ -75,28 +73,7 @@ class ContourPolyline:
 
 
 # ---------------------------------------------------------------------------
-# fast float64 evaluation of Re phi
-
-# same pole-subtracted reductions as landscape.phi_eval, double precision
-
-
-def _adaptive_gl(f: Callable, a: float, b: float, tol: float, depth: int = 0):
-    mid_ = (a + b) / 2
-
-    def panel(lo, hi):
-        m = (lo + hi) / 2
-        h = (hi - lo) / 2
-        return h * np.dot(_WEIGHTS, f(m + h * _NODES))
-
-    whole = panel(a, b)
-    left = panel(a, mid_)
-    right = panel(mid_, b)
-    err = abs(left + right - whole)
-    if err <= tol or depth >= 52:
-        return left + right
-    return _adaptive_gl(f, a, mid_, tol / 2, depth + 1) + _adaptive_gl(
-        f, mid_, b, tol / 2, depth + 1
-    )
+# float64 evaluation of Re phi
 
 
 class _FastPhase:
@@ -106,62 +83,16 @@ class _FastPhase:
         self.A = float(ctx.A)
         self.b1 = float(ctx.beta1)
         self.b2 = float(ctx.beta2)
-        self.quad_tol = 1e-13
-
-    def _left_integral(self, x: float) -> float:
-        # Integral_{beta1}^{x} (R(s)+A)/s ds for x < beta1, s = b1 - u^2
-        A, b1, b2 = self.A, self.b1, self.b2
-        U = math.sqrt(b1 - x)
-
-        def f(u):
-            s = b1 - u * u
-            return (A - u * np.sqrt(b2 - s)) / s * (-2 * u)
-
-        return _adaptive_gl(f, 0.0, U, self.quad_tol)
-
-    def _right_integral(self, x: float) -> float:
-        A, b1, b2 = self.A, self.b1, self.b2
-        U = math.sqrt(x - b2)
-
-        def f(u):
-            s = b2 + u * u
-            return 2 * u * u * np.sqrt(s - b1) / s
-
-        return _adaptive_gl(f, 0.0, U, self.quad_tol)
 
     def re_phi(self, z: complex) -> float:
-        A, b1, b2 = self.A, self.b1, self.b2
-        x, y = z.real, abs(z.imag)
-        if y == 0.0:
-            if x == 0.0:
-                return math.inf
-            if b1 <= x <= b2:
-                return 0.0
-            if x > b2:
-                return 0.5 * self._right_integral(x)
-            return 0.5 * self._left_integral(x) - 0.5 * A * math.log(
-                abs(x) / b1
-            )
-        w = complex(x, y)
-        delta = min(0.1, y / 2)
-        c = np.sqrt(1j * delta)
-
-        def f1(tau):
-            s = b1 + 1j * delta * tau * tau
-            r = c * tau * np.sqrt(s - b2)
-            return (r + A) / s * (2j * delta * tau)
-
-        a_pt = complex(b1, delta)
-        d = w - a_pt
-
-        def f2(t):
-            s = a_pt + t * d
-            r = np.sqrt(s - b1) * np.sqrt(s - b2)
-            return (r + A) / s * d
-
-        i1 = _adaptive_gl(f1, 0.0, 1.0, self.quad_tol)
-        i2 = _adaptive_gl(f2, 0.0, 1.0, self.quad_tol)
-        return 0.5 * (i1 + i2).real - 0.5 * A * math.log(abs(w) / b1)
+        # Re phi is conjugate-symmetric and continuous across both cuts;
+        # folding into the upper half-plane also turns a -0.0 imaginary
+        # part into +0.0
+        if z == 0:
+            return math.inf
+        w = complex(z.real, abs(z.imag))
+        return phi_closed_form(self.A, self.b1, self.b2, w,
+                               cmath.sqrt, cmath.log).real
 
     def psi(self, z: complex) -> complex:
         # phi'(z) = R(z)/(2z), principal branches (upper half plane use)

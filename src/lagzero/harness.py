@@ -53,6 +53,12 @@ class RunOptions:
     sweep: Tuple[float, ...] = (0.05, 0.1, 0.2)
     precision_bits: Optional[int] = None
 
+    def __post_init__(self):
+        for tol in (self.classify_tol, *self.sweep):
+            if not (math.isfinite(tol) and tol > 0):
+                raise DomainError(
+                    f"classify_tol and sweep deltas must be finite and > 0, got {tol}")
+
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -257,6 +263,8 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     circle when ctx is None or gamma was not traced. Retries once at
     doubled precision on NonConvergence, then propagates.
     """
+    if n < 1:
+        raise DomainError(f"degree n must be at least 1, got {n}")
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = Fraction(-alpha_f, n)
     r_hat = r_hat_from(n, alpha_f)

@@ -9,9 +9,12 @@ and the g-function of the limit measure.  This module owns those objects
 together with the endpoints beta1, beta2, the constant c_n and the
 g-function normalization constant ell.
 
-All arithmetic is mpmath at the context's precision.  Quadrature is
-adaptive Gauss-Legendre with recursive bisection; square-root endpoint
-behavior is always absorbed by substitution before any rule is applied.
+phi has an elementary antiderivative (phi_closed_form), written once and
+evaluated in mpmath at the context's precision here and in float64 by
+the contour tracer and the interval quantiles.  The one adaptive
+quadrature, Gauss-Legendre with recursive bisection (quad_seg), is left
+for integrals against the interval density (interval_integral), whose
+cosine substitution absorbs the square-root endpoint zeros.
 """
 
 from __future__ import annotations
@@ -81,11 +84,11 @@ def make_context(
     """Build the landscape context for A in (0, 1].
 
     A = 1 is allowed only as a degenerate case (beta1 = beta2 = 1); the
-    theorems of interest live on (0, 1).  Values outside (0, 1] raise
-    DomainError.
+    theorems of interest live on (0, 1).  Values outside (0, 1], and
+    precision_bits below 64, raise DomainError.
     """
     if precision_bits < 64:
-        raise ValueError("precision_bits must be at least 64")
+        raise DomainError("precision_bits must be at least 64")
     with mp.workprec(precision_bits):
         a = _to_mpf(A)
         if not (0 < a <= 1):
@@ -176,89 +179,28 @@ def R_eval(
 # ---------------------------------------------------------------------------
 # phase function phi
 
-# phi is computed in pole-subtracted form everywhere:
-#   phi(z) = (1/2) I(z) - (A/2) (Log z - log beta1),
-#   I(z)   = Integral (R(s) + A)/s ds along the path.
-# R(0) = -A makes the integrand regular at the origin, so paths may pass
-# near (or through) s = 0 without quadrature blowup, and the +-A pi i/2
-# boundary values on the negative axis come out of the logarithm exactly.
 
+def phi_closed_form(A, beta1, beta2, z, sqrt, log):
+    """phi(z) = (1/2) Integral_{beta1}^{z} R(s)/s ds in closed form,
 
-def _leg_from_branch_point(
-    ctx: PotentialContext, base: mp.mpf, other: mp.mpf, delta: mp.mpf, tol
-):
-    # vertical leg base -> base + i*delta; s = base + i*delta*tau^2 absorbs
-    # the square-root zero of R at the branch point
-    A = ctx.A
-    c = mp.sqrt(mp.mpc(0, delta))
+        phi = (R - c Log((c - z - R)/rho) + A Log((A^2 - c z - A R)/(rho z)))/2
 
-    def f(tau):
-        s = base + mp.mpc(0, delta) * tau * tau
-        r = c * tau * mp.sqrt(s - other)
-        return (r + A) / s * (2 * mp.mpc(0, delta) * tau)
+    with c = 2 - A = (beta1 + beta2)/2, rho = (beta2 - beta1)/2, principal
+    Log and R = sqrt(z - beta1) * sqrt(z - beta2).  sqrt and log are the
+    caller's elementary functions (mpmath at the working precision, cmath,
+    or numpy on complex arrays), so one formula serves every precision.
 
-    return quad_seg(f, 0, 1, tol)
-
-
-def _leg_segment(ctx: PotentialContext, a_pt: mp.mpc, z: mp.mpc, tol):
-    # straight segment strictly inside the open upper half plane
-    A = ctx.A
-    b1, b2 = ctx.beta1, ctx.beta2
-    d = z - a_pt
-
-    def f(t):
-        s = a_pt + t * d
-        r = mp.sqrt(s - b1) * mp.sqrt(s - b2)
-        return (r + A) / s * d
-
-    return quad_seg(f, 0, 1, tol)
-
-
-def _phi_upper(ctx: PotentialContext, z: mp.mpc) -> mp.mpc:
-    y = mp.im(z)
-    delta = min(mp.mpf("0.1"), y / 2)
-    tol = ctx.tol / 4
-    i1 = _leg_from_branch_point(ctx, ctx.beta1, ctx.beta2, delta, tol)
-    i2 = _leg_segment(ctx, ctx.beta1 + mp.mpc(0, delta), z, tol)
-    return (i1 + i2) / 2 - ctx.A / 2 * (mp.log(z) - mp.log(ctx.beta1))
-
-
-def _subtracted_integral_left(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
-    # J = Integral_{beta1}^{x} (R(s) + A)/s ds for real x < beta1, along the
-    # real axis; s = beta1 - u^2.  Regular at s = 0 because R(0) = -A.
-    A = ctx.A
-    b1, b2 = ctx.beta1, ctx.beta2
-    U = mp.sqrt(b1 - x)
-
-    def f(u):
-        s = b1 - u * u
-        return (A - u * mp.sqrt(b2 - s)) / s * (-2 * u)
-
-    return quad_seg(f, 0, U, ctx.tol / 2)
-
-
-def _cut_integral(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
-    # K = Integral_{beta1}^{x} sqrt((s-beta1)(beta2-s))/s ds, beta1 < x < beta2
-    b1, b2 = ctx.beta1, ctx.beta2
-    U = mp.sqrt(x - b1)
-
-    def f(u):
-        s = b1 + u * u
-        return 2 * u * u * mp.sqrt(b2 - s) / s
-
-    return quad_seg(f, 0, U, ctx.tol / 2)
-
-
-def _right_integral(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
-    # M = Integral_{beta2}^{x} sqrt((s-beta1)(s-beta2))/s ds, x > beta2
-    b1, b2 = ctx.beta1, ctx.beta2
-    U = mp.sqrt(x - b2)
-
-    def f(u):
-        s = b2 + u * u
-        return 2 * u * u * mp.sqrt(s - b1) / s
-
-    return quad_seg(f, 0, U, ctx.tol / 2)
+    Both Log arguments have modulus > 1 off [beta1, beta2] and reach the
+    negative reals only on the real axis, so the value is exact off the
+    real axis in both half-planes and, with a +0 imaginary part, equals
+    the limit from above on the open cut (beta1, beta2).  Elsewhere on
+    the real axis only the real part is meaningful.
+    """
+    c = 2 - A
+    rho = (beta2 - beta1) / 2
+    R = sqrt(z - beta1) * sqrt(z - beta2)
+    return (R - c * log((c - z - R) / rho)
+            + A * log((A * A - c * z - A * R) / (rho * z))) / 2
 
 
 def phi_eval(
@@ -266,58 +208,41 @@ def phi_eval(
     z: Union[complex, mp.mpc, Scalar],
     side: BoundarySide = BoundarySide.OFF_AXIS,
 ) -> mp.mpc:
-    """phi(z) = (1/2) Integral_{beta1}^{z} R(s)/s ds.
+    """phi(z) = (1/2) Integral_{beta1}^{z} R(s)/s ds, path avoiding
+    (-inf, 0] and [beta1, inf) except at the base point.
 
-    The integration path avoids (-inf, 0] and [beta1, inf) except at the
-    base point; `side` selects the one-sided limit on those two cuts.
-    For Im z != 0 the path is beta1 -> beta1 + i*delta -> z with
-    delta = min(0.1, |Im z|/2), mirrored through conjugation in the lower
-    half plane.  Real queries use real-axis reductions of the same
-    integral.
+    Off the real axis this is phi_closed_form.  On the two cuts `side`
+    selects the one-sided limit: the real part is continuous there and
+    the imaginary part is -+A pi/2 on x < 0, +-pi F(x) on (beta1, beta2)
+    (F the Marchenko-Pastur CDF) and +-pi (1 - A) on [beta2, inf); it
+    vanishes on (0, beta1].
 
-    Raises DomainError at z = 0, BranchCutError on a cut without a side,
-    QuadratureError if the tolerance cannot be met.
+    Raises DomainError at z = 0 and BranchCutError on a cut without a
+    side.
     """
     with mp.workprec(ctx.precision_bits + _GUARD_BITS):
         w = mp.mpc(z)
         if w == 0:
             raise DomainError("phi has a logarithmic singularity at 0")
-        y = mp.im(w)
-        if y > 0:
-            return _phi_upper(ctx, w)
-        if y < 0:
-            return mp.conj(_phi_upper(ctx, mp.conj(w)))
-
-        x = mp.re(w)
         b1, b2, A = ctx.beta1, ctx.beta2, ctx.A
+        v = phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log)
+        if mp.im(w) != 0:
+            return v
+        x = mp.re(w)
         if x == b1:
             return mp.mpc(0)
         if 0 < x < b1:
-            # real and strictly positive; no side needed
-            j = _subtracted_integral_left(ctx, x)
-            return mp.mpc(j / 2 - A / 2 * (mp.log(x) - mp.log(b1)))
-        if x < 0:
-            if side is BoundarySide.OFF_AXIS:
-                raise BranchCutError(
-                    "phi jumps across (-inf, 0); pass side"
-                )
-            j = _subtracted_integral_left(ctx, x)
-            sgn = 1 if side is BoundarySide.ABOVE else -1
-            log_term = mp.log(-x) + sgn * mp.mpc(0, mp.pi)
-            return j / 2 - A / 2 * (log_term - mp.log(b1))
-        # x on [beta1, inf): the path cannot reach the real point, only
-        # its one-sided limits
+            return mp.mpc(mp.re(v))
         if side is BoundarySide.OFF_AXIS:
+            if x < 0:
+                raise BranchCutError("phi jumps across (-inf, 0); pass side")
             raise BranchCutError("phi is two-valued on [beta1, inf); pass side")
         sgn = 1 if side is BoundarySide.ABOVE else -1
+        if x < 0:
+            return mp.mpc(mp.re(v), -sgn * A * mp.pi / 2)
         if x < b2:
-            k = _cut_integral(ctx, x)
-            return mp.mpc(0, sgn * k / 2)
-        full = mp.pi * (1 - A)
-        if x == b2:
-            return mp.mpc(0, sgn * full)
-        m = _right_integral(ctx, x)
-        return mp.mpc(m / 2, sgn * full)
+            return mp.mpc(0, sgn * mp.im(v))
+        return mp.mpc(mp.re(v) if x > b2 else 0, sgn * mp.pi * (1 - A))
 
 
 def phi_tilde_eval(
@@ -325,7 +250,8 @@ def phi_tilde_eval(
 ) -> mp.mpc:
     """phi~(z) = (1/2) Integral_{beta2}^{z} R(s)/s ds, path in C \\ (-inf, beta2].
 
-    Real and positive on (beta2, inf).  DomainError on the cut.
+    Equals phi(z) -+ i pi (1 - A) in the upper/lower half-plane; real and
+    positive on (beta2, inf).  DomainError on the cut.
     """
     with mp.workprec(ctx.precision_bits + _GUARD_BITS):
         w = mp.mpc(z)
@@ -336,14 +262,9 @@ def phi_tilde_eval(
                 return mp.mpc(0)
             if x < ctx.beta2:
                 raise DomainError("phi~ is not defined on (-inf, beta2]")
-            return mp.mpc(_right_integral(ctx, x) / 2)
-        if y < 0:
-            return mp.conj(phi_tilde_eval(ctx, mp.conj(w)))
-        delta = min(mp.mpf("0.1"), y / 2)
-        tol = ctx.tol / 4
-        i1 = _leg_from_branch_point(ctx, ctx.beta2, ctx.beta1, delta, tol)
-        i2 = _leg_segment(ctx, ctx.beta2 + mp.mpc(0, delta), w, tol)
-        return (i1 + i2) / 2 - ctx.A / 2 * (mp.log(w) - mp.log(ctx.beta2))
+            return mp.mpc(mp.re(phi_eval(ctx, w, BoundarySide.ABOVE)))
+        sgn = 1 if y > 0 else -1
+        return phi_eval(ctx, w) - mp.mpc(0, sgn * mp.pi * (1 - ctx.A))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,11 @@ r = infinity case replaces the loop by an atom of mass A at the origin,
 stored symbolically.
 
 Loop quantities are trapezoid sums over a traced polyline (float64,
-adequate for the 1e-6 mass tolerances); interval quantities integrate in
-mpmath with substitutions absorbing the square-root endpoint zeros.
+adequate for the 1e-6 mass tolerances).  The interval CDF is closed
+form, F(x) = Im phi_+(x)/pi with the landscape module's phi, in mpmath
+for cdf_interval and in float64 for the interval quantiles; the
+interval mass and the log potential integrate against the density in
+mpmath (landscape.interval_integral).
 """
 
 from __future__ import annotations
@@ -22,7 +25,13 @@ from mpmath import mp
 
 from lagzero.contour import ContourPolyline, project_to_loop
 from lagzero.errors import DomainError
-from lagzero.landscape import PotentialContext, interval_integral, quad_seg
+from lagzero.landscape import (
+    BoundarySide,
+    PotentialContext,
+    interval_integral,
+    phi_closed_form,
+    phi_eval,
+)
 
 INF = math.inf
 
@@ -181,39 +190,13 @@ def interval_mass(ctx: PotentialContext) -> mp.mpf:
 
 
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
-    """Integral of mp_density from beta1 to x; equals 1-A at x = beta2."""
+    """Integral of mp_density from beta1 to x, in closed form as
+    Im phi_+(x)/pi; equals 1-A at x = beta2."""
     with mp.workprec(ctx.precision_bits):
         x = _clamp_to_interval(ctx, mp.mpf(x))
-        b1, b2 = ctx.beta1, ctx.beta2
-        if x == b1:
-            return mp.mpf(0)
-        if x == b2:
+        if x == ctx.beta2:
             return 1 - ctx.A
-        U = mp.sqrt(x - b1)
-
-        def f(u):
-            s = b1 + u * u
-            return 2 * u * u * mp.sqrt(b2 - s) / (2 * mp.pi * s)
-
-        return quad_seg(f, 0, U, ctx.tol)
-
-
-def cdf_from_beta2(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
-    """Signed variant Integral_{beta2}^{x} mp_density, nonpositive on the
-    interval; this is the oscillatory phase integral, so it is computed
-    with the substitution at beta2 for accuracy near that endpoint."""
-    with mp.workprec(ctx.precision_bits):
-        x = _clamp_to_interval(ctx, mp.mpf(x))
-        b1, b2 = ctx.beta1, ctx.beta2
-        if x == b2:
-            return mp.mpf(0)
-        U = mp.sqrt(b2 - x)
-
-        def f(u):
-            s = b2 - u * u
-            return 2 * u * u * mp.sqrt(s - b1) / (2 * mp.pi * s)
-
-        return -quad_seg(f, 0, U, ctx.tol)
+        return mp.im(phi_eval(ctx, x, side=BoundarySide.ABOVE)) / mp.pi
 
 
 # ---------------------------------------------------------------------------
@@ -276,19 +259,22 @@ def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
 
 
 def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
-    """k real points at Marchenko-Pastur quantiles (j+1/2)/k."""
+    """k real points at Marchenko-Pastur quantiles (j+1/2)/k.
+
+    Bisection on the closed-form CDF pi F(x) = Im phi_+(x), in float64
+    and vectorised over the k targets.
+    """
     if k <= 0:
         return []
-    b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    mid, half = (b1 + b2) / 2, (b2 - b1) / 2
-    t = np.linspace(0.0, math.pi, 4001)
-    s = mid - half * np.cos(t)
-    w = (half * np.sin(t)) ** 2 / (2 * math.pi * s)
-    cum = np.concatenate(
-        [[0.0], np.cumsum(np.diff(t) * (w[1:] + w[:-1]) / 2)]
-    )
-    total = cum[-1]
-    targets = [(j + 0.5) / k * total for j in range(k)]
-    t_q = np.interp(targets, cum, t)
-    return [float(mid - half * math.cos(tv)) for tv in t_q]
-
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    targets = (np.arange(k) + 0.5) / k * (1 - A) * math.pi
+    lo, hi = np.full(k, b1), np.full(k, b2)
+    # 64 halvings shrink beta2 - beta1 < 4 below 2^-62
+    for _ in range(64):
+        mid = (lo + hi) / 2
+        # +0 imaginary parts select the limit from above
+        below = phi_closed_form(A, b1, b2, mid.astype(complex),
+                                np.sqrt, np.log).imag < targets
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return [float(x) for x in (lo + hi) / 2]

@@ -1,0 +1,167 @@
+"""Quadrature reference for the phase phi, phi~ and the interval CDF.
+
+Test-only: these are path integrals of the definitions, evaluated with
+landscape.quad_seg, against which the closed forms in landscape and
+measure are checked.  phi is computed in pole-subtracted form,
+
+    phi(z) = (1/2) I(z) - (A/2) (Log z - log beta1),
+    I(z)   = Integral (R(s) + A)/s ds along the path,
+
+which is regular at s = 0 because R(0) = -A.  Off the axis the path is
+beta1 -> beta1 + i*delta -> z with delta = min(0.1, Im z/2), mirrored by
+conjugation in the lower half-plane; real queries use real-axis
+reductions of the same integral with square-root substitutions.
+"""
+
+from mpmath import mp
+
+from lagzero.errors import BranchCutError, DomainError
+from lagzero.landscape import BoundarySide, quad_seg
+
+GUARD_BITS = 24
+
+
+def _leg_from_branch_point(ctx, base, other, delta, tol):
+    # vertical leg base -> base + i*delta; s = base + i*delta*tau^2 absorbs
+    # the square-root zero of R at the branch point
+    A = ctx.A
+    c = mp.sqrt(mp.mpc(0, delta))
+
+    def f(tau):
+        s = base + mp.mpc(0, delta) * tau * tau
+        r = c * tau * mp.sqrt(s - other)
+        return (r + A) / s * (2 * mp.mpc(0, delta) * tau)
+
+    return quad_seg(f, 0, 1, tol)
+
+
+def _leg_segment(ctx, a_pt, z, tol):
+    # straight segment strictly inside the open upper half plane
+    A = ctx.A
+    b1, b2 = ctx.beta1, ctx.beta2
+    d = z - a_pt
+
+    def f(t):
+        s = a_pt + t * d
+        r = mp.sqrt(s - b1) * mp.sqrt(s - b2)
+        return (r + A) / s * d
+
+    return quad_seg(f, 0, 1, tol)
+
+
+def _upper(ctx, base, other, z):
+    # (1/2) Integral_{base}^{z} R(s)/s ds for Im z > 0
+    delta = min(mp.mpf("0.1"), mp.im(z) / 2)
+    tol = ctx.tol / 4
+    i1 = _leg_from_branch_point(ctx, base, other, delta, tol)
+    i2 = _leg_segment(ctx, base + mp.mpc(0, delta), z, tol)
+    return (i1 + i2) / 2 - ctx.A / 2 * (mp.log(z) - mp.log(base))
+
+
+def _left_integral(ctx, x):
+    # Integral_{beta1}^{x} (R(s) + A)/s ds for real x < beta1; s = beta1 - u^2
+    A = ctx.A
+    b1, b2 = ctx.beta1, ctx.beta2
+
+    def f(u):
+        s = b1 - u * u
+        return (A - u * mp.sqrt(b2 - s)) / s * (-2 * u)
+
+    return quad_seg(f, 0, mp.sqrt(b1 - x), ctx.tol / 2)
+
+
+def _cut_integral(ctx, x):
+    # Integral_{beta1}^{x} sqrt((s-beta1)(beta2-s))/s ds, beta1 < x < beta2
+    b1, b2 = ctx.beta1, ctx.beta2
+
+    def f(u):
+        s = b1 + u * u
+        return 2 * u * u * mp.sqrt(b2 - s) / s
+
+    return quad_seg(f, 0, mp.sqrt(x - b1), ctx.tol / 2)
+
+
+def _right_integral(ctx, x):
+    # Integral_{beta2}^{x} sqrt((s-beta1)(s-beta2))/s ds, x > beta2
+    b1, b2 = ctx.beta1, ctx.beta2
+
+    def f(u):
+        s = b2 + u * u
+        return 2 * u * u * mp.sqrt(s - b1) / s
+
+    return quad_seg(f, 0, mp.sqrt(x - b2), ctx.tol / 2)
+
+
+def phi(ctx, z, side=BoundarySide.OFF_AXIS):
+    """phi(z) by quadrature, with landscape.phi_eval's side convention."""
+    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+        w = mp.mpc(z)
+        if w == 0:
+            raise DomainError("phi has a logarithmic singularity at 0")
+        y = mp.im(w)
+        if y > 0:
+            return _upper(ctx, ctx.beta1, ctx.beta2, w)
+        if y < 0:
+            return mp.conj(_upper(ctx, ctx.beta1, ctx.beta2, mp.conj(w)))
+        x = mp.re(w)
+        b1, b2, A = ctx.beta1, ctx.beta2, ctx.A
+        if x == b1:
+            return mp.mpc(0)
+        if 0 < x < b1:
+            j = _left_integral(ctx, x)
+            return mp.mpc(j / 2 - A / 2 * (mp.log(x) - mp.log(b1)))
+        if side is BoundarySide.OFF_AXIS:
+            raise BranchCutError("phi is two-valued on the real axis here")
+        sgn = 1 if side is BoundarySide.ABOVE else -1
+        if x < 0:
+            j = _left_integral(ctx, x)
+            log_term = mp.log(-x) + sgn * mp.mpc(0, mp.pi)
+            return j / 2 - A / 2 * (log_term - mp.log(b1))
+        if x < b2:
+            return mp.mpc(0, sgn * _cut_integral(ctx, x) / 2)
+        full = mp.pi * (1 - A)
+        if x == b2:
+            return mp.mpc(0, sgn * full)
+        return mp.mpc(_right_integral(ctx, x) / 2, sgn * full)
+
+
+def phi_tilde(ctx, z):
+    """phi~(z) = (1/2) Integral_{beta2}^{z} R(s)/s ds by quadrature."""
+    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+        w = mp.mpc(z)
+        y = mp.im(w)
+        if y == 0:
+            x = mp.re(w)
+            if x < ctx.beta2:
+                raise DomainError("phi~ is not defined on (-inf, beta2)")
+            return mp.mpc(_right_integral(ctx, x) / 2) if x > ctx.beta2 else mp.mpc(0)
+        if y < 0:
+            return mp.conj(_upper(ctx, ctx.beta2, ctx.beta1, mp.conj(w)))
+        return _upper(ctx, ctx.beta2, ctx.beta1, w)
+
+
+def cdf_interval(ctx, x):
+    """Integral of the interval density from beta1 to x, beta1 <= x <= beta2."""
+    with mp.workprec(ctx.precision_bits):
+        b1, b2 = ctx.beta1, ctx.beta2
+        x = mp.mpf(x)
+
+        def f(u):
+            s = b1 + u * u
+            return 2 * u * u * mp.sqrt(b2 - s) / (2 * mp.pi * s)
+
+        return quad_seg(f, 0, mp.sqrt(x - b1), ctx.tol)
+
+
+def cdf_from_beta2(ctx, x):
+    """Signed tail Integral_{beta2}^{x} of the interval density,
+    nonpositive on [beta1, beta2]; substituted at beta2."""
+    with mp.workprec(ctx.precision_bits):
+        b1, b2 = ctx.beta1, ctx.beta2
+        x = mp.mpf(x)
+
+        def f(u):
+            s = b2 - u * u
+            return 2 * u * u * mp.sqrt(s - b1) / (2 * mp.pi * s)
+
+        return -quad_seg(f, 0, mp.sqrt(b2 - x), ctx.tol)

@@ -122,6 +122,42 @@ def test_contour_rejects_nonpositive_step(capsys, step):
     assert err.startswith("error: max_step must be positive")
 
 
+@pytest.mark.parametrize("argv", [
+    ("contour", "--A", "0.81", "--r", "1000"),
+    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+     "--points", "3", "--r", "1000"),
+])
+def test_unbracketed_level_exit_code(capsys, argv):
+    # Re phi never reaches r/2 = 500 on the float64 negative axis
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CLOSURE
+    assert out == ""
+    assert err.startswith("error: no Re phi > r/2")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "oscillatory",
+      "--points=abc"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "outer",
+      "--points=abc"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+      "--points=abc"), cli.EXIT_ASYMP_DOMAIN),
+    (("verify", "--n", "40", "--alpha", "-32.4", "--sweep", "a,b"), cli.EXIT_DOMAIN),
+    (("verify", "--n", "40", "--alpha", "-32.4", "--sweep", "0.1,nan"), cli.EXIT_DOMAIN),
+    (("verify", "--n", "40", "--alpha", "-32.4", "--sweep", "0.1,0"), cli.EXIT_DOMAIN),
+    (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "-1"), cli.EXIT_DOMAIN),
+    (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "inf"), cli.EXIT_DOMAIN),
+    (("betas", "--A", "0.81", "--precision", "10"), cli.EXIT_DOMAIN),
+    (("contour", "--A", "0.81", "--r", "0", "--precision", "10"), cli.EXIT_DOMAIN),
+    (("zeros", "--n", "0", "--alpha", "-1"), cli.EXIT_DOMAIN),
+])
+def test_malformed_numeric_flags_exit_code(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_integer_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "40", "--alpha", "-32")
     assert code == 0

@@ -47,6 +47,25 @@ def test_trace_conjugate_symmetric_vertex_set(ctx75):
     assert {p.conjugate() for p in pts} == pts
 
 
+def test_float_re_phi_matches_mp_phi(ctx81):
+    # the tracer's float64 Re phi against the mpmath phase, on seeded
+    # points in both half-planes, on every real segment and near the
+    # branch points
+    fast = contour._FastPhase(ctx81)
+    rng = random.Random(20261018)
+    b1, b2 = ctx81.beta1, ctx81.beta2
+    pts = [mp.mpc(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(40)]
+    pts += [mp.mpc(b + d, s * abs(d)) for b in (b1, b2)
+            for d in (mp.mpf("-1e-7"), mp.mpf("1e-4")) for s in (1, -1)]
+    pts += [mp.mpc(x) for x in (mp.mpf("-3.5"), mp.mpf("-1e-6"), mp.mpf("1e-6"),
+                                b1 / 2, b1, (b1 + b2) / 2, b2, mp.mpf(3))]
+    with mp.workprec(256):
+        for p in pts:
+            ref = mp.re(landscape.phi_eval(ctx81, p, side=BoundarySide.ABOVE))
+            got = fast.re_phi(complex(p))
+            assert abs(got - float(ref)) <= 1e-13 * max(1.0, abs(float(ref))), p
+
+
 def test_trace_vertices_sit_on_the_level(ctx81):
     g = contour.trace_gamma(ctx81, 0.5)
     for p in g.points[5:-5:40]:

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+import phase_quadrature
 from lagzero import landscape
 from lagzero.errors import BranchCutError, DomainError, QuadratureError
 from lagzero.landscape import BoundarySide
@@ -43,7 +44,7 @@ def test_make_context_domain():
         landscape.make_context("1.5")
     with pytest.raises(DomainError):
         landscape.make_context(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError):
         landscape.make_context(Fraction(1, 2), precision_bits=32)
 
 
@@ -190,6 +191,53 @@ def test_phi_derivative_matches_integrand(ctx81):
                   - landscape.phi_eval(ctx81, z - h)) / (2 * h)
             an = landscape.R_eval(ctx81, z) / (2 * z)
             assert abs(fd - an) <= 1e-12
+
+
+def _off_axis_points(ctx):
+    # seeded: |z| from 1e-6 to 1e5 in both half-planes, plus points within
+    # 1e-6 and 1e-2 of beta1 and beta2 from above and below
+    rng = random.Random(20261018)
+    pts = []
+    for k, e in enumerate((-6, -3, -1, 0, 0.3, 1, 2, 5)):
+        ang = rng.uniform(0.05, 3.1) * (1 if k % 2 else -1)
+        pts.append(mp.mpf(10) ** e * mp.expj(ang))
+    for b in (ctx.beta1, ctx.beta2):
+        for d in (mp.mpf("1e-6"), mp.mpf("1e-2")):
+            for sgn in (1, -1):
+                pts.append(mp.mpc(b + d * rng.uniform(-1, 1), sgn * d))
+    return pts
+
+
+def _real_points(ctx):
+    # one or more points on each real segment, and within 1e-6 of the
+    # branch points
+    b1, b2 = ctx.beta1, ctx.beta2
+    tiny = mp.mpf("1e-6")
+    return [mp.mpf(-10) ** 5, mp.mpf("-2.5"), -tiny, tiny, b1 / 2, b1 - tiny,
+            b1 + tiny, (b1 + b2) / 2, b2 - tiny, b2, b2 + tiny, mp.mpf(3),
+            mp.mpf(10) ** 5]
+
+
+def test_phi_closed_form_matches_quadrature(ctx81):
+    with mp.workprec(256):
+        for z in _off_axis_points(ctx81):
+            want = phase_quadrature.phi(ctx81, z)
+            assert abs(landscape.phi_eval(ctx81, z) - want) <= ctx81.quad_tol
+        for x in _real_points(ctx81):
+            sides = ((BoundarySide.OFF_AXIS,) if 0 < x <= ctx81.beta1
+                     else (ABOVE, BELOW))
+            for side in sides:
+                want = phase_quadrature.phi(ctx81, x, side)
+                got = landscape.phi_eval(ctx81, x, side=side)
+                assert abs(got - want) <= ctx81.quad_tol, (x, side)
+
+
+def test_phi_tilde_closed_form_matches_quadrature(ctx81):
+    with mp.workprec(256):
+        right = [x for x in _real_points(ctx81) if x >= ctx81.beta2]
+        for z in _off_axis_points(ctx81) + right:
+            want = phase_quadrature.phi_tilde(ctx81, z)
+            assert abs(landscape.phi_tilde_eval(ctx81, z) - want) <= ctx81.quad_tol
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 import math
 from fractions import Fraction
 
+import random
+
 import mpmath as mp
 import pytest
 
+import phase_quadrature
 from lagzero import contour, landscape, measure
 from lagzero.errors import DomainError
 
@@ -99,10 +102,24 @@ def test_cdf_from_beta2_consistency(ctx81):
     for t in (Fraction(1, 4), Fraction(1, 2), Fraction(7, 8)):
         x = b1 + (b2 - b1) * mp.mpf(t.numerator) / t.denominator
         lhs = measure.cdf_interval(ctx81, x) - (1 - ctx81.A)
-        rhs = measure.cdf_from_beta2(ctx81, x)
+        rhs = phase_quadrature.cdf_from_beta2(ctx81, x)
         assert rhs <= 0
         assert abs(lhs - rhs) <= 1e-12
-    assert measure.cdf_from_beta2(ctx81, b2) == 0
+    assert phase_quadrature.cdf_from_beta2(ctx81, b2) == 0
+
+
+@pytest.mark.parametrize("A", [Fraction(81, 100), Fraction(42, 100),
+                               Fraction(99, 100)])
+def test_cdf_interval_matches_quadrature(A):
+    # seeded points across the interval, with both endpoint neighbourhoods
+    ctx = landscape.make_context(A)
+    b1, b2 = ctx.beta1, ctx.beta2
+    rng = random.Random(20261018)
+    ts = [mp.mpf("1e-9"), mp.mpf("1e-4")] + [mp.mpf(rng.random()) for _ in range(5)]
+    xs = [b1 + (b2 - b1) * t for t in ts] + [b2 - (b2 - b1) * t for t in ts[:2]]
+    for x in xs:
+        want = phase_quadrature.cdf_interval(ctx, x)
+        assert abs(measure.cdf_interval(ctx, x) - want) <= ctx.quad_tol
 
 
 def test_loop_cdf_points(mu81_r0):
