@@ -120,18 +120,19 @@ def oscillatory_phase(n: int, alpha, x: float) -> float:
     return float(phase)
 
 
-def nth_root_exponent(n: int, alpha, spec: measure.MeasureSpec,
-                      z) -> Tuple[float, float]:
+def nth_root_exponent(coeffs: laguerre.CoefficientList,
+                      spec: measure.MeasureSpec, z) -> Tuple[float, float]:
     """((1/n) log|P_n(z)|, U_mu(z)) for the monic scaled polynomial.
 
-    The first entry is exact (up to working precision); the second is the
-    logarithmic potential of the limit measure. Their difference tends to
-    0 as n grows, at fixed z off the limit set.
+    coeffs is P_n = laguerre.monic_rescaled(...), built once by the
+    caller for all its points.  The first entry is exact (up to working
+    precision); the second is the logarithmic potential of the limit
+    measure. Their difference tends to 0 as n grows, at fixed z off the
+    limit set.
     """
-    lspec = laguerre.LaguerreSpec.create(n, alpha)
-    coeffs = laguerre.monic_rescaled(lspec, scale=n)
-    with mp.workprec(lspec.precision_bits):
-        p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), lspec.precision_bits)
+    n, bits = coeffs.degree, coeffs.precision_bits
+    with mp.workprec(bits):
+        p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
         if p == 0:
             raise DomainError(f"P_n({z}) = 0; nth-root exponent undefined")
         empirical = float(mp.log(abs(p)) / n)

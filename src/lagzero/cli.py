@@ -195,8 +195,9 @@ def cmd_asymp(args) -> int:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         r = _parse_r(args.r)
         spec_m = measure.make_measure(ctx, r)
+        coeffs = laguerre.monic_rescaled(laguerre.LaguerreSpec.create(n, alpha_f))
         for tok, z in points:
-            emp, pred = asymptotics.nth_root_exponent(n, alpha_f, spec_m, z)
+            emp, pred = asymptotics.nth_root_exponent(coeffs, spec_m, z)
             rel = abs(emp / pred - 1) if pred != 0 else math.inf
             lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
     else:

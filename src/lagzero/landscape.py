@@ -11,10 +11,11 @@ g-function normalization constant ell.
 
 phi has an elementary antiderivative (phi_closed_form), written once and
 evaluated in mpmath at the context's precision here and in float64 by
-the contour tracer and the interval quantiles.  The one adaptive
-quadrature, Gauss-Legendre with recursive bisection (quad_seg), is left
-for integrals against the interval density (interval_integral), whose
-cosine substitution absorbs the square-root endpoint zeros.
+the contour tracer and the interval quantiles; ell is closed form too.
+The one adaptive quadrature, Gauss-Legendre with recursive bisection
+(quad_seg), is left for integrals against the interval density
+(interval_integral, used by g and the interval mass), whose cosine
+substitution absorbs the square-root endpoint zeros.
 """
 
 from __future__ import annotations
@@ -23,16 +24,11 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 from mpmath import mp
 
-from lagzero.errors import (
-    BranchCutError,
-    DomainError,
-    NonConvergence,
-    QuadratureError,
-)
+from lagzero.errors import BranchCutError, DomainError, QuadratureError
 
 Scalar = Union[int, float, str, Fraction]
 
@@ -349,120 +345,57 @@ def _gamma0_for(ctx: PotentialContext):
 
 
 def g_eval(
-    ctx: PotentialContext,
-    z: Union[complex, mp.mpc, Scalar],
-    gamma=None,
+    ctx: PotentialContext, z: Union[complex, mp.mpc, Scalar]
 ) -> mp.mpc:
     """g(z) = Integral log(z - s) dmu_0(s), principal branch per sample.
 
     mu_0 is the r = 0 limit measure: the loop measure nu_0 on Gamma_0
-    plus the Marchenko-Pastur density on [beta1, beta2].  For z outside
-    the loop whose rightward horizontal ray misses it, the loop part
-    collapses by the residue theorem to A*log(z) and is evaluated that
-    way (exactly the same integral, no polyline error); otherwise it is
-    A*log(z) plus a trapezoid sum of log((z-s)/z) over the polyline,
-    which stays on the principal sheet everywhere outside the loop and
-    therefore realizes the same branch as the shortcut.  Conjugate
-    symmetry holds off the real axis; the realization carries the
-    standard log cut on (-inf, 0].
+    plus the Marchenko-Pastur density on [beta1, beta2].  On Gamma_0,
+    dnu_0 = R(s) ds / (2 pi i s), and for z outside the loop
+    log(1 - s/z) is analytic inside it (s/z reaches [1, inf) only on
+    the ray beyond z) and vanishes at the pole s = 0; so by Cauchy's
+    theorem Integral log(1 - s/z) dnu_0(s) = 0 and the loop part is
+    exactly A*Log z.  The interval part is quadrature against the
+    density.  Conjugate symmetry holds off the real axis; the
+    realization carries the standard log cut on (-inf, 0].
 
     g(z) - log z -> 0 at infinity.  DomainError on the support of mu_0
     (loop and interval, with a 2*max_step guard band) and inside the
     loop, where no single-valued branch exists.
     """
     from lagzero import contour as _contour
-    from lagzero import measure as _measure
 
     with mp.workprec(ctx.precision_bits + _GUARD_BITS):
         w = mp.mpc(z)
-        x, y = mp.re(w), mp.im(w)
-        if y == 0 and ctx.beta1 <= x <= ctx.beta2:
+        if mp.im(w) == 0 and ctx.beta1 <= mp.re(w) <= ctx.beta2:
             raise DomainError("g is singular on the support [beta1, beta2]")
-        if gamma is None:
-            gamma = _gamma0_for(ctx)
+        gamma = _gamma0_for(ctx)
         dist = _contour.limit_set_distance(ctx, gamma, complex(w))
         if dist < 2 * gamma.max_step:
             raise DomainError("query point too close to the cut system of g")
-
         if _contour.point_in_loop(gamma, complex(w)):
             raise DomainError(
                 "g has no single-valued branch inside the loop "
                 "(the log cut must reach the origin)"
             )
-        clear_of_ray = (
-            y > gamma.im_max + 2 * gamma.max_step
-            or y < gamma.im_min - 2 * gamma.max_step
-            or x > gamma.re_max + 2 * gamma.max_step
-        )
-        if clear_of_ray:
-            loop_part = ctx.A * mp.log(w)
-        else:
-            loop_part = _loop_log_trapezoid(ctx, gamma, w, _measure)
         interval_part = interval_integral(
             ctx, lambda s: mp.log(w - s), ctx.tol / 2
         )
-        return loop_part + interval_part
-
-
-def _loop_log_trapezoid(ctx, gamma, z, measure_mod) -> mp.mpc:
-    # trapezoid of log((z-s)/z) over the closed polyline, then A*log(z)
-    # restores the integrand; the rebased factor never reaches the
-    # negative reals for z outside the loop (s/z hits [1, inf) only on
-    # the segment joining 0 to a curve point), so every sample stays on
-    # the principal sheet and the branch agrees with the ray shortcut
-    pts = gamma.points
-    total = mp.mpc(0)
-    m = len(pts)
-    for i in range(m - 1):
-        p = mp.mpc(pts[i])
-        q = mp.mpc(pts[i + 1])
-        h = abs(q - p)
-        fp = mp.log(1 - p / z) * measure_mod.nu_density_at(ctx, complex(p))
-        fq = mp.log(1 - q / z) * measure_mod.nu_density_at(ctx, complex(q))
-        total += (fp + fq) / 2 * h
-    return ctx.A * mp.log(z) + total
+        return ctx.A * mp.log(w) + interval_part
 
 
 # ---------------------------------------------------------------------------
 # the constant ell
 
 
-def _ell_estimate(ctx: PotentialContext, z: mp.mpc) -> mp.mpc:
-    # solve 2g = A log z + z + ell - 2 phi - 2(1-A) pi i for ell; the
-    # constant matches phi's path from beta1 into the upper half plane
-    g = g_eval(ctx, z)
-    phi = phi_eval(ctx, z)
-    off = 2 * (1 - ctx.A) * mp.pi * mp.mpc(0, 1)
-    return 2 * g - ctx.A * mp.log(z) - z + 2 * phi - off
-
-
-@lru_cache(maxsize=32)
 def ell_constant(ctx: PotentialContext) -> mp.mpf:
-    """The constant ell in 2g(z) = A log z + z + ell - A pi i - 2 phi(z).
+    """The constant ell in 2g(z) = A log z + z + ell - A pi i - 2 phi(z),
 
-    Evaluated on the imaginary axis at |z| = 1e3, 1e4, 1e5.  The raw
-    bracket carries an O(1/z^2) tail (the 1/z terms cancel because the
-    first moment of mu_0 is 1 - A), so successive Richardson elimination
-    of that tail gives two independent estimates which must agree to
-    10 * quad_tol; otherwise NonConvergence.  The result is real.
+        ell = A - 2 + (1 - A) log(1 - A).
+
+    The interval Stieltjes transform is (z - R - A)/(2z) and phi' = R/(2z),
+    so the interval part of g is (z - A Log z - 2 phi~(z) + ell)/2; ell is
+    the constant that makes it log z + O(1/z) at infinity.
     """
     with mp.workprec(ctx.precision_bits + _GUARD_BITS):
-        ys = [mp.mpf(10) ** 3, mp.mpf(10) ** 4, mp.mpf(10) ** 5]
-        raw = [_ell_estimate(ctx, mp.mpc(0, y)) for y in ys]
-
-        def rich(e0, e1, y0, y1):
-            return (y1 * y1 * e1 - y0 * y0 * e0) / (y1 * y1 - y0 * y0)
-
-        first = rich(raw[0], raw[1], ys[0], ys[1])
-        second = rich(raw[1], raw[2], ys[1], ys[2])
-        spread = abs(mp.re(second) - mp.re(first))
-        tol = 10 * ctx.tol
-        if spread > tol:
-            raise NonConvergence(iterations=3, worst_residual=float(spread))
-        if abs(mp.im(second)) > mp.mpf("1e-8"):
-            # odd powers of 1/z feed the imaginary part only; they decay
-            # one order slower than the real tail, hence the looser bound
-            raise NonConvergence(
-                iterations=3, worst_residual=float(abs(mp.im(second)))
-            )
-        return mp.re(second)
+        return ctx.A - 2 + (1 - ctx.A) * mp.log(1 - ctx.A)

@@ -9,9 +9,9 @@ stored symbolically.
 Loop quantities are trapezoid sums over a traced polyline (float64,
 adequate for the 1e-6 mass tolerances).  The interval CDF is closed
 form, F(x) = Im phi_+(x)/pi with the landscape module's phi, in mpmath
-for cdf_interval and in float64 for the interval quantiles; the
-interval mass and the log potential integrate against the density in
-mpmath (landscape.interval_integral).
+for cdf_interval and in float64 for the interval quantiles.  So is the
+log potential, from phi and the constant ell.  Only the interval mass
+integrates against the density in mpmath (landscape.interval_integral).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from lagzero.errors import DomainError
 from lagzero.landscape import (
     BoundarySide,
     PotentialContext,
+    ell_constant,
     interval_integral,
     phi_closed_form,
     phi_eval,
@@ -204,36 +205,43 @@ def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 
 
 def log_potential(spec: MeasureSpec, z: complex) -> float:
-    """U(z) = Integral log|z - s| dmu_r(s), z off the support.
+    """U(z) = Integral log|z - s| dmu_r(s), z off the support, in closed form.
 
-    Loop part by trapezoid over the polyline; interval part in mpmath
-    with the cosine substitution; the r = inf atom contributes
-    A*log|z| exactly.
+    With B(z) = (Re z + A log|z| + ell)/2, the real part of g's identity
+    gives U = B - Re phi wherever the loop part is A log|z|: outside
+    Gamma_r, and everywhere for the r = inf atom.  Inside Gamma_r,
+    U = B + Re phi - r, which is harmonic (Re phi ~ -(A/2) log|z| at 0)
+    and meets the outside value on Gamma_r, where Re phi = r/2.  The
+    inside test is contour.point_in_loop; at z = 0 the inside value is
+    its limit.  The precision grows with log2|z|, which is what B - Re phi
+    loses to cancellation at large |z|.
     """
     ctx = spec.ctx
-    with mp.workprec(ctx.precision_bits):
-        w = mp.mpc(z)
+    A, b1, b2 = ctx.A, ctx.beta1, ctx.beta2
+    w = mp.mpc(z)
+    with mp.workprec(ctx.precision_bits + max(0, mp.mag(w))):
         if math.isinf(spec.r):
             if abs(w) < 1e-12:
                 raise DomainError("z at the atom")
-            x = mp.re(w)
-            if mp.im(w) == 0 and ctx.beta1 <= x <= ctx.beta2:
+            if mp.im(w) == 0 and b1 <= mp.re(w) <= b2:
                 raise DomainError("z on the interval support")
-            loop_part = float(ctx.A) * math.log(abs(complex(z)))
+            inside = False
         else:
             from lagzero import contour
 
             dist = contour.limit_set_distance(ctx, spec.gamma, complex(z))
             if dist <= max(10 * spec.gamma.level_tol, 1e-8):
                 raise DomainError("z on the support of mu_r")
-            pts, _ = spec.gamma.as_arrays()
-            dens, arcs = _vertex_densities(spec)
-            vals = np.log(np.abs(complex(z) - pts)) * dens
-            loop_part = _simpson_irregular(arcs, vals)
-        interval_part = interval_integral(
-            ctx, lambda s: mp.log(abs(w - s)), ctx.tol
-        )
-        return loop_part + float(interval_part)
+            inside = contour.point_in_loop(spec.gamma, complex(z))
+        ell = ell_constant(ctx)
+        if w == 0:
+            rho = (b2 - b1) / 2
+            u0 = (ell - A - (2 - A) * mp.log(2 / rho)
+                  + A * mp.log(2 * A * A / rho)) / 2
+            return float(u0 - spec.r)
+        b = (mp.re(w) + A * mp.log(abs(w)) + ell) / 2
+        re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log))
+        return float(b + re_phi - spec.r if inside else b - re_phi)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Quadrature reference for the phase phi, phi~ and the interval CDF.
+"""Quadrature reference for the phase phi, phi~, the interval CDF and
+the potentials ell, g and U.
 
 Test-only: these are path integrals of the definitions, evaluated with
-landscape.quad_seg, against which the closed forms in landscape and
-measure are checked.  phi is computed in pole-subtracted form,
+landscape.quad_seg or summed over a traced polyline, against which the
+closed forms in landscape and measure are checked.  phi is computed in pole-subtracted form,
 
     phi(z) = (1/2) I(z) - (A/2) (Log z - log beta1),
     I(z)   = Integral (R(s) + A)/s ds along the path,
@@ -13,8 +14,12 @@ conjugation in the lower half-plane; real queries use real-axis
 reductions of the same integral with square-root substitutions.
 """
 
+import math
+
+import numpy as np
 from mpmath import mp
 
+from lagzero import landscape, measure
 from lagzero.errors import BranchCutError, DomainError
 from lagzero.landscape import BoundarySide, quad_seg
 
@@ -165,3 +170,70 @@ def cdf_from_beta2(ctx, x):
             return 2 * u * u * mp.sqrt(s - b1) / (2 * mp.pi * s)
 
         return -quad_seg(f, 0, mp.sqrt(b2 - x), ctx.tol)
+
+
+def ell_richardson(ctx):
+    """ell from 2g = A log z + z + ell - 2 phi + 2 (1-A) pi i on the
+    imaginary axis at |z| = 1e3, 1e4, 1e5.
+
+    The raw bracket carries an O(1/z^2) tail (the 1/z terms cancel
+    because the first moment of mu_0 is 1 - A), so successive Richardson
+    elimination of that tail gives two independent estimates, which must
+    agree to 10 * quad_tol.  Odd powers of 1/z feed the imaginary part
+    only and decay one order slower, hence its looser 1e-8 bound.
+    """
+    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+        ys = [mp.mpf(10) ** 3, mp.mpf(10) ** 4, mp.mpf(10) ** 5]
+        off = 2 * (1 - ctx.A) * mp.pi * mp.mpc(0, 1)
+        raw = []
+        for y in ys:
+            z = mp.mpc(0, y)
+            raw.append(2 * landscape.g_eval(ctx, z) - ctx.A * mp.log(z) - z
+                       + 2 * landscape.phi_eval(ctx, z) - off)
+
+        def rich(e0, e1, y0, y1):
+            return (y1 * y1 * e1 - y0 * y0 * e0) / (y1 * y1 - y0 * y0)
+
+        first = rich(raw[0], raw[1], ys[0], ys[1])
+        second = rich(raw[1], raw[2], ys[1], ys[2])
+        assert abs(mp.re(second) - mp.re(first)) <= 10 * ctx.tol
+        assert abs(mp.im(second)) <= mp.mpf("1e-8")
+        return mp.re(second)
+
+
+def loop_log_trapezoid(ctx, gamma, z):
+    """Integral log(z - s) dnu_0(s) over the traced Gamma_0 for z outside it.
+
+    A*log(z) plus a trapezoid sum of log(1 - s/z) against the arclength
+    density; the rebased factor never reaches the negative reals for z
+    outside the loop, so every sample stays on the principal sheet.
+    """
+    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+        z = mp.mpc(z)
+        pts = gamma.points
+        total = mp.mpc(0)
+        for p, q in zip(pts, pts[1:]):
+            fp = mp.log(1 - mp.mpc(p) / z) * measure.nu_density_at(ctx, p)
+            fq = mp.log(1 - mp.mpc(q) / z) * measure.nu_density_at(ctx, q)
+            total += (fp + fq) / 2 * abs(q - p)
+        return ctx.A * mp.log(z) + total
+
+
+def log_potential(spec, z):
+    """Integral log|z - s| dmu_r(s): the parabolic rule over the polyline
+    for the loop (A log|z| for the r = inf atom), quadrature against the
+    density for the interval."""
+    ctx = spec.ctx
+    z = complex(z)
+    if math.isinf(spec.r):
+        loop_part = float(ctx.A) * math.log(abs(z))
+    else:
+        pts, _ = spec.gamma.as_arrays()
+        dens, arcs = measure._vertex_densities(spec)
+        vals = np.log(np.abs(z - pts)) * dens
+        loop_part = measure._simpson_irregular(arcs, vals)
+    with mp.workprec(ctx.precision_bits):
+        w = mp.mpc(z)
+        interval_part = landscape.interval_integral(
+            ctx, lambda s: mp.log(abs(w - s)), ctx.tol)
+    return loop_part + float(interval_part)

@@ -142,7 +142,8 @@ def test_criterion_08_nth_root_convergence():
     diffs = []
     for n in (20, 40, 80, 160):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        emp, prd = asymptotics.nth_root_exponent(n, alpha, spec, 4.0)
+        coeffs = laguerre.monic_rescaled(laguerre.LaguerreSpec.create(n, alpha))
+        emp, prd = asymptotics.nth_root_exponent(coeffs, spec, 4.0)
         diffs.append(abs(emp - prd))
     ok = all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))
     assert _verdict(

@@ -122,12 +122,16 @@ def test_sign_changes_count_real_zeros():
     assert abs(changes - len(inside)) <= 1
 
 
+def _monic(n, alpha):
+    return laguerre.monic_rescaled(laguerre.LaguerreSpec.create(n, alpha))
+
+
 def test_nth_root_converges(ctx80):
     spec = measure.make_measure(ctx80, 0.0)
     diffs = {}
     for n in (20, 40):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        emp, prd = asymptotics.nth_root_exponent(n, alpha, spec, 4.0)
+        emp, prd = asymptotics.nth_root_exponent(_monic(n, alpha), spec, 4.0)
         diffs[n] = abs(emp - prd)
     assert diffs[20] <= 6e-3
     assert diffs[40] <= diffs[20]
@@ -138,7 +142,7 @@ def test_nth_root_prediction_r_insensitive(ctx80):
     preds = []
     for r in (0.0, 3.0, math.inf):
         spec = measure.make_measure(ctx80, r)
-        _, prd = asymptotics.nth_root_exponent(20, -16, spec, 4.0)
+        _, prd = asymptotics.nth_root_exponent(_monic(20, -16), spec, 4.0)
         preds.append(prd)
     assert max(preds) - min(preds) <= 2e-6
 
@@ -146,5 +150,5 @@ def test_nth_root_prediction_r_insensitive(ctx80):
 def test_nth_root_far_field(ctx80):
     # U_mu(z) ~ log|z| for large z since mu has total mass 1
     spec = measure.make_measure(ctx80, 0.0)
-    _, prd = asymptotics.nth_root_exponent(20, -16, spec, 1e3)
+    _, prd = asymptotics.nth_root_exponent(_monic(20, -16), spec, 1e3)
     assert abs(prd - math.log(1e3)) <= 1e-2

@@ -11,7 +11,7 @@ import mpmath as mp
 import pytest
 
 import phase_quadrature
-from lagzero import landscape
+from lagzero import contour, landscape
 from lagzero.errors import BranchCutError, DomainError, QuadratureError
 from lagzero.landscape import BoundarySide
 
@@ -334,16 +334,39 @@ def test_g_branch_structure_at_minus_one(ctx81):
 
 
 def test_g_shadow_region_branch(ctx81):
-    # -1 + 0.05i sits in the horizontal shadow of the loop, forcing the
-    # trapezoid fallback; the ell identity pins its branch to the one the
-    # ray shortcut realizes, up to the polyline quadrature error
+    # -1 + 0.05i sits in the horizontal shadow of the loop; the
+    # trapezoid over the traced Gamma_0 confirms that the loop part is
+    # A*Log z there too, up to the polyline quadrature error
     with mp.workprec(256):
         z = mp.mpc(-1, mp.mpf("0.05"))
-        lhs = 2 * landscape.g_eval(ctx81, z)
-        rhs = (landscape.ell_constant(ctx81) + ctx81.A * mp.log(z) + z
-               - 2 * landscape.phi_eval(ctx81, z)
-               + 2 * (1 - ctx81.A) * mp.pi * mp.mpc(0, 1))
-        assert abs(lhs - rhs) <= 1e-4
+        loop = phase_quadrature.loop_log_trapezoid(
+            ctx81, contour.trace_gamma(ctx81, 0.0), z)
+        interval = landscape.interval_integral(
+            ctx81, lambda s: mp.log(z - s), ctx81.tol / 2)
+        assert abs(landscape.g_eval(ctx81, z) - (loop + interval)) <= 1e-4
+
+
+@pytest.mark.parametrize("A", [Fraction(81, 100), Fraction(21, 50)])
+def test_g_interval_part_identity(A):
+    # Integral log(z - s) dMP(s) = (z - A Log z - 2 phi~(z) + ell)/2,
+    # with phi~ continued from above onto (-inf, 0); written with phi
+    # instead, the imaginary parts would differ by exactly +-pi (1 - A)
+    ctx = landscape.make_context(A)
+    ell = landscape.ell_constant(ctx)
+    points = [mp.mpc(2, 3), mp.mpc(2, -3), mp.mpc("1.5", "1e-3"),
+              mp.mpc("1.5", "-1e-3"), mp.mpc(-1), mp.mpc(ctx.beta2 + 1)]
+    with mp.workprec(ctx.precision_bits):
+        for z in points:
+            if mp.re(z) < 0 and mp.im(z) == 0:
+                phi_t = (landscape.phi_eval(ctx, z, ABOVE)
+                         - mp.mpc(0, mp.pi * (1 - ctx.A)))
+            else:
+                phi_t = landscape.phi_tilde_eval(ctx, z)
+            want = (z - ctx.A * mp.log(z) - 2 * phi_t + ell) / 2
+            got = landscape.interval_integral(
+                ctx, lambda s: mp.log(z - s), ctx.tol / 2)
+            assert abs(mp.re(got) - mp.re(want)) <= ctx.quad_tol
+            assert abs(mp.im(got) - mp.im(want)) <= ctx.quad_tol
 
 
 def test_g_rejected_on_support_and_inside(ctx81):
@@ -366,10 +389,8 @@ def test_ell_constant_frozen(A):
     ell = landscape.ell_constant(ctx)
     assert mp.im(mp.mpc(ell)) == 0
     assert abs(ell - mp.mpf(ELL_FROZEN[A])) <= 1e-12
-    # closed form A - 2 + (1-A) log(1-A), an independent bracket check
-    with mp.workprec(256):
-        closed = ctx.A - 2 + (1 - ctx.A) * mp.log(1 - ctx.A)
-        assert abs(ell - closed) <= 1e-10
+    # the Richardson fit of the g identity, an independent bracket check
+    assert abs(ell - phase_quadrature.ell_richardson(ctx)) <= 1e-10
 
 
 def test_ell_identity_plugback(ctx81):

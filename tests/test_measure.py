@@ -169,6 +169,26 @@ def test_log_potential_far_field(ctx80):
     assert abs(measure.log_potential(spec, z) - math.log(abs(z))) <= 1e-5
 
 
+def test_log_potential_far_field_finite_r(ctx80):
+    # mu_0 has mass exactly 1, so U(z) - log|z| = O(1/|z|); a loop mass
+    # off A by 3e-7 would show as 2e-4 at |z| = 1e300
+    spec = measure.make_measure(ctx80, 0.0)
+    z = 1e300 + 1j
+    assert abs(measure.log_potential(spec, z) - math.log(abs(z))) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
+def test_log_potential_inside_loop(ctx80, r):
+    # inside Gamma_r, and at its limit point 0, against the polyline
+    # Simpson oracle, whose own error is the polyline's
+    spec = measure.make_measure(ctx80, r)
+    x_r = contour.axis_crossing(ctx80, r)
+    for z in (0j, complex(x_r / 2), 0.5j * spec.gamma.im_max):
+        assert contour.point_in_loop(spec.gamma, z)
+        want = phase_quadrature.log_potential(spec, z)
+        assert abs(measure.log_potential(spec, z) - want) <= 1e-5
+
+
 def test_log_potential_rejects_support(ctx80):
     spec = measure.make_measure(ctx80, math.inf)
     with pytest.raises(DomainError):
