@@ -14,8 +14,6 @@ conjugation in the lower half-plane; real queries use real-axis
 reductions of the same integral with square-root substitutions.
 """
 
-import math
-
 import numpy as np
 from mpmath import mp
 
@@ -220,18 +218,15 @@ def loop_log_trapezoid(ctx, gamma, z):
 
 
 def log_potential(spec, z):
-    """Integral log|z - s| dmu_r(s): the parabolic rule over the polyline
-    for the loop (A log|z| for the r = inf atom), quadrature against the
-    density for the interval."""
+    """Integral log|z - s| dmu_r(s) for finite r: the parabolic rule over
+    the polyline for the loop, quadrature against the density for the
+    interval."""
     ctx = spec.ctx
     z = complex(z)
-    if math.isinf(spec.r):
-        loop_part = float(ctx.A) * math.log(abs(z))
-    else:
-        pts, _ = spec.gamma.as_arrays()
-        dens, arcs = measure._vertex_densities(spec)
-        vals = np.log(np.abs(z - pts)) * dens
-        loop_part = measure._simpson_irregular(arcs, vals)
+    pts, _ = spec.gamma.as_arrays()
+    dens, arcs = measure._vertex_densities(spec)
+    loop_part = measure._simpson_irregular(
+        arcs, np.log(np.abs(z - pts)) * dens)
     with mp.workprec(ctx.precision_bits):
         w = mp.mpc(z)
         interval_part = landscape.interval_integral(
