@@ -6,7 +6,7 @@ alpha = -n A, A in (0, 1).  Modules:
 
 - laguerre:    exact coefficients, evaluation, integer-parameter reduction,
                the A_n in (0, 1) domain check
-- rootfinder:  certified simultaneous root solver for the monic rescaling
+- rootfinder:  simultaneous root solver with inclusion disks
 - landscape:   potential-theoretic machinery (R, phi, g, constants)
 - contour:     tracing of the predicted limit curves Gamma_r; distance
                and projection to the limit set
@@ -37,7 +37,7 @@ from lagzero.laguerre import (
     monic_rescaled,
     parse_alpha,
 )
-from lagzero.rootfinder import ZeroSet, certify, find_zeros
+from lagzero.rootfinder import ZeroSet, find_zeros
 from lagzero.landscape import (
     BoundarySide,
     PotentialContext,
@@ -117,7 +117,6 @@ __all__ = [
     "build_coefficients",
     "c_constant",
     "cdf_interval",
-    "certify",
     "compute_zeros",
     "convergence_study",
     "default_precision",

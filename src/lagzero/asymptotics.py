@@ -93,13 +93,9 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
             f"x={x} outside the window [{b1 + margin:.6f}, {b2 - margin:.6f}]"
         )
     ell = ell_constant(ctx)
+    phase = _phase(ctx, n, x)
     with mp.workprec(bits):
         xm = mp.mpf(x)
-        # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
-        # phase; the integral term vanishes at x = beta2
-        phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
-        phase += mp.asin((2 * xm - ctx.beta1 - ctx.beta2)
-                         / (ctx.beta2 - ctx.beta1)) / 2
         envelope = mp.power(n, n) / mp.factorial(n)
         envelope *= mp.e ** (n * (xm + ctx.A * mp.log(xm) + ell) / 2)
         if n % 2:
@@ -109,15 +105,20 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
     return AsymptoticPrediction(value, Regime.OSCILLATORY, "O(1/n)")
 
 
+def _phase(ctx: PotentialContext, n: int, x: float):
+    # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
+    # phase; the integral term vanishes at x = beta2
+    with mp.workprec(ctx.precision_bits):
+        phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
+        return phase + mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
+                               / (ctx.beta2 - ctx.beta1)) / 2
+
+
 def oscillatory_phase(n: int, alpha, x: float) -> float:
     """Phase of the cosine in oscillatory_value, for zero counting."""
     a_n = laguerre.theorem_ratio(n, alpha)
     ctx = make_context(a_n, precision_bits=laguerre.default_precision(n))
-    with mp.workprec(ctx.precision_bits):
-        phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
-        phase += mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
-                         / (ctx.beta2 - ctx.beta1)) / 2
-    return float(phase)
+    return float(_phase(ctx, n, x))
 
 
 def nth_root_exponent(coeffs: laguerre.CoefficientList,

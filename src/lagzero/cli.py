@@ -15,7 +15,8 @@ failure (no closure, or no crossing of the level), 4 root-finder
 non-convergence, 5 asymptotic-domain violation.
 
 The LAGZERO_PRECISION environment variable overrides the default
-working precision (bits) wherever --precision is not given explicitly.
+working precision (bits) wherever --precision is not given explicitly;
+either must be at least 64.
 """
 
 from __future__ import annotations
@@ -55,15 +56,15 @@ SMALL_LOOP_CROSSING = 0.05
 
 
 def _precision_from(args) -> Optional[int]:
-    if getattr(args, "precision", None) is not None:
-        return args.precision
-    env = os.environ.get(ENV_PRECISION)
-    if env:
+    bits, env = args.precision, os.environ.get(ENV_PRECISION)
+    if bits is None and env:
         try:
-            return int(env)
+            bits = int(env)
         except ValueError as exc:
             raise DomainError(f"{ENV_PRECISION}={env!r} is not an integer") from exc
-    return None
+    if bits is not None and bits < 64:
+        raise DomainError(f"precision must be at least 64 bits, got {bits}")
+    return bits
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -87,16 +88,14 @@ def _parse_r(raw: str) -> float:
 
 
 def cmd_betas(args) -> int:
-    bits = _precision_from(args) or 256
-    ctx = make_context(args.A, precision_bits=bits)
+    ctx = make_context(args.A, precision_bits=args.precision or 256)
     doc = {"A": args.A, "beta1": float(ctx.beta1), "beta2": float(ctx.beta2)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_contour(args) -> int:
-    bits = _precision_from(args) or 256
-    ctx = make_context(args.A, precision_bits=bits)
+    ctx = make_context(args.A, precision_bits=args.precision or 256)
     r = _parse_r(args.r)
     if math.isinf(r):
         raise DomainError("Gamma_inf degenerates to the origin; no polyline")
@@ -110,7 +109,7 @@ def cmd_contour(args) -> int:
 
 def cmd_zeros(args) -> int:
     zset, _, _, _ = harness.compute_zeros(
-        args.n, args.alpha, precision_bits=_precision_from(args)
+        args.n, args.alpha, precision_bits=args.precision
     )
     lines = ["re,im,residual"]
     for _ in range(zset.origin_multiplicity):
@@ -130,7 +129,7 @@ def cmd_verify(args) -> int:
     opts = harness.RunOptions(
         classify_tol=args.classify_tol,
         sweep=sweep,
-        precision_bits=_precision_from(args),
+        precision_bits=args.precision,
     )
     rep = harness.run_comparison(args.n, args.alpha, opts)
     _emit(harness.report_json(rep) + "\n", args.out)
@@ -164,7 +163,7 @@ def _parse_points(args, parse) -> List[Tuple[str, object]]:
 def cmd_asymp(args) -> int:
     complex_point = lambda tok: complex(tok.replace(" ", ""))
     points = _parse_points(args, float if args.regime == "oscillatory" else complex_point)
-    bits = _precision_from(args) or laguerre.default_precision(args.n)
+    bits = args.precision or laguerre.default_precision(args.n)
     n = args.n
     alpha_f = laguerre.parse_alpha(args.alpha)
     lines = ["point,exact,predicted,rel_error"]
@@ -178,30 +177,27 @@ def cmd_asymp(args) -> int:
                 exact = laguerre.eval_poly(coeffs.coeffs, mp.mpf(n) * x, bits)
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
             lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
-    elif args.regime == "outer":
+    else:
+        # outer and nth_root (the parser allows no other regime) both
+        # evaluate the monic P_n(z)
         a_n = laguerre.theorem_ratio(n, alpha_f)
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
-        coeffs = laguerre.monic_rescaled(lspec, scale=n)
-        for tok, z in points:
-            pred = asymptotics.outer_ratio(ctx, n, z).value
-            with mp.workprec(bits):
-                p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
-                exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
-                rel = float(abs(complex(pred) / complex(exact) - 1))
-            lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
-    elif args.regime == "nth_root":
-        a_n = laguerre.theorem_ratio(n, alpha_f)
-        ctx = make_context(a_n, precision_bits=max(bits, 256))
-        r = _parse_r(args.r)
-        spec_m = measure.make_measure(ctx, r)
-        coeffs = laguerre.monic_rescaled(laguerre.LaguerreSpec.create(n, alpha_f))
-        for tok, z in points:
-            emp, pred = asymptotics.nth_root_exponent(coeffs, spec_m, z)
-            rel = abs(emp / pred - 1) if pred != 0 else math.inf
-            lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
-    else:
-        raise DomainError(f"unknown regime {args.regime!r}")
+        coeffs = laguerre.monic_rescaled(lspec)
+        if args.regime == "outer":
+            for tok, z in points:
+                pred = asymptotics.outer_ratio(ctx, n, z).value
+                with mp.workprec(bits):
+                    p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
+                    exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
+                    rel = float(abs(complex(pred) / complex(exact) - 1))
+                lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
+        else:
+            spec_m = measure.make_measure(ctx, _parse_r(args.r))
+            for tok, z in points:
+                emp, pred = asymptotics.nth_root_exponent(coeffs, spec_m, z)
+                rel = abs(emp / pred - 1) if pred != 0 else math.inf
+                lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -263,6 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        # a bad precision is a usage error (exit 2), for asymp too
+        args.precision = _precision_from(args)
+    except DomainError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
     try:
         return args.func(args)
     except (DomainError, BranchCutError) as exc:

@@ -58,10 +58,6 @@ class ContourPolyline:
         return max(p.imag for p in self.points)
 
     @property
-    def im_min(self) -> float:
-        return min(p.imag for p in self.points)
-
-    @property
     def length(self) -> float:
         return self.arclengths[-1]
 

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-Each maps to a CLI exit code (see cli.EXIT_CODES); library callers catch them
-directly.
+Each maps to a CLI exit code (see the cli.EXIT_* constants); library callers
+catch them directly.
 """
 
 

@@ -297,7 +297,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     except NonConvergence:
         zset = rootfinder.find_zeros(coeffs, 2 * bits, mp.mpf(2) ** (-bits),
                                      seeds=seeds, origin_multiplicity=origin_mult)
-    return rootfinder.certify(coeffs, zset), ctx, gamma, r_hat
+    return zset, ctx, gamma, r_hat
 
 
 def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> ComparisonReport:

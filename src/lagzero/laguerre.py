@@ -75,16 +75,17 @@ class LaguerreSpec:
 
     @classmethod
     def create(cls, n: int, alpha: AlphaLike, precision_bits: int | None = None) -> "LaguerreSpec":
-        return cls(n, parse_alpha(alpha), precision_bits or default_precision(n))
+        bits = default_precision(n) if precision_bits is None else precision_bits
+        return cls(n, parse_alpha(alpha), bits)
 
 
 @dataclass(frozen=True)
 class CoefficientList:
     """Monomial coefficients c_0..c_n, exact and rounded views.
 
-    coeffs holds mpf values rounded at precision_bits; exact holds the
-    Fractions they came from so callers can re-round at a higher precision
-    (certify does this).
+    coeffs holds mpf values rounded at precision_bits, for mpmath
+    evaluation; exact holds the Fractions they came from, which the root
+    finder rounds to its own fixed-point scale.
     """
 
     coeffs: tuple
@@ -94,12 +95,6 @@ class CoefficientList:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def at_precision(self, precision_bits: int) -> "CoefficientList":
-        if precision_bits == self.precision_bits:
-            return self
-        rounded = _round_fractions(self.exact, precision_bits)
-        return CoefficientList(rounded, self.exact, precision_bits)
 
 
 def _round_fractions(fracs: Sequence[Fraction], precision_bits: int) -> tuple:

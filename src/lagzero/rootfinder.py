@@ -5,22 +5,26 @@ newton / (1 - newton * sum_j 1/(z_i - z_j)). A root whose step falls below
 tol is frozen: later sweeps no longer update it, though it still enters the
 other roots' pair sums, and the iteration stops once every root is frozen
 (Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
-the frozen approximations. Residuals are recorded as |P(z)| / max(1, |z|)^n
-so the certificate is scale-free.
+the frozen approximations.
 
 The sweeps and the polish run on fixed-point Gaussian integers: (X, Y)
 stands for (X + iY) 2^-P, so each product is one big-integer multiply in C
 instead of an mpc operation in pure Python. P is the working precision plus
 the bits the smallest nonzero coefficient sits below 1, plus 16 guard bits,
-so every coefficient keeps at least precision + 16 significant bits. The
-roots then return to mpc for the residual check and certify."""
+so every coefficient keeps at least precision + 16 significant bits.
+
+A last fixed-point Horner pass bounds each |P(z_i)|; each connected component
+of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i} |z_i - z_j| holds as many
+zeros as disks (Neumaier, J. Comput. Appl. Math. 156, 2003)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import mpmath as mp
-from mpmath.libmp import to_fixed
+import numpy as np
+from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .errors import NonConvergence
 from .laguerre import CoefficientList
@@ -30,30 +34,31 @@ MAX_ITERATIONS = 200
 
 @dataclass(frozen=True)
 class ZeroSet:
+    """Zeros with upper bounds on |P(z)| / max(1, |z|)^n and inclusion radii.
+    A disk that meets no other holds exactly one zero; suspect lists those
+    that meet another or whose radius exceeds tol max(1, |z|)."""
+
     zeros: tuple
     residuals: tuple
     origin_multiplicity: int
     precision_bits: int
-    certified_threshold: object = None
     iterations: int = 0
-    suspect: tuple = field(default=())
+    radii: tuple = ()
+    suspect: tuple = ()
 
     @property
     def count(self) -> int:
         return len(self.zeros) + self.origin_multiplicity
 
 
-def _residual(coeffs, z, n):
-    p = mp.mpf(0)
-    for c in reversed(coeffs):
-        p = p * z + c
-    return abs(p) / max(mp.mpf(1), abs(z)) ** n
-
-
 def _sorted_key(z):
     # the printed doubles, so iteration noise in the real parts of a
     # conjugate pair cannot decide which member comes first
     return (float(z.real), float(z.imag))
+
+
+def _to_fixed(zs, prec):
+    return [(to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec)) for z in zs]
 
 
 def _fixed_horner(cs, x, y, prec):
@@ -159,6 +164,41 @@ def _aberth_fixed(cs, zs, prec, tol, floor, max_iterations):
     return it
 
 
+def _certificate(cs, fixed, prec, log_tol):
+    """Residual bounds in 2^-prec units, log radii and suspect indices.
+
+    A _fixed_horner step adds one coefficient rounding (at most 1/2) and
+    a floor of each component (under sqrt 2 together), in 2^-prec units, so
+    |P~(z) - P(z)| <= 2 (n + 1) max(1, |z|)^n 2^-prec (Higham, sec. 5.1).
+    The radius n (|P~(z_i)| + that) / prod_{j != i} |z_i - z_j| is doubled
+    to cover the float64 sum of logs that stands for the product.
+    """
+    n, shift = len(cs) - 1, prec * math.log(2)
+    bounds, log_m = [], []
+    for x, y in fixed:
+        px, py, _, _ = _fixed_horner(cs, x, y, prec)
+        bound = math.isqrt(px * px + py * py) + 1
+        m = math.isqrt(x * x + y * y)  # floor(|z| 2^prec)
+        if m >> prec:
+            # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
+            s = max(0, min(prec, m.bit_length() - 64))
+            bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
+        bounds.append(bound + 2 * (n + 1))
+        log_m.append(max(0.0, math.log(m or 1) - shift))
+    dist = np.zeros((n, n))  # log |z_i - z_j|, -inf where two coincide
+    for i, (x, y) in enumerate(fixed):
+        for j, (u, v) in enumerate(fixed[:i]):
+            dd = (x - u) ** 2 + (y - v) ** 2
+            dist[i, j] = dist[j, i] = 0.5 * math.log(dd) - shift if dd else -math.inf
+    log_m = np.array(log_m)
+    log_r = (math.log(2 * n) - shift + np.array([math.log(b) for b in bounds])
+             + n * log_m - dist.sum(axis=1))
+    meets = dist <= np.logaddexp.outer(log_r, log_r)
+    np.fill_diagonal(meets, False)
+    suspect = np.flatnonzero(meets.any(axis=1) | (log_r > log_tol + log_m))
+    return bounds, log_r, tuple(int(i) for i in suspect)
+
+
 def _guard_bits(exact) -> int:
     # an integer >= -log2 min |c_k| over the nonzero c_k (at most two bits
     # over), or 0 when every |c_k| >= 1
@@ -169,74 +209,59 @@ def _guard_bits(exact) -> int:
 def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
                seeds=None, max_iterations: int = MAX_ITERATIONS,
                origin_multiplicity: int = 0) -> ZeroSet:
-    """All zeros of the monic polynomial given by coeffs.
+    """All zeros of the monic polynomial given by coeffs, with inclusion disks.
 
     Each Aberth sweep updates only the roots whose last step exceeded
     tol * max(1, |z|); the sweeps end when none is left, and a final Newton
     step z -= P(z)/P'(z) polishes every root. ZeroSet.iterations counts the
     sweeps. Without seeds the roots start on a Cauchy-bound circle.
 
-    The sweeps and the polish run in fixed point: a number is a pair of
-    Python ints (X, Y) standing for (X + iY) 2^-P, and the coefficients
-    are rounded once from coeffs.exact. The guard rule
-    P = precision_bits + max(0, -log2 min_k |c_k|) + 16 over the nonzero
-    c_k leaves every coefficient at least precision_bits + 16 significant
-    bits. The roots return to mpc at precision_bits for the snap, the
-    residual check and certify.
+    Sweeps, polish and certificate run in fixed point, on coefficients
+    rounded once from coeffs.exact to P = precision_bits +
+    max(0, -log2 min_k |c_k|) + 16 bits over the nonzero c_k. The roots are
+    returned at precision_bits, and the disks are centred on those values.
 
     tol must satisfy tol >= 2^(-precision_bits/2). Raises NonConvergence when
-    the sweep exhausts max_iterations, or when a residual at precision_bits
-    exceeds tol; caller policy is a single retry at doubled precision.
+    the sweep exhausts max_iterations, or when a residual bound exceeds tol;
+    caller policy is a single retry at doubled precision.
     """
     n = coeffs.degree
     if n == 0:
-        return ZeroSet((), (), origin_multiplicity, precision_bits, tol)
-    work = coeffs.at_precision(precision_bits)
+        return ZeroSet((), (), origin_multiplicity, precision_bits)
+    assert coeffs.exact[-1] == 1, "find_zeros expects a monic polynomial"
     with mp.workprec(precision_bits):
         tol = mp.mpf(tol)
         floor = mp.mpf(2) ** (-(precision_bits // 2))
         if tol < floor:
             raise ValueError(f"tol {tol} below 2^-precision/2 = {floor}")
-        assert work.coeffs[-1] == 1, "find_zeros expects a monic polynomial"
-        cs = work.coeffs
         if seeds is None:
-            seeds = initial_guesses(n, coeffs=work.coeffs)
+            seeds = initial_guesses(n, coeffs=coeffs.exact)
         zs = [mp.mpc(s) for s in seeds]
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
         prec = precision_bits + _guard_bits(coeffs.exact) + 16
-        fixed = [(to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec))
-                 for z in zs]
-        it = _aberth_fixed([round(c * (1 << prec)) for c in coeffs.exact], fixed,
-                           prec, to_fixed(tol._mpf_, prec),
+        cs = [round(c * (1 << prec)) for c in coeffs.exact]
+        fixed = _to_fixed(zs, prec)
+        it = _aberth_fixed(cs, fixed, prec, to_fixed(tol._mpf_, prec),
                            to_fixed(floor._mpf_, prec), max_iterations)
         zs = [mp.mpc(mp.mpf((x, -prec)), mp.mpf((y, -prec))) for x, y in fixed]
-        if it is None:
-            worst = max(_residual(cs, z, n) for z in zs)
-            raise NonConvergence(max_iterations, worst)
-
         # real coefficients force conjugate symmetry: an imaginary part at
         # the quarter-precision level is iteration dust on a real zero
         # (converged steps sit at 2^-prec/2), not a genuine pair
         snap = mp.mpf(2) ** (-(precision_bits // 4))
-        zs = [
-            mp.mpc(z.real, 0) if abs(z.imag) <= snap * max(1, abs(z.real)) else z
-            for z in zs
-        ]
-        residuals = [_residual(cs, z, n) for z in zs]
-        worst = max(residuals)
-        if worst > tol:
-            raise NonConvergence(it, worst)
-        order = sorted(range(n), key=lambda i: _sorted_key(zs[i]))
-        return ZeroSet(
-            tuple(zs[i] for i in order),
-            tuple(residuals[i] for i in order),
-            origin_multiplicity,
-            precision_bits,
-            tol,
-            it,
-        )
+        zs = sorted((mp.mpc(z.real, 0) if abs(z.imag) <= snap * max(1, abs(z.real))
+                     else z for z in zs), key=_sorted_key)
+        # rounding to precision_bits only drops low bits, so the disks are
+        # centred exactly on the returned values
+        bounds, log_r, suspect = _certificate(cs, _to_fixed(zs, prec), prec,
+                                              float(mp.log(tol)))
+        residuals = tuple(mp.make_mpf(from_man_exp(b, -prec, precision_bits, round_ceiling))
+                          for b in bounds)
+        if it is None or max(residuals) > tol:
+            raise NonConvergence(max_iterations if it is None else it, max(residuals))
+    return ZeroSet(tuple(zs), residuals, origin_multiplicity, precision_bits, it,
+                   tuple(mp.exp(r) for r in log_r), suspect)
 
 
 def initial_guesses(n: int, coeffs=None) -> list:
@@ -253,22 +278,3 @@ def initial_guesses(n: int, coeffs=None) -> list:
         radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + 0.25) / n))
         for k in range(n)
     ]
-
-
-def certify(coeffs: CoefficientList, zset: ZeroSet) -> ZeroSet:
-    """Recompute residuals at doubled precision; flag blow-ups as suspect."""
-    doubled = 2 * zset.precision_bits
-    work = coeffs.at_precision(doubled)
-    n = coeffs.degree
-    with mp.workprec(doubled):
-        thr = zset.certified_threshold
-        if thr is None:
-            thr = mp.mpf(2) ** (-(zset.precision_bits // 2))
-        residuals = tuple(_residual(work.coeffs, mp.mpc(z), n) for z in zset.zeros)
-        # growth below the certified threshold is the original precision's
-        # noise floor giving way to the true residual, not a failure
-        suspect = tuple(
-            i for i, (r_new, r_old) in enumerate(zip(residuals, zset.residuals))
-            if r_new > 4 * r_old and r_new > thr
-        )
-    return replace(zset, residuals=residuals, suspect=suspect)

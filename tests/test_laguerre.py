@@ -120,23 +120,14 @@ def test_monic_rescaled_explicit_scale():
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
-def test_coefficient_list_reround():
-    spec = LaguerreSpec.create(9, Fraction(-22, 7), 128)
-    lo = laguerre.build_coefficients(spec)
-    hi = lo.at_precision(512)
-    assert hi.precision_bits == 512
-    assert hi.exact == lo.exact
-    with mp.workprec(512):
-        k = 4
-        exact = mp.mpf(lo.exact[k].numerator) / lo.exact[k].denominator
-        assert abs(hi.coeffs[k] - exact) <= abs(exact) * mp.mpf(2) ** -500
-
-
 def test_spec_validation():
     with pytest.raises(DomainError):
         LaguerreSpec.create(-1, Fraction(1, 2))
     with pytest.raises(DomainError):
         LaguerreSpec(3, Fraction(1, 2), 32)
+    with pytest.raises(DomainError):
+        # 0 is a precision, not "use the default"
+        LaguerreSpec.create(3, Fraction(1, 2), 0)
     assert laguerre.theorem_ratio(40, "-32.4") == Fraction(81, 100)
     for n, alpha in ((40, "-80"), (40, "-40"), (40, "2"), (0, "-1")):
         with pytest.raises(DomainError):

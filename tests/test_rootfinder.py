@@ -161,12 +161,68 @@ def test_max_iterations_raises():
         rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80, max_iterations=1)
 
 
-def test_certify_keeps_clean_roots():
+def test_clean_roots_are_isolated():
     coeffs = _from_fractions(_wilkinson(5), 256)
-    zset = rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80)
-    certified = rootfinder.certify(coeffs, zset)
-    assert certified.suspect == ()
-    assert certified.count == zset.count
+    tol = mp.mpf(2) ** -80
+    zset = rootfinder.find_zeros(coeffs, 256, tol)
+    assert zset.suspect == ()
+    assert zset.count == 5
+    assert len(zset.radii) == 5
+    assert all(0 < r <= tol * max(1, abs(z)) for r, z in zip(zset.radii, zset.zeros))
+
+
+def _monic(n, alpha, bits):
+    return laguerre.monic_rescaled(LaguerreSpec.create(n, alpha, bits))
+
+
+def _sound_case(name):
+    tol = mp.mpf(2) ** -80
+    if name == "wilkinson6":
+        mon = _from_fractions(_wilkinson(6), 256)
+        return mon, rootfinder.find_zeros(mon, 256, tol)
+    if name == "compute_zeros":
+        zset, _, _, _ = harness.compute_zeros(40, "-31.99999886")
+        return _monic(40, "-31.99999886", zset.precision_bits), zset
+    n, alpha = name
+    mon = _monic(n, alpha, 256)
+    return mon, rootfinder.find_zeros(mon, 256, tol)
+
+
+@pytest.mark.parametrize("name", ["wilkinson6", (12, "-9.6"), (25, "-10.5"),
+                                  "compute_zeros"],
+                         ids=["wilkinson6", "12,-9.6", "25,-10.5", "40,-31.99999886"])
+def test_inclusion_disks_hold_the_zeros(name):
+    # each disk holds a zero of P: the polyroots zero nearest to z_i, 64
+    # bits past the working precision, lies within radii[i] of it
+    mon, zset = _sound_case(name)
+    bits = zset.precision_bits + 64
+    with mp.workprec(bits):
+        ref = mp.polyroots(
+            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon.exact)],
+            maxsteps=400, extraprec=128)
+        for z, r in zip(zset.zeros, zset.radii):
+            assert min(abs(w - z) for w in ref) <= r
+        for i, (z, r) in enumerate(zip(zset.zeros, zset.radii)):
+            for w, s in zip(zset.zeros[:i], zset.radii[:i]):
+                assert abs(z - w) > r + s
+    assert zset.suspect == ()
+
+
+@pytest.mark.parametrize("bits", [224, 256])
+def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
+    # without guard bits the smallest coefficients of (60, -45.25) lose
+    # most of their digits: the sweep still converges, with residuals far
+    # below tol, to zeros wrong by far more than tol (up to 1.4e-26
+    # against 1.9e-34 at 224 bits)
+    ref, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
+    monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
+    zset, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
+    tol = mp.mpf(2) ** -(bits // 2)
+    with mp.workprec(512):
+        wrong = [i for i, z in enumerate(zset.zeros)
+                 if min(abs(w - z) for w in ref.zeros) > tol * max(1, abs(z))]
+    assert len(wrong) > 10
+    assert set(wrong) <= set(zset.suspect)
 
 
 def test_determinism():
