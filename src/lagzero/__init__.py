@@ -64,14 +64,11 @@ from lagzero.measure import (
     cdf_interval,
     interval_mass,
     log_potential,
-    loop_mass,
     make_measure,
     mp_density,
     nu_arclength_density,
 )
 from lagzero.asymptotics import (
-    AsymptoticPrediction,
-    Regime,
     nth_root_exponent,
     oscillatory_value,
     outer_ratio,
@@ -90,7 +87,6 @@ from lagzero.harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticPrediction",
     "BoundarySide",
     "BracketError",
     "BranchCutError",
@@ -108,7 +104,6 @@ __all__ = [
     "PlanError",
     "PotentialContext",
     "QuadratureError",
-    "Regime",
     "RunOptions",
     "StepCollapse",
     "ZeroSet",
@@ -128,7 +123,6 @@ __all__ = [
     "interval_mass",
     "limit_set_distance",
     "log_potential",
-    "loop_mass",
     "make_context",
     "make_measure",
     "make_plan",

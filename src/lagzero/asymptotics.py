@@ -1,7 +1,7 @@
 """Strong-asymptotic formulas for the scaled polynomials.
 
-Three regimes, each packaged as an AsymptoticPrediction so the harness
-and CLI can compare them against exact evaluation in a uniform way:
+Three regimes, each a plain mpmath value that the CLI and the tests
+compare against exact evaluation:
 
 * outer: the normalized ratio P_n(z) e^{-n g_n(z)} approaches
   N11(z) = (a + 1/a)/2 away from the limit set.
@@ -19,8 +19,6 @@ Correction terms of order 1/n are dropped throughout.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Tuple
 
 from mpmath import mp
@@ -35,22 +33,7 @@ OUTER_CLEARANCE = 0.2
 WINDOW_FRACTION = 0.1
 
 
-class Regime(enum.Enum):
-    OUTER = "outer"
-    OSCILLATORY = "oscillatory"
-    NTH_ROOT = "nth_root"
-
-
-@dataclass(frozen=True)
-class AsymptoticPrediction:
-    """A single predicted value plus the bookkeeping the harness needs."""
-
-    value: object
-    regime: Regime
-    claimed_error_order: str
-
-
-def outer_ratio(ctx_n: PotentialContext, n: int, z) -> AsymptoticPrediction:
+def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
     """Outer-parametrix value N11(z) = (a(z) + a(z)^{-1})/2.
 
     a(z) = ((z - beta2)/(z - beta1))^{1/4} with cut [beta1, beta2] and
@@ -72,11 +55,10 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> AsymptoticPrediction:
         # principal fourth root realizes the a -> 1 normalization
         ratio = (zc - ctx_n.beta2) / (zc - ctx_n.beta1)
         a = ratio ** mp.mpf("0.25")
-        value = (a + 1 / a) / 2
-    return AsymptoticPrediction(value, Regime.OUTER, "O(1/n)")
+        return (a + 1 / a) / 2
 
 
-def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
+def oscillatory_value(n: int, alpha, x: float) -> mp.mpf:
     """Leading oscillatory term for L_n^{(alpha)}(n x) on (beta1, beta2).
 
     Valid on the compact window [beta1 + d, beta2 - d] with
@@ -101,8 +83,7 @@ def oscillatory_value(n: int, alpha, x: float) -> AsymptoticPrediction:
         if n % 2:
             envelope = -envelope
         quarter = ((ctx.beta2 - xm) * (xm - ctx.beta1)) ** mp.mpf("-0.25")
-        value = envelope * mp.sqrt(ctx.beta2 - ctx.beta1) * quarter * mp.cos(phase)
-    return AsymptoticPrediction(value, Regime.OSCILLATORY, "O(1/n)")
+        return envelope * mp.sqrt(ctx.beta2 - ctx.beta1) * quarter * mp.cos(phase)
 
 
 def _phase(ctx: PotentialContext, n: int, x: float):

@@ -172,7 +172,7 @@ def cmd_asymp(args) -> int:
         lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
         coeffs = laguerre.build_coefficients(lspec)
         for tok, x in points:
-            pred = asymptotics.oscillatory_value(n, alpha_f, x).value
+            pred = asymptotics.oscillatory_value(n, alpha_f, x)
             with mp.workprec(bits):
                 exact = laguerre.eval_poly(coeffs.coeffs, mp.mpf(n) * x, bits)
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
@@ -186,7 +186,7 @@ def cmd_asymp(args) -> int:
         coeffs = laguerre.monic_rescaled(lspec)
         if args.regime == "outer":
             for tok, z in points:
-                pred = asymptotics.outer_ratio(ctx, n, z).value
+                pred = asymptotics.outer_ratio(ctx, n, z)
                 with mp.workprec(bits):
                     p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
                     exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))

@@ -61,6 +61,12 @@ class ContourPolyline:
     def length(self) -> float:
         return self.arclengths[-1]
 
+    @property
+    def upper_arc(self) -> Tuple[complex, ...]:
+        """The traced half, x_r to the positive crossing; every later
+        vertex is the conjugate of one of these."""
+        return self.points[: len(self.points) // 2 + 1]
+
     def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         return (
             np.array(self.points, dtype=np.complex128),

@@ -227,15 +227,16 @@ def _ks_loop(ss: Sequence[float], spec: measure.MeasureSpec) -> float:
     return d
 
 
-def _seeds_for(deg: int, ctx, r_hat: float, spec_m, origin_mult: int):
+def _seeds_for(deg: int, alpha: Fraction, ctx, spec_m, origin_mult: int):
     # integer case: every remaining zero lives on the interval
     if origin_mult > 0 or deg == 0:
         return [mp.mpc(s) for s in measure.interval_quantiles(ctx, deg)]
-    n_loop = min(deg, math.ceil(deg * float(ctx.A)))
-    n_int = deg - n_loop
-    seeds = list(measure.loop_quantiles(spec_m, n_loop)) if n_loop else []
-    if n_int:
-        seeds.extend(measure.interval_quantiles(ctx, n_int))
+    # deg - floor(-alpha) zeros are positive, one is negative exactly when
+    # floor(-alpha) is odd, and the rest are conjugate pairs (Szego,
+    # Orthogonal Polynomials, Thm 6.73); loop_quantiles has that layout
+    n_loop = math.floor(-alpha)
+    seeds = measure.interval_quantiles(ctx, deg - n_loop)
+    seeds.extend(measure.loop_quantiles(spec_m, n_loop))
     return [mp.mpc(s) for s in seeds]
 
 
@@ -261,7 +262,9 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     from quantiles of the limit measure on gamma and [beta1, beta2], from
     interval quantiles alone for integer alpha, and from a Cauchy-bound
     circle when ctx is None or gamma was not traced. Retries once at
-    doubled precision on NonConvergence, then propagates.
+    doubled precision on NonConvergence or a non-empty suspect list; a
+    second NonConvergence propagates, and a second suspect set is
+    returned as it is.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
@@ -288,13 +291,15 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     coeffs = laguerre.monic_rescaled(work, scale=n)
     tol = mp.mpf(2) ** (-(bits // 2))
     if ctx is not None and spec_m is not None:
-        seeds = _seeds_for(work.n, ctx, r_hat, spec_m, origin_mult)
+        seeds = _seeds_for(work.n, alpha_f, ctx, spec_m, origin_mult)
     else:
         seeds = None
     try:
         zset = rootfinder.find_zeros(coeffs, bits, tol, seeds=seeds,
                                      origin_multiplicity=origin_mult)
     except NonConvergence:
+        zset = None
+    if zset is None or zset.suspect:
         zset = rootfinder.find_zeros(coeffs, 2 * bits, mp.mpf(2) ** (-bits),
                                      seeds=seeds, origin_multiplicity=origin_mult)
     return zset, ctx, gamma, r_hat

@@ -6,19 +6,21 @@ sqrt((x-beta1)(beta2-x))/(2*pi*x) on [beta1, beta2] with mass 1-A.  The
 r = infinity case replaces the loop by an atom of mass A at the origin,
 stored symbolically.
 
-Loop quantities are trapezoid sums over a traced polyline (float64,
-adequate for the 1e-6 mass tolerances).  The interval CDF is closed
-form, F(x) = Im phi_+(x)/pi with the landscape module's phi, in mpmath
-for cdf_interval and in float64 for the interval quantiles.  So is the
-log potential, from phi and the constant ell.  Only the interval mass
-integrates against the density in mpmath (landscape.interval_integral).
+Both CDFs are closed forms in the landscape module's phi.  On the
+interval F(x) = Im phi_+(x)/pi, in mpmath for cdf_interval and in
+float64 for the interval quantiles.  Along Gamma_r, where Re phi = r/2,
+dnu_r = d(Im phi)/pi, evaluated in float64 at the traced vertices and
+interpolated linearly between them for the loop quantiles.  The log
+potential follows from phi and the constant ell.  Only the interval
+mass integrates against the density in mpmath
+(landscape.interval_integral).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 from mpmath import mp
@@ -127,57 +129,20 @@ def nu_arclength_density(spec: MeasureSpec, p: complex) -> float:
 # masses and CDFs
 
 
-def _vertex_densities(spec: MeasureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    pts, arcs = spec.gamma.as_arrays()
-    dens = np.array(
-        [nu_density_at(spec.ctx, complex(p)) for p in pts], dtype=np.float64
-    )
-    return dens, arcs
-
-
-def _simpson_irregular(x: np.ndarray, y: np.ndarray) -> float:
-    """Composite parabolic rule on an irregular grid.
-
-    Pairs of adjacent panels are integrated with the quadratic through
-    their three samples; a trailing odd panel falls back to trapezoid.
-    Sampling error is O(h^4), which leaves the chord-versus-arc O(h^2)
-    geometry error of the polyline as the accuracy limit.
-    """
-    n = len(x)
-    total = 0.0
-    i = 0
-    while i + 2 < n:
-        h0 = x[i + 1] - x[i]
-        h1 = x[i + 2] - x[i + 1]
-        s = h0 + h1
-        if h0 <= 0 or h1 <= 0:
-            total += (y[i] + y[i + 1]) / 2 * h0 + (y[i + 1] + y[i + 2]) / 2 * h1
-            i += 2
-            continue
-        total += (s / 6) * (
-            y[i] * (2 - h1 / h0)
-            + y[i + 1] * s * s / (h0 * h1)
-            + y[i + 2] * (2 - h0 / h1)
-        )
-        i += 2
-    if i + 1 < n:
-        total += (y[i] + y[i + 1]) / 2 * (x[i + 1] - x[i])
-    return float(total)
-
-
-def loop_mass(spec: MeasureSpec) -> float:
-    """Integral of the nu_r density over the polyline arclength (= A)."""
-    if math.isinf(spec.r):
-        return float(spec.ctx.A)
-    dens, arcs = _vertex_densities(spec)
-    return _simpson_irregular(arcs, dens)
-
-
 def loop_cdf_points(spec: MeasureSpec) -> Tuple[np.ndarray, np.ndarray]:
-    """Cumulative nu_r mass at each vertex, clockwise from x_r."""
-    dens, arcs = _vertex_densities(spec)
-    seg = np.diff(arcs) * (dens[:-1] + dens[1:]) / 2
-    return arcs, np.concatenate([[0.0], np.cumsum(seg)])
+    """Cumulative nu_r mass at each vertex, clockwise from x_r, in closed form.
+
+    dnu_r = R(s) ds / (2 pi i s) and phi' = R/(2z), with Re phi = r/2
+    along Gamma_r, so dnu_r = d(Im phi)/pi: on the upper arc the mass
+    from x_r to p is (Im phi(p) + A pi/2)/pi, exactly 0 at x_r and A/2
+    at the positive crossing.  The lower half is A minus the mirror.
+    """
+    A = float(spec.ctx.A)
+    b1, b2 = float(spec.ctx.beta1), float(spec.ctx.beta2)
+    upper = np.array(spec.gamma.upper_arc[1:-1], dtype=np.complex128)
+    inner = phi_closed_form(A, b1, b2, upper, np.sqrt, np.log).imag / math.pi + A / 2
+    half = np.concatenate([[0.0], inner, [A / 2]])
+    return np.array(spec.gamma.arclengths), np.concatenate([half, A - half[-2::-1]])
 
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
@@ -249,21 +214,22 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
 
 
 def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
-    """k points on the polyline at nu-mass quantiles (j+1/2)/k."""
+    """k points on the polyline at nu-mass (j+1/2)A/k for even k and
+    jA/k for odd k.
+
+    Both layouts are symmetric under conjugation: the points on the upper
+    arc come first, then x_r (exactly real) when k is odd, then the exact
+    conjugates of the upper-arc points.
+    """
     if k <= 0:
         return []
-    arcs, cum = loop_cdf_points(spec)
-    pts, _ = spec.gamma.as_arrays()
-    total = cum[-1]
-    out = []
-    targets = [(j + 0.5) / k * total for j in range(k)]
-    idx = np.searchsorted(cum, targets, side="right") - 1
-    for j, i in enumerate(idx):
-        i = min(max(int(i), 0), len(pts) - 2)
-        m0, m1 = cum[i], cum[i + 1]
-        t = 0.0 if m1 == m0 else (targets[j] - m0) / (m1 - m0)
-        out.append(complex(pts[i] + t * (pts[i + 1] - pts[i])))
-    return out
+    pts = np.array(spec.gamma.upper_arc, dtype=np.complex128)
+    cum = loop_cdf_points(spec)[1][: len(pts)]
+    targets = (np.arange(k // 2) + (1.0 if k % 2 else 0.5)) * float(spec.ctx.A) / k
+    i = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(pts) - 2)
+    t = (targets - cum[i]) / (cum[i + 1] - cum[i])
+    top = [complex(p) for p in pts[i] + t * (pts[i + 1] - pts[i])]
+    return top + [complex(pts[0])] * (k % 2) + [p.conjugate() for p in top]
 
 
 def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:

@@ -1,5 +1,5 @@
-"""Quadrature reference for the phase phi, phi~, the interval CDF and
-the potentials ell, g and U.
+"""Quadrature reference for the phase phi, phi~, the interval CDF, the
+loop mass and CDF, and the potentials ell, g and U.
 
 Test-only: these are path integrals of the definitions, evaluated with
 landscape.quad_seg or summed over a traced polyline, against which the
@@ -13,6 +13,8 @@ beta1 -> beta1 + i*delta -> z with delta = min(0.1, Im z/2), mirrored by
 conjugation in the lower half-plane; real queries use real-axis
 reductions of the same integral with square-root substitutions.
 """
+
+import math
 
 import numpy as np
 from mpmath import mp
@@ -217,6 +219,60 @@ def loop_log_trapezoid(ctx, gamma, z):
         return ctx.A * mp.log(z) + total
 
 
+def _vertex_densities(spec):
+    pts, arcs = spec.gamma.as_arrays()
+    dens = np.array(
+        [measure.nu_density_at(spec.ctx, complex(p)) for p in pts], dtype=np.float64
+    )
+    return dens, arcs
+
+
+def _simpson_irregular(x, y):
+    """Composite parabolic rule on an irregular grid.
+
+    Pairs of adjacent panels are integrated with the quadratic through
+    their three samples; a trailing odd panel falls back to trapezoid.
+    Sampling error is O(h^4), which leaves the chord-versus-arc O(h^2)
+    geometry error of the polyline as the accuracy limit.
+    """
+    n = len(x)
+    total = 0.0
+    i = 0
+    while i + 2 < n:
+        h0 = x[i + 1] - x[i]
+        h1 = x[i + 2] - x[i + 1]
+        s = h0 + h1
+        if h0 <= 0 or h1 <= 0:
+            total += (y[i] + y[i + 1]) / 2 * h0 + (y[i + 1] + y[i + 2]) / 2 * h1
+            i += 2
+            continue
+        total += (s / 6) * (
+            y[i] * (2 - h1 / h0)
+            + y[i + 1] * s * s / (h0 * h1)
+            + y[i + 2] * (2 - h0 / h1)
+        )
+        i += 2
+    if i + 1 < n:
+        total += (y[i] + y[i + 1]) / 2 * (x[i + 1] - x[i])
+    return float(total)
+
+
+def loop_mass(spec):
+    """Integral of the nu_r density over the polyline arclength (= A)."""
+    if math.isinf(spec.r):
+        return float(spec.ctx.A)
+    dens, arcs = _vertex_densities(spec)
+    return _simpson_irregular(arcs, dens)
+
+
+def loop_cdf_trapezoid(spec):
+    """(arclengths, cumulative nu_r mass) at each vertex, clockwise from
+    x_r, by the trapezoid rule on the arclength density."""
+    dens, arcs = _vertex_densities(spec)
+    seg = np.diff(arcs) * (dens[:-1] + dens[1:]) / 2
+    return arcs, np.concatenate([[0.0], np.cumsum(seg)])
+
+
 def log_potential(spec, z):
     """Integral log|z - s| dmu_r(s) for finite r: the parabolic rule over
     the polyline for the loop, quadrature against the density for the
@@ -224,8 +280,8 @@ def log_potential(spec, z):
     ctx = spec.ctx
     z = complex(z)
     pts, _ = spec.gamma.as_arrays()
-    dens, arcs = measure._vertex_densities(spec)
-    loop_part = measure._simpson_irregular(
+    dens, arcs = _vertex_densities(spec)
+    loop_part = _simpson_irregular(
         arcs, np.log(np.abs(z - pts)) * dens)
     with mp.workprec(ctx.precision_bits):
         w = mp.mpc(z)

@@ -1,5 +1,6 @@
 """Plans, zero runs, classification reports, serialization."""
 
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -9,7 +10,7 @@ import jsonschema
 import mpmath as mp
 import pytest
 
-from lagzero import contour, harness, rootfinder
+from lagzero import contour, harness, laguerre, landscape, measure, rootfinder
 from lagzero.errors import DomainError, NonConvergence, PlanError
 
 
@@ -95,7 +96,7 @@ def test_run_comparison_frozen_noninteger():
     assert rep.mass_error == pytest.approx(0.01, abs=1e-12)
     assert rep.max_deviation == pytest.approx(0.01601888889392068, abs=1e-9)
     assert rep.ks_interval == pytest.approx(0.08690135070094654, abs=1e-9)
-    assert rep.ks_loop == pytest.approx(0.023258314485511522, abs=1e-9)
+    assert rep.ks_loop == pytest.approx(0.02325829851320771, abs=1e-9)
     assert rep.origin_multiplicity == 0
     assert rep.valid
     assert rep.residual_max < 1e-60
@@ -163,6 +164,25 @@ def test_integer_alpha_seeds_on_the_interval(n, alpha):
     assert zset.iterations <= 10
     b1, b2 = ctx.beta1, ctx.beta2
     assert all(z.imag == 0 and b1 <= z.real <= b2 for z in zset.zeros)
+
+
+@pytest.mark.parametrize("alpha", ["-32.4", "-31.99999886"])
+def test_seeds_follow_the_real_complex_split(alpha):
+    # n - floor(-alpha) seeds on [beta1, beta2], one at x_r exactly when
+    # floor(-alpha) is odd, and exact conjugate pairs for the rest
+    n, alpha_f = 40, laguerre.parse_alpha(alpha)
+    ctx = landscape.make_context(Fraction(-alpha_f, n))
+    spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
+    seeds = harness._seeds_for(n, alpha_f, ctx, spec, 0)
+    k = math.floor(-alpha_f)
+    assert len(seeds) == n
+    real = [s for s in seeds if s.imag == 0]
+    on_interval = [s for s in real if ctx.beta1 <= s.real <= ctx.beta2]
+    assert len(on_interval) == n - k
+    x_r = spec.gamma.points[0]
+    assert [s for s in real if s not in on_interval] == [x_r] * (k % 2)
+    key = lambda w: (float(w.real), float(w.imag))  # noqa: E731
+    assert sorted(seeds, key=key) == sorted((mp.conj(s) for s in seeds), key=key)
 
 
 def test_run_comparison_deterministic():
@@ -243,3 +263,25 @@ def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
     assert zset.precision_bits == 2 * bits
     assert zset.count == 12
     assert zset.suspect == ()
+
+
+def test_compute_zeros_retries_a_suspect_set(monkeypatch):
+    # a first pass whose disks are not all certified goes through the
+    # same single retry as one that does not converge
+    find = rootfinder.find_zeros
+    calls, results = [], []
+
+    def first_suspect(coeffs, bits, tol, **kwargs):
+        calls.append((bits, tol))
+        zset = find(coeffs, bits, tol, **kwargs)
+        if len(calls) == 1:
+            zset = dataclasses.replace(zset, suspect=(0,))
+        results.append(zset)
+        return zset
+
+    monkeypatch.setattr(rootfinder, "find_zeros", first_suspect)
+    zset, _, _, _ = harness.compute_zeros(12, "-9.6")
+    bits = harness.working_precision(12, "-9.6")
+    assert calls == [(bits, mp.mpf(2) ** -(bits // 2)), (2 * bits, mp.mpf(2) ** -bits)]
+    assert zset is results[1]
+    assert zset.precision_bits == 2 * bits

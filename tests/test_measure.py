@@ -6,6 +6,7 @@ from fractions import Fraction
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import phase_quadrature
@@ -37,14 +38,14 @@ def test_interval_mass_is_one_minus_a(ctx81, ctx75, ctx99):
 def test_loop_mass_is_a(ctx80):
     for r in (0.0, 1.0, 3.0):
         spec = measure.make_measure(ctx80, r)
-        assert abs(measure.loop_mass(spec) - 0.8) <= 1e-6
+        assert abs(phase_quadrature.loop_mass(spec) - 0.8) <= 1e-6
 
 
 def test_loop_mass_halving_tightens(ctx80):
     g = contour.trace_gamma(ctx80, 1.0)
     g2 = contour.trace_gamma(ctx80, 1.0, max_step=g.max_step / 2)
-    e1 = abs(measure.loop_mass(measure.MeasureSpec(ctx80, 1.0, g)) - 0.8)
-    e2 = abs(measure.loop_mass(measure.MeasureSpec(ctx80, 1.0, g2)) - 0.8)
+    e1 = abs(phase_quadrature.loop_mass(measure.MeasureSpec(ctx80, 1.0, g)) - 0.8)
+    e2 = abs(phase_quadrature.loop_mass(measure.MeasureSpec(ctx80, 1.0, g2)) - 0.8)
     assert e2 <= e1 / 2
 
 
@@ -124,11 +125,37 @@ def test_cdf_interval_matches_quadrature(A):
 
 def test_loop_cdf_points(mu81_r0):
     arcs, cum = measure.loop_cdf_points(mu81_r0)
-    assert len(arcs) == len(cum)
+    assert len(arcs) == len(cum) == len(mu81_r0.gamma.points)
     assert cum[0] == 0
-    # cumulative trapezoid, one order looser than the Simpson loop mass
-    assert abs(cum[-1] - 0.81) <= 5e-6
-    assert all(b >= a for a, b in zip(cum, cum[1:]))
+    assert cum[len(mu81_r0.gamma.upper_arc) - 1] == 0.81 / 2
+    assert cum[-1] == 0.81
+    assert all(b > a for a, b in zip(cum, cum[1:]))
+
+
+_LOOP_CASES = [(Fraction(81, 100), 0.0), (Fraction(81, 100), 3.0),
+               (Fraction(81, 100), 7.0), (Fraction(42, 100), 0.0)]
+
+
+@pytest.mark.parametrize("A,r", _LOOP_CASES)
+def test_loop_cdf_is_im_phi(A, r):
+    # the mass from x_r is Im phi/pi + A/2 on the upper arc, against the
+    # 256-bit phi at every vertex, endpoints included
+    ctx = landscape.make_context(A)
+    spec = measure.make_measure(ctx, r)
+    _, cum = measure.loop_cdf_points(spec)
+    for p, m in zip(spec.gamma.upper_arc, cum):
+        phi = landscape.phi_eval(ctx, p, side=landscape.BoundarySide.ABOVE)
+        assert abs(m - (mp.im(phi) / mp.pi + ctx.A / 2)) <= 1e-12
+
+
+@pytest.mark.parametrize("A,r", _LOOP_CASES)
+def test_loop_cdf_matches_trapezoid(A, r):
+    # the cumulative trapezoid of the arclength density, whose own error
+    # is the polyline's
+    spec = measure.make_measure(landscape.make_context(A), r)
+    _, cum = measure.loop_cdf_points(spec)
+    _, want = phase_quadrature.loop_cdf_trapezoid(spec)
+    assert max(abs(cum - want)) <= 5e-6
 
 
 def test_loop_quantiles(ctx81, mu81_r0):
@@ -137,6 +164,22 @@ def test_loop_quantiles(ctx81, mu81_r0):
     assert len(set(qs)) == 9
     _, dist = contour.project_to_loop(mu81_r0.gamma, qs)
     assert all(dist <= 1e-9)
+
+
+@pytest.mark.parametrize("k", [8, 9])
+def test_loop_quantiles_are_conjugate_symmetric(mu81_r0, k):
+    qs = measure.loop_quantiles(mu81_r0, k)
+    assert len(qs) == k
+    assert sorted(qs, key=lambda q: (q.real, q.imag)) == sorted(
+        (q.conjugate() for q in qs), key=lambda q: (q.real, q.imag))
+    x_r = mu81_r0.gamma.points[0]
+    assert [q for q in qs if q.imag == 0] == [x_r] * (k % 2)
+    # masses (j + 1/2) A/k for even k, j A/k for odd k
+    arcs, cum = measure.loop_cdf_points(mu81_r0)
+    s, _ = contour.project_to_loop(mu81_r0.gamma, qs)
+    got = sorted(np.interp(s, arcs, cum))
+    want = (np.arange(k) + (0.0 if k % 2 else 0.5)) * 0.81 / k
+    assert max(abs(got - want)) <= 1e-9
 
 
 def test_interval_quantiles(ctx81):

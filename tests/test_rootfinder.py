@@ -1,12 +1,15 @@
 """Aberth iteration checked against mpmath.polyroots and hand-built polynomials."""
 
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
-from lagzero import harness, laguerre, rootfinder
+import phase_quadrature
+from lagzero import harness, laguerre, landscape, measure, rootfinder
 from lagzero.errors import NonConvergence
 from lagzero.laguerre import CoefficientList, LaguerreSpec
 
@@ -71,12 +74,13 @@ def test_matches_polyroots_near_integer():
 
 
 @pytest.mark.parametrize("alpha, bits, sweeps", [
-    ("-32.3564", 256, 9),
-    ("-31.99999886", 360, 37),
+    ("-32.3564", 256, 6),
+    ("-31.99999886", 360, 10),
 ])
 def test_sweep_counts_and_moments(alpha, bits, sweeps):
-    # the counts the mpc sweep produced: the fixed-point kernel runs the
-    # same iteration, not merely one that lands on the same zeros
+    # the counts come from the seeding: one seed per zero of the exact
+    # real/complex split, the loop seeds in exact conjugate pairs, so the
+    # odd case no longer waits for float rounding to break a symmetry
     zset, _, _, _ = harness.compute_zeros(40, alpha)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
@@ -208,21 +212,43 @@ def test_inclusion_disks_hold_the_zeros(name):
     assert zset.suspect == ()
 
 
+def _trapezoid_layout_seeds(n, alpha, bits):
+    # ceil(n A) loop seeds at trapezoid-CDF quantiles (j + 1/2)/k, mirror
+    # images only to float64 rounding, plus interval quantiles for the rest
+    alpha_f = laguerre.parse_alpha(alpha)
+    ctx = landscape.make_context(Fraction(-alpha_f, n), precision_bits=max(bits, 256))
+    spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
+    k = math.ceil(n * float(ctx.A))
+    _, cum = phase_quadrature.loop_cdf_trapezoid(spec)
+    pts, _ = spec.gamma.as_arrays()
+    targets = (np.arange(k) + 0.5) / k * cum[-1]
+    i = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(pts) - 2)
+    t = (targets - cum[i]) / (cum[i + 1] - cum[i])
+    loop = [complex(p) for p in pts[i] + t * (pts[i + 1] - pts[i])]
+    return [mp.mpc(s) for s in loop + measure.interval_quantiles(ctx, n - k)]
+
+
 @pytest.mark.parametrize("bits", [224, 256])
 def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # without guard bits the smallest coefficients of (60, -45.25) lose
-    # most of their digits: the sweep still converges, with residuals far
-    # below tol, to zeros wrong by far more than tol (up to 1.4e-26
-    # against 1.9e-34 at 224 bits)
+    # most of their digits: from the seeds above the sweep still
+    # converges, with residuals far below tol, to zeros wrong by far more
+    # than tol (up to 1.4e-26 against 1.9e-34 at 224 bits)
     ref, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
+    seeds = _trapezoid_layout_seeds(60, "-45.25", bits)
     monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
-    zset, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
     tol = mp.mpf(2) ** -(bits // 2)
+    zset = rootfinder.find_zeros(_monic(60, "-45.25", bits), bits, tol, seeds=seeds)
     with mp.workprec(512):
         wrong = [i for i, z in enumerate(zset.zeros)
                  if min(abs(w - z) for w in ref.zeros) > tol * max(1, abs(z))]
     assert len(wrong) > 10
     assert set(wrong) <= set(zset.suspect)
+    # compute_zeros retries a suspect (or unconverged) first pass
+    got, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
+    with mp.workprec(512):
+        assert all(min(abs(w - z) for w in ref.zeros) <= tol * max(1, abs(z))
+                   for z in got.zeros)
 
 
 def test_determinism():
