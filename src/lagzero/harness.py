@@ -199,32 +199,12 @@ def _counts(labels: np.ndarray) -> Tuple[int, int, int]:
                  for lab in ("loop", "interval", "outlier"))
 
 
-def _ks_interval(xs: Sequence[float], ctx) -> float:
-    if not xs:
-        return 0.0
-    b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    denom = 1 - float(ctx.A)
-    k = len(xs)
-    d = 0.0
-    for j, x in enumerate(sorted(xs)):
-        f = float(measure.cdf_interval(ctx, min(max(x, b1), b2))) / denom
-        d = max(d, abs(f - (j + 1) / k), abs(f - j / k))
-    return d
-
-
-def _ks_loop(ss: Sequence[float], spec: measure.MeasureSpec) -> float:
-    # ss: the loop zeros' arclength coordinates on spec.gamma
-    if not ss:
-        return 0.0
-    arcs, cum = measure.loop_cdf_points(spec)
-    total = float(cum[-1])
-    ss = sorted(ss)
-    k = len(ss)
-    d = 0.0
-    for j, s in enumerate(ss):
-        g = float(np.interp(s, arcs, cum)) / total
-        d = max(d, abs(g - (j + 1) / k), abs(g - j / k))
-    return d
+def _ks(cdf: Sequence[float]) -> float:
+    # cdf: the normalised limit CDF at the sorted sample points; sup
+    # distance to the empirical CDF on both sides of each jump
+    k = len(cdf)
+    return max((max(abs(f - (j + 1) / k), abs(f - j / k))
+                for j, f in enumerate(cdf)), default=0.0)
 
 
 def _seeds_for(deg: int, alpha: Fraction, ctx, spec_m, origin_mult: int):
@@ -344,7 +324,13 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     max_dev = float(np.max(np.minimum(d_int, d_loop), initial=0.0))
     ks_loop = 0.0
     if gamma is not None:
-        ks_loop = _ks_loop(s_loop[labels == "loop"].tolist(), spec_m)
+        arcs, cum = measure.loop_cdf_points(spec_m)
+        ss = np.sort(s_loop[labels == "loop"])
+        ks_loop = _ks((np.interp(ss, arcs, cum) / cum[-1]).tolist())
+    b1, b2 = float(ctx.beta1), float(ctx.beta2)
+    ks_interval = _ks([float(measure.cdf_interval(ctx, min(max(x, b1), b2)))
+                       / (1 - float(ctx.A))
+                       for x in np.sort(zs.real[labels == "interval"]).tolist()])
     mass = Fraction(n_loop + origin_mult, n) - a_n
     sweep = tuple((delta, *_counts(_classify(zs, d_int, d_loop, delta)))
                   for delta in opts.sweep)
@@ -357,7 +343,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
         loop_count=n_loop,
         interval_count=n_int,
         outlier_count=n_out,
-        ks_interval=_ks_interval(zs.real[labels == "interval"].tolist(), ctx),
+        ks_interval=ks_interval,
         ks_loop=ks_loop,
         mass_error=abs(float(mass)),
         residual_max=float(max(zset.residuals, default=mp.mpf(0))),
