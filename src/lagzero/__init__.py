@@ -26,7 +26,6 @@ from lagzero.errors import (
     OnBoundary,
     PlanError,
     QuadratureError,
-    StepCollapse,
 )
 from lagzero.laguerre import (
     CoefficientList,
@@ -105,7 +104,6 @@ __all__ = [
     "PotentialContext",
     "QuadratureError",
     "RunOptions",
-    "StepCollapse",
     "ZeroSet",
     "R_eval",
     "axis_crossing",

@@ -11,8 +11,8 @@ alpha and A are accepted only as exact decimal strings; parsing them
 through binary floating point would wreck the near-integer regimes the
 experiments are about. Every command is deterministic: identical flags
 produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
-failure (no closure, or no crossing of the level), 4 root-finder
-non-convergence, 5 asymptotic-domain violation.
+failure (Newton stalled, or the level's loop underflows float64), 4
+root-finder non-convergence, 5 asymptotic-domain violation.
 
 The LAGZERO_PRECISION environment variable overrides the default
 working precision (bits) wherever --precision is not given explicitly;
@@ -39,7 +39,6 @@ from .errors import (
     NonConvergence,
     PlanError,
     QuadratureError,
-    StepCollapse,
 )
 from .landscape import g_eval, make_context
 
@@ -49,10 +48,6 @@ EXIT_DOMAIN = 2
 EXIT_CLOSURE = 3
 EXIT_NONCONVERGENCE = 4
 EXIT_ASYMP_DOMAIN = 5
-
-# contour warning threshold: the negative-axis crossing this close to 0
-# signals a near-degenerate loop
-SMALL_LOOP_CROSSING = 0.05
 
 
 def _precision_from(args) -> Optional[int]:
@@ -100,10 +95,7 @@ def cmd_contour(args) -> int:
     if math.isinf(r):
         raise DomainError("Gamma_inf degenerates to the origin; no polyline")
     gamma = contour.trace_gamma(ctx, r, max_step=args.step)
-    text = contour.polyline_csv(gamma)
-    if abs(gamma.points[0]) < SMALL_LOOP_CROSSING:
-        text += "# warning,small loop near the origin,\n"
-    _emit(text, args.out)
+    _emit(contour.polyline_csv(gamma), args.out)
     return 0
 
 
@@ -274,7 +266,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except PlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (ClosureError, StepCollapse, BracketError) as exc:
+    except (ClosureError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE
     except (NonConvergence, QuadratureError) as exc:

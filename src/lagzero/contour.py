@@ -2,37 +2,38 @@
 
 The curves are closed, encircle the origin once clockwise, and avoid
 (beta1, inf); together with [beta1, beta2] they form the predicted limit
-set for the zeros.  Tracing runs in float64: Re phi is the landscape
-module's closed form evaluated with cmath, within 1e-13 of the mpmath
-phase, far below the 1e-9 level tolerance.
+set for the zeros.  Tracing runs in float64 on the landscape module's
+closed-form phi, evaluated with cmath, within 1e-13 of the mpmath phase
+and far below the 1e-9 level tolerance.
 
-Only the upper half of each curve is actually traced.  Both real-axis
-crossings are known by bisection (the negative-axis crossing x_r and the
-positive crossing in (0, beta1], which degenerates to beta1 when r = 0),
-so the lower half is the conjugate mirror and closure is structural.
+Only the upper half of each curve is traced, and in w = log z: it is the
+preimage of r/2 + i t, t in [-A pi/2, 0], under phi, and d phi/dw = R/2
+stays bounded away from 0 near the origin, so a loop shrunk to 1e-40 by a
+large r costs what Gamma_0 costs.  Both real-axis crossings come from
+Newton in log|x| (the negative-axis crossing x_r and the positive crossing
+in (0, beta1], which is beta1 itself when r = 0), so the lower half is
+the conjugate mirror and closure is structural.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from lagzero.errors import (
-    BracketError,
-    ClosureError,
-    DomainError,
-    OnBoundary,
-    StepCollapse,
-)
+from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
 from lagzero.landscape import PotentialContext, phi_closed_form
 
 DEFAULT_LEVEL_TOL = 1e-9
-_STEP_FLOOR = 1e-8
+_NEWTON_TOL = 1e-13
+_NEWTON_ITERS = 60
 _STEP_BUDGET = 100_000
+# log of the smallest normal double: a loop below it underflows
+_LOG_TINY = math.log(sys.float_info.min)
 
 
 @dataclass(frozen=True)
@@ -75,104 +76,49 @@ class ContourPolyline:
 
 
 # ---------------------------------------------------------------------------
-# float64 evaluation of Re phi
+# tracing in w = log z
 
 
-class _FastPhase:
-    """Double-precision Re phi evaluator bound to one context."""
-
-    def __init__(self, ctx: PotentialContext):
-        self.A = float(ctx.A)
-        self.b1 = float(ctx.beta1)
-        self.b2 = float(ctx.beta2)
-
-    def re_phi(self, z: complex) -> float:
-        # Re phi is conjugate-symmetric and continuous across both cuts;
-        # folding into the upper half-plane also turns a -0.0 imaginary
-        # part into +0.0
-        if z == 0:
-            return math.inf
-        w = complex(z.real, abs(z.imag))
-        return phi_closed_form(self.A, self.b1, self.b2, w,
-                               cmath.sqrt, cmath.log).real
-
-    def psi(self, z: complex) -> complex:
-        # phi'(z) = R(z)/(2z), principal branches (upper half plane use)
-        r = np.sqrt(complex(z - self.b1)) * np.sqrt(complex(z - self.b2))
-        return r / (2 * z)
+def _phase(A: float, b1: float, b2: float, z: complex) -> Tuple[complex, complex]:
+    # phi(z) and R(z) = 2 d phi/dw, in cmath
+    R = cmath.sqrt(z - b1) * cmath.sqrt(z - b2)
+    return phi_closed_form(A, b1, b2, z, cmath.sqrt, cmath.log), R
 
 
-def _bisect_level(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    level: float,
-    tol: float,
-) -> float:
-    # f(lo) < level < f(hi); plain bisection to float resolution
-    flo, fhi = f(lo), f(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if abs(fm - level) <= tol / 10:
-            return mid
-        if fm < level:
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-    return 0.5 * (lo + hi)
+def _real_crossing(A: float, b1: float, b2: float, level: float,
+                   u: float, sign: int) -> float:
+    # Newton in u = log|x| for Re phi(sign e^u) = level.  On both rays
+    # d Re phi/du = R/2 is real and negative; Re phi is concave in u on
+    # x < 0 and convex on (0, beta1), where a start with Re phi > level
+    # climbs to the root without passing it (and so never reaches beta1)
+    tol = _NEWTON_TOL * max(1.0, level)
+    for _ in range(_NEWTON_ITERS):
+        if u < _LOG_TINY:
+            side = "-" if sign < 0 else "+"
+            raise BracketError(f"no Re phi > r/2 found approaching 0{side}")
+        f, R = _phase(A, b1, b2, complex(sign * math.exp(u), 0.0))
+        if abs(f.real - level) <= tol:
+            return u
+        u -= 2 * (f.real - level) / R.real
+    raise ClosureError(f"Newton for the level {level} stalled on the real axis")
 
 
 def axis_crossing(ctx: PotentialContext, r: float) -> float:
     """The unique x_r < 0 with Re phi(x_r) = r/2.
 
-    Re phi is strictly increasing toward 0 along the negative axis
-    (d/dx Re phi = R(x)/(2x) > 0 there), so a two-sided expanding
-    bracket followed by bisection cannot miss.  BracketError if the
-    expansion fails, which signals a mis-scaled r.
+    Newton in u = log|x| on the ray Im log z = pi.  Re phi(-e^u) is
+    decreasing and concave in u (its slope R/2 < 0 steepens as |x| grows),
+    so Newton converges from any start; it starts from the small-|z| law
+    Re phi = K - (A/2) log|x|.  BracketError when x_r underflows float64
+    (r/A above about 700).
     """
     if r < 0 or not math.isfinite(r):
         raise DomainError("the level r must be finite and nonnegative")
-    fast = _FastPhase(ctx)
-    level = r / 2
-    f = fast.re_phi
-
-    hi = -fast.b1
-    for _ in range(600):
-        if f(hi) > level:
-            break
-        hi /= 2
-    else:
-        raise BracketError("no Re phi > r/2 found approaching 0-")
-    lo = 2 * hi if hi < -1 else -1.0
-    for _ in range(120):
-        if f(lo) < level:
-            break
-        lo *= 2
-    else:
-        raise BracketError("no Re phi < r/2 found going to -inf")
-    return _bisect_level(f, lo, hi, level, DEFAULT_LEVEL_TOL)
-
-
-def _positive_crossing(fast: _FastPhase, r: float) -> float:
-    # crossing of Re phi = r/2 in (0, beta1]; equals beta1 when r = 0
-    if r == 0:
-        return fast.b1
-    level = r / 2
-    f = fast.re_phi
-    hi = fast.b1 * (1 - 1e-15)
-    lo = hi
-    for _ in range(600):
-        if f(lo) > level:
-            break
-        hi = lo
-        lo /= 2
-    else:
-        raise BracketError("no Re phi > r/2 found approaching 0+")
-    # now f(lo) > level >= f(hi); flip to the increasing orientation
-    return _bisect_level(lambda x: -f(x), lo, hi, -level, DEFAULT_LEVEL_TOL)
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    c, rho = 2 - A, (b2 - b1) / 2
+    K = (-A - c * math.log(2 / rho) + A * math.log(2 * A * A / rho)) / 2
+    u = _real_crossing(A, b1, b2, r / 2, min((2 * K - r) / A, 0.0), -1)
+    return -math.exp(u)
 
 
 def trace_gamma(
@@ -180,136 +126,95 @@ def trace_gamma(
     r: float,
     max_step: Optional[float] = None,
 ) -> ContourPolyline:
-    """Trace Gamma_r by predictor-corrector continuation.
+    """Trace the upper half of Gamma_r by inverting phi in w = log z.
 
-    Predictor: midpoint rule along the unit tangent i*conj(psi)/|psi|
-    with psi = R/(2z); this direction is +i at the start x_r, which makes
-    the traversal clockwise about the origin.  Corrector: 1-D Newton on
-    Re phi = r/2 along the normal.  Steps adapt on two signals: the
-    corrector displacement must stay under max_step/10, and the tangent
-    turn per step under max_step/(beta2-beta1) radians (so small loops
-    near the origin keep full angular resolution).
+    Along the upper arc Im phi rises monotonically from -A pi/2 at x_r to
+    0 at the positive crossing, so the arc is phi^{-1}(r/2 + i t) for t in
+    [-A pi/2, 0].  Continuation in t: the predictor is w + i dt 2/R (the
+    derivative d phi/dw = R/2 is bounded, and |R| -> A at the origin, so a
+    loop of radius 1e-40 costs what Gamma_0 costs), the corrector is Newton
+    on phi(e^w) = r/2 + i t.  Each step is a chord of length
+    h = min(max_step, theta |z|, theta/kappa), theta = max_step/(beta2 -
+    beta1) capped at 1/4, with kappa the curvature of the level line;
+    dt = h |phi'(z)|.  Both real-axis crossings come from Newton in log|x|.
 
-    For r = 0 the curve ends in a corner at beta1 (a branch point where
-    the tangent field is singular); the tracer grades its step down
-    geometrically and inserts beta1 exactly.  The lower half is the
-    conjugate mirror of the traced upper half.
+    For r = 0 the curve ends in a corner at beta1, a branch point where R
+    vanishes; within 10 max_step of it the chord is graded to a third of
+    the gap down to 3e-6 min(beta2 - beta1, beta1), and beta1 is inserted
+    exactly.  The lower half is the conjugate mirror of the upper half.
 
     Raises DomainError when beta2 = beta1 (A = 1) or max_step <= 0,
-    StepCollapse below a 1e-8 step floor and ClosureError when the step
-    budget is exhausted.
+    BracketError when x_r underflows, and ClosureError when Newton fails
+    or the step budget is exhausted.
     """
-    fast = _FastPhase(ctx)
-    span = fast.b2 - fast.b1
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    span = b2 - b1
     if span <= 0:
         raise DomainError(f"beta2 - beta1 = {span} at A = {ctx.A}; Gamma_r needs A < 1")
     if max_step is None:
         max_step = span / 400
     if not max_step > 0:
         raise DomainError(f"max_step must be positive, got {max_step}")
-    level = r / 2
-    level_tol = DEFAULT_LEVEL_TOL
-    theta_max = max_step / span
-    corner_stop = 3e-6 * span
-
     x_r = axis_crossing(ctx, r)
-    x_end = _positive_crossing(fast, r)
+    level = r / 2
+    # chords of at most a quarter radian keep a coarse trace a loop, with
+    # its last vertex right of the origin
+    theta = min(max_step / span, 0.25)
+    c = 2 - A
+    tol = _NEWTON_TOL * max(1.0, level)
 
-    def tangent(z: complex) -> complex:
-        p = fast.psi(z)
-        return 1j * p.conjugate() / abs(p)
-
-    def correct(z: complex) -> Optional[complex]:
-        for _ in range(8):
-            fval = fast.re_phi(z) - level
-            if abs(fval) <= level_tol:
-                return z
-            p = fast.psi(z)
-            n_hat = p.conjugate() / abs(p)
-            z = z - (fval / abs(p)) * n_hat
-        fval = fast.re_phi(z) - level
-        return z if abs(fval) <= level_tol else None
-
-    upper = [complex(x_r, 0.0)]
     z = complex(x_r, 0.0)
-    t_prev = 1j
-    h = max_step / 4
-    corner_mode = False
-    steps = 0
-
-    while True:
-        steps += 1
-        if steps > _STEP_BUDGET:
-            raise ClosureError(
-                f"Gamma_{r} failed to close within {_STEP_BUDGET} steps"
-            )
-        if r == 0 and not corner_mode:
-            corner_mode = abs(z - fast.b1) < 10 * max_step
-        if corner_mode:
-            gap = abs(z - fast.b1)
-            if gap <= corner_stop:
-                upper.append(complex(fast.b1, 0.0))
+    w = complex(math.log(-x_r), math.pi)
+    R = _phase(A, b1, b2, z)[1]
+    t = -A * math.pi / 2
+    upper = [z]
+    for _ in range(_STEP_BUDGET):
+        gap = abs(z - b1)
+        if r == 0 and gap < 10 * max_step:
+            if gap <= 3e-6 * min(span, b1):
                 break
-            h = min(h, gap / 3)
-        if h < _STEP_FLOOR:
-            raise StepCollapse(
-                f"step collapsed below {_STEP_FLOOR} near {z:.6g}"
-            )
-
-        t0 = tangent(z)
-        z_mid = z + 0.5 * h * t0
-        if z_mid.imag <= 0:
-            z_mid = z + 0.5 * h * 1j * abs(t0)  # keep probes off the axis
-        t_half = tangent(z_mid)
-        z_pred = z + h * t_half
-
-        if z_pred.imag <= 0 and not corner_mode and z.real > 0:
-            # crossed into the lower half: terminate at the known
-            # positive-axis crossing
-            upper.append(complex(x_end, 0.0))
+            h = min(max_step, theta * abs(z), gap / 3)
+        else:
+            kappa = abs(((c * z - A * A) / R ** 3).real) * abs(R) / abs(z)
+            h = min(max_step, theta * abs(z), theta / kappa if kappa else math.inf)
+        dt = h * abs(R) / (2 * abs(z))
+        if t + dt >= 0:
             break
+        t += dt
+        w += 2j * dt / R
+        target = complex(level, t)
+        for _ in range(_NEWTON_ITERS):
+            z = cmath.exp(w)
+            f, R = _phase(A, b1, b2, z)
+            if abs(f - target) <= tol:
+                break
+            w -= 2 * (f - target) / R
+        else:
+            raise ClosureError(f"Newton for Gamma_{r} stalled near {z:.6g}")
+        if not 0 < w.imag < math.pi:
+            raise ClosureError(f"Gamma_{r} left the upper half-plane near {z:.6g}")
+        upper.append(z)
+    else:
+        raise ClosureError(f"Gamma_{r} failed to close within {_STEP_BUDGET} steps")
+    # the arc reaches the axis from the left, so Re z is left of x_end
+    x_end = b1 if r == 0 else math.exp(
+        _real_crossing(A, b1, b2, level, math.log(z.real), 1))
+    upper.append(complex(x_end, 0.0))
 
-        if z_pred.imag <= 0:
-            h /= 2
-            continue
-
-        z_new = correct(z_pred)
-        if z_new is None or z_new.imag <= 0:
-            h /= 2
-            continue
-        disp = abs(z_new - z_pred)
-        turn = abs(math.remainder(math.atan2(t_half.imag, t_half.real)
-                                  - math.atan2(t_prev.imag, t_prev.real),
-                                  2 * math.pi))
-        # the turn cap keeps angular resolution on the smooth arc; in the
-        # corner wedge the tangent field itself rotates without bound, and
-        # the geometric grading h ~ gap/3 is the controlling rule there
-        turn_ok = corner_mode or turn <= theta_max
-        if (disp > max_step / 10 or not turn_ok) and h > _STEP_FLOOR:
-            h /= 2
-            continue
-        upper.append(z_new)
-        z = z_new
-        t_prev = tangent(z_new)
-        if disp < max_step / 40 and turn < theta_max / 2 and not corner_mode:
-            h = min(h * 1.25, max_step)
-
-    # mirror the interior vertices for the lower half and close the loop;
-    # builtin complex throughout (numpy scalars would leak into reprs)
-    upper = [complex(p) for p in upper]
+    # mirror the interior vertices for the lower half and close the loop
     points = upper + [p.conjugate() for p in reversed(upper[1:-1])]
     points.append(points[0])
 
     arcs = [0.0]
     for i in range(1, len(points)):
-        arcs.append(arcs[-1] + float(abs(points[i] - points[i - 1])))
+        arcs.append(arcs[-1] + abs(points[i] - points[i - 1]))
 
     return ContourPolyline(
         points=tuple(points),
         r=float(r),
         arclengths=tuple(arcs),
         max_step=float(max_step),
-        level_tol=level_tol,
+        level_tol=DEFAULT_LEVEL_TOL,
     )
 
 
@@ -394,10 +299,9 @@ def winding_number(gamma: ContourPolyline, z: complex = 0j) -> int:
     for i in range(len(pts) - 1):
         a = pts[i] - z
         b = pts[i + 1] - z
-        total += math.atan2(
-            a.real * b.imag - a.imag * b.real,
-            a.real * b.real + a.imag * b.imag,
-        )
+        # the angle of b/a does not underflow on loops of radius 1e-200
+        if a and b:
+            total += cmath.phase(b / a)
     return round(total / (2 * math.pi))
 
 

@@ -47,11 +47,7 @@ class BracketError(LagzeroError):
 
 
 class ClosureError(LagzeroError):
-    """Contour continuation failed to close within its step budget."""
-
-
-class StepCollapse(ClosureError):
-    """Curvature forced the continuation step below its floor."""
+    """Contour continuation failed: Newton stalled or the step budget ran out."""
 
 
 class PlanError(LagzeroError):

@@ -26,9 +26,6 @@ from . import contour, laguerre, measure, rootfinder
 from .errors import DomainError, NonConvergence, PlanError
 from .landscape import make_context
 
-# r_hat values beyond this trace loops smaller than the step floor
-_TRACE_R_MAX = 8.0
-
 _REPORT_FIELDS = (
     "n", "alpha", "r_hat", "max_deviation", "loop_count", "interval_count",
     "outlier_count", "ks_interval", "ks_loop", "mass_error", "residual_max",
@@ -238,10 +235,9 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
 
     Returns (zset, ctx, gamma, r_hat); ctx and gamma are None when
     -alpha/n falls outside (0,1), and gamma alone when alpha is an
-    integer or r_hat exceeds the tracer's reach. The root finder starts
-    from quantiles of the limit measure on gamma and [beta1, beta2], from
-    interval quantiles alone for integer alpha, and from a Cauchy-bound
-    circle when ctx is None or gamma was not traced. Retries once at
+    integer. The root finder starts from quantiles of the limit measure
+    on gamma and [beta1, beta2], from interval quantiles alone for integer
+    alpha, and from a Cauchy-bound circle when ctx is None. Retries once at
     doubled precision on NonConvergence or a non-empty suspect list; a
     second NonConvergence propagates, and a second suspect set is
     returned as it is.
@@ -262,18 +258,14 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
         work = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
     if 0 < a_n < 1:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
-        if r_hat == math.inf:
-            spec_m = measure.make_measure(ctx, math.inf)
-        elif r_hat <= _TRACE_R_MAX:
-            gamma = contour.trace_gamma(ctx, r_hat)
-            spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
+        spec_m = measure.make_measure(ctx, r_hat)
+        gamma = spec_m.gamma
 
     coeffs = laguerre.monic_rescaled(work, scale=n)
     tol = mp.mpf(2) ** (-(bits // 2))
-    if ctx is not None and spec_m is not None:
+    seeds = None
+    if ctx is not None:
         seeds = _seeds_for(work.n, alpha_f, ctx, spec_m, origin_mult)
-    else:
-        seeds = None
     try:
         zset = rootfinder.find_zeros(coeffs, bits, tol, seeds=seeds,
                                      origin_multiplicity=origin_mult)
@@ -294,12 +286,6 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     """
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
-    r_hat = r_hat_from(n, alpha_f)
-    if r_hat != math.inf and r_hat > _TRACE_R_MAX:
-        raise DomainError(
-            f"r_hat={r_hat:.3f} exceeds {_TRACE_R_MAX}; the loop is "
-            "below the tracer's resolution"
-        )
     zset, ctx, gamma, r_hat = compute_zeros(
         n, alpha_f, precision_bits=opts.precision_bits
     )

@@ -93,12 +93,6 @@ def test_contour_csv_shape(capsys):
     assert "np." not in out
 
 
-def test_contour_small_loop_warning(capsys):
-    code, out, _ = run_cli(capsys, "contour", "--A", "0.81", "--r", "6")
-    assert code == 0
-    assert out.splitlines()[-1].startswith("# warning")
-
-
 def test_contour_rejects_infinite_r(capsys):
     code, _, err = run_cli(capsys, "contour", "--A", "0.81", "--r", "inf")
     assert code == cli.EXIT_DOMAIN
@@ -188,6 +182,19 @@ def test_verify_integer_json(capsys):
     ref = importlib.resources.files("lagzero") / "schemas" / \
         "comparison_report.schema.json"
     jsonschema.validate(doc, json.loads(ref.read_text()))
+
+
+@pytest.mark.parametrize("alpha,r_hat,loops", [
+    ("-4." + "0" * 29 + "1", 3.45, 4),      # A = 0.2: x_r = -1.9e-10
+    ("-16." + "0" * 79 + "1", 9.21, 16),    # r_hat > 8: x_r = -1.6e-6
+])
+def test_verify_runs_the_small_loop_regime(capsys, alpha, r_hat, loops):
+    code, out, err = run_cli(capsys, "verify", "--n", "20", "--alpha", alpha)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["r_hat"] == pytest.approx(r_hat, abs=0.01)
+    assert doc["valid"]
+    assert (doc["loop_count"], doc["outlier_count"]) == (loops, 0)
 
 
 def test_verify_ratio_out_of_range(capsys):

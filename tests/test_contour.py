@@ -1,5 +1,6 @@
 """Level-curve tracing: crossings, closure, orientation, CSV output."""
 
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import mpmath as mp
 import pytest
 
 from lagzero import contour, landscape
-from lagzero.errors import ClosureError, DomainError, OnBoundary, StepCollapse
+from lagzero.errors import DomainError, OnBoundary
 from lagzero.landscape import BoundarySide
 
 
@@ -48,10 +49,10 @@ def test_trace_conjugate_symmetric_vertex_set(ctx75):
 
 
 def test_float_re_phi_matches_mp_phi(ctx81):
-    # the tracer's float64 Re phi against the mpmath phase, on seeded
-    # points in both half-planes, on every real segment and near the
-    # branch points
-    fast = contour._FastPhase(ctx81)
+    # the tracer's float64 Re phi (the closed form in cmath) against the
+    # mpmath phase, on seeded points in both half-planes, on every real
+    # segment and near the branch points
+    A, f1, f2 = float(ctx81.A), float(ctx81.beta1), float(ctx81.beta2)
     rng = random.Random(20261018)
     b1, b2 = ctx81.beta1, ctx81.beta2
     pts = [mp.mpc(rng.uniform(-4, 4), rng.uniform(-3, 3)) for _ in range(40)]
@@ -62,7 +63,8 @@ def test_float_re_phi_matches_mp_phi(ctx81):
     with mp.workprec(256):
         for p in pts:
             ref = mp.re(landscape.phi_eval(ctx81, p, side=BoundarySide.ABOVE))
-            got = fast.re_phi(complex(p))
+            got = landscape.phi_closed_form(A, f1, f2, complex(p),
+                                            cmath.sqrt, cmath.log).real
             assert abs(got - float(ref)) <= 1e-13 * max(1.0, abs(float(ref))), p
 
 
@@ -78,6 +80,20 @@ def test_trace_vertices_sit_on_the_level(ctx81):
 def test_trace_r0_reaches_beta1(ctx81):
     g = contour.trace_gamma(ctx81, 0.0)
     assert min(abs(p - float(ctx81.beta1)) for p in g.points) == 0.0
+
+
+@pytest.mark.parametrize("A", ["0.001", "0.01"])
+def test_r0_corner_scales_with_a_small_loop(A):
+    # at small A the whole Gamma_0 is smaller than beta2 - beta1; the
+    # corner grading must still end within 3e-6 beta1 of beta1
+    ctx = landscape.make_context(Fraction(A))
+    g = contour.trace_gamma(ctx, 0.0)
+    b1 = float(ctx.beta1)
+    assert contour.winding_number(g) == -1
+    assert g.upper_arc[-1] == b1
+    assert 0 < abs(g.upper_arc[-2] - b1) <= 3e-6 * b1
+    # near a circle on the diameter [x_0, beta1]
+    assert g.length == pytest.approx(math.pi * (b1 - g.points[0].real), rel=0.2)
 
 
 def test_positive_r_stays_left_of_beta1(ctx81):
@@ -198,6 +214,17 @@ def test_halving_max_step_is_consistent(ctx81):
     assert abs(g2.length - g.length) / g.length < 0.01
 
 
+@pytest.mark.parametrize("A", ["0.81", "0.999"])
+@pytest.mark.parametrize("r", [0.0, 5.0])
+def test_coarse_step_still_traces_a_loop(A, r):
+    # a max_step far above beta2 - beta1 still gives a closed clockwise
+    # polygon on the level, not [x_r, x_end, x_r]
+    ctx = landscape.make_context(Fraction(A))
+    g = contour.trace_gamma(ctx, r, max_step=10.0)
+    assert contour.winding_number(g) == -1
+    assert len(g.points) >= 25
+
+
 def test_polyline_csv_format(ctx75):
     g = contour.trace_gamma(ctx75, 1.0)
     text = contour.polyline_csv(g)
@@ -227,16 +254,37 @@ def test_degenerate_level_rejected(ctx81):
         contour.trace_gamma(ctx81, -0.5)
 
 
-def test_error_hierarchy():
-    assert issubclass(StepCollapse, ClosureError)
-
-
 def test_small_loop_far_level(ctx81):
     # r = 6 shrinks the loop by two orders of magnitude; the tracer must
     # still close it and keep the orientation
     g = contour.trace_gamma(ctx81, 6.0)
     assert contour.winding_number(g) == -1
     assert max(abs(p) for p in g.points) < 5e-4
+
+
+@pytest.mark.parametrize("A", ["0.2", "0.81", "0.99"])
+@pytest.mark.parametrize("r", [0.0, 3.0, 12.0, 20.0])
+def test_trace_holds_down_to_tiny_loops(A, r):
+    # at A = 0.2, r = 20 the loop has radius 2e-46; the trace must still
+    # close, wind once clockwise, mirror exactly and sit on the level
+    ctx = landscape.make_context(Fraction(A))
+    g = contour.trace_gamma(ctx, r)
+    assert g.points[0] == g.points[-1]
+    assert contour.winding_number(g) == -1
+    assert {p.conjugate() for p in g.points} == set(g.points)
+    for p in g.upper_arc[::50] + (g.upper_arc[-1],):
+        side = BoundarySide.ABOVE if p.imag == 0 else BoundarySide.OFF_AXIS
+        v = landscape.phi_eval(ctx, mp.mpc(p), side=side)
+        assert abs(float(mp.re(v)) - r / 2) <= g.level_tol
+
+
+def test_winding_number_of_a_loop_below_1e_154():
+    # cross products of 1e-200 vertices underflow; the winding must not
+    pts = tuple(1e-200 * complex(math.cos(-k * math.pi / 3), math.sin(-k * math.pi / 3))
+                for k in range(7))
+    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(range(7)),
+                                max_step=1.0, level_tol=1e-9)
+    assert contour.winding_number(g) == -1
 
 
 def test_gamma_as_arrays(ctx75):

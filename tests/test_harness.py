@@ -94,13 +94,26 @@ def test_run_comparison_frozen_noninteger():
     assert (rep.loop_count, rep.interval_count, rep.outlier_count) == (32, 8, 0)
     assert rep.alpha == "-32.4"
     assert rep.mass_error == pytest.approx(0.01, abs=1e-12)
-    assert rep.max_deviation == pytest.approx(0.01601888889392068, abs=1e-9)
+    assert rep.max_deviation == pytest.approx(0.01601895590558563, abs=1e-9)
     assert rep.ks_interval == pytest.approx(0.08690135070094654, abs=1e-9)
-    assert rep.ks_loop == pytest.approx(0.02325829851320771, abs=1e-9)
+    assert rep.ks_loop == pytest.approx(0.023266393481939596, abs=1e-9)
     assert rep.origin_multiplicity == 0
     assert rep.valid
     assert rep.residual_max < 1e-60
     assert rep.sweep == ((0.05, 32, 8, 0), (0.1, 32, 8, 0), (0.2, 32, 8, 0))
+
+
+def test_report_geometry_is_step_converged(monkeypatch):
+    # max_deviation and ks_loop read the traced polyline: at the default
+    # step they lie within 5e-7 and 1e-5 of a trace 16 times finer
+    opts = harness.RunOptions(classify_tol=0.15)
+    rep = harness.run_comparison(40, "-32.4", opts)
+    trace = contour.trace_gamma
+    monkeypatch.setattr(contour, "trace_gamma", lambda ctx, r: trace(
+        ctx, r, max_step=(float(ctx.beta2) - float(ctx.beta1)) / 6400))
+    fine = harness.run_comparison(40, "-32.4", opts)
+    assert abs(rep.max_deviation - fine.max_deviation) <= 5e-7
+    assert abs(rep.ks_loop - fine.ks_loop) <= 1e-5
 
 
 def test_run_comparison_integer_atom():
@@ -233,9 +246,8 @@ def test_study_outputs():
 def test_run_comparison_domain_errors():
     with pytest.raises(DomainError):
         harness.run_comparison(10, -20)
-    # dist 1e-140 puts r_hat just past the tracer ceiling of 8
     with pytest.raises(DomainError):
-        harness.run_comparison(40, "-32." + "0" * 139 + "1")
+        harness.run_comparison(10, "2.5")
 
 
 def test_compute_zeros_outside_theorem_range():

@@ -1,15 +1,12 @@
 """Aberth iteration checked against mpmath.polyroots and hand-built polynomials."""
 
-import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
-import numpy as np
 import pytest
 
-import phase_quadrature
-from lagzero import harness, laguerre, landscape, measure, rootfinder
+from lagzero import harness, laguerre, rootfinder
 from lagzero.errors import NonConvergence
 from lagzero.laguerre import CoefficientList, LaguerreSpec
 
@@ -212,20 +209,42 @@ def test_inclusion_disks_hold_the_zeros(name):
     assert zset.suspect == ()
 
 
-def _trapezoid_layout_seeds(n, alpha, bits):
-    # ceil(n A) loop seeds at trapezoid-CDF quantiles (j + 1/2)/k, mirror
-    # images only to float64 rounding, plus interval quantiles for the rest
-    alpha_f = laguerre.parse_alpha(alpha)
-    ctx = landscape.make_context(Fraction(-alpha_f, n), precision_bits=max(bits, 256))
-    spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
-    k = math.ceil(n * float(ctx.A))
-    _, cum = phase_quadrature.loop_cdf_trapezoid(spec)
-    pts, _ = spec.gamma.as_arrays()
-    targets = (np.arange(k) + 0.5) / k * cum[-1]
-    i = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(pts) - 2)
-    t = (targets - cum[i]) / (cum[i + 1] - cum[i])
-    loop = [complex(p) for p in pts[i] + t * (pts[i + 1] - pts[i])]
-    return [mp.mpc(s) for s in loop + measure.interval_quantiles(ctx, n - k)]
+# the old ceil(n A) layout for (60, -45.25): 46 loop seeds at trapezoid-CDF
+# quantiles (j + 1/2)/k of a predictor-corrector Gamma_0.0231 polyline,
+# mirror images only to float64 rounding, then 14 interval quantiles;
+# frozen as doubles so that the test does not follow the tracer's vertices
+_TRAPEZOID_LAYOUT_SEEDS = (
+    (-0.10304827164051325, 0.005809492667167232), (-0.10195663029047086, 0.017396546512077973),
+    (-0.09977115232697306, 0.028887380149202373), (-0.09648743486783566, 0.04021641732278558),
+    (-0.09209826756900538, 0.051315745640306824), (-0.08659462361861937, 0.06211431125471963),
+    (-0.07996431820147182, 0.0725364821564671), (-0.0721925146760853, 0.0825008303000146),
+    (-0.06326161432253713, 0.09191861895034291), (-0.05314995013843978, 0.10069128385906431),
+    (-0.04183241045363856, 0.10870834549739869), (-0.029279162434070836, 0.11584366779086326),
+    (-0.015454868031797188, 0.12195084347805003), (-0.0003176382157140354, 0.12685690056910143),
+    (0.016182350111360305, 0.1303535220722811), (0.0341058689135442, 0.13218295376200956),
+    (0.05352788345672153, 0.13201743194360968), (0.07454374334800012, 0.1294241891133199),
+    (0.09727916879189169, 0.12380395708640902), (0.12190929351237655, 0.11426844137036943),
+    (0.1486958468594199, 0.09935972240812747), (0.17805814955535929, 0.07622439697163866),
+    (0.21029748463983874, 0.036632572592739894), (0.21029748463983775, -0.036632572592741594),
+    (0.17805814955535815, -0.07622439697163974), (0.1486958468594198, -0.09935972240812754),
+    (0.12190929351237595, -0.1142684413703697), (0.09727916879189129, -0.12380395708640915),
+    (0.07454374334800086, -0.12942418911331977), (0.053527883456723456, -0.13201743194360954),
+    (0.03410586891354743, -0.1321829537620097), (0.01618235011136409, -0.13035352207228168),
+    (-0.00031763821570973146, -0.12685690056910257), (-0.01545486803179306, -0.12195084347805163),
+    (-0.02927916243406711, -0.11584366779086515), (-0.041832410453635505, -0.10870834549740063),
+    (-0.0531499501384372, -0.10069128385906634), (-0.06326161432253513, -0.09191861895034482),
+    (-0.07219251467608383, -0.08250083030001631), (-0.07996431820147058, -0.07253648215646885),
+    (-0.08659462361861847, -0.06211431125472119), (-0.09209826756900469, -0.051315745640308365),
+    (-0.09648743486783513, -0.04021641732278713), (-0.09977115232697273, -0.02888738014920377),
+    (-0.10195663029047071, -0.017396546512079118), (-0.10304827164051322, -0.005809492667167732),
+    (0.32138807858855645, 0.0), (0.4106095304843952, 0.0),
+    (0.494724739924848, 0.0), (0.5802514323059167, 0.0),
+    (0.6694508290827892, 0.0), (0.7637366533325411, 0.0),
+    (0.8643404794285257, 0.0), (0.9725844236974588, 0.0),
+    (1.0900930162853788, 0.0), (1.2190730940375079, 0.0),
+    (1.3628229673175127, 0.0), (1.5268911833545227, 0.0),
+    (1.7225236608683616, 0.0), (1.9841599666566423, 0.0),
+)
 
 
 @pytest.mark.parametrize("bits", [224, 256])
@@ -235,7 +254,7 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # converges, with residuals far below tol, to zeros wrong by far more
     # than tol (up to 1.4e-26 against 1.9e-34 at 224 bits)
     ref, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
-    seeds = _trapezoid_layout_seeds(60, "-45.25", bits)
+    seeds = [mp.mpc(*z) for z in _TRAPEZOID_LAYOUT_SEEDS]
     monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
     tol = mp.mpf(2) ** -(bits // 2)
     zset = rootfinder.find_zeros(_monic(60, "-45.25", bits), bits, tol, seeds=seeds)
