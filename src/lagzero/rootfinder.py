@@ -7,6 +7,13 @@ other roots' pair sums, and the iteration stops once every root is frozen
 (Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
 the frozen approximations.
 
+The coefficients are real, so the zeros are closed under conjugation. When
+the seeds are too (each non-real seed's exact conjugate is also a seed),
+the kernel stores one representative per conjugate class: each real seed,
+and the member with Im z > 0 of each pair. The other member is implied,
+never updated, and enters the pair sums as the conjugate of its twin; real
+roots stay exactly real. Otherwise every seed runs on its own.
+
 The sweeps and the polish run on fixed-point Gaussian integers: (X, Y)
 stands for (X + iY) 2^-P, so each product is one big-integer multiply in C
 instead of an mpc operation in pure Python. P is the working precision plus
@@ -20,6 +27,7 @@ zeros as disks (Neumaier, J. Comput. Appl. Math. 156, 2003)."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -61,10 +69,32 @@ def _to_fixed(zs, prec):
     return [(to_fixed(z.real._mpf_, prec), to_fixed(z.imag._mpf_, prec)) for z in zs]
 
 
+def _conjugate_classes(zs):
+    """One representative per conjugate class of the seeds, and twin flags.
+
+    A real seed stands for itself. A seed with Im z > 0 stands for itself
+    and its exact conjugate (twin flag set) when every non-real seed has
+    its exact conjugate among the seeds; otherwise every seed stands for
+    itself alone.
+    """
+    upper = Counter(z for z in zs if z.imag > 0)
+    if upper != Counter(mp.conj(z) for z in zs if z.imag < 0):
+        return zs, [False] * len(zs)
+    reps = [z for z in zs if z.imag >= 0]
+    return reps, [z.imag > 0 for z in reps]
+
+
 def _fixed_horner(cs, x, y, prec):
     # P(z) and P'(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n scaled by
     # 2^prec. Each complex product takes three multiplies (Gauss); the
     # integers are exact, so the shift alone rounds.
+    if y == 0:
+        # the complex loop with every imaginary part 0, bit for bit
+        px, dx = cs[-1], 0
+        for c in reversed(cs[:-1]):
+            dx = ((x * dx) >> prec) + px
+            px = ((x * px) >> prec) + c
+        return px, 0, dx, 0
     px, py, dx, dy = cs[-1], 0, 0, 0
     xpy, ymx = x + y, y - x
     for c in reversed(cs[:-1]):
@@ -81,49 +111,74 @@ def _fixed_div(ax, ay, bx, by, prec):
     return ((ax * bx + ay * by) << prec) // bb, ((ay * bx - ax * by) << prec) // bb
 
 
-def _pair_sums(zs, active, prec, floor):
-    """sum_{j != i} 1/(z_i - z_j) for every active i, in fixed point.
+def _pair_sums(zs, twin, active, prec, floor):
+    """sum 1/(z_i - w) over every root w != z_i, for every active i, in
+    fixed point.
 
-    Each term is conj(e) r with e = z_i - z_j and r = 2^(3 prec) // |e|^2,
-    held in 2^-(2 prec) units until the total is shifted back. r is
-    symmetric in i and j and the sweep is Jacobi, so two active roots share
-    one division and receive exactly opposite terms.
+    The roots are zs plus conj(zs[j]) for each j with twin[j] set. Each
+    term is conj(e) r with e = z_i - w and r = 2^(3 prec) // |e|^2, held in
+    2^-(2 prec) units until the total is shifted back. r is symmetric in i and j and the sweep is Jacobi, so two
+    active roots share one division: they receive exactly opposite direct
+    terms, and two twins' conjugate terms are -conj of each other. For a
+    real i (twin unset) the conjugate term of a twin j is the conjugate of
+    its direct term, so the sum of a real root has imaginary part 0.
     """
     cube = 1 << (3 * prec)
     acc = {i: [0, 0] for i in active}
     for i in active:
         x, y = zs[i]
-        si = acc[i]
+        si, ti = acc[i], twin[i]
         for j, (wx, wy) in enumerate(zs):
             sj = acc.get(j)
-            if j == i or (sj is not None and j < i):
+            if sj is not None and j < i:
                 continue  # an active j < i already added this pair
-            ex, ey = x - wx, y - wy
-            if ex == 0 and ey == 0:
-                # coincident approximations: opposite offsets part them
-                ex = ey = floor
-            r = cube // (ex * ex + ey * ey)
-            tx, ty = ex * r, ey * r
-            si[0] += tx
-            si[1] -= ty
-            if sj is not None:
-                sj[0] -= tx
-                sj[1] += ty
+            tj = twin[j]
+            if j != i:
+                ex, ey = x - wx, y - wy
+                if ex == 0 and ey == 0:
+                    # coincident approximations: opposite offsets part them
+                    ex = ey = floor
+                r = cube // (ex * ex + ey * ey)
+                tx, ty = ex * r, ey * r
+                if tj and not ti:
+                    si[0] += 2 * tx
+                else:
+                    si[0] += tx
+                    si[1] -= ty
+                if sj is not None:
+                    if ti and not tj:
+                        sj[0] -= 2 * tx
+                    else:
+                        sj[0] -= tx
+                        sj[1] += ty
+            if ti and tj:
+                # w = conj z_j; j == i is the twin's own 1/(2i y)
+                ex, ey = x - wx, y + wy
+                if ex == 0 and ey == 0:
+                    ex = ey = floor
+                r = cube // (ex * ex + ey * ey)
+                tx, ty = ex * r, ey * r
+                si[0] += tx
+                si[1] -= ty
+                if sj is not None and j != i:
+                    sj[0] -= tx
+                    sj[1] -= ty
     return {i: (sx >> prec, sy >> prec) for i, (sx, sy) in acc.items()}
 
 
-def _aberth_fixed(cs, zs, prec, tol, floor, max_iterations):
+def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
-    Returns the sweep count, or None when max_iterations run out; zs is
-    updated in place either way.
+    zs holds representatives: the roots are zs plus conj(zs[i]) for each i
+    with twin[i] set (see _pair_sums). Returns the sweep count, or None
+    when max_iterations run out; zs is updated in place either way.
     """
     one = 1 << prec
     tol2 = tol * tol
     active = list(range(len(zs)))
     for it in range(1, max_iterations + 1):
         # every pair sum is taken before any root moves (Jacobi order)
-        sums = _pair_sums(zs, active, prec, floor)
+        sums = _pair_sums(zs, twin, active, prec, floor)
         still = []
         for i in active:
             x, y = zs[i]
@@ -131,8 +186,9 @@ def _aberth_fixed(cs, zs, prec, tol, floor, max_iterations):
             if px == 0 and py == 0:
                 continue
             if dx == 0 and dy == 0:
-                # nudge off the critical point; rare with spread seeds
-                zs[i] = (x + tol, y + tol)
+                # nudge off the critical point, along the axis for a real
+                # root so that it stays real; rare with spread seeds
+                zs[i] = (x + tol, y + tol if y else 0)
                 still.append(i)
                 continue
             nx, ny = _fixed_div(px, py, dx, dy, prec)
@@ -172,18 +228,24 @@ def _certificate(cs, fixed, prec, log_tol):
     |P~(z) - P(z)| <= 2 (n + 1) max(1, |z|)^n 2^-prec (Higham, sec. 5.1).
     The radius n (|P~(z_i)| + that) / prod_{j != i} |z_i - z_j| is doubled
     to cover the float64 sum of logs that stands for the product.
+
+    The coefficients are real, so |P(conj z)| = |P(z)|: P~ is taken at
+    (x, |y|) only, once for both members of an exact pair.
     """
     n, shift = len(cs) - 1, prec * math.log(2)
-    bounds, log_m = [], []
+    bounds, log_m, upper = [], [], {}
     for x, y in fixed:
-        px, py, _, _ = _fixed_horner(cs, x, y, prec)
-        bound = math.isqrt(px * px + py * py) + 1
         m = math.isqrt(x * x + y * y)  # floor(|z| 2^prec)
-        if m >> prec:
-            # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
-            s = max(0, min(prec, m.bit_length() - 64))
-            bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
-        bounds.append(bound + 2 * (n + 1))
+        bound = upper.get((x, abs(y)))
+        if bound is None:
+            px, py, _, _ = _fixed_horner(cs, x, abs(y), prec)
+            bound = math.isqrt(px * px + py * py) + 1
+            if m >> prec:
+                # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
+                s = max(0, min(prec, m.bit_length() - 64))
+                bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
+            bound = upper[x, abs(y)] = bound + 2 * (n + 1)
+        bounds.append(bound)
         log_m.append(max(0.0, math.log(m or 1) - shift))
     dist = np.zeros((n, n))  # log |z_i - z_j|, -inf where two coincide
     for i, (x, y) in enumerate(fixed):
@@ -214,7 +276,9 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
     Each Aberth sweep updates only the roots whose last step exceeded
     tol * max(1, |z|); the sweeps end when none is left, and a final Newton
     step z -= P(z)/P'(z) polishes every root. ZeroSet.iterations counts the
-    sweeps. Without seeds the roots start on a Cauchy-bound circle.
+    sweeps. Without seeds the roots start on a Cauchy-bound circle. Seeds
+    closed under exact conjugation are iterated as one representative per
+    conjugate class, and the zeros come back closed under it too.
 
     Sweeps, polish and certificate run in fixed point, on coefficients
     rounded once from coeffs.exact to P = precision_bits +
@@ -242,13 +306,19 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
 
         prec = precision_bits + _guard_bits(coeffs.exact) + 16
         cs = [round(c * (1 << prec)) for c in coeffs.exact]
-        fixed = _to_fixed(zs, prec)
-        it = _aberth_fixed(cs, fixed, prec, to_fixed(tol._mpf_, prec),
+        # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
+        reps, twin = _conjugate_classes(zs)
+        fixed = _to_fixed(reps, prec)
+        it = _aberth_fixed(cs, fixed, twin, prec, to_fixed(tol._mpf_, prec),
                            to_fixed(floor._mpf_, prec), max_iterations)
+        fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
+        # rounding to nearest is odd in y, so an implied twin is returned
+        # as the exact conjugate of its representative
         zs = [mp.mpc(mp.mpf((x, -prec)), mp.mpf((y, -prec))) for x, y in fixed]
         # real coefficients force conjugate symmetry: an imaginary part at
         # the quarter-precision level is iteration dust on a real zero
-        # (converged steps sit at 2^-prec/2), not a genuine pair
+        # (converged steps sit at 2^-prec/2), not a genuine pair; paired
+        # runs keep real roots exactly real, so only unpaired seeds need this
         snap = mp.mpf(2) ** (-(precision_bits // 4))
         zs = sorted((mp.mpc(z.real, 0) if abs(z.imag) <= snap * max(1, abs(z.real))
                      else z for z in zs), key=_sorted_key)

@@ -91,6 +91,19 @@ def test_sweep_counts_and_moments(alpha, bits, sweeps):
         assert abs(mp.fsum(z * z for z in zset.zeros) - (c1 * c1 - 2 * c2)) <= tol
 
 
+def _per_root_sum(roots, i, prec):
+    # sum_{k != i} 1/(z_i - z_k), one term and one division at a time
+    x, y = roots[i]
+    sx = sy = 0
+    for k, (wx, wy) in enumerate(roots):
+        if k != i:
+            ex, ey = x - wx, y - wy
+            r = (1 << (3 * prec)) // (ex * ex + ey * ey)
+            sx += ex * r
+            sy -= ey * r
+    return sx >> prec, sy >> prec
+
+
 def test_pair_sums_match_per_root_loop():
     # two active roots share one division; the terms must come out as if
     # every active root had summed over all the others on its own
@@ -99,18 +112,37 @@ def test_pair_sums_match_per_root_loop():
     zs = [(rng.randint(-3 << prec, 3 << prec), rng.randint(-3 << prec, 3 << prec))
           for _ in range(9)]
     active = [0, 2, 3, 7]
-    sums = rootfinder._pair_sums(zs, active, prec, floor=1)
+    sums = rootfinder._pair_sums(zs, [False] * 9, active, prec, floor=1)
     assert sorted(sums) == active
     for i in active:
-        x, y = zs[i]
-        sx = sy = 0
-        for j, (wx, wy) in enumerate(zs):
-            if j != i:
-                ex, ey = x - wx, y - wy
-                r = (1 << (3 * prec)) // (ex * ex + ey * ey)
-                sx += ex * r
-                sy -= ey * r
-        assert sums[i] == (sx >> prec, sy >> prec)
+        assert sums[i] == _per_root_sum(zs, i, prec)
+
+    # representatives: the roots are zs plus the conjugate of each twin;
+    # 3 (active) and 5 are real, and a real root's sum is exactly real
+    twin = [True] * 9
+    for i in (3, 5):
+        zs[i] = (zs[i][0], 0)
+        twin[i] = False
+    zs = [(x, abs(y)) for x, y in zs]
+    roots = zs + [(x, -y) for (x, y), t in zip(zs, twin) if t]
+    sums = rootfinder._pair_sums(zs, twin, active, prec, floor=1)
+    assert sorted(sums) == active
+    for i in active:
+        assert sums[i] == _per_root_sum(roots, i, prec)
+    assert sums[3][1] == 0
+
+
+def test_real_roots_stay_real_through_the_nudge():
+    # z^2 - 1 from 0, its critical point, and 3: the nudge off 0 runs
+    # along the axis, so both roots stay exactly real
+    prec = 128
+    one = 1 << prec
+    zs = [(0, 0), (3 * one, 0)]
+    it = rootfinder._aberth_fixed([-one, 0, one], zs, [False, False], prec,
+                                  one >> 40, 1, 50)
+    assert it is not None
+    assert [y for _, y in zs] == [0, 0]
+    assert abs(zs[0][0] + one) <= 2 and abs(zs[1][0] - one) <= 2
 
 
 def test_real_zeros_carry_no_imaginary_dust():
@@ -122,6 +154,33 @@ def test_real_zeros_carry_no_imaginary_dust():
     assert sum(1 for z in real if mp.re(z) > 0) == 15
     genuine = [z for z in zset.zeros if mp.im(z) != 0]
     assert all(abs(mp.im(z)) > 1e-6 for z in genuine)
+
+
+def test_zeros_come_back_in_exact_conjugate_pairs():
+    # (96, -76.0000011): 20 positive zeros and 38 pairs (Szego, Thm 6.73);
+    # each pair is iterated once, so the twins are exact conjugates
+    zset, _, _, _ = harness.compute_zeros(96, "-76.0000011")
+    assert sum(1 for z in zset.zeros if z.imag == 0) == 20
+    values = {(z.real, z.imag) for z in zset.zeros}
+    with mp.workprec(zset.precision_bits):
+        assert all((z.real, -z.imag) in values for z in zset.zeros)
+
+
+def test_horner_calls_per_representative(monkeypatch):
+    # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs:
+    # 53 representatives, each evaluated at most once per sweep, in the
+    # polish and in the certificate
+    calls = []
+    horner = rootfinder._fixed_horner
+
+    def counted(*args):
+        calls.append(1)
+        return horner(*args)
+
+    monkeypatch.setattr(rootfinder, "_fixed_horner", counted)
+    zset, _, _, _ = harness.compute_zeros(88, "-71.2909")
+    assert len(zset.zeros) == 88
+    assert len(calls) <= (zset.iterations + 2) * (88 + 18) // 2
 
 
 def test_conjugate_pairing():
