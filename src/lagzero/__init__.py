@@ -4,8 +4,8 @@ negative parameters.
 The package is organized around the scaled family L_n^(alpha)(n z) with
 alpha = -n A, A in (0, 1).  Modules:
 
-- laguerre:    exact coefficients, evaluation, integer-parameter reduction,
-               the A_n in (0, 1) domain check
+- laguerre:    exact coefficients, rounding, evaluation, integer-parameter
+               reduction, the A_n in (0, 1) domain check
 - rootfinder:  simultaneous root solver with inclusion disks
 - landscape:   potential-theoretic machinery (R, phi, g, constants)
 - contour:     tracing of the predicted limit curves Gamma_r; distance
@@ -28,13 +28,12 @@ from lagzero.errors import (
     QuadratureError,
 )
 from lagzero.laguerre import (
-    CoefficientList,
-    LaguerreSpec,
     build_coefficients,
     default_precision,
     integer_reduction,
     monic_rescaled,
     parse_alpha,
+    round_coefficients,
 )
 from lagzero.rootfinder import ZeroSet, find_zeros
 from lagzero.landscape import (
@@ -90,12 +89,10 @@ __all__ = [
     "BracketError",
     "BranchCutError",
     "ClosureError",
-    "CoefficientList",
     "ComparisonReport",
     "ContourPolyline",
     "DomainError",
     "LagzeroError",
-    "LaguerreSpec",
     "MeasureSpec",
     "NonConvergence",
     "OnBoundary",
@@ -136,6 +133,7 @@ __all__ = [
     "point_in_loop",
     "polyline_csv",
     "rate_from_c",
+    "round_coefficients",
     "run_comparison",
     "trace_gamma",
     "winding_number",

@@ -102,19 +102,19 @@ def oscillatory_phase(n: int, alpha, x: float) -> float:
     return float(_phase(ctx, n, x))
 
 
-def nth_root_exponent(coeffs: laguerre.CoefficientList,
+def nth_root_exponent(coeffs: tuple, bits: int,
                       spec: measure.MeasureSpec, z) -> Tuple[float, float]:
     """((1/n) log|P_n(z)|, U_mu(z)) for the monic scaled polynomial.
 
-    coeffs is P_n = laguerre.monic_rescaled(...), built once by the
-    caller for all its points.  The first entry is exact (up to working
-    precision); the second is the logarithmic potential of the limit
-    measure. Their difference tends to 0 as n grows, at fixed z off the
-    limit set.
+    coeffs is P_n rounded at bits, laguerre.round_coefficients(
+    laguerre.monic_rescaled(...), bits), built once by the caller for all
+    its points.  The first entry is exact (up to working precision); the
+    second is the logarithmic potential of the limit measure. Their
+    difference tends to 0 as n grows, at fixed z off the limit set.
     """
-    n, bits = coeffs.degree, coeffs.precision_bits
+    n = len(coeffs) - 1
     with mp.workprec(bits):
-        p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
+        p = laguerre.eval_poly(coeffs, mp.mpc(z), bits)
         if p == 0:
             raise DomainError(f"P_n({z}) = 0; nth-root exponent undefined")
         empirical = float(mp.log(abs(p)) / n)

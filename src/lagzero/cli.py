@@ -161,12 +161,11 @@ def cmd_asymp(args) -> int:
     lines = ["point,exact,predicted,rel_error"]
 
     if args.regime == "oscillatory":
-        lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
-        coeffs = laguerre.build_coefficients(lspec)
+        coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha_f), bits)
         for tok, x in points:
             pred = asymptotics.oscillatory_value(n, alpha_f, x)
             with mp.workprec(bits):
-                exact = laguerre.eval_poly(coeffs.coeffs, mp.mpf(n) * x, bits)
+                exact = laguerre.eval_poly(coeffs, mp.mpf(n) * x, bits)
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
             lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
     else:
@@ -174,20 +173,19 @@ def cmd_asymp(args) -> int:
         # evaluate the monic P_n(z)
         a_n = laguerre.theorem_ratio(n, alpha_f)
         ctx = make_context(a_n, precision_bits=max(bits, 256))
-        lspec = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
-        coeffs = laguerre.monic_rescaled(lspec)
+        coeffs = laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha_f), bits)
         if args.regime == "outer":
             for tok, z in points:
                 pred = asymptotics.outer_ratio(ctx, n, z)
                 with mp.workprec(bits):
-                    p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(z), bits)
+                    p = laguerre.eval_poly(coeffs, mp.mpc(z), bits)
                     exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
                     rel = float(abs(complex(pred) / complex(exact) - 1))
                 lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
         else:
             spec_m = measure.make_measure(ctx, _parse_r(args.r))
             for tok, z in points:
-                emp, pred = asymptotics.nth_root_exponent(coeffs, spec_m, z)
+                emp, pred = asymptotics.nth_root_exponent(coeffs, bits, spec_m, z)
                 rel = abs(emp / pred - 1) if pred != 0 else math.inf
                 lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -237,35 +237,38 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     -alpha/n falls outside (0,1), and gamma alone when alpha is an
     integer. The root finder starts from quantiles of the limit measure
     on gamma and [beta1, beta2], from interval quantiles alone for integer
-    alpha, and from a Cauchy-bound circle when ctx is None. Retries once at
-    doubled precision on NonConvergence or a non-empty suspect list; a
-    second NonConvergence propagates, and a second suspect set is
-    returned as it is.
+    alpha, and from a Cauchy-bound circle when ctx is None. The root
+    finder gets the exact monic coefficients (of the reduced polynomial
+    for integer alpha in {-n..-1}) and rounds them itself, so no
+    coefficient is rounded here. Retries once at doubled precision on
+    NonConvergence or a non-empty suspect list; a second NonConvergence
+    propagates, and a second suspect set is returned as it is.
+    precision_bits below 64 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
+    if precision_bits is not None and precision_bits < 64:
+        # 0 is a precision, not "use the default"
+        raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = Fraction(-alpha_f, n)
     r_hat = r_hat_from(n, alpha_f)
     bits = precision_bits if precision_bits is not None else working_precision(n, alpha_f)
 
     ctx = gamma = spec_m = None
-    origin_mult = 0
+    origin_mult, work_n, work_alpha = 0, n, alpha_f
     if r_hat == math.inf and -n <= alpha_f <= -1:
-        origin_mult, red = laguerre.integer_reduction(n, alpha_f)
-        work = laguerre.LaguerreSpec.create(red.n, red.alpha, precision_bits=bits)
-    else:
-        work = laguerre.LaguerreSpec.create(n, alpha_f, precision_bits=bits)
+        origin_mult, work_n, work_alpha = laguerre.integer_reduction(n, alpha_f)
     if 0 < a_n < 1:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         spec_m = measure.make_measure(ctx, r_hat)
         gamma = spec_m.gamma
 
-    coeffs = laguerre.monic_rescaled(work, scale=n)
+    coeffs = laguerre.monic_rescaled(work_n, work_alpha, scale=n)
     tol = mp.mpf(2) ** (-(bits // 2))
     seeds = None
     if ctx is not None:
-        seeds = _seeds_for(work.n, alpha_f, ctx, spec_m, origin_mult)
+        seeds = _seeds_for(work_n, alpha_f, ctx, spec_m, origin_mult)
     try:
         zset = rootfinder.find_zeros(coeffs, bits, tol, seeds=seeds,
                                      origin_multiplicity=origin_mult)

@@ -8,14 +8,15 @@ built in exact rational arithmetic. The parameter is carried as a
 fractions.Fraction parsed from a decimal string, never through binary floating
 point: the experiments downstream depend on dist(alpha, Z) values as small as
 1e-300, which a float cannot represent and a gamma-function quotient cannot
-recover (catastrophic cancellation near negative integers). Rounding to the
-working precision happens once, after the exact product is assembled.
+recover (catastrophic cancellation near negative integers). A polynomial is
+the tuple of its exact Fraction coefficients; rounding to a working
+precision happens once, in round_coefficients, by the caller that evaluates
+it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -59,68 +60,27 @@ def theorem_ratio(n: int, alpha: AlphaLike) -> Fraction:
     return a_n
 
 
-@dataclass(frozen=True)
-class LaguerreSpec:
-    """Degree, exact parameter, and working precision for one polynomial."""
-
-    n: int
-    alpha: Fraction
-    precision_bits: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise DomainError(f"degree n must be >= 0, got {self.n}")
-        if self.precision_bits < 64:
-            raise DomainError("precision_bits must be >= 64")
-
-    @classmethod
-    def create(cls, n: int, alpha: AlphaLike, precision_bits: int | None = None) -> "LaguerreSpec":
-        bits = default_precision(n) if precision_bits is None else precision_bits
-        return cls(n, parse_alpha(alpha), bits)
-
-
-@dataclass(frozen=True)
-class CoefficientList:
-    """Monomial coefficients c_0..c_n, exact and rounded views.
-
-    coeffs holds mpf values rounded at precision_bits, for mpmath
-    evaluation; exact holds the Fractions they came from, which the root
-    finder rounds to its own fixed-point scale.
-    """
-
-    coeffs: tuple
-    exact: tuple
-    precision_bits: int
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _round_fractions(fracs: Sequence[Fraction], precision_bits: int) -> tuple:
-    with mp.workprec(precision_bits):
-        return tuple(mp.mpf(f.numerator) / mp.mpf(f.denominator) for f in fracs)
-
-
-def _exact_coefficients(n: int, alpha: Fraction) -> list:
+def build_coefficients(n: int, alpha: AlphaLike) -> tuple:
+    """Exact coefficients c_0..c_n of L_n^(alpha)(z); c_n = (-1)^n/n!."""
+    if n < 0:
+        raise DomainError(f"degree n must be >= 0, got {n}")
+    a = parse_alpha(alpha)
     # binom(n+alpha, n-k) = prod_{j=1}^{n-k} (alpha+k+j) / (n-k)!
     # built backwards so each k reuses the previous product
     coeffs = [Fraction(0)] * (n + 1)
     prod = Fraction(1)
     coeffs[n] = Fraction(-1) ** n / math.factorial(n)
     for k in range(n - 1, -1, -1):
-        prod *= alpha + k + 1
+        prod *= a + k + 1
         binom = prod / math.factorial(n - k)
         coeffs[k] = binom * Fraction(-1) ** k / math.factorial(k)
-    return coeffs
+    return tuple(coeffs)
 
 
-def build_coefficients(spec: LaguerreSpec) -> CoefficientList:
-    """Coefficients of L_n^(alpha)(z); leading coefficient (-1)^n/n! exactly."""
-    exact = tuple(_exact_coefficients(spec.n, spec.alpha))
-    return CoefficientList(
-        _round_fractions(exact, spec.precision_bits), exact, spec.precision_bits
-    )
+def round_coefficients(coeffs: Sequence[Fraction], bits: int) -> tuple:
+    """mpf values of exact coefficients, each rounded once at bits, for eval_poly."""
+    with mp.workprec(bits):
+        return tuple(mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs)
 
 
 def eval_poly(coeffs: Sequence, z, precision_bits: int):
@@ -133,37 +93,34 @@ def eval_poly(coeffs: Sequence, z, precision_bits: int):
         return acc
 
 
-def monic_rescaled(spec: LaguerreSpec, scale: int | None = None) -> CoefficientList:
-    """Coefficients of the monic P(z) = (n!/(-s)^n) L_n^(alpha)(s z), s = scale.
+def monic_rescaled(n: int, alpha: AlphaLike, scale: int | None = None) -> tuple:
+    """Exact coefficients of the monic P(z) = (n!/(-s)^n) L_n^(alpha)(s z), s = scale.
 
-    scale defaults to spec.n (the standard rescaling). The integer-reduction
+    scale defaults to n (the standard rescaling). The integer-reduction
     pipeline passes the original degree as scale so the reduced polynomial is
     still evaluated on the original s*z grid.
     """
-    s = spec.n if scale is None else scale
+    base = build_coefficients(n, alpha)
+    s = n if scale is None else scale
     if s < 1:
         raise DomainError("scale must be a positive integer")
-    n = spec.n
-    base = _exact_coefficients(n, spec.alpha)
-    lead = base[n]  # (-1)^n / n!
-    powers = Fraction(1)
+    # c_k s^k / (c_n s^n): accumulate s^k, divide by the one leading term
+    lead = base[n] * s ** n
+    powers = 1
     monic = []
-    for k in range(n + 1):
-        # c_k * s^k / (lead * s^n) ; accumulate s^k, divide by s^n via lead
-        monic.append(base[k] * powers / (lead * Fraction(s) ** n))
+    for c in base:
+        monic.append(c * powers / lead)
         powers *= s
-    exact = tuple(monic)
-    assert exact[n] == 1
-    return CoefficientList(
-        _round_fractions(exact, spec.precision_bits), exact, spec.precision_bits
-    )
+    assert monic[n] == 1
+    return tuple(monic)
 
 
-def integer_reduction(n: int, alpha: AlphaLike) -> tuple[int, LaguerreSpec]:
+def integer_reduction(n: int, alpha: AlphaLike) -> tuple[int, int, Fraction]:
     """Reduce integer alpha in {-n..-1}: zero of order |alpha| at the origin.
 
     L_n^(alpha)(z) = ((n+alpha)!/n!) (-z)^{-alpha} L_{n+alpha}^{(-alpha)}(z),
-    so the returned spec has degree n+alpha and parameter -alpha.
+    so the result is (multiplicity, reduced_n, reduced_alpha) =
+    (-alpha, n+alpha, -alpha).
     """
     a = parse_alpha(alpha)
     if a.denominator != 1:
@@ -171,6 +128,5 @@ def integer_reduction(n: int, alpha: AlphaLike) -> tuple[int, LaguerreSpec]:
     ai = int(a)
     if not (-n <= ai <= -1):
         raise DomainError(f"alpha {ai} outside {{-n..-1}} for n={n}")
-    multiplicity = -ai
     # reduced degree may be 0 (alpha = -n: every zero sits at the origin)
-    return multiplicity, LaguerreSpec(n + ai, Fraction(-ai), default_precision(n))
+    return -ai, n + ai, Fraction(-ai)

@@ -36,6 +36,9 @@ Scalar = Union[int, float, str, Fraction]
 # lose a few trailing bits to cancellation
 _GUARD_BITS = 24
 
+# absolute tolerance of every quad_seg integral against the interval density
+QUAD_TOL = 1e-12
+
 
 class BoundarySide(enum.Enum):
     """Which one-sided limit to take when a query point lies on a cut."""
@@ -57,11 +60,6 @@ class PotentialContext:
     beta1: mp.mpf
     beta2: mp.mpf
     precision_bits: int
-    quad_tol: float
-
-    @property
-    def tol(self) -> mp.mpf:
-        return mp.mpf(self.quad_tol)
 
 
 def _to_mpf(value: Scalar) -> mp.mpf:
@@ -75,7 +73,6 @@ def _to_mpf(value: Scalar) -> mp.mpf:
 def make_context(
     A: Scalar,
     precision_bits: int = 256,
-    quad_tol: float = 1e-12,
 ) -> PotentialContext:
     """Build the landscape context for A in (0, 1].
 
@@ -97,7 +94,6 @@ def make_context(
         beta1=beta1,
         beta2=beta2,
         precision_bits=precision_bits,
-        quad_tol=quad_tol,
     )
 
 
@@ -379,7 +375,7 @@ def g_eval(
                 "(the log cut must reach the origin)"
             )
         interval_part = interval_integral(
-            ctx, lambda s: mp.log(w - s), ctx.tol / 2
+            ctx, lambda s: mp.log(w - s), QUAD_TOL / 2
         )
         return ctx.A * mp.log(w) + interval_part
 

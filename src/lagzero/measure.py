@@ -28,6 +28,7 @@ from mpmath import mp
 from lagzero.contour import ContourPolyline, project_to_loop
 from lagzero.errors import DomainError
 from lagzero.landscape import (
+    QUAD_TOL,
     BoundarySide,
     PotentialContext,
     ell_constant,
@@ -152,7 +153,7 @@ def interval_mass(ctx: PotentialContext) -> mp.mpf:
     shortcut, so it exercises the density itself.
     """
     with mp.workprec(ctx.precision_bits):
-        return interval_integral(ctx, lambda s: 1, ctx.tol)
+        return interval_integral(ctx, lambda s: 1, QUAD_TOL)
 
 
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:

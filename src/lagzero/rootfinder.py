@@ -35,7 +35,6 @@ import numpy as np
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .errors import NonConvergence
-from .laguerre import CoefficientList
 
 MAX_ITERATIONS = 200
 
@@ -268,10 +267,12 @@ def _guard_bits(exact) -> int:
                       for c in exact if c))
 
 
-def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
+def find_zeros(coeffs: tuple, precision_bits: int, tol,
                seeds=None, max_iterations: int = MAX_ITERATIONS,
                origin_multiplicity: int = 0) -> ZeroSet:
-    """All zeros of the monic polynomial given by coeffs, with inclusion disks.
+    """All zeros, with inclusion disks, of the monic polynomial whose exact
+    Fraction coefficients c_0..c_n (c_n = 1) are coeffs, as
+    laguerre.monic_rescaled returns them.
 
     Each Aberth sweep updates only the roots whose last step exceeded
     tol * max(1, |z|); the sweeps end when none is left, and a final Newton
@@ -281,7 +282,7 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
     conjugate class, and the zeros come back closed under it too.
 
     Sweeps, polish and certificate run in fixed point, on coefficients
-    rounded once from coeffs.exact to P = precision_bits +
+    rounded once from the exact coeffs to P = precision_bits +
     max(0, -log2 min_k |c_k|) + 16 bits over the nonzero c_k. The roots are
     returned at precision_bits, and the disks are centred on those values.
 
@@ -289,23 +290,23 @@ def find_zeros(coeffs: CoefficientList, precision_bits: int, tol,
     the sweep exhausts max_iterations, or when a residual bound exceeds tol;
     caller policy is a single retry at doubled precision.
     """
-    n = coeffs.degree
+    n = len(coeffs) - 1
     if n == 0:
         return ZeroSet((), (), origin_multiplicity, precision_bits)
-    assert coeffs.exact[-1] == 1, "find_zeros expects a monic polynomial"
+    assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
     with mp.workprec(precision_bits):
         tol = mp.mpf(tol)
         floor = mp.mpf(2) ** (-(precision_bits // 2))
         if tol < floor:
             raise ValueError(f"tol {tol} below 2^-precision/2 = {floor}")
         if seeds is None:
-            seeds = initial_guesses(n, coeffs=coeffs.exact)
+            seeds = initial_guesses(n, coeffs=coeffs)
         zs = [mp.mpc(s) for s in seeds]
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        prec = precision_bits + _guard_bits(coeffs.exact) + 16
-        cs = [round(c * (1 << prec)) for c in coeffs.exact]
+        prec = precision_bits + _guard_bits(coeffs) + 16
+        cs = [round(c * (1 << prec)) for c in coeffs]
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
         fixed = _to_fixed(reps, prec)

@@ -57,7 +57,7 @@ def _leg_segment(ctx, a_pt, z, tol):
 def _upper(ctx, base, other, z):
     # (1/2) Integral_{base}^{z} R(s)/s ds for Im z > 0
     delta = min(mp.mpf("0.1"), mp.im(z) / 2)
-    tol = ctx.tol / 4
+    tol = landscape.QUAD_TOL / 4
     i1 = _leg_from_branch_point(ctx, base, other, delta, tol)
     i2 = _leg_segment(ctx, base + mp.mpc(0, delta), z, tol)
     return (i1 + i2) / 2 - ctx.A / 2 * (mp.log(z) - mp.log(base))
@@ -72,7 +72,7 @@ def _left_integral(ctx, x):
         s = b1 - u * u
         return (A - u * mp.sqrt(b2 - s)) / s * (-2 * u)
 
-    return quad_seg(f, 0, mp.sqrt(b1 - x), ctx.tol / 2)
+    return quad_seg(f, 0, mp.sqrt(b1 - x), landscape.QUAD_TOL / 2)
 
 
 def _cut_integral(ctx, x):
@@ -83,7 +83,7 @@ def _cut_integral(ctx, x):
         s = b1 + u * u
         return 2 * u * u * mp.sqrt(b2 - s) / s
 
-    return quad_seg(f, 0, mp.sqrt(x - b1), ctx.tol / 2)
+    return quad_seg(f, 0, mp.sqrt(x - b1), landscape.QUAD_TOL / 2)
 
 
 def _right_integral(ctx, x):
@@ -94,7 +94,7 @@ def _right_integral(ctx, x):
         s = b2 + u * u
         return 2 * u * u * mp.sqrt(s - b1) / s
 
-    return quad_seg(f, 0, mp.sqrt(x - b2), ctx.tol / 2)
+    return quad_seg(f, 0, mp.sqrt(x - b2), landscape.QUAD_TOL / 2)
 
 
 def phi(ctx, z, side=BoundarySide.OFF_AXIS):
@@ -155,7 +155,7 @@ def cdf_interval(ctx, x):
             s = b1 + u * u
             return 2 * u * u * mp.sqrt(b2 - s) / (2 * mp.pi * s)
 
-        return quad_seg(f, 0, mp.sqrt(x - b1), ctx.tol)
+        return quad_seg(f, 0, mp.sqrt(x - b1), landscape.QUAD_TOL)
 
 
 def cdf_from_beta2(ctx, x):
@@ -169,7 +169,7 @@ def cdf_from_beta2(ctx, x):
             s = b2 - u * u
             return 2 * u * u * mp.sqrt(s - b1) / (2 * mp.pi * s)
 
-        return -quad_seg(f, 0, mp.sqrt(b2 - x), ctx.tol)
+        return -quad_seg(f, 0, mp.sqrt(b2 - x), landscape.QUAD_TOL)
 
 
 def ell_richardson(ctx):
@@ -179,7 +179,7 @@ def ell_richardson(ctx):
     The raw bracket carries an O(1/z^2) tail (the 1/z terms cancel
     because the first moment of mu_0 is 1 - A), so successive Richardson
     elimination of that tail gives two independent estimates, which must
-    agree to 10 * quad_tol.  Odd powers of 1/z feed the imaginary part
+    agree to 10 * QUAD_TOL.  Odd powers of 1/z feed the imaginary part
     only and decay one order slower, hence its looser 1e-8 bound.
     """
     with mp.workprec(ctx.precision_bits + GUARD_BITS):
@@ -196,7 +196,7 @@ def ell_richardson(ctx):
 
         first = rich(raw[0], raw[1], ys[0], ys[1])
         second = rich(raw[1], raw[2], ys[1], ys[2])
-        assert abs(mp.re(second) - mp.re(first)) <= 10 * ctx.tol
+        assert abs(mp.re(second) - mp.re(first)) <= 10 * mp.mpf(landscape.QUAD_TOL)
         assert abs(mp.im(second)) <= mp.mpf("1e-8")
         return mp.re(second)
 
@@ -286,5 +286,5 @@ def log_potential(spec, z):
     with mp.workprec(ctx.precision_bits):
         w = mp.mpc(z)
         interval_part = landscape.interval_integral(
-            ctx, lambda s: mp.log(abs(w - s)), ctx.tol)
+            ctx, lambda s: mp.log(abs(w - s)), landscape.QUAD_TOL)
     return loop_part + float(interval_part)

@@ -37,11 +37,11 @@ def test_outer_convergence(ctx80):
     # integer alpha = -0.8 n keeps A_n fixed while n doubles
     errs = {}
     for n in (30, 60):
-        spec = laguerre.LaguerreSpec.create(n, Fraction(-4 * n, 5))
-        coeffs = laguerre.monic_rescaled(spec, scale=n)
-        with mp.workprec(spec.precision_bits):
-            p = laguerre.eval_poly(coeffs.coeffs, mp.mpc(4),
-                                   spec.precision_bits)
+        bits = laguerre.default_precision(n)
+        coeffs = laguerre.round_coefficients(
+            laguerre.monic_rescaled(n, Fraction(-4 * n, 5), scale=n), bits)
+        with mp.workprec(bits):
+            p = laguerre.eval_poly(coeffs, mp.mpc(4), bits)
             g = landscape.g_eval(ctx80, 4.0)
             ratio = p * mp.e ** (-n * g)
             n11 = asymptotics.outer_ratio(ctx80, n, 4.0)
@@ -112,7 +112,9 @@ def test_sign_changes_count_real_zeros():
 
 
 def _monic(n, alpha):
-    return laguerre.monic_rescaled(laguerre.LaguerreSpec.create(n, alpha))
+    # P_n rounded at the default precision, and that precision
+    bits = laguerre.default_precision(n)
+    return laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha), bits), bits
 
 
 def test_nth_root_converges(ctx80):
@@ -120,7 +122,7 @@ def test_nth_root_converges(ctx80):
     diffs = {}
     for n in (20, 40):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        emp, prd = asymptotics.nth_root_exponent(_monic(n, alpha), spec, 4.0)
+        emp, prd = asymptotics.nth_root_exponent(*_monic(n, alpha), spec, 4.0)
         diffs[n] = abs(emp - prd)
     assert diffs[20] <= 6e-3
     assert diffs[40] <= diffs[20]
@@ -131,7 +133,7 @@ def test_nth_root_prediction_r_insensitive(ctx80):
     preds = []
     for r in (0.0, 3.0, math.inf):
         spec = measure.make_measure(ctx80, r)
-        _, prd = asymptotics.nth_root_exponent(_monic(20, -16), spec, 4.0)
+        _, prd = asymptotics.nth_root_exponent(*_monic(20, -16), spec, 4.0)
         preds.append(prd)
     assert max(preds) - min(preds) <= 2e-6
 
@@ -139,5 +141,5 @@ def test_nth_root_prediction_r_insensitive(ctx80):
 def test_nth_root_far_field(ctx80):
     # U_mu(z) ~ log|z| for large z since mu has total mass 1
     spec = measure.make_measure(ctx80, 0.0)
-    _, prd = asymptotics.nth_root_exponent(_monic(20, -16), spec, 1e3)
+    _, prd = asymptotics.nth_root_exponent(*_monic(20, -16), spec, 1e3)
     assert abs(prd - math.log(1e3)) <= 1e-2

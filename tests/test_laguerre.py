@@ -5,9 +5,9 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
-from lagzero import laguerre
+import lagzero
+from lagzero import harness, laguerre
 from lagzero.errors import DomainError
-from lagzero.laguerre import LaguerreSpec
 
 
 def test_parse_alpha_exact_forms():
@@ -33,16 +33,14 @@ def test_default_precision_floor_and_growth():
 
 def test_degree_one_closed_form():
     # L_1^(a)(z) = 1 + a - z
-    spec = LaguerreSpec.create(1, Fraction(-5, 3), 128)
-    coeffs = laguerre.build_coefficients(spec)
-    assert coeffs.exact == (Fraction(-2, 3), Fraction(-1))
+    coeffs = laguerre.build_coefficients(1, Fraction(-5, 3))
+    assert coeffs == (Fraction(-2, 3), Fraction(-1))
 
 
 def test_degree_two_closed_form():
     # L_2^(a)(z) = z^2/2 - (a+2) z + (a+1)(a+2)/2, checked at a = -3/2
-    spec = LaguerreSpec.create(2, Fraction(-3, 2), 128)
-    coeffs = laguerre.build_coefficients(spec)
-    assert coeffs.exact == (Fraction(-1, 8), Fraction(-1, 2), Fraction(1, 2))
+    coeffs = laguerre.build_coefficients(2, Fraction(-3, 2))
+    assert coeffs == (Fraction(-1, 8), Fraction(-1, 2), Fraction(1, 2))
 
 
 @pytest.mark.parametrize(
@@ -56,11 +54,10 @@ def test_degree_two_closed_form():
 def test_eval_against_mpmath_laguerre(n, alpha, x):
     # mpmath computes L_n^(a) through the confluent hypergeometric series,
     # a fully independent code path from the binomial-sum coefficients
-    spec = LaguerreSpec.create(n, alpha, 320)
+    coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha), 320)
     with mp.workprec(320):
         x = mp.mpf(x)
-        mine = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs, x,
-                                  spec.precision_bits)
+        mine = laguerre.eval_poly(coeffs, x, 320)
         ref = mp.laguerre(n, mp.mpf(alpha.numerator) / alpha.denominator, x)
         assert abs(mine - ref) <= mp.mpf(2) ** -240 * abs(ref)
 
@@ -73,62 +70,67 @@ def test_eval_poly_matches_horner_by_hand():
 
 def test_integer_parameter_reduction_identity():
     # L_7^(-3)(z) = (4!/7!) (-z)^3 L_4^(3)(z) pointwise
-    s7 = LaguerreSpec.create(7, -3, 320)
-    s4 = LaguerreSpec.create(4, 3, 320)
+    c7 = laguerre.round_coefficients(laguerre.build_coefficients(7, -3), 320)
+    c4 = laguerre.round_coefficients(laguerre.build_coefficients(4, 3), 320)
     with mp.workprec(320):
         for z in (mp.mpf("0.9"), mp.mpc(2, 1)):
-            lhs = laguerre.eval_poly(laguerre.build_coefficients(s7).coeffs,
-                                     z, s7.precision_bits)
-            l4 = laguerre.eval_poly(laguerre.build_coefficients(s4).coeffs,
-                                    z, s4.precision_bits)
+            lhs = laguerre.eval_poly(c7, z, 320)
+            l4 = laguerre.eval_poly(c4, z, 320)
             rhs = mp.mpf(24) / 5040 * (-z) ** 3 * l4
             assert abs(lhs - rhs) <= mp.mpf(2) ** -200
 
 
 def test_integer_reduction_bookkeeping():
-    mult, reduced = laguerre.integer_reduction(7, -3)
+    mult, reduced_n, reduced_alpha = laguerre.integer_reduction(7, -3)
     assert mult == 3
-    assert reduced.n == 4
-    assert reduced.alpha == Fraction(3)
+    assert reduced_n == 4
+    assert reduced_alpha == Fraction(3)
     with pytest.raises(DomainError):
         laguerre.integer_reduction(7, Fraction(-1, 2))
 
 
 def test_monic_rescaled_is_monic_and_consistent():
-    spec = LaguerreSpec.create(6, Fraction(1, 2), 320)
-    mon = laguerre.monic_rescaled(spec)
-    assert mon.exact[-1] == 1
-    assert mon.degree == 6
+    mon = laguerre.monic_rescaled(6, Fraction(1, 2))
+    assert mon[-1] == 1
+    assert len(mon) - 1 == 6
     # P(z) = (-1)^n n!/n^n L_n(n z)
+    lag = laguerre.round_coefficients(laguerre.build_coefficients(6, Fraction(1, 2)), 320)
     with mp.workprec(320):
         z = mp.mpf("0.83")
-        pv = laguerre.eval_poly(mon.coeffs, z, 320)
-        lv = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs,
-                                6 * z, spec.precision_bits) * mp.mpf(720) / 6**6
+        pv = laguerre.eval_poly(laguerre.round_coefficients(mon, 320), z, 320)
+        lv = laguerre.eval_poly(lag, 6 * z, 320) * mp.mpf(720) / 6**6
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
 def test_monic_rescaled_explicit_scale():
     # reduced polynomials evaluate at the original n*z scaling
-    spec = LaguerreSpec.create(2, Fraction(1), 256)
-    mon4 = laguerre.monic_rescaled(spec, scale=4)
+    mon4 = laguerre.round_coefficients(laguerre.monic_rescaled(2, Fraction(1), scale=4), 256)
+    lag = laguerre.round_coefficients(laguerre.build_coefficients(2, Fraction(1)), 256)
     with mp.workprec(256):
         z = mp.mpf("0.6")
-        pv = laguerre.eval_poly(mon4.coeffs, z, 256)
-        lv = laguerre.eval_poly(laguerre.build_coefficients(spec).coeffs,
-                                4 * z, spec.precision_bits) * mp.mpf(2) / 16
+        pv = laguerre.eval_poly(mon4, z, 256)
+        lv = laguerre.eval_poly(lag, 4 * z, 256) * mp.mpf(2) / 16
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
 def test_spec_validation():
     with pytest.raises(DomainError):
-        LaguerreSpec.create(-1, Fraction(1, 2))
+        laguerre.build_coefficients(-1, Fraction(1, 2))
     with pytest.raises(DomainError):
-        LaguerreSpec(3, Fraction(1, 2), 32)
+        harness.compute_zeros(3, Fraction(1, 2), precision_bits=32)
     with pytest.raises(DomainError):
         # 0 is a precision, not "use the default"
-        LaguerreSpec.create(3, Fraction(1, 2), 0)
+        harness.compute_zeros(3, Fraction(1, 2), precision_bits=0)
     assert laguerre.theorem_ratio(40, "-32.4") == Fraction(81, 100)
     for n, alpha in ((40, "-80"), (40, "-40"), (40, "2"), (0, "-1")):
         with pytest.raises(DomainError):
             laguerre.theorem_ratio(n, alpha)
+
+
+def test_public_exports():
+    # a polynomial is the tuple of its exact coefficients; no wrapper types
+    for name in lagzero.__all__:
+        assert hasattr(lagzero, name), name
+    for gone in ("LaguerreSpec", "CoefficientList"):
+        assert not hasattr(lagzero, gone)
+        assert not hasattr(laguerre, gone)

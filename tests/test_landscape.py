@@ -222,14 +222,14 @@ def test_phi_closed_form_matches_quadrature(ctx81):
     with mp.workprec(256):
         for z in _off_axis_points(ctx81):
             want = phase_quadrature.phi(ctx81, z)
-            assert abs(landscape.phi_eval(ctx81, z) - want) <= ctx81.quad_tol
+            assert abs(landscape.phi_eval(ctx81, z) - want) <= landscape.QUAD_TOL
         for x in _real_points(ctx81):
             sides = ((BoundarySide.OFF_AXIS,) if 0 < x <= ctx81.beta1
                      else (ABOVE, BELOW))
             for side in sides:
                 want = phase_quadrature.phi(ctx81, x, side)
                 got = landscape.phi_eval(ctx81, x, side=side)
-                assert abs(got - want) <= ctx81.quad_tol, (x, side)
+                assert abs(got - want) <= landscape.QUAD_TOL, (x, side)
 
 
 def test_phi_tilde_closed_form_matches_quadrature(ctx81):
@@ -237,7 +237,7 @@ def test_phi_tilde_closed_form_matches_quadrature(ctx81):
         right = [x for x in _real_points(ctx81) if x >= ctx81.beta2]
         for z in _off_axis_points(ctx81) + right:
             want = phase_quadrature.phi_tilde(ctx81, z)
-            assert abs(landscape.phi_tilde_eval(ctx81, z) - want) <= ctx81.quad_tol
+            assert abs(landscape.phi_tilde_eval(ctx81, z) - want) <= landscape.QUAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +342,7 @@ def test_g_shadow_region_branch(ctx81):
         loop = phase_quadrature.loop_log_trapezoid(
             ctx81, contour.trace_gamma(ctx81, 0.0), z)
         interval = landscape.interval_integral(
-            ctx81, lambda s: mp.log(z - s), ctx81.tol / 2)
+            ctx81, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
         assert abs(landscape.g_eval(ctx81, z) - (loop + interval)) <= 1e-4
 
 
@@ -364,9 +364,9 @@ def test_g_interval_part_identity(A):
                 phi_t = landscape.phi_tilde_eval(ctx, z)
             want = (z - ctx.A * mp.log(z) - 2 * phi_t + ell) / 2
             got = landscape.interval_integral(
-                ctx, lambda s: mp.log(z - s), ctx.tol / 2)
-            assert abs(mp.re(got) - mp.re(want)) <= ctx.quad_tol
-            assert abs(mp.im(got) - mp.im(want)) <= ctx.quad_tol
+                ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
+            assert abs(mp.re(got) - mp.re(want)) <= landscape.QUAD_TOL
+            assert abs(mp.im(got) - mp.im(want)) <= landscape.QUAD_TOL
 
 
 def test_g_rejected_on_support_and_inside(ctx81):

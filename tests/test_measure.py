@@ -120,7 +120,7 @@ def test_cdf_interval_matches_quadrature(A):
     xs = [b1 + (b2 - b1) * t for t in ts] + [b2 - (b2 - b1) * t for t in ts[:2]]
     for x in xs:
         want = phase_quadrature.cdf_interval(ctx, x)
-        assert abs(measure.cdf_interval(ctx, x) - want) <= ctx.quad_tol
+        assert abs(measure.cdf_interval(ctx, x) - want) <= landscape.QUAD_TOL
 
 
 def test_loop_cdf_points(mu81_r0):

@@ -8,13 +8,6 @@ import pytest
 
 from lagzero import harness, laguerre, rootfinder
 from lagzero.errors import NonConvergence
-from lagzero.laguerre import CoefficientList, LaguerreSpec
-
-
-def _from_fractions(exact, bits):
-    with mp.workprec(bits):
-        coeffs = tuple(mp.mpf(f.numerator) / f.denominator for f in exact)
-    return CoefficientList(coeffs=coeffs, exact=tuple(exact), precision_bits=bits)
 
 
 def _wilkinson(k):
@@ -24,11 +17,11 @@ def _wilkinson(k):
         poly = [Fraction(0)] + poly
         for i in range(len(poly) - 1):
             poly[i] -= j * poly[i + 1]
-    return poly
+    return tuple(poly)
 
 
 def test_recovers_integer_roots():
-    coeffs = _from_fractions(_wilkinson(6), 256)
+    coeffs = _wilkinson(6)
     zset = rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80)
     assert zset.count == 6
     with mp.workprec(256):
@@ -41,7 +34,7 @@ def _polyroots_gap(mon, zeros, bits, extraprec):
     # largest distance to mp.polyroots, both sorted by their printed doubles
     with mp.workprec(bits):
         ref = mp.polyroots(
-            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon.exact)],
+            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon)],
             maxsteps=200,
             extraprec=extraprec,
         )
@@ -51,8 +44,7 @@ def _polyroots_gap(mon, zeros, bits, extraprec):
 
 
 def test_matches_polyroots_on_laguerre():
-    spec = LaguerreSpec.create(6, Fraction(1, 2), 320)
-    mon = laguerre.monic_rescaled(spec)
+    mon = laguerre.monic_rescaled(6, Fraction(1, 2))
     zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
     assert _polyroots_gap(mon, zset.zeros, 320, 200) <= mp.mpf(2) ** -280
     assert zset.suspect == ()
@@ -62,9 +54,8 @@ def test_matches_polyroots_on_laguerre():
 def test_matches_polyroots_near_integer():
     # dist(alpha, Z) = 1e-15 pulls the constant coefficient down to about
     # 2^-75, so the fixed-point sweep runs with that many extra guard bits
-    spec = LaguerreSpec.create(12, "-9.000000000000001", 320)
-    mon = laguerre.monic_rescaled(spec)
-    assert abs(mon.exact[0]) < Fraction(1, 2 ** 74)
+    mon = laguerre.monic_rescaled(12, "-9.000000000000001")
+    assert abs(mon[0]) < Fraction(1, 2 ** 74)
     zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
     assert _polyroots_gap(mon, zset.zeros, 320, 400) <= mp.mpf(2) ** -280
     assert zset.suspect == ()
@@ -82,10 +73,10 @@ def test_sweep_counts_and_moments(alpha, bits, sweeps):
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
     # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
-    mon = laguerre.monic_rescaled(LaguerreSpec.create(40, alpha, bits))
+    mon = laguerre.monic_rescaled(40, alpha)
     with mp.workprec(bits):
         c1, c2 = (mp.mpf(c.numerator) / c.denominator
-                  for c in (mon.exact[-2], mon.exact[-3]))
+                  for c in (mon[-2], mon[-3]))
         tol = mp.mpf(2) ** -(bits // 2)
         assert abs(mp.fsum(zset.zeros) + c1) <= tol
         assert abs(mp.fsum(z * z for z in zset.zeros) - (c1 * c1 - 2 * c2)) <= tol
@@ -146,8 +137,7 @@ def test_real_roots_stay_real_through_the_nudge():
 
 
 def test_real_zeros_carry_no_imaginary_dust():
-    spec = LaguerreSpec.create(25, "-10.5", 256)
-    mon = laguerre.monic_rescaled(spec)
+    mon = laguerre.monic_rescaled(25, "-10.5")
     zset = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
     real = [z for z in zset.zeros if mp.im(z) == 0]
     # 25 - 10 positive real zeros, exactly, with im == 0 after the snap
@@ -184,8 +174,7 @@ def test_horner_calls_per_representative(monkeypatch):
 
 
 def test_conjugate_pairing():
-    spec = LaguerreSpec.create(12, "-9.6", 256)
-    mon = laguerre.monic_rescaled(spec)
+    mon = laguerre.monic_rescaled(12, "-9.6")
     zset = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
     with mp.workprec(256):
         key = lambda w: (float(mp.re(w)), float(mp.im(w)))  # noqa: E731
@@ -195,7 +184,7 @@ def test_conjugate_pairing():
 
 
 def test_origin_multiplicity_bookkeeping():
-    coeffs = _from_fractions([Fraction(-1), Fraction(1)], 128)  # z - 1
+    coeffs = (Fraction(-1), Fraction(1))  # z - 1
     zset = rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -40,
                                  origin_multiplicity=5)
     assert zset.origin_multiplicity == 5
@@ -204,25 +193,25 @@ def test_origin_multiplicity_bookkeeping():
 
 
 def test_tolerance_floor_enforced():
-    coeffs = _from_fractions(_wilkinson(3), 128)
+    coeffs = _wilkinson(3)
     with pytest.raises(ValueError):
         rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -80)
 
 
 def test_seed_count_must_match_degree():
-    coeffs = _from_fractions(_wilkinson(3), 128)
+    coeffs = _wilkinson(3)
     with pytest.raises(ValueError):
         rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -40, seeds=[mp.mpc(1)])
 
 
 def test_max_iterations_raises():
-    coeffs = _from_fractions(_wilkinson(8), 256)
+    coeffs = _wilkinson(8)
     with pytest.raises(NonConvergence):
         rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80, max_iterations=1)
 
 
 def test_clean_roots_are_isolated():
-    coeffs = _from_fractions(_wilkinson(5), 256)
+    coeffs = _wilkinson(5)
     tol = mp.mpf(2) ** -80
     zset = rootfinder.find_zeros(coeffs, 256, tol)
     assert zset.suspect == ()
@@ -231,20 +220,16 @@ def test_clean_roots_are_isolated():
     assert all(0 < r <= tol * max(1, abs(z)) for r, z in zip(zset.radii, zset.zeros))
 
 
-def _monic(n, alpha, bits):
-    return laguerre.monic_rescaled(LaguerreSpec.create(n, alpha, bits))
-
-
 def _sound_case(name):
     tol = mp.mpf(2) ** -80
     if name == "wilkinson6":
-        mon = _from_fractions(_wilkinson(6), 256)
+        mon = _wilkinson(6)
         return mon, rootfinder.find_zeros(mon, 256, tol)
     if name == "compute_zeros":
         zset, _, _, _ = harness.compute_zeros(40, "-31.99999886")
-        return _monic(40, "-31.99999886", zset.precision_bits), zset
+        return laguerre.monic_rescaled(40, "-31.99999886"), zset
     n, alpha = name
-    mon = _monic(n, alpha, 256)
+    mon = laguerre.monic_rescaled(n, alpha)
     return mon, rootfinder.find_zeros(mon, 256, tol)
 
 
@@ -258,7 +243,7 @@ def test_inclusion_disks_hold_the_zeros(name):
     bits = zset.precision_bits + 64
     with mp.workprec(bits):
         ref = mp.polyroots(
-            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon.exact)],
+            [mp.mpf(f.numerator) / f.denominator for f in reversed(mon)],
             maxsteps=400, extraprec=128)
         for z, r in zip(zset.zeros, zset.radii):
             assert min(abs(w - z) for w in ref) <= r
@@ -316,7 +301,8 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     seeds = [mp.mpc(*z) for z in _TRAPEZOID_LAYOUT_SEEDS]
     monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
     tol = mp.mpf(2) ** -(bits // 2)
-    zset = rootfinder.find_zeros(_monic(60, "-45.25", bits), bits, tol, seeds=seeds)
+    zset = rootfinder.find_zeros(laguerre.monic_rescaled(60, "-45.25"), bits, tol,
+                                 seeds=seeds)
     with mp.workprec(512):
         wrong = [i for i, z in enumerate(zset.zeros)
                  if min(abs(w - z) for w in ref.zeros) > tol * max(1, abs(z))]
@@ -330,8 +316,7 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
 
 
 def test_determinism():
-    spec = LaguerreSpec.create(15, "-12.3", 256)
-    mon = laguerre.monic_rescaled(spec)
+    mon = laguerre.monic_rescaled(15, "-12.3")
     a = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
     b = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
     assert a.zeros == b.zeros
