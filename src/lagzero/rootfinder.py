@@ -20,13 +20,23 @@ instead of an mpc operation in pure Python. P is the working precision plus
 the bits the smallest nonzero coefficient sits below 1, plus 16 guard bits,
 so every coefficient keeps at least precision + 16 significant bits.
 
-A last fixed-point Horner pass bounds each |P(z_i)|; each connected component
-of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i} |z_i - z_j| holds as many
-zeros as disks (Neumaier, J. Comput. Appl. Math. 156, 2003)."""
+The sweeps need far fewer bits than the result (Bini & Robol, J. Comput.
+Appl. Math. 272, 2014): they run at LOW_BITS = 128 bits, on words that keep
+the same guard, and each root is then lifted on its own, without pair
+sums, by Newton steps that double its accuracy on words that grow with
+it, up to the full P. A lift step that does not contract, as next to zeros
+that 128 bits cannot tell apart, sends the sweeps back to the seeds at
+twice the bits; at the working precision they are the whole run.
+
+A last fixed-point Horner pass at the full P bounds each |P(z_i)|; each
+connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
+|z_i - z_j| holds as many zeros as disks (Neumaier, J. Comput. Appl. Math.
+156, 2003). Stage boundaries are logged at DEBUG on this module's logger."""
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -37,6 +47,16 @@ from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 from .errors import NonConvergence
 
 MAX_ITERATIONS = 200
+# the precision of the first Aberth pass; the lift raises it to the caller's
+LOW_BITS = 128
+
+
+def _debug(msg, *args):
+    # a process that never imported logging has no handler for the record
+    # to reach, and importing it here would add to every command's start-up
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger(__name__).debug(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -83,19 +103,29 @@ def _conjugate_classes(zs):
     return reps, [z.imag > 0 for z in reps]
 
 
-def _fixed_horner(cs, x, y, prec):
-    # P(z) and P'(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n scaled by
-    # 2^prec. Each complex product takes three multiplies (Gauss); the
-    # integers are exact, so the shift alone rounds.
+def _fixed_horner(cs, x, y, prec, deriv=True):
+    # P(z) and, with deriv, P'(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n
+    # scaled by 2^prec. Each complex product takes three multiplies (Gauss);
+    # the integers are exact, so the shift alone rounds. P's recurrence
+    # does not read P', so both branches give the same P bit for bit.
     if y == 0:
         # the complex loop with every imaginary part 0, bit for bit
         px, dx = cs[-1], 0
+        if not deriv:
+            for c in reversed(cs[:-1]):
+                px = ((x * px) >> prec) + c
+            return px, 0
         for c in reversed(cs[:-1]):
             dx = ((x * dx) >> prec) + px
             px = ((x * px) >> prec) + c
         return px, 0, dx, 0
     px, py, dx, dy = cs[-1], 0, 0, 0
     xpy, ymx = x + y, y - x
+    if not deriv:
+        for c in reversed(cs[:-1]):
+            k = x * (px + py)
+            px, py = ((k - py * xpy) >> prec) + c, (k + px * ymx) >> prec
+        return px, py
     for c in reversed(cs[:-1]):
         k = x * (dx + dy)
         dx, dy = ((k - dy * xpy) >> prec) + px, ((k + dx * ymx) >> prec) + py
@@ -165,6 +195,12 @@ def _pair_sums(zs, twin, active, prec, floor):
     return {i: (sx >> prec, sy >> prec) for i, (sx, sy) in acc.items()}
 
 
+def _within(cx, cy, x, y, tol, prec):
+    # |c| <= tol max(1, |z|), all three in 2^-prec units; squared and
+    # scaled by 2^(4 prec)
+    return (cx * cx + cy * cy) << (2 * prec) <= tol * tol * max(1 << (2 * prec), x * x + y * y)
+
+
 def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
@@ -173,7 +209,6 @@ def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
     when max_iterations run out; zs is updated in place either way.
     """
     one = 1 << prec
-    tol2 = tol * tol
     active = list(range(len(zs)))
     for it in range(1, max_iterations + 1):
         # every pair sum is taken before any root moves (Jacobi order)
@@ -198,8 +233,7 @@ def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
                 cx, cy = nx, ny
             else:
                 cx, cy = _fixed_div(nx, ny, ax, ay, prec)
-            # |corr| > tol max(1, |z|), squared and scaled by 2^(4 prec)
-            if (cx * cx + cy * cy) << (2 * prec) > tol2 * max(one * one, x * x + y * y):
+            if not _within(cx, cy, x, y, tol, prec):
                 still.append(i)
             zs[i] = (x - cx, y - cy)
         active = still
@@ -217,6 +251,43 @@ def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
             nx, ny = _fixed_div(px, py, dx, dy, prec)
             zs[i] = (x - nx, y - ny)
     return it
+
+
+def _lift(cs, zs, prec, guard, bits, tol):
+    """Newton steps that raise fixed-point representatives from about bits
+    correct bits on (bits + guard + 16)-bit words to the full prec-bit
+    words of cs, one root at a time and without pair sums.
+
+    Each level doubles the accuracy acc and works on words of
+    min(prec, acc + guard + 16) bits, with cs shifted down once per level.
+    A root is done after a full-word step of at most tol max(1, |z|). A
+    step toward acc must stay within 2^-(acc/4) max(1, |z|), the tolerance
+    of the level it starts from: a larger one means the approximation did
+    not hold the bits claimed for it, as next to a zero that the low words
+    cannot separate from its neighbour. Returns the number of levels, or
+    None at such a step or at P' = 0; zs is updated in place and ends on
+    prec-bit words when the lift succeeds.
+    """
+    word, acc, todo, levels = bits + guard + 16, bits, list(range(len(zs))), 0
+    while todo:
+        acc *= 2
+        new = min(prec, acc + guard + 16)
+        up, cw = new - word, [c >> (prec - new) for c in cs]
+        bound = 1 << (new - acc // 4) if new >= acc // 4 else 0
+        still = []
+        for i in todo:
+            x, y = zs[i][0] << up, zs[i][1] << up
+            px, py, dx, dy = _fixed_horner(cw, x, y, new)
+            if dx == 0 and dy == 0:
+                return None
+            cx, cy = _fixed_div(px, py, dx, dy, new)
+            if not _within(cx, cy, x, y, bound, new):
+                return None
+            zs[i] = (x - cx, y - cy)
+            if new < prec or not _within(cx, cy, x, y, tol, new):
+                still.append(i)
+        todo, word, levels = still, new, levels + 1
+    return levels
 
 
 def _certificate(cs, fixed, prec, log_tol):
@@ -237,7 +308,7 @@ def _certificate(cs, fixed, prec, log_tol):
         m = math.isqrt(x * x + y * y)  # floor(|z| 2^prec)
         bound = upper.get((x, abs(y)))
         if bound is None:
-            px, py, _, _ = _fixed_horner(cs, x, abs(y), prec)
+            px, py = _fixed_horner(cs, x, abs(y), prec, False)
             bound = math.isqrt(px * px + py * py) + 1
             if m >> prec:
                 # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
@@ -274,21 +345,30 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
     Fraction coefficients c_0..c_n (c_n = 1) are coeffs, as
     laguerre.monic_rescaled returns them.
 
-    Each Aberth sweep updates only the roots whose last step exceeded
-    tol * max(1, |z|); the sweeps end when none is left, and a final Newton
-    step z -= P(z)/P'(z) polishes every root. ZeroSet.iterations counts the
-    sweeps. Without seeds the roots start on a Cauchy-bound circle. Seeds
-    closed under exact conjugation are iterated as one representative per
-    conjugate class, and the zeros come back closed under it too.
+    Each Aberth sweep updates only the roots whose last step exceeded a
+    tolerance times max(1, |z|); the sweeps end when none is left, and a
+    final Newton step z -= P(z)/P'(z) polishes every root. The sweeps run at
+    min(LOW_BITS, precision_bits) bits with tolerance 2^-(bits/2); below
+    precision_bits, Newton steps then lift each root, doubling its accuracy
+    per step, until a step on the full words is at most tol * max(1, |z|).
+    When those sweeps do not converge, or a lift step does not contract or
+    meets P' = 0, the sweeps start again from the seeds at twice the bits;
+    at precision_bits they take tol and need no lift. ZeroSet.iterations
+    counts the sweeps of every pass. Without seeds the roots start on a
+    Cauchy-bound circle. Seeds closed under exact conjugation are iterated
+    as one representative per conjugate class, and the zeros come back
+    closed under it too.
 
-    Sweeps, polish and certificate run in fixed point, on coefficients
+    Sweeps, lift and certificate run in fixed point, on coefficients
     rounded once from the exact coeffs to P = precision_bits +
-    max(0, -log2 min_k |c_k|) + 16 bits over the nonzero c_k. The roots are
-    returned at precision_bits, and the disks are centred on those values.
+    max(0, -log2 min_k |c_k|) + 16 bits over the nonzero c_k and shifted
+    down for shorter words. The certificate runs on the full P bits. The
+    roots are returned at precision_bits, and the disks are centred on
+    those values.
 
     tol must satisfy tol >= 2^(-precision_bits/2). Raises NonConvergence when
-    the sweep exhausts max_iterations, or when a residual bound exceeds tol;
-    caller policy is a single retry at doubled precision.
+    the sweeps at precision_bits exhaust max_iterations, or when a residual
+    bound exceeds tol; caller policy is a single retry at doubled precision.
     """
     n = len(coeffs) - 1
     if n == 0:
@@ -305,13 +385,32 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        prec = precision_bits + _guard_bits(coeffs) + 16
+        guard = _guard_bits(coeffs)
+        prec = precision_bits + guard + 16
         cs = [round(c * (1 << prec)) for c in coeffs]
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
-        fixed = _to_fixed(reps, prec)
-        it = _aberth_fixed(cs, fixed, twin, prec, to_fixed(tol._mpf_, prec),
-                           to_fixed(floor._mpf_, prec), max_iterations)
+        tol_p, bits, iterations = to_fixed(tol._mpf_, prec), min(LOW_BITS, precision_bits), 0
+        while True:
+            # at bits == precision_bits the sweeps run on the full words with
+            # the caller's tol, and no lift follows
+            full = bits == precision_bits
+            word = prec if full else bits + guard + 16
+            half = 1 << (word - bits // 2)  # 2^-(bits/2)
+            fixed = _to_fixed(reps, word)
+            sweeps = _aberth_fixed([c >> (prec - word) for c in cs], fixed, twin, word,
+                                   tol_p if full else half, half, max_iterations)
+            iterations += max_iterations if sweeps is None else sweeps
+            _debug("%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
+            if full:
+                break
+            levels = None if sweeps is None else _lift(cs, fixed, prec, guard, bits, tol_p)
+            if levels is not None:
+                _debug("lifted to %d bits in %d Newton levels", precision_bits, levels)
+                break
+            _debug("escalating from %d bits: %s", bits,
+                   "sweeps did not converge" if sweeps is None else "lift failed")
+            bits = min(2 * bits, precision_bits)
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         # rounding to nearest is odd in y, so an implied twin is returned
         # as the exact conjugate of its representative
@@ -329,9 +428,11 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
                                               float(mp.log(tol)))
         residuals = tuple(mp.make_mpf(from_man_exp(b, -prec, precision_bits, round_ceiling))
                           for b in bounds)
-        if it is None or max(residuals) > tol:
-            raise NonConvergence(max_iterations if it is None else it, max(residuals))
-    return ZeroSet(tuple(zs), residuals, origin_multiplicity, precision_bits, it,
+        _debug("certificate at %d-bit words: worst log radius %.1f, %d suspect",
+               prec, max(log_r), len(suspect))
+        if sweeps is None or max(residuals) > tol:
+            raise NonConvergence(iterations, max(residuals))
+    return ZeroSet(tuple(zs), residuals, origin_multiplicity, precision_bits, iterations,
                    tuple(mp.exp(r) for r in log_r), suspect)
 
 

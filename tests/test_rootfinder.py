@@ -1,23 +1,33 @@
 """Aberth iteration checked against mpmath.polyroots and hand-built polynomials."""
 
+import logging
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.libmp import to_fixed
 
+import lagzero
 from lagzero import harness, laguerre, rootfinder
 from lagzero.errors import NonConvergence
 
 
-def _wilkinson(k):
-    # prod_{j=1..k} (z - j), expanded exactly
+def _expand(roots):
+    # prod (z - r) over roots, expanded exactly
     poly = [Fraction(1)]
-    for j in range(1, k + 1):
+    for r in roots:
         poly = [Fraction(0)] + poly
         for i in range(len(poly) - 1):
-            poly[i] -= j * poly[i + 1]
+            poly[i] -= r * poly[i + 1]
     return tuple(poly)
+
+
+def _wilkinson(k):
+    return _expand(range(1, k + 1))
 
 
 def test_recovers_integer_roots():
@@ -62,13 +72,14 @@ def test_matches_polyroots_near_integer():
 
 
 @pytest.mark.parametrize("alpha, bits, sweeps", [
-    ("-32.3564", 256, 6),
-    ("-31.99999886", 360, 10),
+    ("-32.3564", 256, 5),
+    ("-31.99999886", 360, 9),
 ])
 def test_sweep_counts_and_moments(alpha, bits, sweeps):
     # the counts come from the seeding: one seed per zero of the exact
     # real/complex split, the loop seeds in exact conjugate pairs, so the
-    # odd case no longer waits for float rounding to break a symmetry
+    # odd case no longer waits for float rounding to break a symmetry;
+    # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2)
     zset, _, _, _ = harness.compute_zeros(40, alpha)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
@@ -157,9 +168,10 @@ def test_zeros_come_back_in_exact_conjugate_pairs():
 
 
 def test_horner_calls_per_representative(monkeypatch):
-    # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs:
-    # 53 representatives, each evaluated at most once per sweep, in the
-    # polish and in the certificate
+    # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs: 53
+    # representatives, each evaluated at most once per pass: per sweep at
+    # LOW_BITS, in the polish after them, at each of the two lift levels
+    # (256 bits, then the full 416 since 512 >= 416) and in the certificate
     calls = []
     horner = rootfinder._fixed_horner
 
@@ -170,7 +182,96 @@ def test_horner_calls_per_representative(monkeypatch):
     monkeypatch.setattr(rootfinder, "_fixed_horner", counted)
     zset, _, _, _ = harness.compute_zeros(88, "-71.2909")
     assert len(zset.zeros) == 88
-    assert len(calls) <= (zset.iterations + 2) * (88 + 18) // 2
+    assert zset.precision_bits == 416
+    assert len(calls) <= (zset.iterations + 4) * (88 + 18) // 2
+
+
+def test_certificate_horner_matches_the_derivative_pass():
+    # the certificate's P-only Horner gives P bit for bit as the full one
+    rng = random.Random(3)
+    prec = 200
+    cs = [rng.randint(-1 << (prec + 8), 1 << (prec + 8)) for _ in range(30)] + [1 << prec]
+    for y in (0, rng.randint(1, 1 << prec)):
+        x = rng.randint(-2 << prec, 2 << prec)
+        assert rootfinder._fixed_horner(cs, x, y, prec, False) == \
+            rootfinder._fixed_horner(cs, x, y, prec)[:2]
+
+
+@pytest.mark.parametrize("n, alpha", [
+    (88, "-71.2909"),
+    (96, "-76.0000011"),
+    (80, "-63.9" + "9" * 99),
+], ids=["88", "96", "80-small-loop"])
+def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
+    # sweeps at LOW_BITS plus the Newton lift print the same doubles as the
+    # sweeps and polish at the full working precision from the same seeds
+    find, runs = rootfinder.find_zeros, []
+
+    def spy(coeffs, bits, tol, **kwargs):
+        runs.append((coeffs, bits, tol, kwargs["seeds"]))
+        return find(coeffs, bits, tol, **kwargs)
+
+    monkeypatch.setattr(rootfinder, "find_zeros", spy)
+    zset, _, _, _ = harness.compute_zeros(n, alpha)
+    (coeffs, bits, tol, seeds), = runs
+    assert bits > rootfinder.LOW_BITS
+    assert zset.suspect == ()
+
+    prec = bits + rootfinder._guard_bits(coeffs) + 16
+    cs = [round(c * (1 << prec)) for c in coeffs]
+    with mp.workprec(bits):
+        reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
+        fixed = rootfinder._to_fixed(reps, prec)
+        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, to_fixed(tol._mpf_, prec),
+                                        1 << (prec - bits // 2),
+                                        rootfinder.MAX_ITERATIONS) is not None
+        fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
+        ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
+                     for x, y in fixed)
+    assert sorted((float(z.real), float(z.imag)) for z in zset.zeros) == ref
+
+
+def test_ladder_escalates_on_zeros_128_bits_cannot_separate(caplog):
+    # 1 and 1 + 2^-100: 148-bit words move a double zero by about 2^-72,
+    # so a 128-bit run returns them 3.6e-21 either side of 1, both suspect;
+    # the ladder's 128-bit pass fails its lift and the 256-bit pass parts them
+    mon = _expand([Fraction(1), 1 + Fraction(1, 2 ** 100), Fraction(-1, 2),
+                   Fraction(3, 2), Fraction(-2)])
+    low = rootfinder.find_zeros(mon, 128, mp.mpf(2) ** -64)
+    assert low.suspect == (2, 3)
+    assert abs(low.zeros[3] - low.zeros[2]) > 2 ** -70
+
+    caplog.set_level(logging.DEBUG, logger=rootfinder.__name__)
+    zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -150)
+    assert any(r.getMessage().startswith("escalating from 128 bits")
+               for r in caplog.records)
+    assert zset.suspect == ()
+    assert all(z.imag == 0 for z in zset.zeros)
+    assert _polyroots_gap(mon, zset.zeros, 640, 400) <= mp.mpf(2) ** -200
+    with mp.workprec(320):
+        gap = zset.zeros[3] - zset.zeros[2]
+        assert abs(gap - mp.mpf(2) ** -100) <= mp.mpf(2) ** -200
+
+
+def test_stage_boundaries_are_logged(caplog):
+    caplog.set_level(logging.DEBUG, logger=rootfinder.__name__)
+    harness.compute_zeros(40, "-32.3564")
+    msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
+    assert msgs[:2] == ["5 sweeps at 128 bits (231-bit words)",
+                        "lifted to 256 bits in 1 Newton levels"]
+    assert msgs[2].startswith("certificate at 359-bit words: worst log radius ")
+    assert msgs[2].endswith(", 0 suspect")
+    assert len(msgs) == 3
+
+
+def test_import_leaves_logging_unloaded():
+    # the records go nowhere until a caller imports logging, and importing
+    # it would add to the start-up of every command
+    src = os.path.dirname(os.path.dirname(lagzero.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, lagzero.cli; print('logging' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_conjugate_pairing():
