@@ -15,19 +15,27 @@ the contour tracer and the interval quantiles; ell is closed form too.
 The one adaptive quadrature, Gauss-Legendre with recursive bisection
 (quad_seg), is left for integrals against the interval density
 (interval_integral, used by g and the interval mass), whose cosine
-substitution absorbs the square-root endpoint zeros.
+substitution absorbs the square-root endpoint zeros.  It runs at the
+precision its result needs, not the context's: QUAD_BITS = 96, or
+ceil(log2(1/tol)) + _GUARD_BITS for a tolerance finer than that.
+mpmath raises the Gauss-Legendre degree until its error estimate meets
+mpmath's own working precision, whatever tol asks: at 96 bits a panel
+stops at the 48-node rule, at the context's few hundred bits only the
+96-node rule, with its nodes computed afresh, would do.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, List, Optional, Union
 
 from mpmath import mp
 
+from lagzero.debuglog import debug
 from lagzero.errors import BranchCutError, DomainError, QuadratureError
 
 Scalar = Union[int, float, str, Fraction]
@@ -36,8 +44,15 @@ Scalar = Union[int, float, str, Fraction]
 # lose a few trailing bits to cancellation
 _GUARD_BITS = 24
 
-# absolute tolerance of every quad_seg integral against the interval density
+# absolute tolerance of every quad_seg integral against the interval density;
+# interval_integral meets it at QUAD_BITS, and a caller asking for more than
+# QUAD_BITS can give gets ceil(log2(1/tol)) + _GUARD_BITS instead
 QUAD_TOL = 1e-12
+
+# working precision of interval_integral: a double's 53 bits, up to 11 bits
+# lost to the n*g amplification in e^{-n g} (n <= 2048), and 32 bits of
+# margin.  65 bits moves the last printed digit of asymp's outer regime
+QUAD_BITS = 96
 
 
 class BoundarySide(enum.Enum):
@@ -107,6 +122,7 @@ def quad_seg(
     b: Scalar,
     tol: mp.mpf,
     max_depth: int = 120,
+    panels: Optional[List[int]] = None,
 ) -> Union[mp.mpf, mp.mpc]:
     """Integrate f over [a, b] to absolute tolerance tol.
 
@@ -115,7 +131,8 @@ def quad_seg(
     long panel can fool the estimator near a barely-resolved feature, so
     callers must substitute away any endpoint singularity first.  The
     depth cap is generous: a residual square-root kink at distance d from
-    a panel endpoint needs roughly 2*log2(1/(tol*d)) levels.
+    a panel endpoint needs roughly 2*log2(1/(tol*d)) levels.  A list
+    passed as panels gets the bisection depth of each panel appended.
     """
     a = mp.mpf(a)
     b = mp.mpf(b)
@@ -124,6 +141,8 @@ def quad_seg(
         val, err = mp.quad(
             f, [lo, hi], method="gauss-legendre", maxdegree=6, error=True
         )
+        if panels is not None:
+            panels.append(depth)
         if err <= budget or depth >= max_depth:
             if err > budget:
                 raise QuadratureError(achieved_tol=float(err))
@@ -316,21 +335,29 @@ def interval_integral(
     tol: mp.mpf,
 ) -> Union[mp.mpf, mp.mpc]:
     """Integral over [beta1, beta2] of f(s) against the Marchenko-Pastur
-    density sqrt((s-beta1)(beta2-s))/(2 pi s), at the caller's precision.
+    density sqrt((s-beta1)(beta2-s))/(2 pi s), to absolute tolerance tol.
 
+    Runs at max(QUAD_BITS, ceil(log2(1/tol)) + _GUARD_BITS) bits whatever
+    the caller's precision, so f sees arguments rounded to those bits.
     The substitution s = mid - half*cos(t) absorbs both square-root
     endpoint zeros of the density.
     """
-    b1, b2 = ctx.beta1, ctx.beta2
-    mid = (b1 + b2) / 2
-    half = (b2 - b1) / 2
+    bits = max(QUAD_BITS, math.ceil(-math.log2(tol)) + _GUARD_BITS)
+    panels = []
+    with mp.workprec(bits):
+        b1, b2 = ctx.beta1, ctx.beta2
+        mid = (b1 + b2) / 2
+        half = (b2 - b1) / 2
 
-    def g(t):
-        s = mid - half * mp.cos(t)
-        w = half * mp.sin(t)
-        return f(s) * w * w / (2 * mp.pi * s)
+        def g(t):
+            s = mid - half * mp.cos(t)
+            w = half * mp.sin(t)
+            return f(s) * w * w / (2 * mp.pi * s)
 
-    return quad_seg(g, 0, mp.pi, tol)
+        value = quad_seg(g, 0, mp.pi, tol, panels=panels)
+    debug(__name__, "interval integral at %d bits, tol %.3g: %d panels",
+          bits, tol, len(panels))
+    return value
 
 
 @lru_cache(maxsize=32)

@@ -147,13 +147,13 @@ def loop_cdf_points(spec: MeasureSpec) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
-    """Integral of mp_density over [beta1, beta2] by quadrature (= 1-A).
+    """Integral of mp_density over [beta1, beta2] by quadrature (= 1-A),
+    to QUAD_TOL at interval_integral's own precision, not the context's.
 
     Unlike cdf_interval(ctx, beta2), this never takes the closed-form
     shortcut, so it exercises the density itself.
     """
-    with mp.workprec(ctx.precision_bits):
-        return interval_integral(ctx, lambda s: 1, QUAD_TOL)
+    return interval_integral(ctx, lambda s: 1, QUAD_TOL)
 
 
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:

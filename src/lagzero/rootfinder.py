@@ -36,7 +36,6 @@ connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
 from __future__ import annotations
 
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -44,19 +43,12 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
+from .debuglog import debug
 from .errors import NonConvergence
 
 MAX_ITERATIONS = 200
 # the precision of the first Aberth pass; the lift raises it to the caller's
 LOW_BITS = 128
-
-
-def _debug(msg, *args):
-    # a process that never imported logging has no handler for the record
-    # to reach, and importing it here would add to every command's start-up
-    logging = sys.modules.get("logging")
-    if logging is not None:
-        logging.getLogger(__name__).debug(msg, *args)
 
 
 @dataclass(frozen=True)
@@ -401,15 +393,16 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
             sweeps = _aberth_fixed([c >> (prec - word) for c in cs], fixed, twin, word,
                                    tol_p if full else half, half, max_iterations)
             iterations += max_iterations if sweeps is None else sweeps
-            _debug("%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
+            debug(__name__, "%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
             if full:
                 break
             levels = None if sweeps is None else _lift(cs, fixed, prec, guard, bits, tol_p)
             if levels is not None:
-                _debug("lifted to %d bits in %d Newton levels", precision_bits, levels)
+                debug(__name__, "lifted to %d bits in %d Newton levels",
+                      precision_bits, levels)
                 break
-            _debug("escalating from %d bits: %s", bits,
-                   "sweeps did not converge" if sweeps is None else "lift failed")
+            debug(__name__, "escalating from %d bits: %s", bits,
+                  "sweeps did not converge" if sweeps is None else "lift failed")
             bits = min(2 * bits, precision_bits)
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         # rounding to nearest is odd in y, so an implied twin is returned
@@ -428,8 +421,8 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
                                               float(mp.log(tol)))
         residuals = tuple(mp.make_mpf(from_man_exp(b, -prec, precision_bits, round_ceiling))
                           for b in bounds)
-        _debug("certificate at %d-bit words: worst log radius %.1f, %d suspect",
-               prec, max(log_r), len(suspect))
+        debug(__name__, "certificate at %d-bit words: worst log radius %.1f, %d suspect",
+              prec, max(log_r), len(suspect))
         if sweeps is None or max(residuals) > tol:
             raise NonConvergence(iterations, max(residuals))
     return ZeroSet(tuple(zs), residuals, origin_multiplicity, precision_bits, iterations,

@@ -215,6 +215,30 @@ def test_asymp_outer(capsys):
         assert rel < 1e-2
 
 
+# stdout of the outer regime at four points, frozen from the run that
+# integrated g's interval part at the context's 408 bits; the quadrature's
+# own QUAD_BITS must leave every printed digit where it was
+ASYMP_OUTER_FROZEN = (
+    "point,exact,predicted,rel_error\n"
+    "0.2246-3.7387j,(0.9945101239295575-0.0028994384042669965j),"
+    "(0.9945316209308903-0.002911490846718438j),2.4781070319434776e-05\n"
+    "2.8090+3.9585j,(0.9963080087063809-0.003516441102618972j),"
+    "(0.9962912265088643-0.003502040090515931j),2.2195861352213005e-05\n"
+    "0.8840-3.8088j,(0.9937620581085814-0.0009504397497803652j),"
+    "(0.9937763470145247-0.0009729544630409087j),2.6833553774408798e-05\n"
+    "-2.0780+2.7755j,(1.0006915045442308+0.005168193797442525j),"
+    "(1.000697287238987+0.00515315731218128j),1.6098756685458176e-05\n"
+)
+
+
+def test_asymp_outer_bytes_frozen(capsys):
+    code, out, _ = run_cli(
+        capsys, "asymp", "--n", "80", "--alpha", "-64.7653", "--regime", "outer",
+        "--points=0.2246-3.7387j,2.8090+3.9585j,0.8840-3.8088j,-2.0780+2.7755j")
+    assert code == 0
+    assert out == ASYMP_OUTER_FROZEN
+
+
 def test_asymp_nth_root(capsys):
     code, out, _ = run_cli(capsys, "asymp", "--n", "20", "--alpha", "-16.3",
                            "--regime", "nth_root", "--points", "4", "--r", "0")

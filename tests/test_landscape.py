@@ -4,6 +4,7 @@ Frozen reference values were computed from closed forms and verified by
 quadrature at 256 bits before being written down here.
 """
 
+import logging
 import random
 from fractions import Fraction
 
@@ -367,6 +368,50 @@ def test_g_interval_part_identity(A):
                 ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
             assert abs(mp.re(got) - mp.re(want)) <= landscape.QUAD_TOL
             assert abs(mp.im(got) - mp.im(want)) <= landscape.QUAD_TOL
+
+
+@pytest.mark.parametrize("A,bound", [
+    (Fraction(21, 50), 1e-25), (Fraction(81, 100), 1e-25),
+    (Fraction(99, 100), 1e-25),
+    # at A = 1/20 the density's 1/s peaks next to beta1 = 6.1e-4 and the
+    # one Gauss-Legendre panel is 2e-17 to 5e-17 off at 96 bits and at the
+    # context's 280 bits alike: the rule's own error, not the precision's
+    (Fraction(1, 20), 1e-16),
+])
+def test_interval_integral_accuracy_at_quad_bits(A, bound):
+    # g's interval part at the tolerance g_eval asks for, against the
+    # closed form: asymp's outer regime prints e^{-n g} to the last digit
+    # of a double, which needs far more than QUAD_TOL from this value
+    ctx = landscape.make_context(A)
+    ell = landscape.ell_constant(ctx)
+    points = [mp.mpc("0.2246", "-3.7387"), mp.mpc("2.8090", "3.9585"),
+              mp.mpc("-2.0780", "2.7755"), mp.mpc("-4.2", "-2.5"),
+              mp.mpc("1.3", "2.3")]
+    with mp.workprec(ctx.precision_bits):
+        for z in points:
+            assert 2.6 <= abs(z) <= 5
+            want = (z - ctx.A * mp.log(z) - 2 * landscape.phi_tilde_eval(ctx, z)
+                    + ell) / 2
+            got = landscape.interval_integral(
+                ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
+            assert abs(got - want) <= bound
+
+
+def test_interval_integral_precision_follows_a_fine_tolerance(ctx81):
+    # 1e-40 is beyond what QUAD_BITS can resolve: the precision rises to
+    # meet it instead of bisecting until QuadratureError
+    got = landscape.interval_integral(ctx81, lambda s: 1, 1e-40)
+    with mp.workprec(ctx81.precision_bits):
+        assert abs(got - (1 - ctx81.A)) <= mp.mpf("1e-40")
+
+
+def test_interval_integral_logs_bits_tolerance_and_panels(ctx81, caplog):
+    caplog.set_level(logging.DEBUG, logger=landscape.__name__)
+    landscape.interval_integral(ctx81, lambda s: 1, landscape.QUAD_TOL)
+    landscape.interval_integral(ctx81, lambda s: 1, 1e-40)
+    msgs = [r.getMessage() for r in caplog.records if r.name == landscape.__name__]
+    assert msgs == ["interval integral at 96 bits, tol 1e-12: 1 panels",
+                    "interval integral at 157 bits, tol 1e-40: 1 panels"]
 
 
 def test_g_rejected_on_support_and_inside(ctx81):
