@@ -29,7 +29,6 @@ from lagzero.errors import (
 )
 from lagzero.laguerre import (
     build_coefficients,
-    default_precision,
     integer_reduction,
     monic_rescaled,
     parse_alpha,
@@ -109,7 +108,6 @@ __all__ = [
     "cdf_interval",
     "compute_zeros",
     "convergence_study",
-    "default_precision",
     "dist_to_integers",
     "ell_constant",
     "find_zeros",

@@ -9,6 +9,10 @@ compare against exact evaluation:
 * nth_root: (1/n) log|P_n(z)| against the logarithmic potential of the
   limit measure.
 
+Each formula takes the PotentialContext of A_n = -alpha/n (nth_root
+through its MeasureSpec), built once by the caller at its working
+precision, and evaluates its prediction at that precision.
+
 The oscillatory value restores the exponential growth envelope
 e^{n(x + A log x + ell)/2} * n^n / n! that the bare cosine term needs to
 be comparable with L_n^{(alpha_n)}(nx); the amplitude constant
@@ -25,7 +29,7 @@ from mpmath import mp
 
 from . import contour, laguerre, measure
 from .errors import DomainError
-from .landscape import PotentialContext, ell_constant, make_context
+from .landscape import PotentialContext, ell_constant
 
 # closest approach to the support that the outer formula accepts
 OUTER_CLEARANCE = 0.2
@@ -58,15 +62,13 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
         return (a + 1 / a) / 2
 
 
-def oscillatory_value(n: int, alpha, x: float) -> mp.mpf:
-    """Leading oscillatory term for L_n^{(alpha)}(n x) on (beta1, beta2).
+def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
+    """Leading oscillatory term for L_n^{(alpha)}(n x) on (beta1, beta2),
+    with ctx the context of A_n = -alpha/n.
 
     Valid on the compact window [beta1 + d, beta2 - d] with
     d = 0.1 (beta2 - beta1); raises DomainError outside.
     """
-    a_n = laguerre.theorem_ratio(n, alpha)
-    bits = laguerre.default_precision(n)
-    ctx = make_context(a_n, precision_bits=bits)
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
     span = b2 - b1
     margin = WINDOW_FRACTION * span
@@ -75,8 +77,8 @@ def oscillatory_value(n: int, alpha, x: float) -> mp.mpf:
             f"x={x} outside the window [{b1 + margin:.6f}, {b2 - margin:.6f}]"
         )
     ell = ell_constant(ctx)
-    phase = _phase(ctx, n, x)
-    with mp.workprec(bits):
+    phase = oscillatory_phase(ctx, n, x)
+    with mp.workprec(ctx.precision_bits):
         xm = mp.mpf(x)
         envelope = mp.power(n, n) / mp.factorial(n)
         envelope *= mp.e ** (n * (xm + ctx.A * mp.log(xm) + ell) / 2)
@@ -86,20 +88,14 @@ def oscillatory_value(n: int, alpha, x: float) -> mp.mpf:
         return envelope * mp.sqrt(ctx.beta2 - ctx.beta1) * quarter * mp.cos(phase)
 
 
-def _phase(ctx: PotentialContext, n: int, x: float):
+def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
+    """Phase of the cosine in oscillatory_value, for zero counting."""
     # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
     # phase; the integral term vanishes at x = beta2
     with mp.workprec(ctx.precision_bits):
         phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
         return phase + mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
                                / (ctx.beta2 - ctx.beta1)) / 2
-
-
-def oscillatory_phase(n: int, alpha, x: float) -> float:
-    """Phase of the cosine in oscillatory_value, for zero counting."""
-    a_n = laguerre.theorem_ratio(n, alpha)
-    ctx = make_context(a_n, precision_bits=laguerre.default_precision(n))
-    return float(_phase(ctx, n, x))
 
 
 def nth_root_exponent(coeffs: tuple, bits: int,

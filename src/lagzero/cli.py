@@ -100,7 +100,7 @@ def cmd_contour(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    zset, _, _, _ = harness.compute_zeros(
+    zset, _ = harness.compute_zeros(
         args.n, args.alpha, precision_bits=args.precision
     )
     lines = ["re,im,residual"]
@@ -155,15 +155,17 @@ def _parse_points(args, parse) -> List[Tuple[str, object]]:
 def cmd_asymp(args) -> int:
     complex_point = lambda tok: complex(tok.replace(" ", ""))
     points = _parse_points(args, float if args.regime == "oscillatory" else complex_point)
-    bits = args.precision or laguerre.default_precision(args.n)
     n = args.n
     alpha_f = laguerre.parse_alpha(args.alpha)
+    a_n = laguerre.theorem_ratio(n, alpha_f)
+    bits = args.precision or harness.working_precision(n, alpha_f)
+    ctx = make_context(a_n, precision_bits=max(bits, 256))
     lines = ["point,exact,predicted,rel_error"]
 
     if args.regime == "oscillatory":
         coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha_f), bits)
         for tok, x in points:
-            pred = asymptotics.oscillatory_value(n, alpha_f, x)
+            pred = asymptotics.oscillatory_value(ctx, n, x)
             with mp.workprec(bits):
                 exact = laguerre.eval_poly(coeffs, mp.mpf(n) * x, bits)
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
@@ -171,8 +173,6 @@ def cmd_asymp(args) -> int:
     else:
         # outer and nth_root (the parser allows no other regime) both
         # evaluate the monic P_n(z)
-        a_n = laguerre.theorem_ratio(n, alpha_f)
-        ctx = make_context(a_n, precision_bits=max(bits, 256))
         coeffs = laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha_f), bits)
         if args.regime == "outer":
             for tok, z in points:

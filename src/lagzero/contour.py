@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
-from lagzero.landscape import PotentialContext, phi_closed_form
+from lagzero.landscape import PotentialContext, phi_closed_form, phi_origin_constant
 
 DEFAULT_LEVEL_TOL = 1e-9
 _NEWTON_TOL = 1e-13
@@ -115,8 +115,7 @@ def axis_crossing(ctx: PotentialContext, r: float) -> float:
     if r < 0 or not math.isfinite(r):
         raise DomainError("the level r must be finite and nonnegative")
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
-    c, rho = 2 - A, (b2 - b1) / 2
-    K = (-A - c * math.log(2 / rho) + A * math.log(2 * A * A / rho)) / 2
+    K = phi_origin_constant(A, b1, b2, math.log)
     u = _real_crossing(A, b1, b2, r / 2, min((2 * K - r) / A, 0.0), -1)
     return -math.exp(u)
 

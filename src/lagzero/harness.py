@@ -204,25 +204,26 @@ def _ks(cdf: Sequence[float]) -> float:
                 for j, f in enumerate(cdf)), default=0.0)
 
 
-def _seeds_for(deg: int, alpha: Fraction, ctx, spec_m, origin_mult: int):
+def _seeds_for(deg: int, alpha: Fraction, spec_m, origin_mult: int):
     # integer case: every remaining zero lives on the interval
     if origin_mult > 0 or deg == 0:
-        return [mp.mpc(s) for s in measure.interval_quantiles(ctx, deg)]
+        return [mp.mpc(s) for s in measure.interval_quantiles(spec_m.ctx, deg)]
     # deg - floor(-alpha) zeros are positive, one is negative exactly when
     # floor(-alpha) is odd, and the rest are conjugate pairs (Szego,
     # Orthogonal Polynomials, Thm 6.73); loop_quantiles has that layout
     n_loop = math.floor(-alpha)
-    seeds = measure.interval_quantiles(ctx, deg - n_loop)
+    seeds = measure.interval_quantiles(spec_m.ctx, deg - n_loop)
     seeds.extend(measure.loop_quantiles(spec_m, n_loop))
     return [mp.mpc(s) for s in seeds]
 
 
 def working_precision(n: int, alpha) -> int:
-    """Root-finding precision; raised for near-integer alpha, whose
-    constant coefficient scales with dist(alpha, Z)."""
+    """The working precision of every command on (n, alpha): at least
+    max(256, 4n + 64) bits, raised for near-integer alpha, whose constant
+    coefficient scales with dist(alpha, Z)."""
     alpha_f = laguerre.parse_alpha(alpha)
     dist = dist_to_integers(alpha_f)
-    bits = laguerre.default_precision(n)
+    bits = max(256, 4 * n + 64)
     if 0 < dist < Fraction(1, 2):
         with mp.workprec(64 + dist.denominator.bit_length()):
             lg = int(mp.ceil(-mp.log(mp.mpf(dist.numerator) / dist.denominator, 2)))
@@ -233,11 +234,12 @@ def working_precision(n: int, alpha) -> int:
 def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
 
-    Returns (zset, ctx, gamma, r_hat); ctx and gamma are None when
-    -alpha/n falls outside (0,1), and gamma alone when alpha is an
-    integer. The root finder starts from quantiles of the limit measure
+    Returns (zset, spec): spec is the measure.MeasureSpec of the limit
+    measure mu_{r_hat}, which carries the context, r_hat and Gamma_{r_hat}
+    (gamma None for integer alpha), or None when -alpha/n falls outside
+    (0,1). The root finder starts from quantiles of the limit measure
     on gamma and [beta1, beta2], from interval quantiles alone for integer
-    alpha, and from a Cauchy-bound circle when ctx is None. The root
+    alpha, and from a Cauchy-bound circle when spec is None. The root
     finder gets the exact monic coefficients (of the reduced polynomial
     for integer alpha in {-n..-1}) and rounds them itself, so no
     coefficient is rounded here. Retries once at doubled precision on
@@ -255,48 +257,40 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     r_hat = r_hat_from(n, alpha_f)
     bits = precision_bits if precision_bits is not None else working_precision(n, alpha_f)
 
-    ctx = gamma = spec_m = None
+    spec_m = seeds = None
     origin_mult, work_n, work_alpha = 0, n, alpha_f
     if r_hat == math.inf and -n <= alpha_f <= -1:
         origin_mult, work_n, work_alpha = laguerre.integer_reduction(n, alpha_f)
     if 0 < a_n < 1:
         ctx = make_context(a_n, precision_bits=max(bits, 256))
         spec_m = measure.make_measure(ctx, r_hat)
-        gamma = spec_m.gamma
+        seeds = _seeds_for(work_n, alpha_f, spec_m, origin_mult)
 
     coeffs = laguerre.monic_rescaled(work_n, work_alpha, scale=n)
-    tol = mp.mpf(2) ** (-(bits // 2))
-    seeds = None
-    if ctx is not None:
-        seeds = _seeds_for(work_n, alpha_f, ctx, spec_m, origin_mult)
     try:
-        zset = rootfinder.find_zeros(coeffs, bits, tol, seeds=seeds,
+        zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds,
                                      origin_multiplicity=origin_mult)
     except NonConvergence:
         zset = None
     if zset is None or zset.suspect:
-        zset = rootfinder.find_zeros(coeffs, 2 * bits, mp.mpf(2) ** (-bits),
-                                     seeds=seeds, origin_multiplicity=origin_mult)
-    return zset, ctx, gamma, r_hat
+        zset = rootfinder.find_zeros(coeffs, 2 * bits, seeds=seeds,
+                                     origin_multiplicity=origin_mult)
+    return zset, spec_m
 
 
 def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> ComparisonReport:
     """Zeros of L_n^{(alpha)}(nz) against the predicted limit set.
 
-    Classification is interval-first inside the tolerance band, then
-    loop, then outlier; the origin multiplicity of integer alpha counts
-    toward the loop mass (the limit measure's atom at 0).
+    Against the limit measure compute_zeros seeded from. Classification is
+    interval-first inside the tolerance band, then loop, then outlier; the
+    origin multiplicity of integer alpha counts toward the loop mass (the
+    limit measure's atom at 0).
     """
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
-    zset, ctx, gamma, r_hat = compute_zeros(
-        n, alpha_f, precision_bits=opts.precision_bits
-    )
+    zset, spec_m = compute_zeros(n, alpha_f, precision_bits=opts.precision_bits)
+    ctx, gamma, r_hat = spec_m.ctx, spec_m.gamma, spec_m.r
     origin_mult = zset.origin_multiplicity
-    if gamma is None:
-        spec_m = measure.make_measure(ctx, math.inf)
-    else:
-        spec_m = measure.MeasureSpec(ctx, r_hat, gamma)
     valid = not zset.suspect
 
     # one projection per zero; every tolerance below only thresholds it

@@ -45,10 +45,6 @@ def parse_alpha(alpha: AlphaLike) -> Fraction:
         raise DomainError(f"cannot parse alpha {alpha!r} as an exact decimal") from exc
 
 
-def default_precision(n: int) -> int:
-    return max(256, 4 * n + 64)
-
-
 def theorem_ratio(n: int, alpha: AlphaLike) -> Fraction:
     """A_n = -alpha/n exactly; DomainError unless n >= 1 and A_n in (0,1),
     the range every limit-set and asymptotic statement assumes."""

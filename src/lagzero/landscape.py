@@ -101,9 +101,9 @@ def make_context(
         a = _to_mpf(A)
         if not (0 < a <= 1):
             raise DomainError(f"A must lie in (0, 1], got {a}")
-        root = 2 * mp.sqrt(1 - a)
-        beta1 = 2 - a - root
-        beta2 = 2 - a + root
+        beta2 = 2 - a + 2 * mp.sqrt(1 - a)
+        # beta1 beta2 = A^2; 2 - A - 2 sqrt(1 - A) cancels at small A
+        beta1 = a * a / beta2
     return PotentialContext(
         A=a,
         beta1=beta1,
@@ -212,6 +212,14 @@ def phi_closed_form(A, beta1, beta2, z, sqrt, log):
     R = sqrt(z - beta1) * sqrt(z - beta2)
     return (R - c * log((c - z - R) / rho)
             + A * log((A * A - c * z - A * R) / (rho * z))) / 2
+
+
+def phi_origin_constant(A, beta1, beta2, log):
+    """K = lim_{z->0} (Re phi(z) + (A/2) log|z|), with c and rho as in
+    phi_closed_form and log the caller's (mpmath or math)."""
+    c = 2 - A
+    rho = (beta2 - beta1) / 2
+    return (-A - c * log(2 / rho) + A * log(2 * A * A / rho)) / 2
 
 
 def phi_eval(

@@ -35,6 +35,7 @@ from lagzero.landscape import (
     interval_integral,
     phi_closed_form,
     phi_eval,
+    phi_origin_constant,
 )
 
 INF = math.inf
@@ -201,10 +202,7 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
             inside = contour.point_in_loop(spec.gamma, complex(z))
         ell = ell_constant(ctx)
         if w == 0:
-            rho = (b2 - b1) / 2
-            u0 = (ell - A - (2 - A) * mp.log(2 / rho)
-                  + A * mp.log(2 * A * A / rho)) / 2
-            return float(u0 - spec.r)
+            return float(ell / 2 + phi_origin_constant(A, b1, b2, mp.log) - spec.r)
         b = (mp.re(w) + A * mp.log(abs(w)) + ell) / 2
         re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log))
         return float(b + re_phi - spec.r if inside else b - re_phi)

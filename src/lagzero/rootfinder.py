@@ -330,7 +330,7 @@ def _guard_bits(exact) -> int:
                       for c in exact if c))
 
 
-def find_zeros(coeffs: tuple, precision_bits: int, tol,
+def find_zeros(coeffs: tuple, precision_bits: int,
                seeds=None, max_iterations: int = MAX_ITERATIONS,
                origin_multiplicity: int = 0) -> ZeroSet:
     """All zeros, with inclusion disks, of the monic polynomial whose exact
@@ -340,12 +340,13 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
     Each Aberth sweep updates only the roots whose last step exceeded a
     tolerance times max(1, |z|); the sweeps end when none is left, and a
     final Newton step z -= P(z)/P'(z) polishes every root. The sweeps run at
-    min(LOW_BITS, precision_bits) bits with tolerance 2^-(bits/2); below
+    bits = min(LOW_BITS, precision_bits) with tolerance 2^-(bits//2); below
     precision_bits, Newton steps then lift each root, doubling its accuracy
-    per step, until a step on the full words is at most tol * max(1, |z|).
+    per step, until a step on the full words is at most tol * max(1, |z|),
+    tol = 2^-(precision_bits//2).
     When those sweeps do not converge, or a lift step does not contract or
     meets P' = 0, the sweeps start again from the seeds at twice the bits;
-    at precision_bits they take tol and need no lift. ZeroSet.iterations
+    at precision_bits they meet tol and need no lift. ZeroSet.iterations
     counts the sweeps of every pass. Without seeds the roots start on a
     Cauchy-bound circle. Seeds closed under exact conjugation are iterated
     as one representative per conjugate class, and the zeros come back
@@ -358,19 +359,16 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
     roots are returned at precision_bits, and the disks are centred on
     those values.
 
-    tol must satisfy tol >= 2^(-precision_bits/2). Raises NonConvergence when
-    the sweeps at precision_bits exhaust max_iterations, or when a residual
-    bound exceeds tol; caller policy is a single retry at doubled precision.
+    Raises NonConvergence when the sweeps at precision_bits exhaust
+    max_iterations, or when a residual bound exceeds tol; caller policy is
+    a single retry at doubled precision.
     """
     n = len(coeffs) - 1
     if n == 0:
         return ZeroSet((), (), origin_multiplicity, precision_bits)
     assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
     with mp.workprec(precision_bits):
-        tol = mp.mpf(tol)
-        floor = mp.mpf(2) ** (-(precision_bits // 2))
-        if tol < floor:
-            raise ValueError(f"tol {tol} below 2^-precision/2 = {floor}")
+        tol = mp.mpf(2) ** (-(precision_bits // 2))
         if seeds is None:
             seeds = initial_guesses(n, coeffs=coeffs)
         zs = [mp.mpc(s) for s in seeds]
@@ -384,14 +382,14 @@ def find_zeros(coeffs: tuple, precision_bits: int, tol,
         reps, twin = _conjugate_classes(zs)
         tol_p, bits, iterations = to_fixed(tol._mpf_, prec), min(LOW_BITS, precision_bits), 0
         while True:
-            # at bits == precision_bits the sweeps run on the full words with
-            # the caller's tol, and no lift follows
+            # at bits == precision_bits the sweeps run on the full words to
+            # tol itself, and no lift follows
             full = bits == precision_bits
             word = prec if full else bits + guard + 16
             half = 1 << (word - bits // 2)  # 2^-(bits/2)
             fixed = _to_fixed(reps, word)
             sweeps = _aberth_fixed([c >> (prec - word) for c in cs], fixed, twin, word,
-                                   tol_p if full else half, half, max_iterations)
+                                   half, half, max_iterations)
             iterations += max_iterations if sweeps is None else sweeps
             debug(__name__, "%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
             if full:

@@ -37,7 +37,7 @@ def test_outer_convergence(ctx80):
     # integer alpha = -0.8 n keeps A_n fixed while n doubles
     errs = {}
     for n in (30, 60):
-        bits = laguerre.default_precision(n)
+        bits = max(256, 4 * n + 64)
         coeffs = laguerre.round_coefficients(
             laguerre.monic_rescaled(n, Fraction(-4 * n, 5), scale=n), bits)
         with mp.workprec(bits):
@@ -55,7 +55,8 @@ def test_oscillatory_decay():
     errs = {}
     for n in (40, 80):
         alpha = Fraction(-81 * n, 100)
-        pred = asymptotics.oscillatory_value(n, alpha, 1.3)
+        ctx = landscape.make_context(laguerre.theorem_ratio(n, alpha), max(256, 4 * n + 64))
+        pred = asymptotics.oscillatory_value(ctx, n, 1.3)
         with mp.workprec(4 * n + 256):
             a_mp = mp.mpf(alpha.numerator) / alpha.denominator
             exact = mp.laguerre(n, a_mp, n * mp.mpf("1.3"))
@@ -64,30 +65,20 @@ def test_oscillatory_decay():
     assert errs[80] <= 0.7 * errs[40]
 
 
-def test_oscillatory_window():
-    # window is [beta1 + 0.1 span, beta2 - 0.1 span], about [0.49, 1.89]
+def test_oscillatory_window(ctx81):
+    # (40, -32.4): the window is [beta1 + 0.1 span, beta2 - 0.1 span],
+    # about [0.49, 1.89]
     with pytest.raises(DomainError):
-        asymptotics.oscillatory_value(40, "-32.4", 0.35)
+        asymptotics.oscillatory_value(ctx81, 40, 0.35)
     with pytest.raises(DomainError):
-        asymptotics.oscillatory_value(40, "-32.4", 2.0)
-    asymptotics.oscillatory_value(40, "-32.4", 1.3)
-
-
-def test_oscillatory_needs_interior_ratio():
-    with pytest.raises(DomainError):
-        asymptotics.oscillatory_value(40, 2, 1.3)
-    with pytest.raises(DomainError):
-        asymptotics.oscillatory_value(40, -50, 1.3)
-    # -alpha/n = 1 collapses the interval; the phase refuses it too
-    for alpha in ("-40", 2):
-        with pytest.raises(DomainError):
-            asymptotics.oscillatory_phase(40, alpha, 1.0)
+        asymptotics.oscillatory_value(ctx81, 40, 2.0)
+    asymptotics.oscillatory_value(ctx81, 40, 1.3)
 
 
 def test_phase_at_midpoint(ctx81):
     # the arcsine term vanishes at the midpoint of [beta1, beta2]
     mid = float((ctx81.beta1 + ctx81.beta2) / 2)
-    ph = asymptotics.oscillatory_phase(40, Fraction(-81 * 40, 100), mid)
+    ph = asymptotics.oscillatory_phase(ctx81, 40, mid)
     with mp.workprec(256):
         want = 40 * mp.pi * phase_quadrature.cdf_from_beta2(ctx81, mid)
         assert abs(ph - want) <= 1e-12
@@ -96,7 +87,7 @@ def test_phase_at_midpoint(ctx81):
 def test_sign_changes_count_real_zeros():
     # the cosine's sign changes inside the window should match the exact
     # real zeros there, off by at most one (window-edge zeros)
-    zset, _, _, _ = harness.compute_zeros(25, "-10.5")
+    zset, _ = harness.compute_zeros(25, "-10.5")
     ctx = landscape.make_context(Fraction(21, 50))
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
     lo = b1 + 0.1 * (b2 - b1)
@@ -104,16 +95,15 @@ def test_sign_changes_count_real_zeros():
     inside = [z for z in zset.zeros
               if z.imag == 0 and lo < float(z.real) < hi]
     grid = [lo + (hi - lo) * k / 400 for k in range(401)]
-    vals = [asymptotics.oscillatory_value(25, Fraction(-21, 2), x)
-            for x in grid]
+    vals = [asymptotics.oscillatory_value(ctx, 25, x) for x in grid]
     signs = [1 if v > 0 else -1 for v in vals]
     changes = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
     assert abs(changes - len(inside)) <= 1
 
 
 def _monic(n, alpha):
-    # P_n rounded at the default precision, and that precision
-    bits = laguerre.default_precision(n)
+    # P_n rounded at the working precision, and that precision
+    bits = harness.working_precision(n, alpha)
     return laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha), bits), bits
 
 

@@ -239,6 +239,23 @@ def test_asymp_outer_bytes_frozen(capsys):
     assert out == ASYMP_OUTER_FROZEN
 
 
+ASYMP_OSCILLATORY_FROZEN = (
+    "point,exact,predicted,rel_error\n"
+    "0.94362,2.240290106950787e+22,2.2307909455531475e+22,0.004240147902348473\n"
+    "1.48471,-3.838278406802432e+37,-3.939931493737652e+37,0.026484031683335966\n"
+    "1.77576,-1.586484677150468e+46,-1.6452429897018487e+46,0.03703679802121908\n"
+    "0.93483,2.54559138322844e+22,2.5489715560962314e+22,0.0013278536728485771\n"
+)
+
+
+def test_asymp_oscillatory_bytes_frozen(capsys):
+    code, out, _ = run_cli(
+        capsys, "asymp", "--n", "80", "--alpha", "-64.7653", "--regime", "oscillatory",
+        "--points=0.94362,1.48471,1.77576,0.93483")
+    assert code == 0
+    assert out == ASYMP_OSCILLATORY_FROZEN
+
+
 def test_asymp_nth_root(capsys):
     code, out, _ = run_cli(capsys, "asymp", "--n", "20", "--alpha", "-16.3",
                            "--regime", "nth_root", "--points", "4", "--r", "0")
@@ -254,7 +271,7 @@ def test_asymp_nth_root_exact_column_follows_precision(capsys):
     _, default, _ = run_cli(capsys, *argv)
     _, explicit, _ = run_cli(capsys, *argv, "--precision", "256")
     _, low, _ = run_cli(capsys, *argv, "--precision", "64")
-    # 256 bits is default_precision(40): the default run is that run
+    # 256 bits is working_precision(40, -32.36): the default run is that run
     assert default == explicit
     assert exact(low) != exact(default)
 
@@ -274,7 +291,7 @@ def test_asymp_domain_exit_code(capsys):
     assert "window" in err
 
 
-@pytest.mark.parametrize("regime", ["outer", "nth_root"])
+@pytest.mark.parametrize("regime", ["outer", "oscillatory", "nth_root"])
 def test_asymp_ratio_outside_range_exit_code(capsys, regime):
     # -alpha/n = 1 is outside (0,1) for every regime, not only oscillatory
     code, _, err = run_cli(capsys, "asymp", "--n", "40", "--alpha", "-40",

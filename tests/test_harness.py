@@ -34,6 +34,10 @@ def test_working_precision():
     # finder needs extra bits to see it
     assert harness.working_precision(40, "-31.999999") == 360
     assert harness.working_precision(40, "-32.4") == 256
+    # generic alpha gets the floor max(256, 4n + 64)
+    assert harness.working_precision(1, "-0.5") == 256
+    assert harness.working_precision(48, "-38.5") == 256
+    assert harness.working_precision(80, "-64.5") == 4 * 80 + 64
 
 
 def test_decimal_str():
@@ -161,7 +165,7 @@ def test_min_modulus_tracks_distance():
     # strictly further toward the origin
     mins = []
     for a in ("-31.99", "-31.9999", "-31.999999"):
-        zset, _, _, _ = harness.compute_zeros(40, a)
+        zset, _ = harness.compute_zeros(40, a)
         mins.append(min(abs(complex(z)) for z in zset.zeros))
     assert mins[0] > mins[1] > mins[2]
 
@@ -171,11 +175,11 @@ def test_integer_alpha_seeds_on_the_interval(n, alpha):
     # past the origin factor every zero is real and on [beta1, beta2];
     # seeded at interval quantiles the sweeps converge at once, where the
     # Cauchy-circle start took 89 (n=80) and 177 (n=112) sweeps
-    zset, ctx, gamma, r_hat = harness.compute_zeros(n, alpha)
-    assert r_hat == math.inf and gamma is None
+    zset, spec = harness.compute_zeros(n, alpha)
+    assert spec.r == math.inf and spec.gamma is None
     assert zset.origin_multiplicity == -int(alpha)
     assert zset.iterations <= 10
-    b1, b2 = ctx.beta1, ctx.beta2
+    b1, b2 = spec.ctx.beta1, spec.ctx.beta2
     assert all(z.imag == 0 and b1 <= z.real <= b2 for z in zset.zeros)
 
 
@@ -186,7 +190,7 @@ def test_seeds_follow_the_real_complex_split(alpha):
     n, alpha_f = 40, laguerre.parse_alpha(alpha)
     ctx = landscape.make_context(Fraction(-alpha_f, n))
     spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
-    seeds = harness._seeds_for(n, alpha_f, ctx, spec, 0)
+    seeds = harness._seeds_for(n, alpha_f, spec, 0)
     k = math.floor(-alpha_f)
     assert len(seeds) == n
     real = [s for s in seeds if s.imag == 0]
@@ -252,8 +256,8 @@ def test_run_comparison_domain_errors():
 
 def test_compute_zeros_outside_theorem_range():
     # positive alpha: no limit-set machinery, zeros still come back
-    zset, ctx, gamma, r_hat = harness.compute_zeros(3, Fraction(5, 2))
-    assert ctx is None and gamma is None
+    zset, spec = harness.compute_zeros(3, Fraction(5, 2))
+    assert spec is None
     assert len(zset.zeros) == 3
     assert all(z.imag == 0 and z.real > 0 for z in zset.zeros)
 
@@ -262,16 +266,16 @@ def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
     find = rootfinder.find_zeros
     calls = []
 
-    def first_fails(coeffs, bits, tol, **kwargs):
-        calls.append((bits, tol))
+    def first_fails(coeffs, bits, **kwargs):
+        calls.append(bits)
         if len(calls) == 1:
             raise NonConvergence(rootfinder.MAX_ITERATIONS, mp.mpf(1))
-        return find(coeffs, bits, tol, **kwargs)
+        return find(coeffs, bits, **kwargs)
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_fails)
-    zset, _, _, _ = harness.compute_zeros(12, "-9.6")
+    zset, _ = harness.compute_zeros(12, "-9.6")
     bits = harness.working_precision(12, "-9.6")
-    assert calls == [(bits, mp.mpf(2) ** -(bits // 2)), (2 * bits, mp.mpf(2) ** -bits)]
+    assert calls == [bits, 2 * bits]
     assert zset.precision_bits == 2 * bits
     assert zset.count == 12
     assert zset.suspect == ()
@@ -283,17 +287,17 @@ def test_compute_zeros_retries_a_suspect_set(monkeypatch):
     find = rootfinder.find_zeros
     calls, results = [], []
 
-    def first_suspect(coeffs, bits, tol, **kwargs):
-        calls.append((bits, tol))
-        zset = find(coeffs, bits, tol, **kwargs)
+    def first_suspect(coeffs, bits, **kwargs):
+        calls.append(bits)
+        zset = find(coeffs, bits, **kwargs)
         if len(calls) == 1:
             zset = dataclasses.replace(zset, suspect=(0,))
         results.append(zset)
         return zset
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_suspect)
-    zset, _, _, _ = harness.compute_zeros(12, "-9.6")
+    zset, _ = harness.compute_zeros(12, "-9.6")
     bits = harness.working_precision(12, "-9.6")
-    assert calls == [(bits, mp.mpf(2) ** -(bits // 2)), (2 * bits, mp.mpf(2) ** -bits)]
+    assert calls == [bits, 2 * bits]
     assert zset is results[1]
     assert zset.precision_bits == 2 * bits

@@ -25,12 +25,6 @@ def test_parse_alpha_rejects_binary_floats():
         laguerre.parse_alpha("not a number")
 
 
-def test_default_precision_floor_and_growth():
-    assert laguerre.default_precision(1) == 256
-    assert laguerre.default_precision(48) == 256
-    assert laguerre.default_precision(80) == 4 * 80 + 64
-
-
 def test_degree_one_closed_form():
     # L_1^(a)(z) = 1 + a - z
     coeffs = laguerre.build_coefficients(1, Fraction(-5, 3))

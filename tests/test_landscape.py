@@ -29,10 +29,15 @@ def test_betas_exact_at_three_quarters(ctx75):
     assert ctx75.beta2 == mp.mpf("2.25")
 
 
-def test_beta_relations(ctx81):
+@pytest.mark.parametrize("A", [Fraction(81, 100), Fraction(1, 10 ** 6),
+                               Fraction(1, 10 ** 40)], ids=["0.81", "1e-6", "1e-40"])
+def test_beta_relations(A):
+    # the product check is relative: at small A, beta1 ~ A^2/4 is what a
+    # cancelling 2 - A - 2 sqrt(1 - A) loses
+    ctx = landscape.make_context(A)
     with mp.workprec(256):
-        assert abs(ctx81.beta1 * ctx81.beta2 - ctx81.A ** 2) <= mp.mpf(2) ** -240
-        assert abs(ctx81.beta1 + ctx81.beta2 - 2 * (2 - ctx81.A)) <= mp.mpf(2) ** -240
+        assert abs(ctx.beta1 * ctx.beta2 - ctx.A ** 2) <= mp.mpf(2) ** -240 * ctx.A ** 2
+        assert abs(ctx.beta1 + ctx.beta2 - 2 * (2 - ctx.A)) <= mp.mpf(2) ** -240
 
 
 def test_degenerate_edge_allowed():

@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from mpmath.libmp import to_fixed
 
 import lagzero
 from lagzero import harness, laguerre, rootfinder
@@ -32,7 +31,7 @@ def _wilkinson(k):
 
 def test_recovers_integer_roots():
     coeffs = _wilkinson(6)
-    zset = rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80)
+    zset = rootfinder.find_zeros(coeffs, 256)
     assert zset.count == 6
     with mp.workprec(256):
         for j, z in enumerate(sorted(zset.zeros, key=lambda w: mp.re(w)), start=1):
@@ -55,7 +54,7 @@ def _polyroots_gap(mon, zeros, bits, extraprec):
 
 def test_matches_polyroots_on_laguerre():
     mon = laguerre.monic_rescaled(6, Fraction(1, 2))
-    zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
+    zset = rootfinder.find_zeros(mon, 320)
     assert _polyroots_gap(mon, zset.zeros, 320, 200) <= mp.mpf(2) ** -280
     assert zset.suspect == ()
     assert max(zset.residuals) <= float(mp.mpf(2) ** -280)
@@ -66,7 +65,7 @@ def test_matches_polyroots_near_integer():
     # 2^-75, so the fixed-point sweep runs with that many extra guard bits
     mon = laguerre.monic_rescaled(12, "-9.000000000000001")
     assert abs(mon[0]) < Fraction(1, 2 ** 74)
-    zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -100)
+    zset = rootfinder.find_zeros(mon, 320)
     assert _polyroots_gap(mon, zset.zeros, 320, 400) <= mp.mpf(2) ** -280
     assert zset.suspect == ()
 
@@ -80,7 +79,7 @@ def test_sweep_counts_and_moments(alpha, bits, sweeps):
     # real/complex split, the loop seeds in exact conjugate pairs, so the
     # odd case no longer waits for float rounding to break a symmetry;
     # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2)
-    zset, _, _, _ = harness.compute_zeros(40, alpha)
+    zset, _ = harness.compute_zeros(40, alpha)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
     # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
@@ -149,7 +148,7 @@ def test_real_roots_stay_real_through_the_nudge():
 
 def test_real_zeros_carry_no_imaginary_dust():
     mon = laguerre.monic_rescaled(25, "-10.5")
-    zset = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
+    zset = rootfinder.find_zeros(mon, 256)
     real = [z for z in zset.zeros if mp.im(z) == 0]
     # 25 - 10 positive real zeros, exactly, with im == 0 after the snap
     assert sum(1 for z in real if mp.re(z) > 0) == 15
@@ -160,7 +159,7 @@ def test_real_zeros_carry_no_imaginary_dust():
 def test_zeros_come_back_in_exact_conjugate_pairs():
     # (96, -76.0000011): 20 positive zeros and 38 pairs (Szego, Thm 6.73);
     # each pair is iterated once, so the twins are exact conjugates
-    zset, _, _, _ = harness.compute_zeros(96, "-76.0000011")
+    zset, _ = harness.compute_zeros(96, "-76.0000011")
     assert sum(1 for z in zset.zeros if z.imag == 0) == 20
     values = {(z.real, z.imag) for z in zset.zeros}
     with mp.workprec(zset.precision_bits):
@@ -180,7 +179,7 @@ def test_horner_calls_per_representative(monkeypatch):
         return horner(*args)
 
     monkeypatch.setattr(rootfinder, "_fixed_horner", counted)
-    zset, _, _, _ = harness.compute_zeros(88, "-71.2909")
+    zset, _ = harness.compute_zeros(88, "-71.2909")
     assert len(zset.zeros) == 88
     assert zset.precision_bits == 416
     assert len(calls) <= (zset.iterations + 4) * (88 + 18) // 2
@@ -207,13 +206,13 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
     # sweeps and polish at the full working precision from the same seeds
     find, runs = rootfinder.find_zeros, []
 
-    def spy(coeffs, bits, tol, **kwargs):
-        runs.append((coeffs, bits, tol, kwargs["seeds"]))
-        return find(coeffs, bits, tol, **kwargs)
+    def spy(coeffs, bits, **kwargs):
+        runs.append((coeffs, bits, kwargs["seeds"]))
+        return find(coeffs, bits, **kwargs)
 
     monkeypatch.setattr(rootfinder, "find_zeros", spy)
-    zset, _, _, _ = harness.compute_zeros(n, alpha)
-    (coeffs, bits, tol, seeds), = runs
+    zset, _ = harness.compute_zeros(n, alpha)
+    (coeffs, bits, seeds), = runs
     assert bits > rootfinder.LOW_BITS
     assert zset.suspect == ()
 
@@ -222,8 +221,8 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
     with mp.workprec(bits):
         reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
         fixed = rootfinder._to_fixed(reps, prec)
-        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, to_fixed(tol._mpf_, prec),
-                                        1 << (prec - bits // 2),
+        tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
+        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, tol, tol,
                                         rootfinder.MAX_ITERATIONS) is not None
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
@@ -237,12 +236,12 @@ def test_ladder_escalates_on_zeros_128_bits_cannot_separate(caplog):
     # the ladder's 128-bit pass fails its lift and the 256-bit pass parts them
     mon = _expand([Fraction(1), 1 + Fraction(1, 2 ** 100), Fraction(-1, 2),
                    Fraction(3, 2), Fraction(-2)])
-    low = rootfinder.find_zeros(mon, 128, mp.mpf(2) ** -64)
+    low = rootfinder.find_zeros(mon, 128)
     assert low.suspect == (2, 3)
     assert abs(low.zeros[3] - low.zeros[2]) > 2 ** -70
 
     caplog.set_level(logging.DEBUG, logger=rootfinder.__name__)
-    zset = rootfinder.find_zeros(mon, 320, mp.mpf(2) ** -150)
+    zset = rootfinder.find_zeros(mon, 320)
     assert any(r.getMessage().startswith("escalating from 128 bits")
                for r in caplog.records)
     assert zset.suspect == ()
@@ -276,7 +275,7 @@ def test_import_leaves_logging_unloaded():
 
 def test_conjugate_pairing():
     mon = laguerre.monic_rescaled(12, "-9.6")
-    zset = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
+    zset = rootfinder.find_zeros(mon, 256)
     with mp.workprec(256):
         key = lambda w: (float(mp.re(w)), float(mp.im(w)))  # noqa: E731
         pts = sorted(zset.zeros, key=key)
@@ -286,35 +285,30 @@ def test_conjugate_pairing():
 
 def test_origin_multiplicity_bookkeeping():
     coeffs = (Fraction(-1), Fraction(1))  # z - 1
-    zset = rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -40,
+    zset = rootfinder.find_zeros(coeffs, 128,
                                  origin_multiplicity=5)
     assert zset.origin_multiplicity == 5
     assert zset.count == 6
     assert len(zset.zeros) == 1
 
 
-def test_tolerance_floor_enforced():
-    coeffs = _wilkinson(3)
-    with pytest.raises(ValueError):
-        rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -80)
-
-
 def test_seed_count_must_match_degree():
     coeffs = _wilkinson(3)
     with pytest.raises(ValueError):
-        rootfinder.find_zeros(coeffs, 128, mp.mpf(2) ** -40, seeds=[mp.mpc(1)])
+        rootfinder.find_zeros(coeffs, 128, seeds=[mp.mpc(1)])
 
 
 def test_max_iterations_raises():
     coeffs = _wilkinson(8)
     with pytest.raises(NonConvergence):
-        rootfinder.find_zeros(coeffs, 256, mp.mpf(2) ** -80, max_iterations=1)
+        rootfinder.find_zeros(coeffs, 256, max_iterations=1)
 
 
 def test_clean_roots_are_isolated():
+    # the radii meet the tolerance find_zeros derives, 2^-(256 // 2)
     coeffs = _wilkinson(5)
-    tol = mp.mpf(2) ** -80
-    zset = rootfinder.find_zeros(coeffs, 256, tol)
+    tol = mp.mpf(2) ** -128
+    zset = rootfinder.find_zeros(coeffs, 256)
     assert zset.suspect == ()
     assert zset.count == 5
     assert len(zset.radii) == 5
@@ -322,16 +316,15 @@ def test_clean_roots_are_isolated():
 
 
 def _sound_case(name):
-    tol = mp.mpf(2) ** -80
     if name == "wilkinson6":
         mon = _wilkinson(6)
-        return mon, rootfinder.find_zeros(mon, 256, tol)
+        return mon, rootfinder.find_zeros(mon, 256)
     if name == "compute_zeros":
-        zset, _, _, _ = harness.compute_zeros(40, "-31.99999886")
+        zset, _ = harness.compute_zeros(40, "-31.99999886")
         return laguerre.monic_rescaled(40, "-31.99999886"), zset
     n, alpha = name
     mon = laguerre.monic_rescaled(n, alpha)
-    return mon, rootfinder.find_zeros(mon, 256, tol)
+    return mon, rootfinder.find_zeros(mon, 256)
 
 
 @pytest.mark.parametrize("name", ["wilkinson6", (12, "-9.6"), (25, "-10.5"),
@@ -398,11 +391,11 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # most of their digits: from the seeds above the sweep still
     # converges, with residuals far below tol, to zeros wrong by far more
     # than tol (up to 1.4e-26 against 1.9e-34 at 224 bits)
-    ref, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
+    ref, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
     seeds = [mp.mpc(*z) for z in _TRAPEZOID_LAYOUT_SEEDS]
     monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
     tol = mp.mpf(2) ** -(bits // 2)
-    zset = rootfinder.find_zeros(laguerre.monic_rescaled(60, "-45.25"), bits, tol,
+    zset = rootfinder.find_zeros(laguerre.monic_rescaled(60, "-45.25"), bits,
                                  seeds=seeds)
     with mp.workprec(512):
         wrong = [i for i, z in enumerate(zset.zeros)
@@ -410,7 +403,7 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     assert len(wrong) > 10
     assert set(wrong) <= set(zset.suspect)
     # compute_zeros retries a suspect (or unconverged) first pass
-    got, _, _, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
+    got, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
     with mp.workprec(512):
         assert all(min(abs(w - z) for w in ref.zeros) <= tol * max(1, abs(z))
                    for z in got.zeros)
@@ -418,8 +411,8 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
 
 def test_determinism():
     mon = laguerre.monic_rescaled(15, "-12.3")
-    a = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
-    b = rootfinder.find_zeros(mon, 256, mp.mpf(2) ** -80)
+    a = rootfinder.find_zeros(mon, 256)
+    b = rootfinder.find_zeros(mon, 256)
     assert a.zeros == b.zeros
     assert a.residuals == b.residuals
 
