@@ -46,7 +46,7 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
     at distance >= 0.2 from the interval and from the loop region.
     """
     zc = mp.mpc(z)
-    gap = float(contour.interval_gap(ctx_n, complex(zc)))
+    gap = contour.interval_gap(ctx_n, complex(zc))[0]
     # Gamma_0 stays inside |z| <= beta1, so clearance from that disk
     # covers every Gamma_r
     loop_gap = float(abs(zc)) - float(ctx_n.beta1)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import List, Optional, Tuple
 
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
 from lagzero.landscape import PotentialContext, phi_closed_form, phi_origin_constant
@@ -42,6 +42,10 @@ class ContourPolyline:
 
     points[-1] == points[0]; arclengths are cumulative and share the
     indexing.  Every vertex satisfies |Re phi - r/2| <= level_tol.
+    upper_mass holds Im phi/pi + A/2 at each vertex of upper_arc, the nu_r
+    mass from x_r to it: 0 at x_r, A/2 at the positive crossing, and the
+    tracer's own phi at the vertices between (empty for a polyline built
+    by hand).
     """
 
     points: Tuple[complex, ...]
@@ -49,6 +53,7 @@ class ContourPolyline:
     arclengths: Tuple[float, ...]
     max_step: float
     level_tol: float
+    upper_mass: Tuple[float, ...] = ()
 
     @property
     def re_max(self) -> float:
@@ -67,12 +72,6 @@ class ContourPolyline:
         """The traced half, x_r to the positive crossing; every later
         vertex is the conjugate of one of these."""
         return self.points[: len(self.points) // 2 + 1]
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array(self.points, dtype=np.complex128),
-            np.array(self.arclengths, dtype=np.float64),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +165,7 @@ def trace_gamma(
     w = complex(math.log(-x_r), math.pi)
     R = _phase(A, b1, b2, z)[1]
     t = -A * math.pi / 2
-    upper = [z]
+    upper, mass = [z], [0.0]
     for _ in range(_STEP_BUDGET):
         gap = abs(z - b1)
         if r == 0 and gap < 10 * max_step:
@@ -193,12 +192,14 @@ def trace_gamma(
         if not 0 < w.imag < math.pi:
             raise ClosureError(f"Gamma_{r} left the upper half-plane near {z:.6g}")
         upper.append(z)
+        mass.append(f.imag / math.pi + A / 2)
     else:
         raise ClosureError(f"Gamma_{r} failed to close within {_STEP_BUDGET} steps")
     # the arc reaches the axis from the left, so Re z is left of x_end
     x_end = b1 if r == 0 else math.exp(
         _real_crossing(A, b1, b2, level, math.log(z.real), 1))
     upper.append(complex(x_end, 0.0))
+    mass.append(A / 2)
 
     # mirror the interior vertices for the lower half and close the loop
     points = upper + [p.conjugate() for p in reversed(upper[1:-1])]
@@ -214,6 +215,7 @@ def trace_gamma(
         arclengths=tuple(arcs),
         max_step=float(max_step),
         level_tol=DEFAULT_LEVEL_TOL,
+        upper_mass=tuple(mass),
     )
 
 
@@ -221,41 +223,71 @@ def trace_gamma(
 # geometry
 
 
+def _as_points(zs) -> List[complex]:
+    # one point or an iterable of points
+    if isinstance(zs, numbers.Number):
+        return [complex(zs)]
+    return [complex(z) for z in zs]
+
+
 def project_to_loop(
     gamma: ContourPolyline, zs
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per point of zs: (arclength of the nearest polyline point, distance
-    to it), as float64 arrays; ties go to the first segment.
+) -> Tuple[List[float], List[float]]:
+    """Per point of zs (one point or an iterable): the arclength of the
+    nearest polyline point and the distance to it, as lists of floats;
+    ties go to the first segment.
 
-    Distances use hypot on the componentwise difference, which rounds like
-    abs() of a builtin complex.  Each point is projected onto all segments
-    at once; points go one at a time, so the working set stays a few
-    vertex-length arrays rather than points x vertices.
+    Exact, and equal bit for bit to a loop over every segment: distances
+    are abs() of a builtin complex, which rounds like hypot.  Every polyline
+    point within arclength L past a vertex v lies within L of v, so the
+    walk along the polyline skips the segments that end less than
+    |z - v| - best - margin of arclength past v, best being the nearest
+    distance so far (at first that of the nearest of about sqrt(len)
+    evenly spaced vertices).  The float64 rounding of the distances and
+    arclengths grows with |z|, the size of the loop and its length; the
+    margin, 1e-9 times their sum, stays far above it.
     """
-    z = np.asarray(zs, dtype=np.complex128).reshape(-1)
-    pts, arcs = gamma.as_arrays()
-    ax, ay = pts.real[:-1], pts.imag[:-1]
-    dx, dy = np.diff(pts.real), np.diff(pts.imag)
-    L2 = dx * dx + dy * dy
-    moving = L2 > 0
-    s = np.empty(len(z))
-    dist = np.empty(len(z))
-    for k, (x, y) in enumerate(zip(z.real, z.imag)):
-        t = np.zeros_like(L2)
-        np.divide((x - ax) * dx + (y - ay) * dy, L2, out=t, where=moving)
-        np.clip(t, 0.0, 1.0, out=t)
-        d = np.hypot(x - (ax + t * dx), y - (ay + t * dy))
-        i = int(np.argmin(d))
-        s[k] = arcs[i] + t[i] * (arcs[i + 1] - arcs[i])
-        dist[k] = d[i]
-    return s, dist
+    pts, arcs = gamma.points, gamma.arclengths
+    last = len(pts) - 1
+    sample = pts[::max(1, math.isqrt(last))]
+    # every vertex lies within the loop's length of pts[0]
+    size = 1.0 + abs(pts[0]) + 2 * arcs[-1]
+    s_out, d_out = [], []
+    for z in _as_points(zs):
+        x, y = z.real, z.imag
+        margin = 1e-9 * (size + abs(z))
+        bound = min(abs(z - p) for p in sample)
+        best, k, tk = math.inf, 0, 0.0
+        i = 0
+        while i < last:
+            a = pts[i]
+            j = bisect_left(arcs, arcs[i] + abs(z - a) - bound - margin, i + 1) - 1
+            if j > i:
+                i = j
+                continue
+            b = pts[i + 1]
+            ax, ay = a.real, a.imag
+            dx, dy = b.real - ax, b.imag - ay
+            L2 = dx * dx + dy * dy
+            t = 0.0
+            if L2 > 0:
+                t = min(max(((x - ax) * dx + (y - ay) * dy) / L2, 0.0), 1.0)
+            d = abs(complex(x - (ax + t * dx), y - (ay + t * dy)))
+            if d < best:
+                best, k, tk = d, i, t
+                bound = min(bound, d)
+            i += 1
+        s_out.append(arcs[k] + tk * (arcs[k + 1] - arcs[k]))
+        d_out.append(best)
+    return s_out, d_out
 
 
-def interval_gap(ctx: PotentialContext, zs) -> np.ndarray:
-    """Distance from each point of zs to the real segment [beta1, beta2]."""
-    z = np.asarray(zs, dtype=np.complex128)
-    x = np.clip(z.real, float(ctx.beta1), float(ctx.beta2))
-    return np.hypot(z.real - x, z.imag)
+def interval_gap(ctx: PotentialContext, zs) -> List[float]:
+    """Distance from each point of zs (one point or an iterable) to the
+    real segment [beta1, beta2]."""
+    b1, b2 = float(ctx.beta1), float(ctx.beta2)
+    return [abs(complex(z.real - min(max(z.real, b1), b2), z.imag))
+            for z in _as_points(zs)]
 
 
 def limit_set_distance(
@@ -265,7 +297,7 @@ def limit_set_distance(
     for r = inf, whose loop is the atom at the origin."""
     z = complex(z)
     loop = abs(z) if gamma is None else project_to_loop(gamma, z)[1][0]
-    return float(min(interval_gap(ctx, z), loop))
+    return min(interval_gap(ctx, z)[0], loop)
 
 
 def point_in_loop(gamma: ContourPolyline, z: complex) -> bool:

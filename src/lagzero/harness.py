@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
 from mpmath import mp
 
 from . import contour, laguerre, measure, rootfinder
@@ -180,20 +180,31 @@ def make_plan(A, r: float, n_values: Sequence[int],
     return ParameterPlan(A, float(r), n_values, tuple(alphas))
 
 
-def _classify(zs: np.ndarray, d_int: np.ndarray, d_loop: np.ndarray,
-              delta: float) -> np.ndarray:
+def _classify(zs: Sequence[complex], d_int: Sequence[float],
+              d_loop: Sequence[float], delta: float) -> List[str]:
     # both sets can match near beta1 at loose tolerances; the nearer one
     # wins, with the interval taking exact ties
-    int_ok = (d_int <= delta) & (np.abs(zs.imag) < delta)
-    loop_ok = d_loop <= delta
-    interval = int_ok & (~loop_ok | (d_int <= d_loop))
-    return np.where(interval, "interval",
-                    np.where(loop_ok, "loop", "outlier"))
+    labels = []
+    for z, di, dl in zip(zs, d_int, d_loop):
+        loop_ok = dl <= delta
+        if di <= delta and abs(z.imag) < delta and (not loop_ok or di <= dl):
+            labels.append("interval")
+        else:
+            labels.append("loop" if loop_ok else "outlier")
+    return labels
 
 
-def _counts(labels: np.ndarray) -> Tuple[int, int, int]:
-    return tuple(int(np.count_nonzero(labels == lab))
-                 for lab in ("loop", "interval", "outlier"))
+def _counts(labels: Sequence[str]) -> Tuple[int, int, int]:
+    return tuple(labels.count(lab) for lab in ("loop", "interval", "outlier"))
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    # piecewise-linear interpolation, as slope * (x - xp[j]) + fp[j] on the
+    # last segment with xp[j] <= x; xp increasing and x in [xp[0], xp[-1]]
+    j = bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 def _ks(cdf: Sequence[float]) -> float:
@@ -295,27 +306,26 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
 
     # one projection per zero; every tolerance below only thresholds it
     zeros = [complex(z) for z in zset.zeros]
-    zs = np.array(zeros, dtype=np.complex128)
-    d_int = contour.interval_gap(ctx, zs)
+    d_int = contour.interval_gap(ctx, zeros)
     if gamma is None:
-        # hypot, not np.abs: it rounds like abs() of a builtin complex
-        s_loop, d_loop = None, np.hypot(zs.real, zs.imag)
+        s_loop, d_loop = None, [abs(z) for z in zeros]
     else:
-        s_loop, d_loop = contour.project_to_loop(gamma, zs)
-    labels = _classify(zs, d_int, d_loop, opts.classify_tol)
+        s_loop, d_loop = contour.project_to_loop(gamma, zeros)
+    labels = _classify(zeros, d_int, d_loop, opts.classify_tol)
     n_loop, n_int, n_out = _counts(labels)
-    max_dev = float(np.max(np.minimum(d_int, d_loop), initial=0.0))
+    max_dev = max(map(min, d_int, d_loop), default=0.0)
     ks_loop = 0.0
     if gamma is not None:
         arcs, cum = measure.loop_cdf_points(spec_m)
-        ss = np.sort(s_loop[labels == "loop"])
-        ks_loop = _ks((np.interp(ss, arcs, cum) / cum[-1]).tolist())
+        ss = sorted(s for s, lab in zip(s_loop, labels) if lab == "loop")
+        ks_loop = _ks([_interp(s, arcs, cum) / cum[-1] for s in ss])
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
     ks_interval = _ks([float(measure.cdf_interval(ctx, min(max(x, b1), b2)))
                        / (1 - float(ctx.A))
-                       for x in np.sort(zs.real[labels == "interval"]).tolist()])
+                       for x in sorted(z.real for z, lab in zip(zeros, labels)
+                                       if lab == "interval")])
     mass = Fraction(n_loop + origin_mult, n) - a_n
-    sweep = tuple((delta, *_counts(_classify(zs, d_int, d_loop, delta)))
+    sweep = tuple((delta, *_counts(_classify(zeros, d_int, d_loop, delta)))
                   for delta in opts.sweep)
 
     return ComparisonReport(
@@ -333,7 +343,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
         origin_multiplicity=origin_mult,
         valid=valid,
         sweep=sweep,
-        zeros=tuple((z.real, z.imag, str(lab)) for z, lab in zip(zeros, labels)),
+        zeros=tuple((z.real, z.imag, lab) for z, lab in zip(zeros, labels)),
     )
 
 

@@ -198,8 +198,8 @@ def phi_closed_form(A, beta1, beta2, z, sqrt, log):
 
     with c = 2 - A = (beta1 + beta2)/2, rho = (beta2 - beta1)/2, principal
     Log and R = sqrt(z - beta1) * sqrt(z - beta2).  sqrt and log are the
-    caller's elementary functions (mpmath at the working precision, cmath,
-    or numpy on complex arrays), so one formula serves every precision.
+    caller's elementary functions (mpmath at the working precision, or
+    cmath in float64), so one formula serves every precision.
 
     Both Log arguments have modulus > 1 off [beta1, beta2] and reach the
     negative reals only on the real axis, so the value is exact off the

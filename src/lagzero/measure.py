@@ -7,22 +7,23 @@ r = infinity case replaces the loop by an atom of mass A at the origin,
 stored symbolically.
 
 Both CDFs are closed forms in the landscape module's phi.  On the
-interval F(x) = Im phi_+(x)/pi, in mpmath for cdf_interval and in
-float64 for the interval quantiles.  Along Gamma_r, where Re phi = r/2,
-dnu_r = d(Im phi)/pi, evaluated in float64 at the traced vertices and
-interpolated linearly between them for the loop quantiles.  The log
-potential follows from phi and the constant ell.  Only the interval
-mass integrates against the density in mpmath
+interval F(x) = Im phi_+(x)/pi, in mpmath for cdf_interval and in cmath
+for the interval quantiles.  Along Gamma_r, where Re phi = r/2,
+dnu_r = d(Im phi)/pi: the tracer keeps Im phi at every vertex it places
+(gamma.upper_mass), and the loop quantiles interpolate linearly between
+the vertices.  The log potential follows from phi and the constant ell.
+Only the interval mass integrates against the density in mpmath
 (landscape.interval_integral).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
 from mpmath import mp
 
 from lagzero.contour import ContourPolyline, project_to_loop
@@ -108,7 +109,7 @@ def mp_density(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 def nu_density_at(ctx: PotentialContext, p: complex) -> float:
     # raw |R(p)/p| / (2 pi) with no on-curve check; float64
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    rp = np.sqrt(complex(p - b1)) * np.sqrt(complex(p - b2))
+    rp = cmath.sqrt(p - b1) * cmath.sqrt(p - b2)
     return abs(rp / p) / (2 * math.pi)
 
 
@@ -131,20 +132,18 @@ def nu_arclength_density(spec: MeasureSpec, p: complex) -> float:
 # masses and CDFs
 
 
-def loop_cdf_points(spec: MeasureSpec) -> Tuple[np.ndarray, np.ndarray]:
+def loop_cdf_points(spec: MeasureSpec) -> Tuple[List[float], List[float]]:
     """Cumulative nu_r mass at each vertex, clockwise from x_r, in closed form.
 
     dnu_r = R(s) ds / (2 pi i s) and phi' = R/(2z), with Re phi = r/2
     along Gamma_r, so dnu_r = d(Im phi)/pi: on the upper arc the mass
     from x_r to p is (Im phi(p) + A pi/2)/pi, exactly 0 at x_r and A/2
-    at the positive crossing.  The lower half is A minus the mirror.
+    at the positive crossing, which the tracer stores as
+    gamma.upper_mass.  The lower half is A minus the mirror.
     """
     A = float(spec.ctx.A)
-    b1, b2 = float(spec.ctx.beta1), float(spec.ctx.beta2)
-    upper = np.array(spec.gamma.upper_arc[1:-1], dtype=np.complex128)
-    inner = phi_closed_form(A, b1, b2, upper, np.sqrt, np.log).imag / math.pi + A / 2
-    half = np.concatenate([[0.0], inner, [A / 2]])
-    return np.array(spec.gamma.arclengths), np.concatenate([half, A - half[-2::-1]])
+    half = list(spec.gamma.upper_mass)
+    return list(spec.gamma.arclengths), half + [A - m for m in reversed(half[:-1])]
 
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
@@ -222,32 +221,42 @@ def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
     """
     if k <= 0:
         return []
-    pts = np.array(spec.gamma.upper_arc, dtype=np.complex128)
-    cum = loop_cdf_points(spec)[1][: len(pts)]
-    targets = (np.arange(k // 2) + (1.0 if k % 2 else 0.5)) * float(spec.ctx.A) / k
-    i = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(pts) - 2)
-    t = (targets - cum[i]) / (cum[i + 1] - cum[i])
-    top = [complex(p) for p in pts[i] + t * (pts[i + 1] - pts[i])]
-    return top + [complex(pts[0])] * (k % 2) + [p.conjugate() for p in top]
+    pts, cum = spec.gamma.upper_arc, spec.gamma.upper_mass
+    A = float(spec.ctx.A)
+    top = []
+    for j in range(k // 2):
+        target = (j + (1.0 if k % 2 else 0.5)) * A / k
+        i = min(max(bisect_right(cum, target) - 1, 0), len(pts) - 2)
+        t = (target - cum[i]) / (cum[i + 1] - cum[i])
+        top.append(pts[i] + t * (pts[i + 1] - pts[i]))
+    return top + [pts[0]] * (k % 2) + [p.conjugate() for p in top]
 
 
 def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
     """k real points at Marchenko-Pastur quantiles (j+1/2)/k.
 
-    Bisection on the closed-form CDF pi F(x) = Im phi_+(x), in float64
-    and vectorised over the k targets.
+    Bisection on the closed-form CDF pi F(x) = Im phi_+(x), in cmath, per
+    target; it stops once a halving leaves the bracket as it was, which
+    every later halving would too.
     """
     if k <= 0:
         return []
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
-    targets = (np.arange(k) + 0.5) / k * (1 - A) * math.pi
-    lo, hi = np.full(k, b1), np.full(k, b2)
-    # 64 halvings shrink beta2 - beta1 < 4 below 2^-62
-    for _ in range(64):
-        mid = (lo + hi) / 2
-        # +0 imaginary parts select the limit from above
-        below = phi_closed_form(A, b1, b2, mid.astype(complex),
-                                np.sqrt, np.log).imag < targets
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return [float(x) for x in (lo + hi) / 2]
+    out = []
+    for j in range(k):
+        target = (j + 0.5) / k * (1 - A) * math.pi
+        lo, hi = b1, b2
+        # 64 halvings shrink beta2 - beta1 < 4 below 2^-62
+        for _ in range(64):
+            mid = (lo + hi) / 2
+            # the +0 imaginary part selects the limit from above
+            if phi_closed_form(A, b1, b2, complex(mid, 0.0), cmath.sqrt, cmath.log).imag < target:
+                if lo == mid:
+                    break
+                lo = mid
+            else:
+                if hi == mid:
+                    break
+                hi = mid
+        out.append((lo + hi) / 2)
+    return out

@@ -40,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import mpmath as mp
-import numpy as np
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .debuglog import debug
@@ -49,6 +48,7 @@ from .errors import NonConvergence
 MAX_ITERATIONS = 200
 # the precision of the first Aberth pass; the lift raises it to the caller's
 LOW_BITS = 128
+_LOG2 = math.log(2)
 
 
 @dataclass(frozen=True)
@@ -193,18 +193,20 @@ def _within(cx, cy, x, y, tol, prec):
     return (cx * cx + cy * cy) << (2 * prec) <= tol * tol * max(1 << (2 * prec), x * x + y * y)
 
 
-def _aberth_fixed(cs, zs, twin, prec, tol, floor, max_iterations):
+def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
     zs holds representatives: the roots are zs plus conj(zs[i]) for each i
-    with twin[i] set (see _pair_sums). Returns the sweep count, or None
+    with twin[i] set (see _pair_sums). tol, in 2^-prec units, is the
+    freeze tolerance, the nudge off a critical point and the offset that
+    parts coincident approximations. Returns the sweep count, or None
     when max_iterations run out; zs is updated in place either way.
     """
     one = 1 << prec
     active = list(range(len(zs)))
     for it in range(1, max_iterations + 1):
         # every pair sum is taken before any root moves (Jacobi order)
-        sums = _pair_sums(zs, twin, active, prec, floor)
+        sums = _pair_sums(zs, twin, active, prec, tol)
         still = []
         for i in active:
             x, y = zs[i]
@@ -309,18 +311,31 @@ def _certificate(cs, fixed, prec, log_tol):
             bound = upper[x, abs(y)] = bound + 2 * (n + 1)
         bounds.append(bound)
         log_m.append(max(0.0, math.log(m or 1) - shift))
-    dist = np.zeros((n, n))  # log |z_i - z_j|, -inf where two coincide
+    # log |z_i - z_j|, -inf where two coincide
+    dist = [[0.0] * n for _ in range(n)]
     for i, (x, y) in enumerate(fixed):
         for j, (u, v) in enumerate(fixed[:i]):
             dd = (x - u) ** 2 + (y - v) ** 2
-            dist[i, j] = dist[j, i] = 0.5 * math.log(dd) - shift if dd else -math.inf
-    log_m = np.array(log_m)
-    log_r = (math.log(2 * n) - shift + np.array([math.log(b) for b in bounds])
-             + n * log_m - dist.sum(axis=1))
-    meets = dist <= np.logaddexp.outer(log_r, log_r)
-    np.fill_diagonal(meets, False)
-    suspect = np.flatnonzero(meets.any(axis=1) | (log_r > log_tol + log_m))
-    return bounds, log_r, tuple(int(i) for i in suspect)
+            dist[i][j] = dist[j][i] = 0.5 * math.log(dd) - shift if dd else -math.inf
+    log_r = [math.log(2 * n) - shift + math.log(b) + n * lm - math.fsum(row)
+             for b, lm, row in zip(bounds, log_m, dist)]
+    # disks i and j meet when log |z_i - z_j| <= log(r_i + r_j), which is
+    # at most log 2 + max log_r
+    reach = _LOG2 + max(log_r)
+    suspect = {i for i in range(n) if log_r[i] > log_tol + log_m[i]}
+    for i, row in enumerate(dist):
+        for j in range(i):
+            if row[j] <= reach and row[j] <= _logaddexp(log_r[i], log_r[j]):
+                suspect.update((i, j))
+    return bounds, log_r, tuple(sorted(suspect))
+
+
+def _logaddexp(a, b):
+    # log(e^a + e^b) without overflow, and exactly a + log 2 at a == b
+    if a == b:
+        return a + _LOG2
+    d = a - b
+    return a + math.log1p(math.exp(-d)) if d > 0 else b + math.log1p(math.exp(d))
 
 
 def _guard_bits(exact) -> int:
@@ -389,7 +404,7 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             half = 1 << (word - bits // 2)  # 2^-(bits/2)
             fixed = _to_fixed(reps, word)
             sweeps = _aberth_fixed([c >> (prec - word) for c in cs], fixed, twin, word,
-                                   half, half, max_iterations)
+                                   half, max_iterations)
             iterations += max_iterations if sweeps is None else sweeps
             debug(__name__, "%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
             if full:

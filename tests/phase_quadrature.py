@@ -219,8 +219,16 @@ def loop_log_trapezoid(ctx, gamma, z):
         return ctx.A * mp.log(z) + total
 
 
+def as_arrays(gamma):
+    """(vertices, arclengths) of a traced polyline as numpy arrays."""
+    return (
+        np.array(gamma.points, dtype=np.complex128),
+        np.array(gamma.arclengths, dtype=np.float64),
+    )
+
+
 def _vertex_densities(spec):
-    pts, arcs = spec.gamma.as_arrays()
+    pts, arcs = as_arrays(spec.gamma)
     dens = np.array(
         [measure.nu_density_at(spec.ctx, complex(p)) for p in pts], dtype=np.float64
     )
@@ -279,7 +287,7 @@ def log_potential(spec, z):
     interval."""
     ctx = spec.ctx
     z = complex(z)
-    pts, _ = spec.gamma.as_arrays()
+    pts, _ = as_arrays(spec.gamma)
     dens, arcs = _vertex_densities(spec)
     loop_part = _simpson_irregular(
         arcs, np.log(np.abs(z - pts)) * dens)

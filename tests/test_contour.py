@@ -198,6 +198,16 @@ def test_project_to_loop_zero_length_segment(ctx81):
     _assert_kernel_matches_reference(ctx81, g, zs)
 
 
+def test_project_to_loop_far_points_match_segment_loop(ctx81):
+    # far from the loop the rounding of |z - v| outgrows any fixed margin;
+    # the pruned walk must still find the reference's segment
+    g = contour.trace_gamma(ctx81, 0.0, max_step=0.05)
+    rng = random.Random(1)
+    zs = [10.0 ** e * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+          for e in (3, 6, 9, 12, 15) for _ in range(12)]
+    _assert_kernel_matches_reference(ctx81, g, zs)
+
+
 def test_project_to_loop(ctx81):
     gamma = contour.trace_gamma(ctx81, 0.0)
     s, dist = contour.project_to_loop(gamma, gamma.points[12])
@@ -285,10 +295,3 @@ def test_winding_number_of_a_loop_below_1e_154():
     g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(range(7)),
                                 max_step=1.0, level_tol=1e-9)
     assert contour.winding_number(g) == -1
-
-
-def test_gamma_as_arrays(ctx75):
-    g = contour.trace_gamma(ctx75, 1.0)
-    pts, arcs = g.as_arrays()
-    assert pts.shape == arcs.shape == (len(g.points),)
-    assert pts.dtype.kind == "c" and arcs.dtype.kind == "f"

@@ -163,7 +163,7 @@ def test_loop_quantiles(ctx81, mu81_r0):
     assert len(qs) == 9
     assert len(set(qs)) == 9
     _, dist = contour.project_to_loop(mu81_r0.gamma, qs)
-    assert all(dist <= 1e-9)
+    assert all(d <= 1e-9 for d in dist)
 
 
 @pytest.mark.parametrize("k", [8, 9])

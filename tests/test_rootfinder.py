@@ -140,7 +140,7 @@ def test_real_roots_stay_real_through_the_nudge():
     one = 1 << prec
     zs = [(0, 0), (3 * one, 0)]
     it = rootfinder._aberth_fixed([-one, 0, one], zs, [False, False], prec,
-                                  one >> 40, 1, 50)
+                                  one >> 40, 50)
     assert it is not None
     assert [y for _, y in zs] == [0, 0]
     assert abs(zs[0][0] + one) <= 2 and abs(zs[1][0] - one) <= 2
@@ -222,7 +222,7 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
         fixed = rootfinder._to_fixed(reps, prec)
         tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
-        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, tol, tol,
+        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, tol,
                                         rootfinder.MAX_ITERATIONS) is not None
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
@@ -271,6 +271,33 @@ def test_import_leaves_logging_unloaded():
         [sys.executable, "-c", "import sys, lagzero.cli; print('logging' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_commands_leave_numpy_unloaded():
+    # every command runs in a fresh process, and importing numpy would
+    # cost each more start-up than most of them spend computing
+    src = os.path.dirname(os.path.dirname(lagzero.__file__))
+    script = """
+import contextlib, io, sys
+import lagzero.cli as cli
+print('numpy' in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["betas", "--A", "0.81"],
+                 ["contour", "--A", "0.81", "--r", "1"],
+                 ["zeros", "--n", "12", "--alpha", "-9.6"],
+                 ["verify", "--n", "12", "--alpha", "-9.6"],
+                 ["verify", "--n", "12", "--alpha", "-9"],
+                 ["asymp", "--n", "12", "--alpha", "-9.6", "--regime", "nth_root",
+                  "--r", "0.5", "--points=3+1j"],
+                 ["asymp", "--n", "12", "--alpha", "-9.6", "--regime", "outer",
+                  "--points=3+1j"]):
+        assert cli.main(argv) == 0, argv
+print('numpy' in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\nFalse\n"
 
 
 def test_conjugate_pairing():
