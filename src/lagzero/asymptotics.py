@@ -10,15 +10,17 @@ compare against exact evaluation:
   limit measure.
 
 Each formula takes the PotentialContext of A_n = -alpha/n (nth_root
-through its MeasureSpec), built once by the caller at its working
-precision, and evaluates its prediction at that precision.
+through its MeasureSpec), built once by the caller, and evaluates its
+prediction at LANDSCAPE_BITS.
 
 The oscillatory value restores the exponential growth envelope
 e^{n(x + A log x + ell)/2} * n^n / n! that the bare cosine term needs to
-be comparable with L_n^{(alpha_n)}(nx); the amplitude constant
-sqrt(beta2 - beta1) was calibrated against exact evaluation and the
-O(1/n) decay of the relative error is what the test suite checks.
-Correction terms of order 1/n are dropped throughout.
+be comparable with L_n^{(alpha_n)}(nx).  Amplitude and phase are those of
+N11_+(x): with a_+ = t e^{i pi/4}, t^4 = (beta2 - x)/(x - beta1), the
+amplitude sqrt(beta2 - beta1) ((beta2 - x)(x - beta1))^{-1/4} is exactly
+2|N11_+(x)|, and the arcsine term asin((2x - beta1 - beta2)/(beta2 -
+beta1))/2 is -arg N11_+(x).  Correction terms of order 1/n are dropped
+throughout; the O(1/n) decay of the relative error is what the tests check.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from mpmath import mp
 
 from . import contour, laguerre, measure
 from .errors import DomainError
-from .landscape import PotentialContext, ell_constant
+from .landscape import LANDSCAPE_BITS, PotentialContext, ell_constant
 
 # closest approach to the support that the outer formula accepts
 OUTER_CLEARANCE = 0.2
@@ -54,7 +56,7 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
         raise DomainError(
             f"z={complex(zc)} is within {OUTER_CLEARANCE} of the limit set"
         )
-    with mp.workprec(ctx_n.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         # (z-b2)/(z-b1) maps the cut plane off the negative reals, so the
         # principal fourth root realizes the a -> 1 normalization
         ratio = (zc - ctx_n.beta2) / (zc - ctx_n.beta1)
@@ -78,7 +80,7 @@ def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
         )
     ell = ell_constant(ctx)
     phase = oscillatory_phase(ctx, n, x)
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         xm = mp.mpf(x)
         envelope = mp.power(n, n) / mp.factorial(n)
         envelope *= mp.e ** (n * (xm + ctx.A * mp.log(xm) + ell) / 2)
@@ -92,7 +94,7 @@ def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
     """Phase of the cosine in oscillatory_value, for zero counting."""
     # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
     # phase; the integral term vanishes at x = beta2
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
         return phase + mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
                                / (ctx.beta2 - ctx.beta1)) / 2

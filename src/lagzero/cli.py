@@ -14,9 +14,11 @@ produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
 failure (Newton stalled, or the level's loop underflows float64), 4
 root-finder non-convergence, 5 asymptotic-domain violation.
 
-The LAGZERO_PRECISION environment variable overrides the default
-working precision (bits) wherever --precision is not given explicitly;
-either must be at least 64.
+The working precision (bits) sizes only the polynomial side of zeros,
+verify and asymp; the landscape runs at landscape.LANDSCAPE_BITS, so betas
+and contour take no --precision. The LAGZERO_PRECISION environment
+variable overrides the default wherever --precision is not given; either
+must be at least 64, for every subcommand.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ EXIT_ASYMP_DOMAIN = 5
 
 
 def _precision_from(args) -> Optional[int]:
-    bits, env = args.precision, os.environ.get(ENV_PRECISION)
+    bits, env = getattr(args, "precision", None), os.environ.get(ENV_PRECISION)
     if bits is None and env:
         try:
             bits = int(env)
@@ -83,14 +85,14 @@ def _parse_r(raw: str) -> float:
 
 
 def cmd_betas(args) -> int:
-    ctx = make_context(args.A, precision_bits=args.precision or 256)
+    ctx = make_context(args.A)
     doc = {"A": args.A, "beta1": float(ctx.beta1), "beta2": float(ctx.beta2)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_contour(args) -> int:
-    ctx = make_context(args.A, precision_bits=args.precision or 256)
+    ctx = make_context(args.A)
     r = _parse_r(args.r)
     if math.isinf(r):
         raise DomainError("Gamma_inf degenerates to the origin; no polyline")
@@ -159,7 +161,7 @@ def cmd_asymp(args) -> int:
     alpha_f = laguerre.parse_alpha(args.alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
     bits = args.precision or harness.working_precision(n, alpha_f)
-    ctx = make_context(a_n, precision_bits=max(bits, 256))
+    ctx = make_context(a_n)
     lines = ["point,exact,predicted,rel_error"]
 
     if args.regime == "oscillatory":
@@ -202,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("betas", help="endpoints beta1, beta2 for a given A")
     p.add_argument("--A", required=True, help="A in (0,1], exact decimal string")
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_betas)
 
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", required=True, help="level parameter, >= 0")
     p.add_argument("--step", type=float, default=None,
                    help="max step (default (beta2-beta1)/400)")
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_contour)
 

@@ -154,6 +154,8 @@ def make_plan(A, r: float, n_values: Sequence[int],
     A = laguerre.parse_alpha(A)
     if not 0 < A < 1:
         raise PlanError(f"A={A} outside (0,1)")
+    if not r >= 0:  # NaN too
+        raise PlanError(f"r={r} is not a rate >= 0")
     n_values = tuple(int(n) for n in n_values)
     if overrides is not None and len(overrides) != len(n_values):
         raise PlanError("need exactly one override alpha per n")
@@ -229,9 +231,9 @@ def _seeds_for(deg: int, alpha: Fraction, spec_m, origin_mult: int):
 
 
 def working_precision(n: int, alpha) -> int:
-    """The working precision of every command on (n, alpha): at least
-    max(256, 4n + 64) bits, raised for near-integer alpha, whose constant
-    coefficient scales with dist(alpha, Z)."""
+    """Bits for the polynomial side (coefficients, find_zeros, eval_poly)
+    on (n, alpha): at least max(256, 4n + 64), raised for near-integer
+    alpha, whose constant coefficient scales with dist(alpha, Z)."""
     alpha_f = laguerre.parse_alpha(alpha)
     dist = dist_to_integers(alpha_f)
     bits = max(256, 4 * n + 64)
@@ -273,7 +275,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     if r_hat == math.inf and -n <= alpha_f <= -1:
         origin_mult, work_n, work_alpha = laguerre.integer_reduction(n, alpha_f)
     if 0 < a_n < 1:
-        ctx = make_context(a_n, precision_bits=max(bits, 256))
+        ctx = make_context(a_n)
         spec_m = measure.make_measure(ctx, r_hat)
         seeds = _seeds_for(work_n, alpha_f, spec_m, origin_mult)
 

@@ -9,19 +9,21 @@ and the g-function of the limit measure.  This module owns those objects
 together with the endpoints beta1, beta2, the constant c_n and the
 g-function normalization constant ell.
 
+These objects depend on A alone and leave the program as float64, so
+they run at one precision, LANDSCAPE_BITS, whatever n and alpha_n are.
+
 phi has an elementary antiderivative (phi_closed_form), written once and
-evaluated in mpmath at the context's precision here and in float64 by
-the contour tracer and the interval quantiles; ell is closed form too.
+evaluated in mpmath at LANDSCAPE_BITS here and in float64 by the contour
+tracer and the interval quantiles; ell is closed form too.
 The one adaptive quadrature, Gauss-Legendre with recursive bisection
 (quad_seg), is left for integrals against the interval density
 (interval_integral, used by g and the interval mass), whose cosine
 substitution absorbs the square-root endpoint zeros.  It runs at the
-precision its result needs, not the context's: QUAD_BITS = 96, or
-ceil(log2(1/tol)) + _GUARD_BITS for a tolerance finer than that.
+precision its result needs: QUAD_BITS = 96, or more for a finer tolerance.
 mpmath raises the Gauss-Legendre degree until its error estimate meets
 mpmath's own working precision, whatever tol asks: at 96 bits a panel
-stops at the 48-node rule, at the context's few hundred bits only the
-96-node rule, with its nodes computed afresh, would do.
+stops at the 48-node rule, at LANDSCAPE_BITS only the 96-node rule, with
+its nodes computed afresh, would do.
 """
 
 from __future__ import annotations
@@ -40,13 +42,16 @@ from lagzero.errors import BranchCutError, DomainError, QuadratureError
 
 Scalar = Union[int, float, str, Fraction]
 
-# extra working bits on top of the context precision; quadrature sums
-# lose a few trailing bits to cancellation
+# working precision of every landscape value outside interval_integral:
+# endpoints, R, phi, phi~, c_n, g and ell
+LANDSCAPE_BITS = 256
+
+# bits interval_integral adds to the ones a tolerance finer than QUAD_BITS
+# asks for; its quadrature sums lose a few trailing bits to cancellation
 _GUARD_BITS = 24
 
 # absolute tolerance of every quad_seg integral against the interval density;
-# interval_integral meets it at QUAD_BITS, and a caller asking for more than
-# QUAD_BITS can give gets ceil(log2(1/tol)) + _GUARD_BITS instead
+# interval_integral meets it at QUAD_BITS, and raises the bits for a finer one
 QUAD_TOL = 1e-12
 
 # working precision of interval_integral: a double's 53 bits, up to 11 bits
@@ -74,7 +79,6 @@ class PotentialContext:
     A: mp.mpf
     beta1: mp.mpf
     beta2: mp.mpf
-    precision_bits: int
 
 
 def _to_mpf(value: Scalar) -> mp.mpf:
@@ -85,31 +89,21 @@ def _to_mpf(value: Scalar) -> mp.mpf:
     return mp.mpf(value)
 
 
-def make_context(
-    A: Scalar,
-    precision_bits: int = 256,
-) -> PotentialContext:
-    """Build the landscape context for A in (0, 1].
+def make_context(A: Scalar) -> PotentialContext:
+    """Build the landscape context for A in (0, 1], at LANDSCAPE_BITS.
 
     A = 1 is allowed only as a degenerate case (beta1 = beta2 = 1); the
-    theorems of interest live on (0, 1).  Values outside (0, 1], and
-    precision_bits below 64, raise DomainError.
+    theorems of interest live on (0, 1).  Values outside (0, 1] raise
+    DomainError.
     """
-    if precision_bits < 64:
-        raise DomainError("precision_bits must be at least 64")
-    with mp.workprec(precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         a = _to_mpf(A)
         if not (0 < a <= 1):
             raise DomainError(f"A must lie in (0, 1], got {a}")
         beta2 = 2 - a + 2 * mp.sqrt(1 - a)
         # beta1 beta2 = A^2; 2 - A - 2 sqrt(1 - A) cancels at small A
         beta1 = a * a / beta2
-    return PotentialContext(
-        A=a,
-        beta1=beta1,
-        beta2=beta2,
-        precision_bits=precision_bits,
-    )
+    return PotentialContext(A=a, beta1=beta1, beta2=beta2)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +164,7 @@ def R_eval(
     infinity, R < 0 on (-inf, beta1), and the boundary values on the cut
     are R_pm(x) = +-i sqrt((x - beta1)(beta2 - x)).
     """
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         w = mp.mpc(z)
         b1, b2 = ctx.beta1, ctx.beta2
         if mp.im(w) == 0:
@@ -198,7 +192,7 @@ def phi_closed_form(A, beta1, beta2, z, sqrt, log):
 
     with c = 2 - A = (beta1 + beta2)/2, rho = (beta2 - beta1)/2, principal
     Log and R = sqrt(z - beta1) * sqrt(z - beta2).  sqrt and log are the
-    caller's elementary functions (mpmath at the working precision, or
+    caller's elementary functions (mpmath at the caller's precision, or
     cmath in float64), so one formula serves every precision.
 
     Both Log arguments have modulus > 1 off [beta1, beta2] and reach the
@@ -239,7 +233,7 @@ def phi_eval(
     Raises DomainError at z = 0 and BranchCutError on a cut without a
     side.
     """
-    with mp.workprec(ctx.precision_bits + _GUARD_BITS):
+    with mp.workprec(LANDSCAPE_BITS):
         w = mp.mpc(z)
         if w == 0:
             raise DomainError("phi has a logarithmic singularity at 0")
@@ -272,7 +266,7 @@ def phi_tilde_eval(
     Equals phi(z) -+ i pi (1 - A) in the upper/lower half-plane; real and
     positive on (beta2, inf).  DomainError on the cut.
     """
-    with mp.workprec(ctx.precision_bits + _GUARD_BITS):
+    with mp.workprec(LANDSCAPE_BITS):
         w = mp.mpc(z)
         y = mp.im(w)
         if y == 0:
@@ -290,18 +284,16 @@ def phi_tilde_eval(
 # the constant c_n and the decay rate
 
 
-def c_constant(
-    n: int, A_n: Union[Fraction, int, str, mp.mpf], precision_bits: int = 256
-) -> mp.mpc:
+def c_constant(n: int, A_n: Union[Fraction, int, str, mp.mpf]) -> mp.mpc:
     """c_n = 2i sin(n A_n pi).
 
-    The argument reduction of n*A_n happens exactly (Fraction) or at full
-    working precision (mpf); Python floats are rejected because a binary
+    The argument reduction of n*A_n happens exactly (Fraction) or at
+    LANDSCAPE_BITS (mpf); Python floats are rejected because a binary
     rounding of A_n destroys near-integer distances.
     """
     if isinstance(A_n, float):
         raise TypeError("A_n must be Fraction, str, int or mpf, not float")
-    with mp.workprec(precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         if isinstance(A_n, (Fraction, int)):
             t = Fraction(n) * Fraction(A_n)
             k = t.numerator // t.denominator
@@ -345,8 +337,8 @@ def interval_integral(
     """Integral over [beta1, beta2] of f(s) against the Marchenko-Pastur
     density sqrt((s-beta1)(beta2-s))/(2 pi s), to absolute tolerance tol.
 
-    Runs at max(QUAD_BITS, ceil(log2(1/tol)) + _GUARD_BITS) bits whatever
-    the caller's precision, so f sees arguments rounded to those bits.
+    Runs at max(QUAD_BITS, ceil(log2(1/tol)) + _GUARD_BITS) bits, not at
+    LANDSCAPE_BITS, so f sees arguments rounded to those bits.
     The substitution s = mid - half*cos(t) absorbs both square-root
     endpoint zeros of the density.
     """
@@ -396,7 +388,7 @@ def g_eval(
     """
     from lagzero import contour as _contour
 
-    with mp.workprec(ctx.precision_bits + _GUARD_BITS):
+    with mp.workprec(LANDSCAPE_BITS):
         w = mp.mpc(z)
         if mp.im(w) == 0 and ctx.beta1 <= mp.re(w) <= ctx.beta2:
             raise DomainError("g is singular on the support [beta1, beta2]")
@@ -428,5 +420,5 @@ def ell_constant(ctx: PotentialContext) -> mp.mpf:
     so the interval part of g is (z - A Log z - 2 phi~(z) + ell)/2; ell is
     the constant that makes it log z + O(1/z) at infinity.
     """
-    with mp.workprec(ctx.precision_bits + _GUARD_BITS):
+    with mp.workprec(LANDSCAPE_BITS):
         return ctx.A - 2 + (1 - ctx.A) * mp.log(1 - ctx.A)

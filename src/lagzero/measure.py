@@ -29,6 +29,7 @@ from mpmath import mp
 from lagzero.contour import ContourPolyline, project_to_loop
 from lagzero.errors import DomainError
 from lagzero.landscape import (
+    LANDSCAPE_BITS,
     QUAD_TOL,
     BoundarySide,
     PotentialContext,
@@ -98,7 +99,7 @@ def _clamp_to_interval(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
 
 def mp_density(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
     """sqrt((x-beta1)(beta2-x)) / (2 pi x) on [beta1, beta2]."""
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         x = _clamp_to_interval(ctx, mp.mpf(x))
         b1, b2 = ctx.beta1, ctx.beta2
         if x == b1 or x == b2:
@@ -148,7 +149,7 @@ def loop_cdf_points(spec: MeasureSpec) -> Tuple[List[float], List[float]]:
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
     """Integral of mp_density over [beta1, beta2] by quadrature (= 1-A),
-    to QUAD_TOL at interval_integral's own precision, not the context's.
+    to QUAD_TOL at interval_integral's own precision, not LANDSCAPE_BITS.
 
     Unlike cdf_interval(ctx, beta2), this never takes the closed-form
     shortcut, so it exercises the density itself.
@@ -159,7 +160,7 @@ def interval_mass(ctx: PotentialContext) -> mp.mpf:
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
     """Integral of mp_density from beta1 to x, in closed form as
     Im phi_+(x)/pi; equals 1-A at x = beta2."""
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(LANDSCAPE_BITS):
         x = _clamp_to_interval(ctx, mp.mpf(x))
         if x == ctx.beta2:
             return 1 - ctx.A
@@ -185,7 +186,7 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
     ctx = spec.ctx
     A, b1, b2 = ctx.A, ctx.beta1, ctx.beta2
     w = mp.mpc(z)
-    with mp.workprec(ctx.precision_bits + max(0, mp.mag(w))):
+    with mp.workprec(LANDSCAPE_BITS + max(0, mp.mag(w))):
         if math.isinf(spec.r):
             if abs(w) < 1e-12:
                 raise DomainError("z at the atom")

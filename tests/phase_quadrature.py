@@ -25,6 +25,10 @@ from lagzero.landscape import BoundarySide, quad_seg
 
 GUARD_BITS = 24
 
+# the oracles' own precision: the bits interval_integral meets QUAD_TOL at,
+# plus guard bits for the cancellation in pole-subtracted phi
+ORACLE_BITS = landscape.QUAD_BITS + GUARD_BITS
+
 
 def _leg_from_branch_point(ctx, base, other, delta, tol):
     # vertical leg base -> base + i*delta; s = base + i*delta*tau^2 absorbs
@@ -99,7 +103,7 @@ def _right_integral(ctx, x):
 
 def phi(ctx, z, side=BoundarySide.OFF_AXIS):
     """phi(z) by quadrature, with landscape.phi_eval's side convention."""
-    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+    with mp.workprec(ORACLE_BITS):
         w = mp.mpc(z)
         if w == 0:
             raise DomainError("phi has a logarithmic singularity at 0")
@@ -132,14 +136,19 @@ def phi(ctx, z, side=BoundarySide.OFF_AXIS):
 
 def phi_tilde(ctx, z):
     """phi~(z) = (1/2) Integral_{beta2}^{z} R(s)/s ds by quadrature."""
-    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+    # compared with beta2 at the endpoints' precision: rounded to
+    # ORACLE_BITS first, z = beta2 would land below it
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        w = mp.mpc(z)
+        if mp.im(w) == 0 and mp.re(w) < ctx.beta2:
+            raise DomainError("phi~ is not defined on (-inf, beta2)")
+        if w == ctx.beta2:
+            return mp.mpc(0)
+    with mp.workprec(ORACLE_BITS):
         w = mp.mpc(z)
         y = mp.im(w)
         if y == 0:
-            x = mp.re(w)
-            if x < ctx.beta2:
-                raise DomainError("phi~ is not defined on (-inf, beta2)")
-            return mp.mpc(_right_integral(ctx, x) / 2) if x > ctx.beta2 else mp.mpc(0)
+            return mp.mpc(_right_integral(ctx, mp.re(w)) / 2)
         if y < 0:
             return mp.conj(_upper(ctx, ctx.beta2, ctx.beta1, mp.conj(w)))
         return _upper(ctx, ctx.beta2, ctx.beta1, w)
@@ -147,7 +156,7 @@ def phi_tilde(ctx, z):
 
 def cdf_interval(ctx, x):
     """Integral of the interval density from beta1 to x, beta1 <= x <= beta2."""
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(ORACLE_BITS):
         b1, b2 = ctx.beta1, ctx.beta2
         x = mp.mpf(x)
 
@@ -161,15 +170,18 @@ def cdf_interval(ctx, x):
 def cdf_from_beta2(ctx, x):
     """Signed tail Integral_{beta2}^{x} of the interval density,
     nonpositive on [beta1, beta2]; substituted at beta2."""
-    with mp.workprec(ctx.precision_bits):
+    # beta2 - x at the endpoints' precision: at fewer bits x = beta2 leaves
+    # a nonzero length, and at 53 bits a negative one under the sqrt
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        top = mp.sqrt(ctx.beta2 - mp.mpf(x))
+    with mp.workprec(ORACLE_BITS):
         b1, b2 = ctx.beta1, ctx.beta2
-        x = mp.mpf(x)
 
         def f(u):
             s = b2 - u * u
             return 2 * u * u * mp.sqrt(s - b1) / (2 * mp.pi * s)
 
-        return -quad_seg(f, 0, mp.sqrt(b2 - x), landscape.QUAD_TOL)
+        return -quad_seg(f, 0, top, landscape.QUAD_TOL)
 
 
 def ell_richardson(ctx):
@@ -182,7 +194,7 @@ def ell_richardson(ctx):
     agree to 10 * QUAD_TOL.  Odd powers of 1/z feed the imaginary part
     only and decay one order slower, hence its looser 1e-8 bound.
     """
-    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+    with mp.workprec(ORACLE_BITS):
         ys = [mp.mpf(10) ** 3, mp.mpf(10) ** 4, mp.mpf(10) ** 5]
         off = 2 * (1 - ctx.A) * mp.pi * mp.mpc(0, 1)
         raw = []
@@ -208,7 +220,7 @@ def loop_log_trapezoid(ctx, gamma, z):
     density; the rebased factor never reaches the negative reals for z
     outside the loop, so every sample stays on the principal sheet.
     """
-    with mp.workprec(ctx.precision_bits + GUARD_BITS):
+    with mp.workprec(ORACLE_BITS):
         z = mp.mpc(z)
         pts = gamma.points
         total = mp.mpc(0)
@@ -291,7 +303,7 @@ def log_potential(spec, z):
     dens, arcs = _vertex_densities(spec)
     loop_part = _simpson_irregular(
         arcs, np.log(np.abs(z - pts)) * dens)
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(ORACLE_BITS):
         w = mp.mpc(z)
         interval_part = landscape.interval_integral(
             ctx, lambda s: mp.log(abs(w - s)), landscape.QUAD_TOL)

@@ -160,7 +160,7 @@ def test_criterion_09_oscillatory_decay():
     for n in (80, 160):
         alpha = Fraction(-81 * n, 100)
         bits = 4 * n + 64
-        ctx_n = make_context(laguerre.theorem_ratio(n, alpha), bits)
+        ctx_n = make_context(laguerre.theorem_ratio(n, alpha))
         coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha), bits)
         rels = []
         for k in range(20):

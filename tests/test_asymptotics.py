@@ -55,7 +55,7 @@ def test_oscillatory_decay():
     errs = {}
     for n in (40, 80):
         alpha = Fraction(-81 * n, 100)
-        ctx = landscape.make_context(laguerre.theorem_ratio(n, alpha), max(256, 4 * n + 64))
+        ctx = landscape.make_context(laguerre.theorem_ratio(n, alpha))
         pred = asymptotics.oscillatory_value(ctx, n, 1.3)
         with mp.workprec(4 * n + 256):
             a_mp = mp.mpf(alpha.numerator) / alpha.denominator

@@ -141,8 +141,6 @@ def test_unbracketed_level_exit_code(capsys, argv):
     (("verify", "--n", "40", "--alpha", "-32.4", "--sweep", "0.1,0"), cli.EXIT_DOMAIN),
     (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "-1"), cli.EXIT_DOMAIN),
     (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "inf"), cli.EXIT_DOMAIN),
-    (("betas", "--A", "0.81", "--precision", "10"), cli.EXIT_DOMAIN),
-    (("contour", "--A", "0.81", "--r", "0", "--precision", "10"), cli.EXIT_DOMAIN),
     (("zeros", "--n", "0", "--alpha", "-1"), cli.EXIT_DOMAIN),
 ])
 def test_malformed_numeric_flags_exit_code(capsys, argv, code):
@@ -152,14 +150,20 @@ def test_malformed_numeric_flags_exit_code(capsys, argv, code):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
-@pytest.mark.parametrize("argv", [
-    ("betas", "--A", "0.81"),
-    ("contour", "--A", "0.81", "--r", "0"),
-    ("zeros", "--n", "12", "--alpha", "-9.6"),
-    ("verify", "--n", "12", "--alpha", "-9.6"),
-    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root", "--points", "3"),
-], ids=lambda argv: argv[0])
+# betas and contour take no --precision flag, but refuse the variable too
+@pytest.mark.parametrize("argv,via_env", [
+    pytest.param(argv, via_env, id=f"{argv[0]}-{'env' if via_env else 'flag'}")
+    for argv in [
+        ("betas", "--A", "0.81"),
+        ("contour", "--A", "0.81", "--r", "0"),
+        ("zeros", "--n", "12", "--alpha", "-9.6"),
+        ("verify", "--n", "12", "--alpha", "-9.6"),
+        ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+         "--points", "3"),
+    ]
+    for via_env in (False, True)
+    if via_env or argv[0] not in ("betas", "contour")
+])
 def test_precision_zero_is_refused(capsys, monkeypatch, argv, via_env):
     # 0 bits is a precision below the floor, not "use the default"
     if via_env:
@@ -216,7 +220,7 @@ def test_asymp_outer(capsys):
 
 
 # stdout of the outer regime at four points, frozen from the run that
-# integrated g's interval part at the context's 408 bits; the quadrature's
+# integrated g's interval part at 408 bits; the quadrature's
 # own QUAD_BITS must leave every printed digit where it was
 ASYMP_OUTER_FROZEN = (
     "point,exact,predicted,rel_error\n"
@@ -274,6 +278,22 @@ def test_asymp_nth_root_exact_column_follows_precision(capsys):
     # 256 bits is working_precision(40, -32.36): the default run is that run
     assert default == explicit
     assert exact(low) != exact(default)
+
+
+ASYMP_POINTS = {"outer": "4,-2+3j", "oscillatory": "1.0,1.3", "nth_root": "3,1+1j"}
+
+
+@pytest.mark.parametrize("regime", sorted(ASYMP_POINTS))
+def test_asymp_predicted_column_ignores_precision(capsys, regime):
+    # the predictions come from the landscape, at LANDSCAPE_BITS; the
+    # working precision sizes only the exact column
+    argv = ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", regime,
+            "--points=" + ASYMP_POINTS[regime])
+    predicted = lambda text: [row.split(",")[2] for row in text.splitlines()[1:]]  # noqa: E731
+    code_low, low, _ = run_cli(capsys, *argv, "--precision", "64")
+    code_high, high, _ = run_cli(capsys, *argv, "--precision", "1024")
+    assert code_low == code_high == 0
+    assert predicted(low) == predicted(high) and len(predicted(low)) == 2
 
 
 def test_asymp_oscillatory_grid(capsys):

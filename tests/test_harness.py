@@ -75,6 +75,11 @@ def test_make_plan_rejects_bad_input():
         harness.make_plan(Fraction(3, 2), 0.0, [20])
     with pytest.raises(PlanError):
         harness.make_plan(Fraction(4, 5), 0.0, [20, 40], overrides=["-16.5"])
+    # a negative rate would get the r = 0 alphas, NaN no alphas at all
+    with pytest.raises(PlanError):
+        harness.make_plan("0.8", -1.0, [40, 200])
+    with pytest.raises(PlanError):
+        harness.make_plan("0.8", math.nan, [40, 200])
 
 
 def test_make_plan_overrides():

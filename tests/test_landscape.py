@@ -4,6 +4,8 @@ Frozen reference values were computed from closed forms and verified by
 quadrature at 256 bits before being written down here.
 """
 
+import dataclasses
+import inspect
 import logging
 import random
 from fractions import Fraction
@@ -45,13 +47,19 @@ def test_degenerate_edge_allowed():
     assert ctx.beta1 == 1 and ctx.beta2 == 1
 
 
+def test_context_is_the_landscape_of_A_alone():
+    # the landscape owns its precision: no caller passes one in
+    assert [f.name for f in dataclasses.fields(landscape.PotentialContext)] == [
+        "A", "beta1", "beta2"]
+    assert list(inspect.signature(landscape.make_context).parameters) == ["A"]
+    assert list(inspect.signature(landscape.c_constant).parameters) == ["n", "A_n"]
+
+
 def test_make_context_domain():
     with pytest.raises(DomainError):
         landscape.make_context("1.5")
     with pytest.raises(DomainError):
         landscape.make_context(0)
-    with pytest.raises(DomainError):
-        landscape.make_context(Fraction(1, 2), precision_bits=32)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,7 @@ def test_g_interval_part_identity(A):
     ell = landscape.ell_constant(ctx)
     points = [mp.mpc(2, 3), mp.mpc(2, -3), mp.mpc("1.5", "1e-3"),
               mp.mpc("1.5", "-1e-3"), mp.mpc(-1), mp.mpc(ctx.beta2 + 1)]
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(landscape.LANDSCAPE_BITS):
         for z in points:
             if mp.re(z) < 0 and mp.im(z) == 0:
                 phi_t = (landscape.phi_eval(ctx, z, ABOVE)
@@ -379,8 +387,8 @@ def test_g_interval_part_identity(A):
     (Fraction(21, 50), 1e-25), (Fraction(81, 100), 1e-25),
     (Fraction(99, 100), 1e-25),
     # at A = 1/20 the density's 1/s peaks next to beta1 = 6.1e-4 and the
-    # one Gauss-Legendre panel is 2e-17 to 5e-17 off at 96 bits and at the
-    # context's 280 bits alike: the rule's own error, not the precision's
+    # one Gauss-Legendre panel is 2e-17 to 5e-17 off at 96 bits and at 280
+    # bits alike: the rule's own error, not the precision's
     (Fraction(1, 20), 1e-16),
 ])
 def test_interval_integral_accuracy_at_quad_bits(A, bound):
@@ -392,7 +400,7 @@ def test_interval_integral_accuracy_at_quad_bits(A, bound):
     points = [mp.mpc("0.2246", "-3.7387"), mp.mpc("2.8090", "3.9585"),
               mp.mpc("-2.0780", "2.7755"), mp.mpc("-4.2", "-2.5"),
               mp.mpc("1.3", "2.3")]
-    with mp.workprec(ctx.precision_bits):
+    with mp.workprec(landscape.LANDSCAPE_BITS):
         for z in points:
             assert 2.6 <= abs(z) <= 5
             want = (z - ctx.A * mp.log(z) - 2 * landscape.phi_tilde_eval(ctx, z)
@@ -406,7 +414,7 @@ def test_interval_integral_precision_follows_a_fine_tolerance(ctx81):
     # 1e-40 is beyond what QUAD_BITS can resolve: the precision rises to
     # meet it instead of bisecting until QuadratureError
     got = landscape.interval_integral(ctx81, lambda s: 1, 1e-40)
-    with mp.workprec(ctx81.precision_bits):
+    with mp.workprec(landscape.LANDSCAPE_BITS):
         assert abs(got - (1 - ctx81.A)) <= mp.mpf("1e-40")
 
 
