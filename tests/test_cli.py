@@ -141,6 +141,8 @@ def test_unbracketed_level_exit_code(capsys, argv):
     (("verify", "--n", "40", "--alpha", "-32.4", "--sweep", "0.1,0"), cli.EXIT_DOMAIN),
     (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "-1"), cli.EXIT_DOMAIN),
     (("verify", "--n", "40", "--alpha", "-32.4", "--classify-tol", "inf"), cli.EXIT_DOMAIN),
+    (("zeros", "--n", "12", "--alpha", "-9.6", "--precision", "10"), cli.EXIT_DOMAIN),
+    (("verify", "--n", "12", "--alpha", "-9.6", "--precision", "10"), cli.EXIT_DOMAIN),
     (("zeros", "--n", "0", "--alpha", "-1"), cli.EXIT_DOMAIN),
 ])
 def test_malformed_numeric_flags_exit_code(capsys, argv, code):
