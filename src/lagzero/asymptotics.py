@@ -11,7 +11,8 @@ compare against exact evaluation:
 
 Each formula takes the PotentialContext of A_n = -alpha/n (nth_root
 through its MeasureSpec), built once by the caller, and evaluates its
-prediction at LANDSCAPE_BITS.
+prediction at LANDSCAPE_BITS. The exact side they are compared with is
+P_n from laguerre.evaluate.
 
 The oscillatory value restores the exponential growth envelope
 e^{n(x + A log x + ell)/2} * n^n / n! that the bare cosine term needs to
@@ -29,7 +30,7 @@ from typing import Tuple
 
 from mpmath import mp
 
-from . import contour, laguerre, measure
+from . import contour, measure
 from .errors import DomainError
 from .landscape import LANDSCAPE_BITS, PotentialContext, ell_constant
 
@@ -100,21 +101,18 @@ def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
                                / (ctx.beta2 - ctx.beta1)) / 2
 
 
-def nth_root_exponent(coeffs: tuple, bits: int,
-                      spec: measure.MeasureSpec, z) -> Tuple[float, float]:
+def nth_root_exponent(spec: measure.MeasureSpec, n: int, z,
+                      p) -> Tuple[float, float]:
     """((1/n) log|P_n(z)|, U_mu(z)) for the monic scaled polynomial.
 
-    coeffs is P_n rounded at bits, laguerre.round_coefficients(
-    laguerre.monic_rescaled(...), bits), built once by the caller for all
-    its points.  The first entry is exact (up to working precision); the
-    second is the logarithmic potential of the limit measure. Their
-    difference tends to 0 as n grows, at fixed z off the limit set.
+    p is the value P_n(z), from laguerre.evaluate, so the first entry is
+    exact up to its one rounding; the second is the logarithmic potential
+    of the limit measure. Their difference tends to 0 as n grows, at
+    fixed z off the limit set.
     """
-    n = len(coeffs) - 1
-    with mp.workprec(bits):
-        p = laguerre.eval_poly(coeffs, mp.mpc(z), bits)
-        if p == 0:
-            raise DomainError(f"P_n({z}) = 0; nth-root exponent undefined")
+    if p == 0:
+        raise DomainError(f"P_n({z}) = 0; nth-root exponent undefined")
+    with mp.workprec(LANDSCAPE_BITS):
         empirical = float(mp.log(abs(p)) / n)
     predicted = float(measure.log_potential(spec, complex(z)))
     return empirical, predicted

@@ -14,9 +14,10 @@ produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
 failure (Newton stalled, or the level's loop underflows float64), 4
 root-finder non-convergence, 5 asymptotic-domain violation.
 
-The working precision (bits) sizes only the polynomial side of zeros,
-verify and asymp; the landscape runs at landscape.LANDSCAPE_BITS, so betas
-and contour take no --precision. The LAGZERO_PRECISION environment
+The working precision (bits) sizes only the root finder of zeros and
+verify. The landscape runs at landscape.LANDSCAPE_BITS, and asymp
+evaluates its polynomial exactly and rounds at LANDSCAPE_BITS, so betas,
+contour and asymp take no --precision. The LAGZERO_PRECISION environment
 variable overrides the default wherever --precision is not given; either
 must be at least 64, for every subcommand.
 """
@@ -24,6 +25,7 @@ must be at least 64, for every subcommand.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import json
 import os
@@ -42,7 +44,7 @@ from .errors import (
     PlanError,
     QuadratureError,
 )
-from .landscape import g_eval, make_context
+from .landscape import LANDSCAPE_BITS, g_eval, make_context
 
 ENV_PRECISION = "LAGZERO_PRECISION"
 
@@ -85,14 +87,14 @@ def _parse_r(raw: str) -> float:
 
 
 def cmd_betas(args) -> int:
-    ctx = make_context(args.A)
+    ctx = make_context(laguerre.parse_alpha(args.A))
     doc = {"A": args.A, "beta1": float(ctx.beta1), "beta2": float(ctx.beta2)}
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_contour(args) -> int:
-    ctx = make_context(args.A)
+    ctx = make_context(laguerre.parse_alpha(args.A))
     r = _parse_r(args.r)
     if math.isinf(r):
         raise DomainError("Gamma_inf degenerates to the origin; no polyline")
@@ -148,9 +150,12 @@ def _parse_points(args, parse) -> List[Tuple[str, object]]:
     pairs = []
     for tok in tokens:
         try:
-            pairs.append((tok, parse(tok)))
+            point = parse(tok)
         except ValueError as exc:
             raise DomainError(f"cannot parse point {tok!r}") from exc
+        if not cmath.isfinite(point):
+            raise DomainError(f"point {tok!r} is not finite")
+        pairs.append((tok, point))
     return pairs
 
 
@@ -159,35 +164,28 @@ def cmd_asymp(args) -> int:
     points = _parse_points(args, float if args.regime == "oscillatory" else complex_point)
     n = args.n
     alpha_f = laguerre.parse_alpha(args.alpha)
-    a_n = laguerre.theorem_ratio(n, alpha_f)
-    bits = args.precision or harness.working_precision(n, alpha_f)
-    ctx = make_context(a_n)
+    ctx = make_context(laguerre.theorem_ratio(n, alpha_f))
     lines = ["point,exact,predicted,rel_error"]
-
-    if args.regime == "oscillatory":
-        coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha_f), bits)
-        for tok, x in points:
-            pred = asymptotics.oscillatory_value(ctx, n, x)
-            with mp.workprec(bits):
-                exact = laguerre.eval_poly(coeffs, mp.mpf(n) * x, bits)
+    with mp.workprec(LANDSCAPE_BITS):
+        values = laguerre.evaluate(laguerre.monic_rescaled(n, alpha_f), [z for _, z in points])
+        if args.regime == "oscillatory":
+            # L_n^(alpha)(n x) = (-n)^n/n! P_n(x)
+            scale = mp.power(-n, n) / mp.factorial(n)
+            for (tok, x), p in zip(points, values):
+                pred = asymptotics.oscillatory_value(ctx, n, x)
+                exact = scale * p
                 rel = float(abs(pred / exact - 1)) if exact != 0 else math.inf
-            lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
-    else:
-        # outer and nth_root (the parser allows no other regime) both
-        # evaluate the monic P_n(z)
-        coeffs = laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha_f), bits)
-        if args.regime == "outer":
-            for tok, z in points:
+                lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
+        elif args.regime == "outer":
+            for (tok, z), p in zip(points, values):
                 pred = asymptotics.outer_ratio(ctx, n, z)
-                with mp.workprec(bits):
-                    p = laguerre.eval_poly(coeffs, mp.mpc(z), bits)
-                    exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
-                    rel = float(abs(complex(pred) / complex(exact) - 1))
+                exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
+                rel = float(abs(complex(pred) / complex(exact) - 1))
                 lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
         else:
             spec_m = measure.make_measure(ctx, _parse_r(args.r))
-            for tok, z in points:
-                emp, pred = asymptotics.nth_root_exponent(coeffs, bits, spec_m, z)
+            for (tok, z), p in zip(points, values):
+                emp, pred = asymptotics.nth_root_exponent(spec_m, n, z, p)
                 rel = abs(emp / pred - 1) if pred != 0 else math.inf
                 lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
     _emit("\n".join(lines) + "\n", args.out)
@@ -241,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of evaluation points")
     p.add_argument("--grid", default=None, help="start:stop:count")
     p.add_argument("--r", default="0", help="measure parameter for nth_root")
-    p.add_argument("--precision", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_asymp)
     return ap

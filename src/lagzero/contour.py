@@ -64,10 +64,6 @@ class ContourPolyline:
         return max(p.imag for p in self.points)
 
     @property
-    def length(self) -> float:
-        return self.arclengths[-1]
-
-    @property
     def upper_arc(self) -> Tuple[complex, ...]:
         """The traced half, x_r to the positive crossing; every later
         vertex is the conjugate of one of these."""

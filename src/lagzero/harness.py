@@ -231,9 +231,9 @@ def _seeds_for(deg: int, alpha: Fraction, spec_m, origin_mult: int):
 
 
 def working_precision(n: int, alpha) -> int:
-    """Bits for the polynomial side (coefficients, find_zeros, eval_poly)
-    on (n, alpha): at least max(256, 4n + 64), raised for near-integer
-    alpha, whose constant coefficient scales with dist(alpha, Z)."""
+    """Bits for the root finder (find_zeros and its certificate) on
+    (n, alpha): at least max(256, 4n + 64), raised for near-integer alpha,
+    whose constant coefficient scales with dist(alpha, Z)."""
     alpha_f = laguerre.parse_alpha(alpha)
     dist = dist_to_integers(alpha_f)
     bits = max(256, 4 * n + 64)

@@ -9,18 +9,19 @@ fractions.Fraction parsed from a decimal string, never through binary floating
 point: the experiments downstream depend on dist(alpha, Z) values as small as
 1e-300, which a float cannot represent and a gamma-function quotient cannot
 recover (catastrophic cancellation near negative integers). A polynomial is
-the tuple of its exact Fraction coefficients; rounding to a working
-precision happens once, in round_coefficients, by the caller that evaluates
-it.
+the tuple of its exact Fraction coefficients. evaluate computes its value
+at dyadic points exactly and rounds it once; the root finder rounds the
+coefficients itself, at the working precision.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import mpmath as mp
+from mpmath.libmp import from_rational, mpf_shift, round_nearest
 
 from .errors import DomainError
 
@@ -28,7 +29,8 @@ AlphaLike = Union[str, int, Fraction]
 
 
 def parse_alpha(alpha: AlphaLike) -> Fraction:
-    """Exact parameter from a decimal string (or int/Fraction passthrough).
+    """Exact parameter from a decimal string (or int/Fraction passthrough);
+    the CLI parses A by the same rule.
 
     Floats are rejected: '0.81' is not representable in binary and the
     difference matters here.
@@ -42,7 +44,7 @@ def parse_alpha(alpha: AlphaLike) -> Fraction:
     try:
         return Fraction(alpha.strip())
     except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"cannot parse alpha {alpha!r} as an exact decimal") from exc
+        raise DomainError(f"cannot parse {alpha!r} as an exact decimal") from exc
 
 
 def theorem_ratio(n: int, alpha: AlphaLike) -> Fraction:
@@ -73,20 +75,37 @@ def build_coefficients(n: int, alpha: AlphaLike) -> tuple:
     return tuple(coeffs)
 
 
-def round_coefficients(coeffs: Sequence[Fraction], bits: int) -> tuple:
-    """mpf values of exact coefficients, each rounded once at bits, for eval_poly."""
-    with mp.workprec(bits):
-        return tuple(mp.mpf(c.numerator) / mp.mpf(c.denominator) for c in coeffs)
+def evaluate(coeffs: Sequence[Fraction], points: Iterable) -> list:
+    """P(z) at each point, each part rounded once at mpmath's working precision.
 
-
-def eval_poly(coeffs: Sequence, z, precision_bits: int):
-    """Horner evaluation at the given precision. Accepts mpf/mpc/complex z."""
-    with mp.workprec(precision_bits):
-        zz = mp.mpmathify(z)
-        acc = mp.mpf(0)
-        for c in reversed(coeffs):
-            acc = acc * zz + c
-        return acc
+    A point is an int, a finite float, a Fraction with a power-of-two
+    denominator or a complex with finite parts. So z = (a + ib)/2^s, and an
+    integer Horner over the numerators of one common denominator d gives
+    d 2^{sn} P(z) exactly, every power of two a shift. Any other point
+    raises DomainError. A complex point gives an mpc, the others an mpf.
+    """
+    d = math.lcm(*(c.denominator for c in coeffs))
+    nums = [c.numerator * (d // c.denominator) for c in coeffs]
+    n, prec, values = len(nums) - 1, mp.mp.prec, []
+    for z in points:
+        is_complex = isinstance(z, complex)
+        try:
+            re, im = map(Fraction, (z.real, z.imag) if is_complex else (z, 0))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"cannot evaluate exactly at {z!r}") from exc
+        den = math.lcm(re.denominator, im.denominator)
+        if den & (den - 1):
+            raise DomainError(f"{z!r} is not a dyadic rational; no exact evaluation")
+        a, b, s = int(re * den), int(im * den), den.bit_length() - 1
+        acc_re, acc_im = nums[n], 0
+        for k in range(n - 1, -1, -1):
+            acc_re, acc_im = (acc_re * a - acc_im * b + (nums[k] << (s * (n - k))),
+                              acc_re * b + acc_im * a)
+        # round v/d once, then divide by 2^{sn} exactly
+        acc_re, acc_im = (mp.mpf(mpf_shift(from_rational(v, d, prec, round_nearest), -s * n))
+                          for v in (acc_re, acc_im))
+        values.append(mp.mpc(acc_re, acc_im) if is_complex else acc_re)
+    return values
 
 
 def monic_rescaled(n: int, alpha: AlphaLike, scale: int | None = None) -> tuple:

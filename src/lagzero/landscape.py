@@ -281,7 +281,7 @@ def phi_tilde_eval(
 
 
 # ---------------------------------------------------------------------------
-# the constant c_n and the decay rate
+# the constant c_n
 
 
 def c_constant(n: int, A_n: Union[Fraction, int, str, mp.mpf]) -> mp.mpc:
@@ -311,18 +311,6 @@ def c_constant(n: int, A_n: Union[Fraction, int, str, mp.mpf]) -> mp.mpc:
         if k % 2:
             val = -val
         return mp.mpc(0, 2 * val)
-
-
-def rate_from_c(n: int, c: Union[complex, mp.mpc]) -> mp.mpf:
-    """|c|^(1/n), the nth-root size of c_n.
-
-    Returns 0 for c = 0, which signals an exactly-integer parameter (the
-    caller maps that case to rate infinity downstream).
-    """
-    c = mp.mpc(c)
-    if c == 0:
-        return mp.mpf(0)
-    return abs(c) ** (mp.mpf(1) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 import phase_quadrature
 from lagzero import asymptotics, contour, harness, laguerre, measure
 from lagzero.landscape import (
+    LANDSCAPE_BITS,
     BoundarySide,
     R_eval,
     make_context,
@@ -143,9 +144,9 @@ def test_criterion_08_nth_root_convergence():
     diffs = []
     for n in (20, 40, 80, 160):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        bits = harness.working_precision(n, alpha)
-        coeffs = laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha), bits)
-        emp, prd = asymptotics.nth_root_exponent(coeffs, bits, spec, 4.0)
+        with mp.workprec(LANDSCAPE_BITS):
+            p, = laguerre.evaluate(laguerre.monic_rescaled(n, alpha), [4.0])
+        emp, prd = asymptotics.nth_root_exponent(spec, n, 4.0, p)
         diffs.append(abs(emp - prd))
     ok = all(b <= 1.1 * a for a, b in zip(diffs, diffs[1:]))
     assert _verdict(
@@ -161,7 +162,7 @@ def test_criterion_09_oscillatory_decay():
         alpha = Fraction(-81 * n, 100)
         bits = 4 * n + 64
         ctx_n = make_context(laguerre.theorem_ratio(n, alpha))
-        coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha), bits)
+        coeffs = laguerre.build_coefficients(n, alpha)
         rels = []
         for k in range(20):
             x = (b1 + 0.2) + (b2 - b1 - 0.4) * k / 19
@@ -169,7 +170,7 @@ def test_criterion_09_oscillatory_decay():
                 continue
             pred = asymptotics.oscillatory_value(ctx_n, n, x)
             with mp.workprec(bits):
-                exact = laguerre.eval_poly(coeffs, mp.mpf(n) * x, bits)
+                exact, = laguerre.evaluate(coeffs, [n * Fraction(x)])
                 rels.append(float(abs(pred / exact - 1)))
         meds[n] = statistics.median(rels)
     took = time.time() - t0

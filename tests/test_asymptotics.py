@@ -38,10 +38,9 @@ def test_outer_convergence(ctx80):
     errs = {}
     for n in (30, 60):
         bits = max(256, 4 * n + 64)
-        coeffs = laguerre.round_coefficients(
-            laguerre.monic_rescaled(n, Fraction(-4 * n, 5), scale=n), bits)
+        coeffs = laguerre.monic_rescaled(n, Fraction(-4 * n, 5), scale=n)
         with mp.workprec(bits):
-            p = laguerre.eval_poly(coeffs, mp.mpc(4), bits)
+            p, = laguerre.evaluate(coeffs, [complex(4)])
             g = landscape.g_eval(ctx80, 4.0)
             ratio = p * mp.e ** (-n * g)
             n11 = asymptotics.outer_ratio(ctx80, n, 4.0)
@@ -101,10 +100,11 @@ def test_sign_changes_count_real_zeros():
     assert abs(changes - len(inside)) <= 1
 
 
-def _monic(n, alpha):
-    # P_n rounded at the working precision, and that precision
-    bits = harness.working_precision(n, alpha)
-    return laguerre.round_coefficients(laguerre.monic_rescaled(n, alpha), bits), bits
+def _exponent(spec, n, alpha, z):
+    # nth_root_exponent with P_n(z) evaluated exactly
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        p, = laguerre.evaluate(laguerre.monic_rescaled(n, alpha), [z])
+    return asymptotics.nth_root_exponent(spec, n, z, p)
 
 
 def test_nth_root_converges(ctx80):
@@ -112,7 +112,7 @@ def test_nth_root_converges(ctx80):
     diffs = {}
     for n in (20, 40):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        emp, prd = asymptotics.nth_root_exponent(*_monic(n, alpha), spec, 4.0)
+        emp, prd = _exponent(spec, n, alpha, 4.0)
         diffs[n] = abs(emp - prd)
     assert diffs[20] <= 6e-3
     assert diffs[40] <= diffs[20]
@@ -123,7 +123,7 @@ def test_nth_root_prediction_r_insensitive(ctx80):
     preds = []
     for r in (0.0, 3.0, math.inf):
         spec = measure.make_measure(ctx80, r)
-        _, prd = asymptotics.nth_root_exponent(*_monic(20, -16), spec, 4.0)
+        _, prd = _exponent(spec, 20, -16, 4.0)
         preds.append(prd)
     assert max(preds) - min(preds) <= 2e-6
 
@@ -131,5 +131,5 @@ def test_nth_root_prediction_r_insensitive(ctx80):
 def test_nth_root_far_field(ctx80):
     # U_mu(z) ~ log|z| for large z since mu has total mass 1
     spec = measure.make_measure(ctx80, 0.0)
-    _, prd = asymptotics.nth_root_exponent(*_monic(20, -16), spec, 1e3)
+    _, prd = _exponent(spec, 20, -16, 1e3)
     assert abs(prd - math.log(1e3)) <= 1e-2

@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from lagzero import cli
+from lagzero import cli, harness
 
 
 def run_cli(capsys, *argv):
@@ -144,6 +144,20 @@ def test_unbracketed_level_exit_code(capsys, argv):
     (("zeros", "--n", "12", "--alpha", "-9.6", "--precision", "10"), cli.EXIT_DOMAIN),
     (("verify", "--n", "12", "--alpha", "-9.6", "--precision", "10"), cli.EXIT_DOMAIN),
     (("zeros", "--n", "0", "--alpha", "-1"), cli.EXIT_DOMAIN),
+    # non-finite points are malformed points
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "outer",
+      "--points=nan"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "outer",
+      "--points=inf+1j"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+      "--points=nan"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+      "--points=1e400"), cli.EXIT_ASYMP_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+      "--r", "0.5", "--points=infj"), cli.EXIT_ASYMP_DOMAIN),
+    # A is an exact decimal, like alpha
+    (("betas", "--A", "abc"), cli.EXIT_DOMAIN),
+    (("contour", "--A", "x", "--r", "0"), cli.EXIT_DOMAIN),
 ])
 def test_malformed_numeric_flags_exit_code(capsys, argv, code):
     got, out, err = run_cli(capsys, *argv)
@@ -152,7 +166,8 @@ def test_malformed_numeric_flags_exit_code(capsys, argv, code):
     assert err.startswith("error:")
 
 
-# betas and contour take no --precision flag, but refuse the variable too
+# betas, contour and asymp take no --precision flag, but refuse the
+# variable too
 @pytest.mark.parametrize("argv,via_env", [
     pytest.param(argv, via_env, id=f"{argv[0]}-{'env' if via_env else 'flag'}")
     for argv in [
@@ -164,7 +179,7 @@ def test_malformed_numeric_flags_exit_code(capsys, argv, code):
          "--points", "3"),
     ]
     for via_env in (False, True)
-    if via_env or argv[0] not in ("betas", "contour")
+    if via_env or argv[0] not in ("betas", "contour", "asymp")
 ])
 def test_precision_zero_is_refused(capsys, monkeypatch, argv, via_env):
     # 0 bits is a precision below the floor, not "use the default"
@@ -270,32 +285,39 @@ def test_asymp_nth_root(capsys):
     assert rel < 1e-2
 
 
-def test_asymp_nth_root_exact_column_follows_precision(capsys):
-    argv = ("asymp", "--n", "40", "--alpha", "-32.36", "--regime", "nth_root",
-            "--points=1.0+0.001j", "--r", "inf")
-    exact = lambda text: text.splitlines()[1].split(",")[1]  # noqa: E731
-    _, default, _ = run_cli(capsys, *argv)
-    _, explicit, _ = run_cli(capsys, *argv, "--precision", "256")
-    _, low, _ = run_cli(capsys, *argv, "--precision", "64")
-    # 256 bits is working_precision(40, -32.36): the default run is that run
-    assert default == explicit
-    assert exact(low) != exact(default)
+ASYMP_ARGV = {
+    "outer": ("--alpha", "-32.4", "--regime", "outer", "--points=4,-2+3j"),
+    "oscillatory": ("--alpha", "-32.4", "--regime", "oscillatory",
+                    "--points=1.0,1.3"),
+    # P_n(1.0+0.001j) cancels: with coefficients rounded to 64 bits its
+    # exact digits would move
+    "nth_root": ("--alpha", "-32.36", "--regime", "nth_root", "--r", "inf",
+                 "--points=3,1+1j,1.0+0.001j"),
+}
 
 
-ASYMP_POINTS = {"outer": "4,-2+3j", "oscillatory": "1.0,1.3", "nth_root": "3,1+1j"}
+@pytest.mark.parametrize("regime", sorted(ASYMP_ARGV))
+def test_asymp_output_ignores_precision(capsys, monkeypatch, regime):
+    # the predictions come from the landscape at LANDSCAPE_BITS and the
+    # exact column from exact evaluation; no working precision enters
+    outs = []
+    for bits in ("64", "1024"):
+        monkeypatch.setenv(cli.ENV_PRECISION, bits)
+        code, out, err = run_cli(capsys, "asymp", "--n", "40", *ASYMP_ARGV[regime])
+        assert code == 0 and err == ""
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == len(ASYMP_ARGV[regime][-1].split(",")) + 1
 
 
-@pytest.mark.parametrize("regime", sorted(ASYMP_POINTS))
-def test_asymp_predicted_column_ignores_precision(capsys, regime):
-    # the predictions come from the landscape, at LANDSCAPE_BITS; the
-    # working precision sizes only the exact column
-    argv = ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", regime,
-            "--points=" + ASYMP_POINTS[regime])
-    predicted = lambda text: [row.split(",")[2] for row in text.splitlines()[1:]]  # noqa: E731
-    code_low, low, _ = run_cli(capsys, *argv, "--precision", "64")
-    code_high, high, _ = run_cli(capsys, *argv, "--precision", "1024")
-    assert code_low == code_high == 0
-    assert predicted(low) == predicted(high) and len(predicted(low)) == 2
+def test_asymp_never_sizes_a_working_precision(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("asymp asked for a working precision")
+
+    monkeypatch.setattr(harness, "working_precision", refuse)
+    for regime in sorted(ASYMP_ARGV):
+        code, out, err = run_cli(capsys, "asymp", "--n", "40", *ASYMP_ARGV[regime])
+        assert code == 0 and err == "" and out.startswith("point,exact")
 
 
 def test_asymp_oscillatory_grid(capsys):

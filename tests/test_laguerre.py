@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import math
+
 import mpmath as mp
 import pytest
 
@@ -40,37 +42,52 @@ def test_degree_two_closed_form():
 @pytest.mark.parametrize(
     "n,alpha,x",
     [
-        (5, Fraction(-5, 2), "1.3"),
-        (8, Fraction(-17, 4), "0.7"),
-        (12, Fraction(7, 3), "2.25"),
+        (5, Fraction(-5, 2), 1.3),
+        (8, Fraction(-17, 4), 0.7),
+        (12, Fraction(7, 3), 2.25),
     ],
 )
 def test_eval_against_mpmath_laguerre(n, alpha, x):
     # mpmath computes L_n^(a) through the confluent hypergeometric series,
     # a fully independent code path from the binomial-sum coefficients
-    coeffs = laguerre.round_coefficients(laguerre.build_coefficients(n, alpha), 320)
+    coeffs = laguerre.build_coefficients(n, alpha)
     with mp.workprec(320):
-        x = mp.mpf(x)
-        mine = laguerre.eval_poly(coeffs, x, 320)
-        ref = mp.laguerre(n, mp.mpf(alpha.numerator) / alpha.denominator, x)
+        mine, = laguerre.evaluate(coeffs, [x])
+        ref = mp.laguerre(n, mp.mpf(alpha.numerator) / alpha.denominator, mp.mpf(x))
         assert abs(mine - ref) <= mp.mpf(2) ** -240 * abs(ref)
 
 
-def test_eval_poly_matches_horner_by_hand():
-    coeffs = (mp.mpf(2), mp.mpf(-3), mp.mpf(1))  # (z-1)(z-2)
-    assert laguerre.eval_poly(coeffs, mp.mpf(2), 128) == 0
-    assert laguerre.eval_poly(coeffs, mp.mpf(0), 128) == 2
+def test_evaluate_is_exact_at_the_roots():
+    coeffs = (Fraction(2), Fraction(-3), Fraction(1))  # (z-1)(z-2)
+    with mp.workprec(64):
+        assert laguerre.evaluate(coeffs, [1, 2.0, 0, Fraction(3, 2)]) == [0, 0, 2, -0.25]
+        # (2+i)^2 - 3(2+i) + 2 = -1 + i, and a complex point gives an mpc
+        assert laguerre.evaluate(coeffs, [complex(2, 1)]) == [mp.mpc(-1, 1)]
+        # the float 0.1 is not the root 1/10 of (z - 1/10)(z - 3/10): the
+        # value there is tiny, and still right to one rounding
+        tenths = (Fraction(3, 100), Fraction(-2, 5), Fraction(1))
+        tiny, = laguerre.evaluate(tenths, [0.1])
+        want = (Fraction(0.1) - Fraction(1, 10)) * (Fraction(0.1) - Fraction(3, 10))
+    with mp.workprec(256):
+        want = mp.mpf(want.numerator) / want.denominator
+        assert want != 0 and abs(tiny - want) <= mp.mpf(2) ** -63 * abs(want)
+
+
+@pytest.mark.parametrize("point", [Fraction(1, 3), "0.1", math.nan,
+                                   math.inf, complex(1, math.inf), mp.mpf(1)])
+def test_evaluate_refuses_points_it_cannot_take_exactly(point):
+    with pytest.raises(DomainError):
+        laguerre.evaluate((Fraction(2), Fraction(-3), Fraction(1)), [point])
 
 
 def test_integer_parameter_reduction_identity():
     # L_7^(-3)(z) = (4!/7!) (-z)^3 L_4^(3)(z) pointwise
-    c7 = laguerre.round_coefficients(laguerre.build_coefficients(7, -3), 320)
-    c4 = laguerre.round_coefficients(laguerre.build_coefficients(4, 3), 320)
+    c7 = laguerre.build_coefficients(7, -3)
+    c4 = laguerre.build_coefficients(4, 3)
     with mp.workprec(320):
-        for z in (mp.mpf("0.9"), mp.mpc(2, 1)):
-            lhs = laguerre.eval_poly(c7, z, 320)
-            l4 = laguerre.eval_poly(c4, z, 320)
-            rhs = mp.mpf(24) / 5040 * (-z) ** 3 * l4
+        for z in (0.9, complex(2, 1)):
+            (lhs,), (l4,) = laguerre.evaluate(c7, [z]), laguerre.evaluate(c4, [z])
+            rhs = mp.mpf(24) / 5040 * (-mp.mpmathify(z)) ** 3 * l4
             assert abs(lhs - rhs) <= mp.mpf(2) ** -200
 
 
@@ -88,22 +105,22 @@ def test_monic_rescaled_is_monic_and_consistent():
     assert mon[-1] == 1
     assert len(mon) - 1 == 6
     # P(z) = (-1)^n n!/n^n L_n(n z)
-    lag = laguerre.round_coefficients(laguerre.build_coefficients(6, Fraction(1, 2)), 320)
+    lag = laguerre.build_coefficients(6, Fraction(1, 2))
     with mp.workprec(320):
-        z = mp.mpf("0.83")
-        pv = laguerre.eval_poly(laguerre.round_coefficients(mon, 320), z, 320)
-        lv = laguerre.eval_poly(lag, 6 * z, 320) * mp.mpf(720) / 6**6
+        z = Fraction(0.83)
+        pv, = laguerre.evaluate(mon, [z])
+        lv = laguerre.evaluate(lag, [6 * z])[0] * mp.mpf(720) / 6**6
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
 def test_monic_rescaled_explicit_scale():
     # reduced polynomials evaluate at the original n*z scaling
-    mon4 = laguerre.round_coefficients(laguerre.monic_rescaled(2, Fraction(1), scale=4), 256)
-    lag = laguerre.round_coefficients(laguerre.build_coefficients(2, Fraction(1)), 256)
+    mon4 = laguerre.monic_rescaled(2, Fraction(1), scale=4)
+    lag = laguerre.build_coefficients(2, Fraction(1))
     with mp.workprec(256):
-        z = mp.mpf("0.6")
-        pv = laguerre.eval_poly(mon4, z, 256)
-        lv = laguerre.eval_poly(lag, 4 * z, 256) * mp.mpf(2) / 16
+        z = Fraction(0.6)
+        pv, = laguerre.evaluate(mon4, [z])
+        lv = laguerre.evaluate(lag, [4 * z])[0] * mp.mpf(2) / 16
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
@@ -122,9 +139,8 @@ def test_spec_validation():
 
 
 def test_public_exports():
-    # a polynomial is the tuple of its exact coefficients; no wrapper types
-    for name in lagzero.__all__:
-        assert hasattr(lagzero, name), name
-    for gone in ("LaguerreSpec", "CoefficientList"):
+    # a polynomial is the tuple of its exact coefficients; no wrapper
+    # types, and one exact evaluator in place of rounding and Horner
+    for gone in ("LaguerreSpec", "CoefficientList", "round_coefficients", "eval_poly"):
         assert not hasattr(lagzero, gone)
         assert not hasattr(laguerre, gone)

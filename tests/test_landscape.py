@@ -308,13 +308,6 @@ def test_c_constant_rejects_float():
         landscape.c_constant(40, 0.81)
 
 
-def test_rate_from_c():
-    assert abs(landscape.rate_from_c(4, 16) - 2) <= 1e-40
-    assert landscape.rate_from_c(7, 0) == 0
-    r = landscape.rate_from_c(40, complex(0, 6.2832e-6))
-    assert abs(r - mp.mpf("0.74123261777429148")) <= 1e-12
-
-
 # ---------------------------------------------------------------------------
 # g and ell
 
