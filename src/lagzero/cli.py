@@ -37,11 +37,9 @@ from mpmath import mp
 from . import asymptotics, contour, harness, laguerre, measure
 from .errors import (
     BracketError,
-    BranchCutError,
     ClosureError,
     DomainError,
     NonConvergence,
-    PlanError,
     QuadratureError,
 )
 from .landscape import LANDSCAPE_BITS, g_eval, make_context
@@ -254,13 +252,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_DOMAIN
     try:
         return args.func(args)
-    except (DomainError, BranchCutError) as exc:
+    except DomainError as exc:
         code = EXIT_ASYMP_DOMAIN if args.command == "asymp" else EXIT_DOMAIN
         print(f"error: {exc}", file=sys.stderr)
         return code
-    except PlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
     except (ClosureError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CLOSURE

@@ -50,5 +50,5 @@ class ClosureError(LagzeroError):
     """Contour continuation failed: Newton stalled or the step budget ran out."""
 
 
-class PlanError(LagzeroError):
+class PlanError(DomainError):
     """Parameter plan constraints are unsatisfiable."""

@@ -217,15 +217,16 @@ def _ks(cdf: Sequence[float]) -> float:
                 for j, f in enumerate(cdf)), default=0.0)
 
 
-def _seeds_for(deg: int, alpha: Fraction, spec_m, origin_mult: int):
-    # integer case: every remaining zero lives on the interval
-    if origin_mult > 0 or deg == 0:
-        return [mp.mpc(s) for s in measure.interval_quantiles(spec_m.ctx, deg)]
-    # deg - floor(-alpha) zeros are positive, one is negative exactly when
+def _seeds_for(n: int, alpha: Fraction, spec_m):
+    # integer alpha (r = inf): the origin holds -alpha zeros, which
+    # find_zeros strips, and the n + alpha others live on the interval
+    if math.isinf(spec_m.r):
+        return [mp.mpc(s) for s in measure.interval_quantiles(spec_m.ctx, n + int(alpha))]
+    # n - floor(-alpha) zeros are positive, one is negative exactly when
     # floor(-alpha) is odd, and the rest are conjugate pairs (Szego,
     # Orthogonal Polynomials, Thm 6.73); loop_quantiles has that layout
     n_loop = math.floor(-alpha)
-    seeds = measure.interval_quantiles(spec_m.ctx, deg - n_loop)
+    seeds = measure.interval_quantiles(spec_m.ctx, n - n_loop)
     seeds.extend(measure.loop_quantiles(spec_m, n_loop))
     return [mp.mpc(s) for s in seeds]
 
@@ -250,15 +251,15 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     Returns (zset, spec): spec is the measure.MeasureSpec of the limit
     measure mu_{r_hat}, which carries the context, r_hat and Gamma_{r_hat}
     (gamma None for integer alpha), or None when -alpha/n falls outside
-    (0,1). The root finder starts from quantiles of the limit measure
-    on gamma and [beta1, beta2], from interval quantiles alone for integer
-    alpha, and from a Cauchy-bound circle when spec is None. The root
-    finder gets the exact monic coefficients (of the reduced polynomial
-    for integer alpha in {-n..-1}) and rounds them itself, so no
-    coefficient is rounded here. Retries once at doubled precision on
-    NonConvergence or a non-empty suspect list; a second NonConvergence
-    propagates, and a second suspect set is returned as it is.
-    precision_bits below 64 raises DomainError.
+    (0,1). The root finder gets the exact monic coefficients of
+    laguerre.monic_rescaled, for every alpha, and rounds them itself; for
+    integer alpha in {-n..-1} it counts the zero low coefficients as
+    zset.origin_multiplicity. It starts from quantiles of the limit
+    measure (see _seeds_for), and from a Cauchy-bound circle when spec is
+    None. Retries once at doubled precision on NonConvergence or a
+    non-empty suspect list; a second NonConvergence propagates, and a
+    second suspect set is returned as it is. precision_bits below 64
+    raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
@@ -267,27 +268,20 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
         raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = Fraction(-alpha_f, n)
-    r_hat = r_hat_from(n, alpha_f)
     bits = precision_bits if precision_bits is not None else working_precision(n, alpha_f)
 
     spec_m = seeds = None
-    origin_mult, work_n, work_alpha = 0, n, alpha_f
-    if r_hat == math.inf and -n <= alpha_f <= -1:
-        origin_mult, work_n, work_alpha = laguerre.integer_reduction(n, alpha_f)
     if 0 < a_n < 1:
-        ctx = make_context(a_n)
-        spec_m = measure.make_measure(ctx, r_hat)
-        seeds = _seeds_for(work_n, alpha_f, spec_m, origin_mult)
+        spec_m = measure.make_measure(make_context(a_n), r_hat_from(n, alpha_f))
+        seeds = _seeds_for(n, alpha_f, spec_m)
 
-    coeffs = laguerre.monic_rescaled(work_n, work_alpha, scale=n)
+    coeffs = laguerre.monic_rescaled(n, alpha_f)
     try:
-        zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds,
-                                     origin_multiplicity=origin_mult)
+        zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds)
     except NonConvergence:
         zset = None
     if zset is None or zset.suspect:
-        zset = rootfinder.find_zeros(coeffs, 2 * bits, seeds=seeds,
-                                     origin_multiplicity=origin_mult)
+        zset = rootfinder.find_zeros(coeffs, 2 * bits, seeds=seeds)
     return zset, spec_m
 
 

@@ -1,17 +1,23 @@
-"""Generalized Laguerre polynomials L_n^(a)(z) for arbitrary real parameters.
+"""Generalized Laguerre polynomials L_n^(a)(n z) for arbitrary real parameters.
 
-Coefficients come from the explicit monomial representation
+The explicit monomial representation
 
     L_n^(a)(z) = sum_{k=0}^{n} binom(n+a, n-k) (-z)^k / k!
 
-built in exact rational arithmetic. The parameter is carried as a
-fractions.Fraction parsed from a decimal string, never through binary floating
-point: the experiments downstream depend on dist(alpha, Z) values as small as
-1e-300, which a float cannot represent and a gamma-function quotient cannot
-recover (catastrophic cancellation near negative integers). A polynomial is
-the tuple of its exact Fraction coefficients. evaluate computes its value
-at dyadic points exactly and rounds it once; the root finder rounds the
-coefficients itself, at the working precision.
+gives the monic P(z) = (n!/(-n)^n) L_n^(a)(n z) in one integer pass
+(monic_rescaled): with a = p/q, c_k = (-1)^{n-k} C(n,k) prod_{j>k} (p + j q)
+/ (q n)^{n-k}. For integer a = -m in {-n..-1} the product vanishes for
+every k < m, so the zero low coefficients are the zero of order m at the
+origin; the root finder counts them.
+
+The parameter is carried as a fractions.Fraction parsed from a decimal
+string, never through binary floating point: the experiments downstream
+depend on dist(alpha, Z) values as small as 1e-300, which a float cannot
+represent and a gamma-function quotient cannot recover (catastrophic
+cancellation near negative integers). A polynomial is the tuple of its
+exact Fraction coefficients. evaluate computes its value at dyadic points
+exactly and rounds it once; the root finder rounds the coefficients
+itself, at the working precision.
 """
 
 from __future__ import annotations
@@ -58,23 +64,6 @@ def theorem_ratio(n: int, alpha: AlphaLike) -> Fraction:
     return a_n
 
 
-def build_coefficients(n: int, alpha: AlphaLike) -> tuple:
-    """Exact coefficients c_0..c_n of L_n^(alpha)(z); c_n = (-1)^n/n!."""
-    if n < 0:
-        raise DomainError(f"degree n must be >= 0, got {n}")
-    a = parse_alpha(alpha)
-    # binom(n+alpha, n-k) = prod_{j=1}^{n-k} (alpha+k+j) / (n-k)!
-    # built backwards so each k reuses the previous product
-    coeffs = [Fraction(0)] * (n + 1)
-    prod = Fraction(1)
-    coeffs[n] = Fraction(-1) ** n / math.factorial(n)
-    for k in range(n - 1, -1, -1):
-        prod *= a + k + 1
-        binom = prod / math.factorial(n - k)
-        coeffs[k] = binom * Fraction(-1) ** k / math.factorial(k)
-    return tuple(coeffs)
-
-
 def evaluate(coeffs: Sequence[Fraction], points: Iterable) -> list:
     """P(z) at each point, each part rounded once at mpmath's working precision.
 
@@ -108,40 +97,22 @@ def evaluate(coeffs: Sequence[Fraction], points: Iterable) -> list:
     return values
 
 
-def monic_rescaled(n: int, alpha: AlphaLike, scale: int | None = None) -> tuple:
-    """Exact coefficients of the monic P(z) = (n!/(-s)^n) L_n^(alpha)(s z), s = scale.
+def monic_rescaled(n: int, alpha: AlphaLike) -> tuple:
+    """Exact coefficients c_0..c_n of the monic P(z) = (n!/(-n)^n) L_n^(alpha)(n z).
 
-    scale defaults to n (the standard rescaling). The integer-reduction
-    pipeline passes the original degree as scale so the reduced polynomial is
-    still evaluated on the original s*z grid.
+    One integer pass from k = n down (see the module docstring), and one
+    Fraction per coefficient. For alpha = -m in {-n..-1}, c_0..c_{m-1} are
+    0 and c_m..c_n are the monic L_{n-m}^{(m)}(n z).
     """
-    base = build_coefficients(n, alpha)
-    s = n if scale is None else scale
-    if s < 1:
-        raise DomainError("scale must be a positive integer")
-    # c_k s^k / (c_n s^n): accumulate s^k, divide by the one leading term
-    lead = base[n] * s ** n
-    powers = 1
-    monic = []
-    for c in base:
-        monic.append(c * powers / lead)
-        powers *= s
-    assert monic[n] == 1
-    return tuple(monic)
-
-
-def integer_reduction(n: int, alpha: AlphaLike) -> tuple[int, int, Fraction]:
-    """Reduce integer alpha in {-n..-1}: zero of order |alpha| at the origin.
-
-    L_n^(alpha)(z) = ((n+alpha)!/n!) (-z)^{-alpha} L_{n+alpha}^{(-alpha)}(z),
-    so the result is (multiplicity, reduced_n, reduced_alpha) =
-    (-alpha, n+alpha, -alpha).
-    """
+    if n < 0:
+        raise DomainError(f"degree n must be >= 0, got {n}")
     a = parse_alpha(alpha)
-    if a.denominator != 1:
-        raise DomainError(f"integer_reduction needs integer alpha, got {a}")
-    ai = int(a)
-    if not (-n <= ai <= -1):
-        raise DomainError(f"alpha {ai} outside {{-n..-1}} for n={n}")
-    # reduced degree may be 0 (alpha = -n: every zero sits at the origin)
-    return -ai, n + ai, Fraction(-ai)
+    p, q = a.numerator, a.denominator
+    coeffs = [Fraction(1)] * (n + 1)
+    binom, prod, den = 1, 1, 1
+    for k in range(n - 1, -1, -1):
+        binom = binom * (k + 1) // (n - k)
+        prod *= -(p + (k + 1) * q)
+        den *= q * n
+        coeffs[k] = Fraction(binom * prod, den)
+    return tuple(coeffs)

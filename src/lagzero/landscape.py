@@ -36,6 +36,7 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Union
 
 from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 from lagzero.debuglog import debug
 from lagzero.errors import BranchCutError, DomainError, QuadratureError
@@ -82,10 +83,10 @@ class PotentialContext:
 
 
 def _to_mpf(value: Scalar) -> mp.mpf:
+    # a Fraction is rounded once, as mpf rounds a decimal string
     if isinstance(value, Fraction):
-        return mp.mpf(value.numerator) / mp.mpf(value.denominator)
-    if isinstance(value, str):
-        return mp.mpf(value)
+        return mp.make_mpf(from_rational(value.numerator, value.denominator,
+                                         LANDSCAPE_BITS, round_nearest))
     return mp.mpf(value)
 
 
@@ -297,8 +298,7 @@ def c_constant(n: int, A_n: Union[Fraction, int, str, mp.mpf]) -> mp.mpc:
         if isinstance(A_n, (Fraction, int)):
             t = Fraction(n) * Fraction(A_n)
             k = t.numerator // t.denominator
-            frac = t - k
-            s = mp.mpf(frac.numerator) / mp.mpf(frac.denominator)
+            s = _to_mpf(t - k)
         else:
             if isinstance(A_n, str):
                 A_n = mp.mpf(A_n)

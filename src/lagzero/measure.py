@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple, Union
 
 from mpmath import mp
 
-from lagzero.contour import ContourPolyline, project_to_loop
+from lagzero import contour
 from lagzero.errors import DomainError
 from lagzero.landscape import (
     LANDSCAPE_BITS,
@@ -49,7 +49,7 @@ class MeasureSpec:
 
     ctx: PotentialContext
     r: float
-    gamma: Optional[ContourPolyline] = None
+    gamma: Optional[contour.ContourPolyline] = None
 
     def __post_init__(self):
         if math.isinf(self.r):
@@ -64,20 +64,12 @@ class MeasureSpec:
                 )
 
 
-def make_measure(
-    ctx: PotentialContext,
-    r: float,
-    gamma: Optional[ContourPolyline] = None,
-) -> MeasureSpec:
-    """Convenience constructor: traces Gamma_r when needed."""
+def make_measure(ctx: PotentialContext, r: float) -> MeasureSpec:
+    """mu_r for ctx, tracing Gamma_r when r is finite."""
     r = float(r)
     if math.isinf(r):
         return MeasureSpec(ctx, INF, None)
-    if gamma is None:
-        from lagzero import contour
-
-        gamma = contour.trace_gamma(ctx, r)
-    return MeasureSpec(ctx, r, gamma)
+    return MeasureSpec(ctx, r, contour.trace_gamma(ctx, r))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +115,7 @@ def nu_arclength_density(spec: MeasureSpec, p: complex) -> float:
     if math.isinf(spec.r):
         raise DomainError("the r=inf loop is an atom; no arclength density")
     gamma = spec.gamma
-    dist = project_to_loop(gamma, complex(p))[1][0]
+    dist = contour.project_to_loop(gamma, complex(p))[1][0]
     if dist > max(10 * gamma.level_tol, 1e-8):
         raise DomainError(f"{p} is not on the traced Gamma_{spec.r}")
     return nu_density_at(spec.ctx, complex(p))
@@ -194,8 +186,6 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
                 raise DomainError("z on the interval support")
             inside = False
         else:
-            from lagzero import contour
-
             dist = contour.limit_set_distance(ctx, spec.gamma, complex(z))
             if dist <= max(10 * spec.gamma.level_tol, 1e-8):
                 raise DomainError("z on the support of mu_r")

@@ -346,11 +346,15 @@ def _guard_bits(exact) -> int:
 
 
 def find_zeros(coeffs: tuple, precision_bits: int,
-               seeds=None, max_iterations: int = MAX_ITERATIONS,
-               origin_multiplicity: int = 0) -> ZeroSet:
+               seeds=None, max_iterations: int = MAX_ITERATIONS) -> ZeroSet:
     """All zeros, with inclusion disks, of the monic polynomial whose exact
     Fraction coefficients c_0..c_n (c_n = 1) are coeffs, as
     laguerre.monic_rescaled returns them.
+
+    Zero low-order coefficients c_0 = ... = c_{m-1} = 0 are a zero of
+    order m at the origin: they are stripped first and returned as
+    ZeroSet.origin_multiplicity, and everything below (the seeds, one per
+    remaining zero, the sweeps and the certificate) sees c_m..c_n alone.
 
     Each Aberth sweep updates only the roots whose last step exceeded a
     tolerance times max(1, |z|); the sweeps end when none is left, and a
@@ -378,10 +382,12 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     max_iterations, or when a residual bound exceeds tol; caller policy is
     a single retry at doubled precision.
     """
+    assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
+    origin = next(k for k, c in enumerate(coeffs) if c)
+    coeffs = coeffs[origin:]
     n = len(coeffs) - 1
     if n == 0:
-        return ZeroSet((), (), origin_multiplicity, precision_bits)
-    assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
+        return ZeroSet((), (), origin, precision_bits)
     with mp.workprec(precision_bits):
         tol = mp.mpf(2) ** (-(precision_bits // 2))
         if seeds is None:
@@ -438,7 +444,7 @@ def find_zeros(coeffs: tuple, precision_bits: int,
               prec, max(log_r), len(suspect))
         if sweeps is None or max(residuals) > tol:
             raise NonConvergence(iterations, max(residuals))
-    return ZeroSet(tuple(zs), residuals, origin_multiplicity, precision_bits, iterations,
+    return ZeroSet(tuple(zs), residuals, origin, precision_bits, iterations,
                    tuple(mp.exp(r) for r in log_r), suspect)
 
 

@@ -38,7 +38,7 @@ def test_outer_convergence(ctx80):
     errs = {}
     for n in (30, 60):
         bits = max(256, 4 * n + 64)
-        coeffs = laguerre.monic_rescaled(n, Fraction(-4 * n, 5), scale=n)
+        coeffs = laguerre.monic_rescaled(n, Fraction(-4 * n, 5))
         with mp.workprec(bits):
             p, = laguerre.evaluate(coeffs, [complex(4)])
             g = landscape.g_eval(ctx80, 4.0)

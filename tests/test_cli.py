@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from lagzero import cli, harness
+from lagzero import cli, harness, rootfinder
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +50,38 @@ def test_zeros_integer_reduction_rows(capsys):
     assert lines[0] == "re,im,residual"
     assert lines[1] == "0.0,0.0,0.0"
     assert lines[2].startswith("1.0,0.0,")
+
+
+# stdout of zeros at integer alpha in {-n..-1}, frozen from the pipeline
+# that found the zeros of the reduced L_{n+alpha}^{(-alpha)}(nz): the
+# -alpha origin rows come first, then the interval zeros
+ZEROS_40_32_FROZEN = "re,im,residual\n" + "0.0,0.0,0.0\n" * 32 + (
+    "0.4336335851843287,0.0,4.183934808719614e-81\n"
+    "0.5695069939856084,0.0,6.160596923075337e-81\n"
+    "0.7090703691099995,0.0,3.3603255944047293e-81\n"
+    "0.8599038801983246,0.0,1.4824965857667923e-81\n"
+    "1.0274232615393817,0.0,3.6238805429854924e-81\n"
+    "1.218475919151815,0.0,1.2518860057586246e-81\n"
+    "1.4450329336762084,0.0,1.6472184286297693e-81\n"
+    "1.7369530571543335,0.0,1.4693188383377542e-80\n"
+)
+
+
+def test_zeros_integer_alpha_bytes_frozen(capsys):
+    code, out, err = run_cli(capsys, "zeros", "--n", "40", "--alpha", "-32")
+    assert code == 0 and err == ""
+    assert out == ZEROS_40_32_FROZEN
+
+
+def test_zeros_at_alpha_minus_n_finds_no_root(capsys, monkeypatch):
+    # L_12^(-12)(12z) is a multiple of z^12: every zero is an origin row
+    def no_sweeps(*args):
+        raise AssertionError("alpha = -n needs no root finding")
+
+    monkeypatch.setattr(rootfinder, "_aberth_fixed", no_sweeps)
+    code, out, err = run_cli(capsys, "zeros", "--n", "12", "--alpha", "-12")
+    assert code == 0 and err == ""
+    assert out == "re,im,residual\n" + "0.0,0.0,0.0\n" * 12
 
 
 def test_zeros_precision_stability(capsys):

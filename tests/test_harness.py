@@ -69,6 +69,8 @@ def test_make_plan_r_inf_integers():
 
 
 def test_make_plan_rejects_bad_input():
+    # a plan the theorem cannot hold is a domain error, exit 2 in the CLI
+    assert issubclass(PlanError, DomainError)
     with pytest.raises(PlanError):
         harness.make_plan(Fraction(4, 5), 0.0, [1, 20])
     with pytest.raises(PlanError):
@@ -195,7 +197,7 @@ def test_seeds_follow_the_real_complex_split(alpha):
     n, alpha_f = 40, laguerre.parse_alpha(alpha)
     ctx = landscape.make_context(Fraction(-alpha_f, n))
     spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
-    seeds = harness._seeds_for(n, alpha_f, spec, 0)
+    seeds = harness._seeds_for(n, alpha_f, spec)
     k = math.floor(-alpha_f)
     assert len(seeds) == n
     real = [s for s in seeds if s.imag == 0]

@@ -8,6 +8,7 @@ import mpmath as mp
 import pytest
 
 import lagzero
+import laguerre_reference as reference
 from lagzero import harness, laguerre
 from lagzero.errors import DomainError
 
@@ -29,13 +30,13 @@ def test_parse_alpha_rejects_binary_floats():
 
 def test_degree_one_closed_form():
     # L_1^(a)(z) = 1 + a - z
-    coeffs = laguerre.build_coefficients(1, Fraction(-5, 3))
+    coeffs = reference.build_coefficients(1, Fraction(-5, 3))
     assert coeffs == (Fraction(-2, 3), Fraction(-1))
 
 
 def test_degree_two_closed_form():
     # L_2^(a)(z) = z^2/2 - (a+2) z + (a+1)(a+2)/2, checked at a = -3/2
-    coeffs = laguerre.build_coefficients(2, Fraction(-3, 2))
+    coeffs = reference.build_coefficients(2, Fraction(-3, 2))
     assert coeffs == (Fraction(-1, 8), Fraction(-1, 2), Fraction(1, 2))
 
 
@@ -50,7 +51,7 @@ def test_degree_two_closed_form():
 def test_eval_against_mpmath_laguerre(n, alpha, x):
     # mpmath computes L_n^(a) through the confluent hypergeometric series,
     # a fully independent code path from the binomial-sum coefficients
-    coeffs = laguerre.build_coefficients(n, alpha)
+    coeffs = reference.build_coefficients(n, alpha)
     with mp.workprec(320):
         mine, = laguerre.evaluate(coeffs, [x])
         ref = mp.laguerre(n, mp.mpf(alpha.numerator) / alpha.denominator, mp.mpf(x))
@@ -82,8 +83,8 @@ def test_evaluate_refuses_points_it_cannot_take_exactly(point):
 
 def test_integer_parameter_reduction_identity():
     # L_7^(-3)(z) = (4!/7!) (-z)^3 L_4^(3)(z) pointwise
-    c7 = laguerre.build_coefficients(7, -3)
-    c4 = laguerre.build_coefficients(4, 3)
+    c7 = reference.build_coefficients(7, -3)
+    c4 = reference.build_coefficients(4, 3)
     with mp.workprec(320):
         for z in (0.9, complex(2, 1)):
             (lhs,), (l4,) = laguerre.evaluate(c7, [z]), laguerre.evaluate(c4, [z])
@@ -92,12 +93,16 @@ def test_integer_parameter_reduction_identity():
 
 
 def test_integer_reduction_bookkeeping():
-    mult, reduced_n, reduced_alpha = laguerre.integer_reduction(7, -3)
+    # the zero of order 3 at the origin is c_0 = c_1 = c_2 = 0, and the
+    # rest is the monic L_4^(3)(7z)
+    mon = laguerre.monic_rescaled(7, -3)
+    mult = next(k for k, c in enumerate(mon) if c)
+    reduced_n = len(mon) - 1 - mult
     assert mult == 3
     assert reduced_n == 4
-    assert reduced_alpha == Fraction(3)
-    with pytest.raises(DomainError):
-        laguerre.integer_reduction(7, Fraction(-1, 2))
+    assert mon[mult:] == reference.monic(reference.build_coefficients(4, Fraction(3)), 7)
+    # a non-integer alpha has no zero at the origin
+    assert all(laguerre.monic_rescaled(7, Fraction(-1, 2)))
 
 
 def test_monic_rescaled_is_monic_and_consistent():
@@ -105,7 +110,7 @@ def test_monic_rescaled_is_monic_and_consistent():
     assert mon[-1] == 1
     assert len(mon) - 1 == 6
     # P(z) = (-1)^n n!/n^n L_n(n z)
-    lag = laguerre.build_coefficients(6, Fraction(1, 2))
+    lag = reference.build_coefficients(6, Fraction(1, 2))
     with mp.workprec(320):
         z = Fraction(0.83)
         pv, = laguerre.evaluate(mon, [z])
@@ -114,9 +119,10 @@ def test_monic_rescaled_is_monic_and_consistent():
 
 
 def test_monic_rescaled_explicit_scale():
-    # reduced polynomials evaluate at the original n*z scaling
-    mon4 = laguerre.monic_rescaled(2, Fraction(1), scale=4)
-    lag = laguerre.build_coefficients(2, Fraction(1))
+    # past its two zero low coefficients, the monic L_4^(-2)(4z) is the
+    # reduced L_2^(2), still evaluated at the original n*z scaling
+    mon4 = laguerre.monic_rescaled(4, Fraction(-2))[2:]
+    lag = reference.build_coefficients(2, Fraction(2))
     with mp.workprec(256):
         z = Fraction(0.6)
         pv, = laguerre.evaluate(mon4, [z])
@@ -124,9 +130,36 @@ def test_monic_rescaled_explicit_scale():
         assert abs(pv - lv) <= mp.mpf(2) ** -200
 
 
+def _monic_grid():
+    cases = []
+    for n in (1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 21, 27, 40):
+        cases += [(n, Fraction(-m)) for m in range(1, min(n, 12) + 1)]
+        cases += [(n, Fraction(-m)) for m in (n // 2, n - 1, n) if m > 12]
+        cases += [(n, a) for a in (Fraction(0), Fraction(3), Fraction(1, 2), Fraction(7, 3),
+                                   Fraction(-1, 2), Fraction(-81 * n, 100),
+                                   Fraction(-n - 1), Fraction(-2 * n + 1, 2))]
+    # 30-digit near-integer decimals, on both sides of -31 and -12
+    cases += [(40, Fraction("-31." + "9" * 29 + "7")), (40, Fraction("-31." + "0" * 29 + "3")),
+              (16, Fraction("-12." + "0" * 29 + "1")), (16, Fraction("-11." + "9" * 30))]
+    return cases
+
+
+def test_monic_rescaled_matches_the_binomial_sum():
+    cases = _monic_grid()
+    assert len(set(cases)) >= 200
+    for n, alpha in cases:
+        mon = laguerre.monic_rescaled(n, alpha)
+        if alpha.denominator == 1 and -n <= alpha <= -1:
+            m = -int(alpha)
+            want = (0,) * m + reference.monic(reference.build_coefficients(n - m, m), n)
+        else:
+            want = reference.monic(reference.build_coefficients(n, alpha), n)
+        assert mon == want, (n, alpha)
+
+
 def test_spec_validation():
     with pytest.raises(DomainError):
-        laguerre.build_coefficients(-1, Fraction(1, 2))
+        laguerre.monic_rescaled(-1, Fraction(1, 2))
     with pytest.raises(DomainError):
         harness.compute_zeros(3, Fraction(1, 2), precision_bits=32)
     with pytest.raises(DomainError):
@@ -141,6 +174,7 @@ def test_spec_validation():
 def test_public_exports():
     # a polynomial is the tuple of its exact coefficients; no wrapper
     # types, and one exact evaluator in place of rounding and Horner
-    for gone in ("LaguerreSpec", "CoefficientList", "round_coefficients", "eval_poly"):
+    for gone in ("LaguerreSpec", "CoefficientList", "round_coefficients", "eval_poly",
+                 "build_coefficients", "integer_reduction"):
         assert not hasattr(lagzero, gone)
         assert not hasattr(laguerre, gone)

@@ -62,6 +62,14 @@ def test_make_context_domain():
         landscape.make_context(0)
 
 
+def test_make_context_rounds_a_fraction_once():
+    # past 256 bits, numerator / denominator as two mpfs rounds three times
+    s = "0." + "3" * 90
+    exact, parsed = landscape.make_context(Fraction(s)), landscape.make_context(s)
+    for f in dataclasses.fields(landscape.PotentialContext):
+        assert getattr(exact, f.name) == getattr(parsed, f.name), f.name
+
+
 # ---------------------------------------------------------------------------
 # quadrature core
 

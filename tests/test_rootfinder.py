@@ -311,9 +311,8 @@ def test_conjugate_pairing():
 
 
 def test_origin_multiplicity_bookkeeping():
-    coeffs = (Fraction(-1), Fraction(1))  # z - 1
-    zset = rootfinder.find_zeros(coeffs, 128,
-                                 origin_multiplicity=5)
+    coeffs = (Fraction(0),) * 5 + (Fraction(-1), Fraction(1))  # z^5 (z - 1)
+    zset = rootfinder.find_zeros(coeffs, 128)
     assert zset.origin_multiplicity == 5
     assert zset.count == 6
     assert len(zset.zeros) == 1
