@@ -7,6 +7,8 @@ alpha = -n A, A in (0, 1).  Modules:
 - laguerre:    exact coefficients, exact evaluation, integer-parameter
                reduction, the A_n in (0, 1) domain check
 - rootfinder:  simultaneous root solver with inclusion disks
+- tropical:    the Newton polygon of the coefficients: seeds, and the
+               scales and words of the root solver's evaluations
 - landscape:   potential-theoretic machinery (R, phi, g, constants)
 - contour:     tracing of the predicted limit curves Gamma_r; distance
                and projection to the limit set

@@ -4,6 +4,8 @@ Each maps to a CLI exit code (see the cli.EXIT_* constants); library callers
 catch them directly.
 """
 
+import mpmath as mp
+
 
 class LagzeroError(Exception):
     """Base class for all package errors."""
@@ -30,7 +32,10 @@ class QuadratureError(LagzeroError):
 
 
 class NonConvergence(LagzeroError):
-    """Iteration hit its budget; usually means precision_bits is too small."""
+    """An iteration ran out of budget or missed its tolerance: the Aberth
+    sweeps did not settle, most often from seeds too far from the zeros,
+    or a residual bound came out above tol; or a convergence study's
+    statistics grew with n."""
 
     def __init__(self, iterations: int, worst_residual, message: str = ""):
         self.iterations = iterations
@@ -38,7 +43,7 @@ class NonConvergence(LagzeroError):
         super().__init__(
             message
             or f"no convergence after {iterations} iterations "
-            f"(worst residual {worst_residual})"
+            f"(worst residual {mp.nstr(mp.mpf(worst_residual), 3)})"
         )
 
 

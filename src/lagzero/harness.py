@@ -255,11 +255,11 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     laguerre.monic_rescaled, for every alpha, and rounds them itself; for
     integer alpha in {-n..-1} it counts the zero low coefficients as
     zset.origin_multiplicity. It starts from quantiles of the limit
-    measure (see _seeds_for), and from a Cauchy-bound circle when spec is
-    None. Retries once at doubled precision on NonConvergence or a
-    non-empty suspect list; a second NonConvergence propagates, and a
-    second suspect set is returned as it is. precision_bits below 64
-    raises DomainError.
+    measure (see _seeds_for), and from the circles of the Newton polygon
+    (tropical.initial_guesses) when spec is None. Retries once at doubled
+    precision on NonConvergence or a non-empty suspect list; a second
+    NonConvergence propagates, and a second suspect set is returned as it
+    is. precision_bits below 64 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")

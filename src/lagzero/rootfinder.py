@@ -15,35 +15,50 @@ never updated, and enters the pair sums as the conjugate of its twin; real
 roots stay exactly real. Otherwise every seed runs on its own.
 
 The sweeps and the polish run on fixed-point Gaussian integers: (X, Y)
-stands for (X + iY) 2^-P, so each product is one big-integer multiply in C
-instead of an mpc operation in pure Python. P is the working precision plus
-the bits the smallest nonzero coefficient sits below 1, plus 16 guard bits,
-so every coefficient keeps at least precision + 16 significant bits.
+stands for (X + iY) 2^-W, so each product is one big-integer multiply in C
+instead of an mpc operation in pure Python.
 
-The sweeps need far fewer bits than the result (Bini & Robol, J. Comput.
-Appl. Math. 272, 2014): they run at LOW_BITS = 128 bits, on words that keep
-the same guard, and each root is then lifted on its own, without pair
-sums, by Newton steps that double its accuracy on words that grow with
-it, up to the full P. A lift step that does not contract, as next to zeros
-that 128 bits cannot tell apart, sends the sweeps back to the seeds at
-twice the bits; at the working precision they are the whole run.
+Tropical scaling (lagzero.tropical) sizes the words. The roots are
+grouped into rings of |z|; in each, Horner runs on Q(w) = P(s w) 2^-m at
+|w| <= 1, with s >= |z| and 2^m about P's largest term at |z| = s. In Q's
+units each value is then off by at most 2 (n + 1) 2^-W, and the Newton
+step is s Q/Q'. So b correct bits of a root need
+W = b + cancellation + ceil(log2(n + 1)) + 16 bits, the cancellation
+-log2 |w Q'(w)| being read off the evaluations the kernel makes anyway;
+a ring whose word turns out short is widened. The pair sums see only
+differences of roots: their positions keep 16 bits past the accuracy,
+below the smallest root modulus the Newton polygon predicts.
 
-A last fixed-point Horner pass at the full P bounds each |P(z_i)|; each
-connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
-|z_i - z_j| holds as many zeros as disks (Neumaier, J. Comput. Appl. Math.
-156, 2003). Stage boundaries are logged at DEBUG on this module's logger."""
+The sweeps need far fewer bits than the result (Bini & Robol 2014): they
+run at LOW_BITS = 128 bits, and each root is then lifted on its own,
+without pair sums, by Newton steps that double its accuracy on words that
+grow with it, up to the working precision. A lift step that does not
+contract, as next to zeros that 128 bits cannot tell apart, sends the
+sweeps back to the seeds at twice the bits; at the working precision they
+are the whole run.
+
+A last fixed-point Horner pass bounds each |P(z_i)| on P's own
+coefficients, rounded to the working precision plus the bits the smallest
+nonzero coefficient sits below 1 plus 16 guard bits, and so proves what
+the scaled kernel returns without relying on it. Each connected component
+of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i} |z_i - z_j| holds as
+many zeros as disks (Neumaier, J. Comput. Appl. Math. 156, 2003). Stage
+boundaries are logged at DEBUG on this module's logger."""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
+from . import tropical
 from .debuglog import debug
 from .errors import NonConvergence
+from .tropical import initial_guesses
 
 MAX_ITERATIONS = 200
 # the precision of the first Aberth pass; the lift raises it to the caller's
@@ -193,15 +208,38 @@ def _within(cx, cy, x, y, tol, prec):
     return (cx * cx + cy * cy) << (2 * prec) <= tol * tol * max(1 << (2 * prec), x * x + y * y)
 
 
-def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations):
+def _shift(v, s):
+    # v 2^s, rounded toward -inf when s < 0
+    return v << s if s >= 0 else v >> -s
+
+
+def _plain_newton(cs, prec, x, y):
+    # the Newton step on P's coefficients cs, scaled by 2^prec, at z itself
+    px, py, dx, dy = _fixed_horner(cs, x, y, prec)
+    if px == 0 and py == 0:
+        return (0, 0), True
+    if dx == 0 and dy == 0:
+        return None, True
+    return _fixed_div(px, py, dx, dy, prec), True
+
+
+def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations, newton=None):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
     zs holds representatives: the roots are zs plus conj(zs[i]) for each i
     with twin[i] set (see _pair_sums). tol, in 2^-prec units, is the
     freeze tolerance, the nudge off a critical point and the offset that
-    parts coincident approximations. Returns the sweep count, or None
-    when max_iterations run out; zs is updated in place either way.
+    parts coincident approximations. newton(x, y) returns (step, sized):
+    step is P(z)/P'(z) at z = (x + iy) 2^-prec in 2^-prec units, (0, 0)
+    at P(z) = 0 and None at P'(z) = 0, and sized is false when the word
+    it was evaluated on proved too short for a step that small to count.
+    Such a root stays active, and the polish evaluates it again. Without
+    newton, Horner runs on cs, P's coefficients scaled by 2^prec, and every
+    step is sized. Returns the sweep count, or None when max_iterations run
+    out; zs is updated in place either way.
     """
+    if newton is None:
+        newton = partial(_plain_newton, cs, prec)
     one = 1 << prec
     active = list(range(len(zs)))
     for it in range(1, max_iterations + 1):
@@ -210,16 +248,14 @@ def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations):
         still = []
         for i in active:
             x, y = zs[i]
-            px, py, dx, dy = _fixed_horner(cs, x, y, prec)
-            if px == 0 and py == 0:
-                continue
-            if dx == 0 and dy == 0:
+            step, sized = newton(x, y)
+            if step is None:
                 # nudge off the critical point, along the axis for a real
                 # root so that it stays real; rare with spread seeds
                 zs[i] = (x + tol, y + tol if y else 0)
                 still.append(i)
                 continue
-            nx, ny = _fixed_div(px, py, dx, dy, prec)
+            nx, ny = step
             sx, sy = sums[i]
             ax = one - ((nx * sx - ny * sy) >> prec)
             ay = -((nx * sy + ny * sx) >> prec)
@@ -227,7 +263,7 @@ def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations):
                 cx, cy = nx, ny
             else:
                 cx, cy = _fixed_div(nx, ny, ax, ay, prec)
-            if not _within(cx, cy, x, y, tol, prec):
+            if not (sized and _within(cx, cy, x, y, tol, prec)):
                 still.append(i)
             zs[i] = (x - cx, y - cy)
         active = still
@@ -240,48 +276,104 @@ def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations):
     # moves of the other roots no longer shrink; one Newton step
     # squares it without any pair sums
     for i, (x, y) in enumerate(zs):
-        px, py, dx, dy = _fixed_horner(cs, x, y, prec)
-        if dx != 0 or dy != 0:
-            nx, ny = _fixed_div(px, py, dx, dy, prec)
-            zs[i] = (x - nx, y - ny)
+        step, sized = newton(x, y)
+        if not sized:
+            step, _ = newton(x, y)
+        if step is not None:
+            zs[i] = (x - step[0], y - step[1])
     return it
 
 
-def _lift(cs, zs, prec, guard, bits, tol):
-    """Newton steps that raise fixed-point representatives from about bits
-    correct bits on (bits + guard + 16)-bit words to the full prec-bit
-    words of cs, one root at a time and without pair sums.
+def _scaled_newton(rings, x, y, prec, acc):
+    """The Newton step at z = (x + iy) 2^-prec, as _aberth_fixed's newton
+    returns it, for a root that needs acc correct bits: on the scaled
+    polynomial of z's ring (tropical.Rings), w = z/s, and back as s Q/Q'."""
+    j = rings.ring(x, y, prec)
+    word = rings.word(j, acc)
+    rings.words[j] = max(rings.words.get(j, 0), word)
+    a, t, _, q = rings.coefficients(j, word)
+    sh = word + t - prec  # w = (x + iy) 2^sh / a in 2^-word units
+    wx, wy = _shift(x, sh) // a, _shift(y, sh) // a
+    px, py, dx, dy = _fixed_horner(q, wx, wy, word)
+    if px == 0 and py == 0:
+        return (0, 0), True
+    if dx == 0 and dy == 0:
+        return None, True
+    sized = rings.measure(j, word, acc, dx, dy)
+    nx, ny = _fixed_div(px, py, dx, dy, word)
+    return (_shift(a * nx, -sh), _shift(a * ny, -sh)), sized
 
-    Each level doubles the accuracy acc and works on words of
-    min(prec, acc + guard + 16) bits, with cs shifted down once per level.
-    A root is done after a full-word step of at most tol max(1, |z|). A
-    step toward acc must stay within 2^-(acc/4) max(1, |z|), the tolerance
-    of the level it starts from: a larger one means the approximation did
-    not hold the bits claimed for it, as next to a zero that the low words
-    cannot separate from its neighbour. Returns the number of levels, or
-    None at such a step or at P' = 0; zs is updated in place and ends on
-    prec-bit words when the lift succeeds.
+
+def _lift(rings, zs, prec, bits, target):
+    """Newton steps that raise fixed-point representatives zs, in 2^-prec
+    units with about bits correct bits, to target bits, one root at a time
+    and without pair sums.
+
+    Each root stays in the ring of its |z| and moves in that ring's frame
+    w = z/s, and the rings are lifted one after the other, each rounded
+    once for its last word. Each level doubles the accuracy acc and
+    evaluates on the ring's word for min(acc, target) bits
+    (tropical.Rings.word); a step that proves its word short is taken
+    again on the widened word. A root is done after a step on the words
+    for target bits of at most tol max(1, |z|), tol = 2^-(target // 2).
+    A step toward acc must stay within 2^-(acc/4) max(1, |z|), the
+    tolerance of the level it starts from: a larger one means the
+    approximation did not hold the bits claimed for it, as next to a zero
+    that the low words cannot separate from its neighbour. Returns None at
+    such a step or at P' = 0, else (levels, roots, words): roots[i] =
+    (x, y, e) is the lifted z_i as exactly (x + iy) 2^-e, levels the most
+    any ring took, and words the shortest and longest word of a root's
+    last step.
     """
-    word, acc, todo, levels = bits + guard + 16, bits, list(range(len(zs))), 0
-    while todo:
-        acc *= 2
-        new = min(prec, acc + guard + 16)
-        up, cw = new - word, [c >> (prec - new) for c in cs]
-        bound = 1 << (new - acc // 4) if new >= acc // 4 else 0
-        still = []
-        for i in todo:
-            x, y = zs[i][0] << up, zs[i][1] << up
-            px, py, dx, dy = _fixed_horner(cw, x, y, new)
-            if dx == 0 and dy == 0:
-                return None
-            cx, cy = _fixed_div(px, py, dx, dy, new)
-            if not _within(cx, cy, x, y, bound, new):
-                return None
-            zs[i] = (x - cx, y - cy)
-            if new < prec or not _within(cx, cy, x, y, tol, new):
-                still.append(i)
-        todo, word, levels = still, new, levels + 1
-    return levels
+    rings_of = {}
+    for i, (x, y) in enumerate(zs):
+        rings_of.setdefault(rings.ring(x, y, prec), []).append(i)
+    out, levels, last = [None] * len(zs), 0, []
+    for j, todo in rings_of.items():
+        # one rounding, for the last level's word; the levels below shift
+        # down from it, and the sweeps' shorter rounding goes first
+        rings.release(j)
+        rings.coefficients(j, rings.word(j, target))
+        a, t = rings.scale(j)
+        # root i as (w_x, w_y, e) for w = (w_x + i w_y) 2^-e
+        roots = {i: (_shift(zs[i][0], t) // a, _shift(zs[i][1], t) // a, prec)
+                 for i in todo}
+        acc, level = bits, 0
+        while todo:
+            acc *= 2
+            goal, still = min(acc, target), []
+            for i in todo:
+                wx, wy, e = roots[i]
+                for _ in range(2):
+                    word = rings.word(j, goal)
+                    a, t, _, q = rings.coefficients(j, word)
+                    x, y = _shift(wx, word - e), _shift(wy, word - e)
+                    px, py, dx, dy = _fixed_horner(q, x, y, word)
+                    if dx == 0 and dy == 0:
+                        return None
+                    if rings.measure(j, word, goal, dx, dy):
+                        break
+                cx, cy = _fixed_div(px, py, dx, dy, word)
+                # both tests in z's units, 2^-(word + t): exact multiples by a
+                zp, ax, ay, ux, uy = word + t, a * x, a * y, a * cx, a * cy
+                if not _within(ux, uy, ax, ay, _pow2(zp - acc // 4), zp):
+                    return None
+                roots[i] = (x - cx, y - cy, word)
+                if goal < target or not _within(ux, uy, ax, ay,
+                                                _pow2(zp - target // 2), zp):
+                    still.append(i)
+                else:
+                    last.append(word)
+            todo, level = still, level + 1
+        rings.release(j)
+        levels = max(levels, level)
+        for i, (wx, wy, e) in roots.items():
+            out[i] = (a * wx, a * wy, e + t)
+    return levels, out, (min(last), max(last))
+
+
+def _pow2(e):
+    return 1 << e if e >= 0 else 0
 
 
 def _certificate(cs, fixed, prec, log_tol):
@@ -340,7 +432,7 @@ def _logaddexp(a, b):
 
 def _guard_bits(exact) -> int:
     # an integer >= -log2 min |c_k| over the nonzero c_k (at most two bits
-    # over), or 0 when every |c_k| >= 1
+    # over), or 0 when every |c_k| >= 1; it sizes the certificate's words
     return max(0, max(c.denominator.bit_length() - abs(c.numerator).bit_length() + 1
                       for c in exact if c))
 
@@ -361,21 +453,24 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     final Newton step z -= P(z)/P'(z) polishes every root. The sweeps run at
     bits = min(LOW_BITS, precision_bits) with tolerance 2^-(bits//2); below
     precision_bits, Newton steps then lift each root, doubling its accuracy
-    per step, until a step on the full words is at most tol * max(1, |z|),
-    tol = 2^-(precision_bits//2).
+    per step, until a step on the words for precision_bits is at most
+    tol * max(1, |z|), tol = 2^-(precision_bits//2).
     When those sweeps do not converge, or a lift step does not contract or
     meets P' = 0, the sweeps start again from the seeds at twice the bits;
     at precision_bits they meet tol and need no lift. ZeroSet.iterations
-    counts the sweeps of every pass. Without seeds the roots start on a
-    Cauchy-bound circle. Seeds closed under exact conjugation are iterated
-    as one representative per conjugate class, and the zeros come back
-    closed under it too.
+    counts the sweeps of every pass. Without seeds the roots start on the
+    circles of the Newton polygon (initial_guesses). Seeds closed under
+    exact conjugation are iterated as one representative per conjugate
+    class, and the zeros come back closed under it too.
 
-    Sweeps, lift and certificate run in fixed point, on coefficients
-    rounded once from the exact coeffs to P = precision_bits +
-    max(0, -log2 min_k |c_k|) + 16 bits over the nonzero c_k and shifted
-    down for shorter words. The certificate runs on the full P bits. The
-    roots are returned at precision_bits, and the disks are centred on
+    Sweeps, polish and lift evaluate the scaled polynomial of each root's
+    ring (tropical.Rings) on words sized by the accuracy they need and the
+    cancellation they measure; the pair sums run on positions that keep
+    bits + 16 bits below the smallest root modulus the hull predicts. The
+    certificate alone runs on P's coefficients rounded once from the exact
+    coeffs to P = precision_bits + max(0, -log2 min_k |c_k|) + 16 bits over
+    the nonzero c_k, the words the scaled coefficients are rounded from.
+    The roots are returned at precision_bits, and the disks are centred on
     those values.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
@@ -396,37 +491,48 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        guard = _guard_bits(coeffs)
-        prec = precision_bits + guard + 16
+        prec = precision_bits + _guard_bits(coeffs) + 16
         cs = [round(c * (1 << prec)) for c in coeffs]
+        hull = tropical.hull(coeffs)
+        rings = tropical.Rings(cs, prec, hull)
+        # -log2 of the smallest root modulus the hull predicts: its first
+        # edge's slope
+        (k0, l0), (k1, l1) = hull[:2]
+        below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
-        tol_p, bits, iterations = to_fixed(tol._mpf_, prec), min(LOW_BITS, precision_bits), 0
+        bits, iterations = min(LOW_BITS, precision_bits), 0
         while True:
-            # at bits == precision_bits the sweeps run on the full words to
-            # tol itself, and no lift follows
+            # at bits == precision_bits the sweeps run to tol itself, and
+            # no lift follows
             full = bits == precision_bits
-            word = prec if full else bits + guard + 16
-            half = 1 << (word - bits // 2)  # 2^-(bits/2)
-            fixed = _to_fixed(reps, word)
-            sweeps = _aberth_fixed([c >> (prec - word) for c in cs], fixed, twin, word,
-                                   half, max_iterations)
+            pos = bits + 16 + below
+            fixed = _to_fixed(reps, pos)
+            rings.words = {}
+            sweeps = _aberth_fixed(None, fixed, twin, pos, 1 << (pos - bits // 2),
+                                   max_iterations,
+                                   newton=partial(_scaled_newton, rings, prec=pos, acc=bits))
             iterations += max_iterations if sweeps is None else sweeps
-            debug(__name__, "%s sweeps at %d bits (%d-bit words)", sweeps, bits, word)
+            debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words)", sweeps,
+                  bits, len(rings.words), min(rings.words.values()),
+                  max(rings.words.values()))
             if full:
+                roots = [(x, y, pos) for x, y in fixed]
                 break
-            levels = None if sweeps is None else _lift(cs, fixed, prec, guard, bits, tol_p)
-            if levels is not None:
-                debug(__name__, "lifted to %d bits in %d Newton levels",
-                      precision_bits, levels)
+            lifted = None if sweeps is None else _lift(rings, fixed, pos, bits,
+                                                       precision_bits)
+            if lifted is not None:
+                levels, roots, words = lifted
+                debug(__name__, "lifted to %d bits in %d Newton levels (%d-%d-bit words)",
+                      precision_bits, levels, *words)
                 break
             debug(__name__, "escalating from %d bits: %s", bits,
                   "sweeps did not converge" if sweeps is None else "lift failed")
             bits = min(2 * bits, precision_bits)
-        fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
+        roots += [(x, -y, e) for (x, y, e), t in zip(roots, twin) if t]
         # rounding to nearest is odd in y, so an implied twin is returned
         # as the exact conjugate of its representative
-        zs = [mp.mpc(mp.mpf((x, -prec)), mp.mpf((y, -prec))) for x, y in fixed]
+        zs = [mp.mpc(mp.mpf((x, -e)), mp.mpf((y, -e))) for x, y, e in roots]
         # real coefficients force conjugate symmetry: an imaginary part at
         # the quarter-precision level is iteration dust on a real zero
         # (converged steps sit at 2^-prec/2), not a genuine pair; paired
@@ -446,19 +552,3 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             raise NonConvergence(iterations, max(residuals))
     return ZeroSet(tuple(zs), residuals, origin, precision_bits, iterations,
                    tuple(mp.exp(r) for r in log_r), suspect)
-
-
-def initial_guesses(n: int, coeffs=None) -> list:
-    """n seed points on a circle that encloses every zero.
-
-    The radius is the Cauchy bound 1 + max|c_k| of the monic coefficients,
-    or 2 without them. Seeds placed on the predicted limit set come from
-    harness._seeds_for.
-    """
-    radius = 2.0
-    if coeffs is not None:
-        radius = 1.0 + max(float(abs(c)) for c in coeffs)
-    return [
-        radius * mp.exp(mp.mpc(0, 2 * mp.pi * (k + 0.25) / n))
-        for k in range(n)
-    ]

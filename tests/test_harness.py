@@ -269,6 +269,22 @@ def test_compute_zeros_outside_theorem_range():
     assert all(z.imag == 0 and z.real > 0 for z in zset.zeros)
 
 
+@pytest.mark.parametrize("n, alpha, real", [(40, "5.5", 40), (80, "-100.3", 0)])
+def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
+    # seeded from the Newton polygon: alpha > -1 has n positive zeros, and
+    # alpha < -n with n even has none real (Szego, Thm 6.73); every zero is
+    # certified, with no suspect disk, at the first precision tried
+    zset, spec = harness.compute_zeros(n, alpha)
+    assert spec is None
+    assert zset.precision_bits == harness.working_precision(n, alpha)
+    assert len(zset.zeros) == n
+    assert zset.suspect == ()
+    assert sum(1 for z in zset.zeros if z.imag == 0) == real
+    values = {(z.real, z.imag) for z in zset.zeros}
+    with mp.workprec(zset.precision_bits):
+        assert all((z.real, -z.imag) in values for z in zset.zeros)
+
+
 def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
     find = rootfinder.find_zeros
     calls = []

@@ -1,6 +1,7 @@
 """Aberth iteration checked against mpmath.polyroots and hand-built polynomials."""
 
 import logging
+import math
 import os
 import random
 import subprocess
@@ -11,7 +12,7 @@ import mpmath as mp
 import pytest
 
 import lagzero
-from lagzero import harness, laguerre, rootfinder
+from lagzero import harness, laguerre, rootfinder, tropical
 from lagzero.errors import NonConvergence
 
 
@@ -62,7 +63,8 @@ def test_matches_polyroots_on_laguerre():
 
 def test_matches_polyroots_near_integer():
     # dist(alpha, Z) = 1e-15 pulls the constant coefficient down to about
-    # 2^-75, so the fixed-point sweep runs with that many extra guard bits
+    # 2^-75: the certificate's words carry that many extra guard bits, and
+    # the scaled words of the sweeps do not
     mon = laguerre.monic_rescaled(12, "-9.000000000000001")
     assert abs(mon[0]) < Fraction(1, 2 ** 74)
     zset = rootfinder.find_zeros(mon, 320)
@@ -256,8 +258,8 @@ def test_stage_boundaries_are_logged(caplog):
     caplog.set_level(logging.DEBUG, logger=rootfinder.__name__)
     harness.compute_zeros(40, "-32.3564")
     msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
-    assert msgs[:2] == ["5 sweeps at 128 bits (231-bit words)",
-                        "lifted to 256 bits in 1 Newton levels"]
+    assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words)",
+                        "lifted to 256 bits in 1 Newton levels (280-304-bit words)"]
     assert msgs[2].startswith("certificate at 359-bit words: worst log radius ")
     assert msgs[2].endswith(", 0 suspect")
     assert len(msgs) == 3
@@ -416,13 +418,22 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # without guard bits the smallest coefficients of (60, -45.25) lose
     # most of their digits: from the seeds above the sweep still
     # converges, with residuals far below tol, to zeros wrong by far more
-    # than tol (up to 1.4e-26 against 1.9e-34 at 224 bits)
+    # than tol (up to 1.5e-27 against 1.9e-34 at 224 bits)
     ref, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
     seeds = [mp.mpc(*z) for z in _TRAPEZOID_LAYOUT_SEEDS]
-    monkeypatch.setattr(rootfinder, "_guard_bits", lambda exact: -16)
+    coeffs = laguerre.monic_rescaled(60, "-45.25")
+    drop = rootfinder._guard_bits(coeffs) + 16
+
+    class StarvedRings(tropical.Rings):
+        # the scaled words rounded from coefficients held to
+        # 2^-precision_bits, as if with no guard bits; the certificate
+        # keeps its own guarded words
+        def __init__(self, cs, prec, hull):
+            super().__init__([c >> drop for c in cs], prec - drop, hull)
+
+    monkeypatch.setattr(tropical, "Rings", StarvedRings)
     tol = mp.mpf(2) ** -(bits // 2)
-    zset = rootfinder.find_zeros(laguerre.monic_rescaled(60, "-45.25"), bits,
-                                 seeds=seeds)
+    zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds)
     with mp.workprec(512):
         wrong = [i for i, z in enumerate(zset.zeros)
                  if min(abs(w - z) for w in ref.zeros) > tol * max(1, abs(z))]
@@ -433,6 +444,77 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     with mp.workprec(512):
         assert all(min(abs(w - z) for w in ref.zeros) <= tol * max(1, abs(z))
                    for z in got.zeros)
+
+
+@pytest.mark.parametrize("n, alpha", [(88, "-71.2909"), (96, "-76.0000011")],
+                         ids=["88", "96"])
+def test_scaled_horner_is_within_its_bound(n, alpha):
+    # in Q's units the fixed-point Horner is off by at most 2 (n + 1) 2^-W
+    # at |w| <= 1: |2^m Q~(w) - P(s w)| <= 2 (n + 1) 2^(m - W) against the
+    # exact P, at seeded dyadic points in rings from the loop to the top of
+    # the interval, on the words of the sweeps and of the first lift level
+    coeffs = laguerre.monic_rescaled(n, alpha)
+    bits = harness.working_precision(n, alpha)
+    prec = bits + rootfinder._guard_bits(coeffs) + 16
+    rings = tropical.Rings([round(c * (1 << prec)) for c in coeffs], prec,
+                           tropical.hull(coeffs))
+    rng = random.Random(n)
+    for modulus in (0.11, 0.16, 0.2, 0.45, 1.0, 1.7):
+        j = rings.ring(round(modulus * 2 ** 60), 0, 60)
+        for acc in (128, 256):
+            word = rings.word(j, acc)
+            a, t, m, q = rings.coefficients(j, word)
+            # the guarded coefficients' own rounding stays below 2^-8 of
+            # a unit of Q's last place, so P's exact values stand for them
+            assert word - prec + max(0, -m) + (n + 1).bit_length() <= -8
+            for k in range(6):
+                # w = (u + iv) 2^-36; s w is exact in doubles (a has 16 bits)
+                while True:
+                    u, v = (rng.randint(-2 ** 36, 2 ** 36) for _ in range(2))
+                    v = v if k else 0
+                    if u * u + v * v <= 2 ** 72:
+                        break
+                px, py = rootfinder._fixed_horner(q, u << (word - 36), v << (word - 36),
+                                                  word, False)
+                z = complex(math.ldexp(a * u, -36 - t), math.ldexp(a * v, -36 - t))
+                with mp.workprec(3 * prec):
+                    exact, = laguerre.evaluate(coeffs, [z])
+                    scale = mp.mpf(2) ** (m - word)
+                    assert abs(mp.mpc(px, py) * scale - exact) <= 2 * (n + 1) * scale
+
+
+def _szego_split(n, alpha):
+    # (positive, negative) real zeros of L_n^(alpha) (Szego, Thm 6.73)
+    a = Fraction(alpha)
+    if a > -1:
+        return n, 0
+    if a < -n:
+        return 0, n % 2
+    return n - math.floor(-a), math.floor(-a) % 2
+
+
+@pytest.mark.parametrize("n, alpha", [(40, "5.5"), (40, "-50.3"), (41, "-50.3"),
+                                      (12, "-9.6"), (25, "-10.5"), (20, "0")])
+def test_newton_polygon_seeds_follow_the_real_zeros(n, alpha):
+    # exact conjugate pairs, and as many real seeds on each side of 0 as
+    # the polynomial has real zeros there, so that the paired sweeps can
+    # reach every zero
+    seeds = rootfinder.initial_guesses(n, laguerre.monic_rescaled(n, alpha))
+    assert len(seeds) == n
+    real = [z.real for z in seeds if z.imag == 0]
+    _, twin = rootfinder._conjugate_classes(seeds)
+    assert 2 * sum(twin) == n - len(real)
+    assert (sum(1 for x in real if x > 0), sum(1 for x in real if x < 0)) == \
+        _szego_split(n, alpha)
+
+
+def test_nonconvergence_message_is_short():
+    # the worst residual prints to three digits, not to the working precision
+    with pytest.raises(NonConvergence) as info:
+        rootfinder.find_zeros(_wilkinson(8), 256, max_iterations=1)
+    message = str(info.value)
+    assert message.startswith("no convergence after 2 iterations (worst residual ")
+    assert len(message) < 64
 
 
 def test_determinism():
