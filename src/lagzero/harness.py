@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from mpmath import mp
 
-from . import contour, laguerre, measure, rootfinder
+from . import contour, laguerre, measure, rootfinder, tropical
 from .errors import DomainError, NonConvergence, PlanError
 from .landscape import make_context
 
@@ -218,16 +218,15 @@ def _ks(cdf: Sequence[float]) -> float:
 
 
 def _seeds_for(n: int, alpha: Fraction, spec_m):
-    # integer alpha (r = inf): the origin holds -alpha zeros, which
-    # find_zeros strips, and the n + alpha others live on the interval
-    if math.isinf(spec_m.r):
-        return [mp.mpc(s) for s in measure.interval_quantiles(spec_m.ctx, n + int(alpha))]
-    # n - floor(-alpha) zeros are positive, one is negative exactly when
-    # floor(-alpha) is odd, and the rest are conjugate pairs (Szego,
-    # Orthogonal Polynomials, Thm 6.73); loop_quantiles has that layout
-    n_loop = math.floor(-alpha)
-    seeds = measure.interval_quantiles(spec_m.ctx, n - n_loop)
-    seeds.extend(measure.loop_quantiles(spec_m, n_loop))
+    # the positive zeros live on the interval (laguerre.real_zero_split).
+    # For integer alpha (r = inf) the origin holds the others, which
+    # find_zeros strips; otherwise the loop does, one of them negative
+    # exactly when floor(-alpha) is odd, the rest conjugate pairs, and
+    # loop_quantiles has that layout
+    positive, _ = laguerre.real_zero_split(n, alpha)
+    seeds = measure.interval_quantiles(spec_m.ctx, positive)
+    if not math.isinf(spec_m.r):
+        seeds.extend(measure.loop_quantiles(spec_m, n - positive))
     return [mp.mpc(s) for s in seeds]
 
 
@@ -256,10 +255,11 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     integer alpha in {-n..-1} it counts the zero low coefficients as
     zset.origin_multiplicity. It starts from quantiles of the limit
     measure (see _seeds_for), and from the circles of the Newton polygon
-    (tropical.initial_guesses) when spec is None. Retries once at doubled
-    precision on NonConvergence or a non-empty suspect list; a second
-    NonConvergence propagates, and a second suspect set is returned as it
-    is. precision_bits below 64 raises DomainError.
+    (tropical.initial_guesses) when spec is None, with as many real seeds
+    on each side of 0 as laguerre.real_zero_split counts zeros there.
+    Retries once at doubled precision on NonConvergence or a non-empty
+    suspect list; a second NonConvergence propagates, and a second suspect
+    set is returned as it is. precision_bits below 64 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
@@ -276,6 +276,9 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
         seeds = _seeds_for(n, alpha_f, spec_m)
 
     coeffs = laguerre.monic_rescaled(n, alpha_f)
+    if spec_m is None and coeffs[0]:
+        # the paired sweeps need as many real seeds as real zeros
+        seeds = tropical.initial_guesses(n, coeffs, laguerre.real_zero_split(n, alpha_f))
     try:
         zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds)
     except NonConvergence:

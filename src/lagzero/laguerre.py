@@ -116,3 +116,17 @@ def monic_rescaled(n: int, alpha: AlphaLike) -> tuple:
         den *= q * n
         coeffs[k] = Fraction(binom * prod, den)
     return tuple(coeffs)
+
+
+def real_zero_split(n: int, alpha: AlphaLike) -> tuple:
+    """(positive, negative): how many zeros of L_n^(alpha) are real and
+    positive and how many real and negative, the origin's not counted
+    (Szego, Orthogonal Polynomials, Thm 6.73). For alpha = -m in {-n..-1}
+    the origin holds m zeros and L_{n-m}^(m) the n - m positive others."""
+    a = parse_alpha(alpha)
+    if a > -1:
+        return n, 0
+    if a < -n:
+        return 0, n % 2
+    m = math.floor(-a)
+    return n - m, 0 if a == -m else m % 2

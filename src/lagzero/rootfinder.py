@@ -213,8 +213,9 @@ def _shift(v, s):
     return v << s if s >= 0 else v >> -s
 
 
-def _plain_newton(cs, prec, x, y):
-    # the Newton step on P's coefficients cs, scaled by 2^prec, at z itself
+def _plain_newton(cs, prec, x, y, final):
+    # _aberth_fixed's newton on P's own coefficients cs, scaled by 2^prec,
+    # every step sized: the reference the scaled kernel is checked against
     px, py, dx, dy = _fixed_horner(cs, x, y, prec)
     if px == 0 and py == 0:
         return (0, 0), True
@@ -223,23 +224,20 @@ def _plain_newton(cs, prec, x, y):
     return _fixed_div(px, py, dx, dy, prec), True
 
 
-def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations, newton=None):
+def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
     zs holds representatives: the roots are zs plus conj(zs[i]) for each i
     with twin[i] set (see _pair_sums). tol, in 2^-prec units, is the
     freeze tolerance, the nudge off a critical point and the offset that
-    parts coincident approximations. newton(x, y) returns (step, sized):
-    step is P(z)/P'(z) at z = (x + iy) 2^-prec in 2^-prec units, (0, 0)
-    at P(z) = 0 and None at P'(z) = 0, and sized is false when the word
-    it was evaluated on proved too short for a step that small to count.
-    Such a root stays active, and the polish evaluates it again. Without
-    newton, Horner runs on cs, P's coefficients scaled by 2^prec, and every
-    step is sized. Returns the sweep count, or None when max_iterations run
-    out; zs is updated in place either way.
+    parts coincident approximations. newton(x, y, final) returns
+    (step, sized): step is P(z)/P'(z) at z = (x + iy) 2^-prec in 2^-prec
+    units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized is false
+    when the word it was evaluated on proved too short for a step that
+    small to count; such a root stays active. final is set for the
+    polish, whose step is the root's last. Returns the sweep count, or None when
+    max_iterations run out; zs is updated in place either way.
     """
-    if newton is None:
-        newton = partial(_plain_newton, cs, prec)
     one = 1 << prec
     active = list(range(len(zs)))
     for it in range(1, max_iterations + 1):
@@ -248,7 +246,7 @@ def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations, newton=None):
         still = []
         for i in active:
             x, y = zs[i]
-            step, sized = newton(x, y)
+            step, sized = newton(x, y, False)
             if step is None:
                 # nudge off the critical point, along the axis for a real
                 # root so that it stays real; rare with spread seeds
@@ -276,32 +274,48 @@ def _aberth_fixed(cs, zs, twin, prec, tol, max_iterations, newton=None):
     # moves of the other roots no longer shrink; one Newton step
     # squares it without any pair sums
     for i, (x, y) in enumerate(zs):
-        step, sized = newton(x, y)
-        if not sized:
-            step, _ = newton(x, y)
+        step, _ = newton(x, y, True)
         if step is not None:
             zs[i] = (x - step[0], y - step[1])
     return it
 
 
-def _scaled_newton(rings, x, y, prec, acc):
-    """The Newton step at z = (x + iy) 2^-prec, as _aberth_fixed's newton
-    returns it, for a root that needs acc correct bits: on the scaled
-    polynomial of z's ring (tropical.Rings), w = z/s, and back as s Q/Q'."""
+def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
+    """The Newton step Q(w)/Q'(w) on the scaled polynomial of ring j
+    (tropical.Rings) at w = (x + iy) 2^-e / a, on the ring's word for acc
+    correct bits. Returns (word, wx, wy, step, sized): w rounded to
+    (wx + i wy) 2^-word, step in 2^-word units, (0, 0) at Q(w) = 0 and
+    None at Q'(w) = 0, and sized false when the evaluation proves the word
+    short (Rings.measure), which widens the ring's later words. A final
+    step, one that has to count, is then taken once more on the widened
+    word; a sweep's is used as it is, and its root stays active.
+    """
+    for _ in range(2 if final else 1):
+        word = rings.word(j, acc)
+        q = rings.coefficients(j, word)[3]
+        wx, wy = _shift(x, word - e) // a, _shift(y, word - e) // a
+        px, py, dx, dy = _fixed_horner(q, wx, wy, word)
+        if px == 0 and py == 0:
+            return word, wx, wy, (0, 0), True
+        if dx == 0 and dy == 0:
+            return word, wx, wy, None, True
+        sized = rings.measure(j, word, acc, dx, dy)
+        if sized:
+            break
+    return word, wx, wy, _fixed_div(px, py, dx, dy, word), sized
+
+
+def _scaled_newton(rings, x, y, final, prec, acc):
+    """_aberth_fixed's newton at z = (x + iy) 2^-prec for a root that needs
+    acc correct bits: _ring_newton in z's ring at w = z/s, and back as
+    s Q/Q'."""
     j = rings.ring(x, y, prec)
-    word = rings.word(j, acc)
-    rings.words[j] = max(rings.words.get(j, 0), word)
-    a, t, _, q = rings.coefficients(j, word)
-    sh = word + t - prec  # w = (x + iy) 2^sh / a in 2^-word units
-    wx, wy = _shift(x, sh) // a, _shift(y, sh) // a
-    px, py, dx, dy = _fixed_horner(q, wx, wy, word)
-    if px == 0 and py == 0:
-        return (0, 0), True
-    if dx == 0 and dy == 0:
-        return None, True
-    sized = rings.measure(j, word, acc, dx, dy)
-    nx, ny = _fixed_div(px, py, dx, dy, word)
-    return (_shift(a * nx, -sh), _shift(a * ny, -sh)), sized
+    a, t = rings.scale(j)
+    word, _, _, step, sized = _ring_newton(rings, j, acc, x, y, prec - t, a, final)
+    if step is None:
+        return None, sized
+    sh = word + t - prec
+    return (_shift(a * step[0], -sh), _shift(a * step[1], -sh)), sized
 
 
 def _lift(rings, zs, prec, bits, target):
@@ -311,24 +325,21 @@ def _lift(rings, zs, prec, bits, target):
 
     Each root stays in the ring of its |z| and moves in that ring's frame
     w = z/s, and the rings are lifted one after the other, each rounded
-    once for its last word. Each level doubles the accuracy acc and
-    evaluates on the ring's word for min(acc, target) bits
-    (tropical.Rings.word); a step that proves its word short is taken
-    again on the widened word. A root is done after a step on the words
-    for target bits of at most tol max(1, |z|), tol = 2^-(target // 2).
+    once for its last word. Each level doubles the accuracy acc and takes
+    _ring_newton's step for min(acc, target) bits. A root is done after a
+    step for target bits of at most tol max(1, |z|), tol = 2^-(target // 2).
     A step toward acc must stay within 2^-(acc/4) max(1, |z|), the
     tolerance of the level it starts from: a larger one means the
     approximation did not hold the bits claimed for it, as next to a zero
     that the low words cannot separate from its neighbour. Returns None at
-    such a step or at P' = 0, else (levels, roots, words): roots[i] =
-    (x, y, e) is the lifted z_i as exactly (x + iy) 2^-e, levels the most
-    any ring took, and words the shortest and longest word of a root's
-    last step.
+    such a step or at P' = 0, else (levels, roots): roots[i] = (x, y, e)
+    is the lifted z_i as exactly (x + iy) 2^-e, and levels the most any
+    ring took.
     """
     rings_of = {}
     for i, (x, y) in enumerate(zs):
         rings_of.setdefault(rings.ring(x, y, prec), []).append(i)
-    out, levels, last = [None] * len(zs), 0, []
+    out, levels = [None] * len(zs), 0
     for j, todo in rings_of.items():
         # one rounding, for the last level's word; the levels below shift
         # down from it, and the sweeps' shorter rounding goes first
@@ -343,17 +354,10 @@ def _lift(rings, zs, prec, bits, target):
             acc *= 2
             goal, still = min(acc, target), []
             for i in todo:
-                wx, wy, e = roots[i]
-                for _ in range(2):
-                    word = rings.word(j, goal)
-                    a, t, _, q = rings.coefficients(j, word)
-                    x, y = _shift(wx, word - e), _shift(wy, word - e)
-                    px, py, dx, dy = _fixed_horner(q, x, y, word)
-                    if dx == 0 and dy == 0:
-                        return None
-                    if rings.measure(j, word, goal, dx, dy):
-                        break
-                cx, cy = _fixed_div(px, py, dx, dy, word)
+                word, x, y, step, _ = _ring_newton(rings, j, goal, *roots[i])
+                if step is None:
+                    return None
+                cx, cy = step
                 # both tests in z's units, 2^-(word + t): exact multiples by a
                 zp, ax, ay, ux, uy = word + t, a * x, a * y, a * cx, a * cy
                 if not _within(ux, uy, ax, ay, _pow2(zp - acc // 4), zp):
@@ -362,14 +366,12 @@ def _lift(rings, zs, prec, bits, target):
                 if goal < target or not _within(ux, uy, ax, ay,
                                                 _pow2(zp - target // 2), zp):
                     still.append(i)
-                else:
-                    last.append(word)
             todo, level = still, level + 1
         rings.release(j)
         levels = max(levels, level)
         for i, (wx, wy, e) in roots.items():
             out[i] = (a * wx, a * wy, e + t)
-    return levels, out, (min(last), max(last))
+    return levels, out
 
 
 def _pow2(e):
@@ -458,10 +460,11 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     When those sweeps do not converge, or a lift step does not contract or
     meets P' = 0, the sweeps start again from the seeds at twice the bits;
     at precision_bits they meet tol and need no lift. ZeroSet.iterations
-    counts the sweeps of every pass. Without seeds the roots start on the
-    circles of the Newton polygon (initial_guesses). Seeds closed under
-    exact conjugation are iterated as one representative per conjugate
-    class, and the zeros come back closed under it too.
+    counts the sweeps of every pass. Without seeds the roots start,
+    unpaired, on the circles of the Newton polygon (initial_guesses).
+    Seeds closed under exact conjugation are iterated as one
+    representative per conjugate class, and the zeros come back closed
+    under it too.
 
     Sweeps, polish and lift evaluate the scaled polynomial of each root's
     ring (tropical.Rings) on words sized by the accuracy they need and the
@@ -508,23 +511,22 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             full = bits == precision_bits
             pos = bits + 16 + below
             fixed = _to_fixed(reps, pos)
-            rings.words = {}
-            sweeps = _aberth_fixed(None, fixed, twin, pos, 1 << (pos - bits // 2),
-                                   max_iterations,
-                                   newton=partial(_scaled_newton, rings, prec=pos, acc=bits))
+            sweeps = _aberth_fixed(fixed, twin, pos, 1 << (pos - bits // 2), max_iterations,
+                                   partial(_scaled_newton, rings, prec=pos, acc=bits))
             iterations += max_iterations if sweeps is None else sweeps
+            words = rings.take_words()
             debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words)", sweeps,
-                  bits, len(rings.words), min(rings.words.values()),
-                  max(rings.words.values()))
+                  bits, len(words), min(words.values()), max(words.values()))
             if full:
                 roots = [(x, y, pos) for x, y in fixed]
                 break
             lifted = None if sweeps is None else _lift(rings, fixed, pos, bits,
                                                        precision_bits)
+            words = rings.take_words()
             if lifted is not None:
-                levels, roots, words = lifted
+                levels, roots = lifted
                 debug(__name__, "lifted to %d bits in %d Newton levels (%d-%d-bit words)",
-                      precision_bits, levels, *words)
+                      precision_bits, levels, min(words.values()), max(words.values()))
                 break
             debug(__name__, "escalating from %d bits: %s", bits,
                   "sweeps did not converge" if sweeps is None else "lift failed")

@@ -24,6 +24,9 @@ RING_BITS = 8
 MARGIN = 16
 # the bits a ring's rounding adds to the word it is asked for
 _HEADROOM = 64
+# a pair split into two real seeds puts them at its modulus times and
+# divided by this
+_SPLIT = 2 ** (1 / 8)
 
 
 def _log2_abs(c) -> float:
@@ -45,54 +48,64 @@ def hull(coeffs) -> list:
     return out
 
 
-def _breaks_newton(coeffs, k) -> bool:
-    # c_k^2 < c_{k-1} c_{k+1} (1 + 1/k)(1 + 1/(n - k)), exactly
-    n = len(coeffs) - 1
-    return coeffs[k] ** 2 * k * (n - k) < coeffs[k - 1] * coeffs[k + 1] * (k + 1) * (n - k + 1)
-
-
-def initial_guesses(n: int, coeffs=None) -> list:
-    """n seeds closed under exact conjugation, on the circles of the Newton
-    polygon of the Fraction coefficients c_0..c_n (c_0 != 0).
+def initial_guesses(n: int, coeffs=None, real=None) -> list:
+    """n seeds on the circles of the Newton polygon of the Fraction
+    coefficients c_0..c_n (c_0 != 0); without coeffs, of z^n - 2^n.
 
     The hull edge from k0 to k1 holds the k1 - k0 roots of its binomial
     c_k0 + c_k1 z^(k1 - k0), on the circle of radius
-    |c_k0 / c_k1|^(1/(k1 - k0)): exact conjugate pairs, and a real seed
-    for each real root of the binomial. Paired sweeps keep a real seed
-    real and a pair a pair, so the real seeds must match the real zeros.
-    Two edges of width 1 therefore merge into one of width 2, which holds
-    a pair, when their shared vertex k breaks Newton's inequality
-    c_k^2 >= c_{k-1} c_{k+1} (1 + 1/k)(1 + 1/(n - k)), which holds
-    whenever every zero is real (Hardy, Littlewood & Polya, Inequalities,
-    sec. 2.22). Without coeffs the seeds are the n-th roots of 2^n. Seeds
-    placed on the predicted limit set come from harness._seeds_for.
+    |c_k0 / c_k1|^(1/(k1 - k0)). Paired sweeps keep a real seed real and a
+    pair a pair, so seeds closed under conjugation must hold as many real
+    seeds on each side of 0 as the polynomial has real zeros there.
+
+    real = (p, q) says it has p positive and q negative real zeros. The
+    seeds are then the binomials' roots, exact conjugate pairs and a real
+    seed for each real root, with the two real seeds of nearest moduli r,
+    r' on a side merged into the pair +-i sqrt(r r'), or the pair nearest
+    that side's axis split into two real seeds 2^(1/4) apart around its
+    modulus, until p are positive and q negative. The binomials' real
+    roots on a side already have the parity of the real zeros there:
+    Descartes' rule of signs reads both off the signs of c_0 and c_n.
+    Without real, each binomial's roots are turned by pi/(2 (k1 - k0)):
+    no seed is real and none has its conjugate among the seeds, so each
+    runs on its own. Seeds placed on the predicted limit set come from
+    harness._seeds_for.
     """
     if coeffs is None:
         coeffs = (Fraction(-2 ** n),) + (Fraction(0),) * (n - 1) + (Fraction(1),)
     ks = [k for k, _ in hull(coeffs)]
-    edges, i = [], 0
-    while i < len(ks) - 1:
-        k0, k1 = ks[i], ks[i + 1]
-        if (k1 - k0 == 1 and i + 2 < len(ks) and ks[i + 2] == k1 + 1
-                and _breaks_newton(coeffs, k1)):
-            edges.append((k0, k1 + 1))
-            i += 2
-        else:
-            edges.append((k0, k1))
-            i += 1
-    seeds = []
-    for k0, k1 in edges:
+    sides, pairs, seeds = ([], []), [], []  # sides: real seeds' moduli, + and -
+    for k0, k1 in zip(ks, ks[1:]):
         m = k1 - k0
         r = mp.mpf(2) ** ((_log2_abs(coeffs[k0]) - _log2_abs(coeffs[k1])) / m)
         # the binomial's roots are r e^(i pi u/m), u = 0, 2, .. when
         # -c_k0/c_k1 > 0 and u = 1, 3, .. otherwise; u and -u are a pair
-        for u in range(0 if coeffs[k0] * coeffs[k1] < 0 else 1, m + 1, 2):
+        first = 0 if coeffs[k0] * coeffs[k1] < 0 else 1
+        if real is None:
+            seeds += [r * mp.expjpi((u + mp.mpf(1) / 2) / m) for u in range(first, 2 * m, 2)]
+            continue
+        for u in range(first, m + 1, 2):
             if u == 0 or u == m:
-                seeds.append(mp.mpc(r if u == 0 else -r))
+                sides[u != 0].append(r)
             else:
-                z = r * mp.expjpi(mp.mpf(u) / m)
-                seeds += [z, mp.conj(z)]
-    return seeds
+                pairs.append(r * mp.expjpi(mp.mpf(u) / m))
+    if real is None:
+        return seeds
+    for side, want in zip(sides, real):
+        if (len(side) - want) % 2:
+            raise ValueError(f"{len(side)} real seeds on a side cannot become {want}")
+        side.sort()
+        while len(side) > want:
+            i = min(range(len(side) - 1), key=lambda i: side[i + 1] / side[i])
+            pairs.append(mp.mpc(0, mp.sqrt(side[i] * side[i + 1])))
+            del side[i:i + 2]
+    for side, want in zip(sides, real):
+        while len(side) < want:
+            z = (min if side is sides[0] else max)(pairs, key=mp.arg)
+            pairs.remove(z)
+            side += [abs(z) * _SPLIT, abs(z) / _SPLIT]
+    return ([mp.mpc(r) for r in sides[0]] + [mp.mpc(-r) for r in sides[1]]
+            + [w for z in pairs for w in (z, mp.conj(z))])
 
 
 def _scaled_coefficients(cs, prec, a, t, m, word):
@@ -141,7 +154,7 @@ class Rings:
         self.cancellation = {}  # ring -> largest cancellation measured in it
         self.rounded = {}  # ring -> (word, a, t, m, Q's coefficients)
         self.shifted = {}  # ring -> (word, (a, t, m, q)), the last word asked for
-        self.words = {}  # ring -> widest word a sweep evaluated in it, for the log
+        self.words = {}  # ring -> widest word asked for since take_words
 
     def ring(self, x, y, prec):
         """The ring of z = (x + iy) 2^-prec; z = 0 falls in the innermost
@@ -169,6 +182,8 @@ class Rings:
         multiples of 8, so the first rounding adds at most 2^-9 of a unit
         to the second's half unit.
         """
+        if word > self.words.get(j, 0):
+            self.words[j] = word
         got = self.shifted.get(j)
         if got is not None and got[0] == word:
             return got[1]
@@ -186,6 +201,12 @@ class Rings:
             q = [(c + half) >> (top - word) for c in q]
         self.shifted[j] = (word, (a, t, m, q))
         return a, t, m, q
+
+    def take_words(self) -> dict:
+        """{ring: the widest word its coefficients were asked for} since
+        the last call, which starts the record afresh."""
+        words, self.words = self.words, {}
+        return words
 
     def release(self, j):
         """Drop ring j's coefficients; it is rounded again when asked."""

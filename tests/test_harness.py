@@ -285,6 +285,21 @@ def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
         assert all((z.real, -z.imag) in values for z in zset.zeros)
 
 
+def test_compute_zeros_just_below_minus_n():
+    # alpha in (-n - 1, -n): the Newton polygon's binomials have real roots
+    # where L_n^(alpha) has no real zero but one negative for odd n (Szego,
+    # Thm 6.73); the seeds follow Szego's split, and every zero is
+    # certified at the first precision tried
+    for n in range(2, 61):
+        alpha = f"-{n}.5"
+        zset, spec = harness.compute_zeros(n, alpha)
+        assert spec is None
+        assert zset.precision_bits == harness.working_precision(n, alpha), n
+        assert zset.suspect == (), n
+        assert len(zset.zeros) == n
+        assert [z.real < 0 for z in zset.zeros if z.imag == 0] == [True] * (n % 2), n
+
+
 def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
     find = rootfinder.find_zeros
     calls = []

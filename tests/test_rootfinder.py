@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 
 import mpmath as mp
 import pytest
@@ -141,8 +142,8 @@ def test_real_roots_stay_real_through_the_nudge():
     prec = 128
     one = 1 << prec
     zs = [(0, 0), (3 * one, 0)]
-    it = rootfinder._aberth_fixed([-one, 0, one], zs, [False, False], prec,
-                                  one >> 40, 50)
+    it = rootfinder._aberth_fixed(zs, [False, False], prec, one >> 40, 50,
+                                  partial(rootfinder._plain_newton, [-one, 0, one], prec))
     assert it is not None
     assert [y for _, y in zs] == [0, 0]
     assert abs(zs[0][0] + one) <= 2 and abs(zs[1][0] - one) <= 2
@@ -224,8 +225,8 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
         fixed = rootfinder._to_fixed(reps, prec)
         tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
-        assert rootfinder._aberth_fixed(cs, fixed, twin, prec, tol,
-                                        rootfinder.MAX_ITERATIONS) is not None
+        assert rootfinder._aberth_fixed(fixed, twin, prec, tol, rootfinder.MAX_ITERATIONS,
+                                        partial(rootfinder._plain_newton, cs, prec)) is not None
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
                      for x, y in fixed)
@@ -483,29 +484,62 @@ def test_scaled_horner_is_within_its_bound(n, alpha):
                     assert abs(mp.mpc(px, py) * scale - exact) <= 2 * (n + 1) * scale
 
 
-def _szego_split(n, alpha):
-    # (positive, negative) real zeros of L_n^(alpha) (Szego, Thm 6.73)
-    a = Fraction(alpha)
-    if a > -1:
-        return n, 0
-    if a < -n:
-        return 0, n % 2
-    return n - math.floor(-a), math.floor(-a) % 2
-
-
 @pytest.mark.parametrize("n, alpha", [(40, "5.5"), (40, "-50.3"), (41, "-50.3"),
-                                      (12, "-9.6"), (25, "-10.5"), (20, "0")])
+                                      (12, "-9.6"), (25, "-10.5"), (20, "0"),
+                                      (8, "-8.5"), (9, "-9.01")])
 def test_newton_polygon_seeds_follow_the_real_zeros(n, alpha):
     # exact conjugate pairs, and as many real seeds on each side of 0 as
     # the polynomial has real zeros there, so that the paired sweeps can
     # reach every zero
-    seeds = rootfinder.initial_guesses(n, laguerre.monic_rescaled(n, alpha))
+    real = laguerre.real_zero_split(n, alpha)
+    seeds = rootfinder.initial_guesses(n, laguerre.monic_rescaled(n, alpha), real)
     assert len(seeds) == n
-    real = [z.real for z in seeds if z.imag == 0]
+    on_axis = [z.real for z in seeds if z.imag == 0]
     _, twin = rootfinder._conjugate_classes(seeds)
-    assert 2 * sum(twin) == n - len(real)
-    assert (sum(1 for x in real if x > 0), sum(1 for x in real if x < 0)) == \
-        _szego_split(n, alpha)
+    assert 2 * sum(twin) == n - len(on_axis)
+    assert (sum(1 for x in on_axis if x > 0), sum(1 for x in on_axis if x < 0)) == real
+
+
+@pytest.mark.parametrize("n, alpha", [(n, a) for n in (1, 2, 5, 8, 9) for a in (
+    "0.5", "-0.5", "-1", "-2.5", f"-{n - 1}.999", f"-{n}", f"-{n}.5", f"-{n + 1}",
+    f"-{n + 1}.5", f"-{3 * n}.3")])
+def test_real_zero_split_counts_the_real_zeros(n, alpha):
+    # Szego's split against the zeros mp.polyroots finds, away from the origin
+    mon = laguerre.monic_rescaled(n, alpha)
+    mon = mon[next(k for k, c in enumerate(mon) if c):]
+    with mp.workprec(400):
+        roots = mp.polyroots([mp.mpf(c.numerator) / c.denominator for c in reversed(mon)],
+                             maxsteps=400, extraprec=800) if len(mon) > 1 else []
+        real = [mp.re(z) for z in roots if abs(mp.im(z)) < mp.mpf(2) ** -200]
+    assert laguerre.real_zero_split(n, alpha) == (sum(1 for x in real if x > 0),
+                                                  sum(1 for x in real if x < 0))
+
+
+def test_seeds_split_a_pair_for_a_missing_real_zero():
+    # the hull of this polynomial holds one real binomial root for its
+    # three negative zeros: a pair becomes two real seeds, and the paired
+    # sweeps reach every zero from them
+    pairs = [(Fraction(-7, 4), Fraction(11, 4)), (Fraction(11, 3), Fraction(3)),
+             (Fraction(19, 3), Fraction(8))]
+    real = [Fraction(-23, 3), Fraction(-13), Fraction(-23, 7)]
+    mon = _expand(real)
+    for a, b in pairs:
+        quadratic = (a * a + b * b, -2 * a, Fraction(1))
+        mon = tuple(sum(mon[i] * quadratic[k - i] for i in range(len(mon))
+                        if 0 <= k - i < 3) for k in range(len(mon) + 2))
+    seeds = rootfinder.initial_guesses(9, mon, (0, 3))
+    on_axis = [z.real for z in seeds if z.imag == 0]
+    assert len(on_axis) == 3 and all(x < 0 for x in on_axis)
+    zset = rootfinder.find_zeros(mon, 256, seeds=seeds)
+    assert zset.suspect == ()
+    with mp.workprec(256):
+        q = lambda f: mp.mpf(f.numerator) / f.denominator  # noqa: E731
+        want = sorted([mp.mpc(q(x)) for x in real]
+                      + [mp.mpc(q(a), s * q(b)) for a, b in pairs for s in (1, -1)],
+                      key=rootfinder._sorted_key)
+        assert all(abs(z - w) <= mp.mpf(2) ** -120 for z, w in zip(zset.zeros, want))
+    with pytest.raises(ValueError):
+        rootfinder.initial_guesses(9, mon, (0, 2))
 
 
 def test_nonconvergence_message_is_short():
@@ -529,3 +563,16 @@ def test_initial_guesses_circle_fallback():
     guesses = rootfinder.initial_guesses(7)
     assert len(guesses) == 7
     assert len(set(guesses)) == 7
+
+
+@pytest.mark.parametrize("coeffs", [_wilkinson(6), laguerre.monic_rescaled(8, "-8.5")],
+                         ids=["wilkinson6", "8,-8.5"])
+def test_seeds_without_a_real_count_run_unpaired(coeffs):
+    # no seed is real and none has its conjugate among the seeds, so the
+    # kernel runs each on its own and may move it onto or off the axis
+    seeds = rootfinder.initial_guesses(len(coeffs) - 1, coeffs)
+    assert all(z.imag != 0 for z in seeds)
+    reps, twin = rootfinder._conjugate_classes(seeds)
+    assert reps == seeds and not any(twin)
+    zset = rootfinder.find_zeros(coeffs, 256)
+    assert zset.suspect == ()
