@@ -1,49 +1,32 @@
 """Simultaneous zero finding for monic polynomials at arbitrary precision.
 
-Aberth-Ehrlich iteration: Jacobi-style sweep where each approximation moves by
+Aberth-Ehrlich iteration: Jacobi-style sweeps move each approximation by
 newton / (1 - newton * sum_j 1/(z_i - z_j)). A root whose step falls below
 tol is frozen: later sweeps no longer update it, though it still enters the
 other roots' pair sums, and the iteration stops once every root is frozen
 (Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
-the frozen approximations.
+the frozen approximations. The coefficients are real: seeds closed under
+conjugation are swept as one representative per conjugate class
+(_conjugate_classes), and real roots stay exactly real.
 
-The coefficients are real, so the zeros are closed under conjugation. When
-the seeds are too (each non-real seed's exact conjugate is also a seed),
-the kernel stores one representative per conjugate class: each real seed,
-and the member with Im z > 0 of each pair. The other member is implied,
-never updated, and enters the pair sums as the conjugate of its twin; real
-roots stay exactly real. Otherwise every seed runs on its own.
+The kernel runs on fixed-point Gaussian integers, (X, Y) for
+(X + iY) 2^-W: one big-integer multiply in C per product. Tropical scaling
+(lagzero.tropical) sizes the words: in each ring of |z|, Q(w) = P(s w) 2^-m,
+with s >= |z| and 2^m about P's largest term at s, is divided by the real
+quadratic (t - w)(t - conj w) at |w| <= 1 (_quadratic_horner), which leaves
+Q(w) off by at most 2 (n + 1) + 1 units of 2^-W. The Newton step is
+s Q/Q', so b correct bits of a root need W = b + cancellation +
+ceil(log2(n + 1)) + 16 bits, the cancellation -log2 |w Q'(w)| being read
+off the evaluations themselves; a ring whose word turns out short is
+widened. The sweeps need far fewer bits than the result (Bini & Robol
+2014): they run at LOW_BITS = 128 bits, and _lift then takes each root on
+its own, without pair sums, up to the working precision.
 
-The sweeps and the polish run on fixed-point Gaussian integers: (X, Y)
-stands for (X + iY) 2^-W, so each product is one big-integer multiply in C
-instead of an mpc operation in pure Python.
-
-Tropical scaling (lagzero.tropical) sizes the words. The roots are
-grouped into rings of |z|; in each, Horner runs on Q(w) = P(s w) 2^-m at
-|w| <= 1, with s >= |z| and 2^m about P's largest term at |z| = s. In Q's
-units each value is then off by at most 2 (n + 1) 2^-W, and the Newton
-step is s Q/Q'. So b correct bits of a root need
-W = b + cancellation + ceil(log2(n + 1)) + 16 bits, the cancellation
--log2 |w Q'(w)| being read off the evaluations the kernel makes anyway;
-a ring whose word turns out short is widened. The pair sums see only
-differences of roots: their positions keep 16 bits past the accuracy,
-below the smallest root modulus the Newton polygon predicts.
-
-The sweeps need far fewer bits than the result (Bini & Robol 2014): they
-run at LOW_BITS = 128 bits, and each root is then lifted on its own,
-without pair sums, by Newton steps that double its accuracy on words that
-grow with it, up to the working precision. A lift step that does not
-contract, as next to zeros that 128 bits cannot tell apart, sends the
-sweeps back to the seeds at twice the bits; at the working precision they
-are the whole run.
-
-A last fixed-point Horner pass bounds each |P(z_i)| on P's own
-coefficients, rounded to the working precision plus the bits the smallest
-nonzero coefficient sits below 1 plus 16 guard bits, and so proves what
-the scaled kernel returns without relying on it. Each connected component
-of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i} |z_i - z_j| holds as
-many zeros as disks (Neumaier, J. Comput. Appl. Math. 156, 2003). Stage
-boundaries are logged at DEBUG on this module's logger."""
+A last complex Horner pass bounds each |P(z_i)| on P's own coefficients,
+and so proves what the kernel returns without relying on it. Each
+connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
+|z_i - z_j| holds as many zeros as disks (Neumaier, J. Comput. Appl. Math.
+156, 2003). Stage boundaries are logged at DEBUG on this module's logger."""
 
 from __future__ import annotations
 
@@ -96,13 +79,10 @@ def _to_fixed(zs, prec):
 
 
 def _conjugate_classes(zs):
-    """One representative per conjugate class of the seeds, and twin flags.
-
-    A real seed stands for itself. A seed with Im z > 0 stands for itself
-    and its exact conjugate (twin flag set) when every non-real seed has
-    its exact conjugate among the seeds; otherwise every seed stands for
-    itself alone.
-    """
+    """One representative per conjugate class of the seeds, and twin flags:
+    a real seed stands for itself, and one with Im z > 0 for itself and
+    its exact conjugate (twin flag set) when every non-real seed has its
+    exact conjugate among the seeds; otherwise each seed for itself."""
     upper = Counter(z for z in zs if z.imag > 0)
     if upper != Counter(mp.conj(z) for z in zs if z.imag < 0):
         return zs, [False] * len(zs)
@@ -110,35 +90,61 @@ def _conjugate_classes(zs):
     return reps, [z.imag > 0 for z in reps]
 
 
-def _fixed_horner(cs, x, y, prec, deriv=True):
-    # P(z) and, with deriv, P'(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n
-    # scaled by 2^prec. Each complex product takes three multiplies (Gauss);
-    # the integers are exact, so the shift alone rounds. P's recurrence
-    # does not read P', so both branches give the same P bit for bit.
+def _fixed_horner(cs, x, y, prec):
+    # P(z) at z = (x + iy) 2^-prec; cs holds c_0..c_n scaled by 2^prec.
+    # Three multiplies (Gauss) per step; the integers are exact, so the
+    # shift alone rounds
+    px, py = cs[-1], 0
     if y == 0:
-        # the complex loop with every imaginary part 0, bit for bit
+        for c in reversed(cs[:-1]):
+            px = ((x * px) >> prec) + c
+        return px, 0
+    xpy, ymx = x + y, y - x
+    for c in reversed(cs[:-1]):
+        k = x * (px + py)
+        px, py = ((k - py * xpy) >> prec) + c, (k + px * ymx) >> prec
+    return px, py
+
+
+def _quadratic_horner(cs, x, y, prec):
+    """(px, py, dx, dy): P(z) and P'(z) scaled by 2^prec at
+    z = (x + iy) 2^-prec, for P's real coefficients c_k 2^prec in cs.
+
+    At y = 0, real Horner. Otherwise P is divided by (t - z)(t - conj z)
+    (Knuth, TAOCP 2, 4.6.4): b_k = c_k + 2x b_(k+1) - |z|^2 b_(k+2) gives
+    P(z) = b_0 - b_1 conj z, the same recurrence on the quotient's b_2..b_n
+    its value Q(z) = e_2 - e_3 conj z, and P'(z) = b_1 + 2iy Q(z): two
+    multiplies a step each, three for complex Horner. |z|^2 is floored on
+    prec + g bits, 2^g > 2^8 (n + 1)^2.
+
+    Bound in 2^-prec units, at |z| <= 1 with |c_k| <= 2 (Rings' scale),
+    each rounded by at most 1/2 + 2^-7: the b_k are those of P + E,
+    E = sum eps_k t^k, |eps_k| < 3/2 + 2^-6 (that rounding, a floor, and
+    |z|^2's floor times |b_(k+2)| <= (n + 1)^2), so with two last floors
+    |P~(z) - P(z)| <= |E(z)| + sqrt 2 <= 2 (n + 1) + 1. b_1 carries E'(z):
+    eps_k moves it by eps_k U_(k-1)(z), |U_j| = |(z^(j+1) - conj z^(j+1)) /
+    (z - conj z)| <= j + 1. Each quotient step adds a floor and
+    |e_(k+2)| 2^-g <= (n + 1)^2 / 3072, times 2y, so with four last floors
+    |P~'(z) - P'(z)| <= |E'(z)| + 2 (n - 1)(1 + (n + 1)^2 / 3072) + 3 sqrt 2
+                     <= (n + 1)^2 (1 + n / 1536) + 2.
+    """
+    if y == 0:
         px, dx = cs[-1], 0
-        if not deriv:
-            for c in reversed(cs[:-1]):
-                px = ((x * px) >> prec) + c
-            return px, 0
         for c in reversed(cs[:-1]):
             dx = ((x * dx) >> prec) + px
             px = ((x * px) >> prec) + c
         return px, 0, dx, 0
-    px, py, dx, dy = cs[-1], 0, 0, 0
-    xpy, ymx = x + y, y - x
-    if not deriv:
-        for c in reversed(cs[:-1]):
-            k = x * (px + py)
-            px, py = ((k - py * xpy) >> prec) + c, (k + px * ymx) >> prec
-        return px, py
-    for c in reversed(cs[:-1]):
-        k = x * (dx + dy)
-        dx, dy = ((k - dy * xpy) >> prec) + px, ((k + dx * ymx) >> prec) + py
-        k = x * (px + py)
-        px, py = ((k - py * xpy) >> prec) + c, (k + px * ymx) >> prec
-    return px, py, dx, dy
+    g = 2 * len(cs).bit_length() + 8
+    sh = prec + g
+    u, v = x << (g + 1), _shift(x * x + y * y, g - prec)
+    b1, b2, e1, e2 = cs[-1], 0, 0, 0
+    for c in cs[-2:0:-1]:
+        e1, e2 = b1 + ((u * e1 - v * e2) >> sh), e1
+        b1, b2 = c + ((u * b1 - v * b2) >> sh), b1
+    b0 = cs[0] + ((u * b1 - v * b2) >> sh)
+    qx, qy = e1 - ((x * e2) >> prec), (y * e2) >> prec
+    return (b0 - ((x * b1) >> prec), (y * b1) >> prec,
+            b1 - ((2 * y * qy) >> prec), (2 * y * qx) >> prec)
 
 
 def _fixed_div(ax, ay, bx, by, prec):
@@ -149,15 +155,15 @@ def _fixed_div(ax, ay, bx, by, prec):
 
 def _pair_sums(zs, twin, active, prec, floor):
     """sum 1/(z_i - w) over every root w != z_i, for every active i, in
-    fixed point.
+    fixed point; the roots are zs plus conj(zs[j]) for each j with twin[j].
 
-    The roots are zs plus conj(zs[j]) for each j with twin[j] set. Each
-    term is conj(e) r with e = z_i - w and r = 2^(3 prec) // |e|^2, held in
-    2^-(2 prec) units until the total is shifted back. r is symmetric in i and j and the sweep is Jacobi, so two
-    active roots share one division: they receive exactly opposite direct
-    terms, and two twins' conjugate terms are -conj of each other. For a
-    real i (twin unset) the conjugate term of a twin j is the conjugate of
-    its direct term, so the sum of a real root has imaginary part 0.
+    Each term is conj(e) r with e = z_i - w and r = 2^(3 prec) // |e|^2,
+    held in 2^-(2 prec) units until the total is shifted back. r is
+    symmetric in i and j and the sweep is Jacobi, so two active roots share
+    one division: they receive exactly opposite direct terms, and two
+    twins' conjugate terms are -conj of each other. For a real i the
+    conjugate term of a twin j is the conjugate of its direct term, so the
+    sum of a real root has imaginary part 0.
     """
     cube = 1 << (3 * prec)
     acc = {i: [0, 0] for i in active}
@@ -213,30 +219,18 @@ def _shift(v, s):
     return v << s if s >= 0 else v >> -s
 
 
-def _plain_newton(cs, prec, x, y, final):
-    # _aberth_fixed's newton on P's own coefficients cs, scaled by 2^prec,
-    # every step sized: the reference the scaled kernel is checked against
-    px, py, dx, dy = _fixed_horner(cs, x, y, prec)
-    if px == 0 and py == 0:
-        return (0, 0), True
-    if dx == 0 and dy == 0:
-        return None, True
-    return _fixed_div(px, py, dx, dy, prec), True
-
-
 def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
     """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
 
-    zs holds representatives: the roots are zs plus conj(zs[i]) for each i
-    with twin[i] set (see _pair_sums). tol, in 2^-prec units, is the
-    freeze tolerance, the nudge off a critical point and the offset that
-    parts coincident approximations. newton(x, y, final) returns
-    (step, sized): step is P(z)/P'(z) at z = (x + iy) 2^-prec in 2^-prec
-    units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized is false
-    when the word it was evaluated on proved too short for a step that
-    small to count; such a root stays active. final is set for the
-    polish, whose step is the root's last. Returns the sweep count, or None when
-    max_iterations run out; zs is updated in place either way.
+    The roots are zs plus conj(zs[i]) for each i with twin[i] set. tol, in
+    2^-prec units, is the freeze tolerance, the nudge off a critical point
+    and the offset that parts coincident approximations. newton(x, y,
+    final) returns (step, sized): step is P(z)/P'(z) at z = (x + iy) 2^-prec
+    in 2^-prec units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized
+    is false when the word proved too short for a step that small to count;
+    such a root stays active. final is set for the polish, the root's last
+    step. Returns the sweep count, or None when max_iterations run out; zs
+    is updated in place either way.
     """
     one = 1 << prec
     active = list(range(len(zs)))
@@ -281,20 +275,19 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
 
 
 def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
-    """The Newton step Q(w)/Q'(w) on the scaled polynomial of ring j
-    (tropical.Rings) at w = (x + iy) 2^-e / a, on the ring's word for acc
-    correct bits. Returns (word, wx, wy, step, sized): w rounded to
-    (wx + i wy) 2^-word, step in 2^-word units, (0, 0) at Q(w) = 0 and
-    None at Q'(w) = 0, and sized false when the evaluation proves the word
-    short (Rings.measure), which widens the ring's later words. A final
-    step, one that has to count, is then taken once more on the widened
-    word; a sweep's is used as it is, and its root stays active.
+    """Q(w)/Q'(w) on ring j's scaled polynomial (tropical.Rings) at
+    w = (x + iy) 2^-e / a, on the ring's word for acc correct bits, as
+    (word, wx, wy, step, sized): w rounded to (wx + i wy) 2^-word, step in
+    2^-word units, (0, 0) at Q(w) = 0 and None at Q'(w) = 0, and sized
+    false when the word proves short (Rings.measure), which widens the
+    ring's later words. A final step, one that has to count, is then taken
+    again on the widened word; a sweep's stands, and its root stays active.
     """
     for _ in range(2 if final else 1):
         word = rings.word(j, acc)
         q = rings.coefficients(j, word)[3]
         wx, wy = _shift(x, word - e) // a, _shift(y, word - e) // a
-        px, py, dx, dy = _fixed_horner(q, wx, wy, word)
+        px, py, dx, dy = _quadratic_horner(q, wx, wy, word)
         if px == 0 and py == 0:
             return word, wx, wy, (0, 0), True
         if dx == 0 and dy == 0:
@@ -306,9 +299,8 @@ def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
 
 
 def _scaled_newton(rings, x, y, final, prec, acc):
-    """_aberth_fixed's newton at z = (x + iy) 2^-prec for a root that needs
-    acc correct bits: _ring_newton in z's ring at w = z/s, and back as
-    s Q/Q'."""
+    """_aberth_fixed's newton at z = (x + iy) 2^-prec for acc correct bits:
+    _ring_newton in z's ring at w = z/s, and back as s Q/Q'."""
     j = rings.ring(x, y, prec)
     a, t = rings.scale(j)
     word, _, _, step, sized = _ring_newton(rings, j, acc, x, y, prec - t, a, final)
@@ -321,25 +313,23 @@ def _scaled_newton(rings, x, y, final, prec, acc):
 def _lift(rings, zs, prec, bits, target):
     """Newton steps that raise fixed-point representatives zs, in 2^-prec
     units with about bits correct bits, to target bits, one root at a time
-    and without pair sums.
+    and without pair sums, each in its ring's frame w = z/s; the rings are
+    lifted one after the other, each rounded once for its last word.
 
-    Each root stays in the ring of its |z| and moves in that ring's frame
-    w = z/s, and the rings are lifted one after the other, each rounded
-    once for its last word. Each level doubles the accuracy acc and takes
-    _ring_newton's step for min(acc, target) bits. A root is done after a
-    step for target bits of at most tol max(1, |z|), tol = 2^-(target // 2).
-    A step toward acc must stay within 2^-(acc/4) max(1, |z|), the
-    tolerance of the level it starts from: a larger one means the
+    Level l steps for the goal target / 2^(h - l), rounded up, with h + 1
+    the fewest doublings that take bits to target: each level at most
+    doubles the accuracy, on the shortest words that do so. A root is done after a step for target
+    bits of at most tol max(1, |z|), tol = 2^-(target // 2). A step must
+    stay within 2^-(goal/4) max(1, |z|): a larger one means the
     approximation did not hold the bits claimed for it, as next to a zero
-    that the low words cannot separate from its neighbour. Returns None at
-    such a step or at P' = 0, else (levels, roots): roots[i] = (x, y, e)
-    is the lifted z_i as exactly (x + iy) 2^-e, and levels the most any
-    ring took.
+    the low words cannot separate from its neighbour. Returns None at such
+    a step or at P' = 0, else (levels, roots): roots[i] = (x, y, e) is the
+    lifted z_i as exactly (x + iy) 2^-e, and levels the most any ring took.
     """
     rings_of = {}
     for i, (x, y) in enumerate(zs):
         rings_of.setdefault(rings.ring(x, y, prec), []).append(i)
-    out, levels = [None] * len(zs), 0
+    out, levels, halvings = [None] * len(zs), 0, (-(-target // bits) - 1).bit_length() - 1
     for j, todo in rings_of.items():
         # one rounding, for the last level's word; the levels below shift
         # down from it, and the sweeps' shorter rounding goes first
@@ -349,10 +339,9 @@ def _lift(rings, zs, prec, bits, target):
         # root i as (w_x, w_y, e) for w = (w_x + i w_y) 2^-e
         roots = {i: (_shift(zs[i][0], t) // a, _shift(zs[i][1], t) // a, prec)
                  for i in todo}
-        acc, level = bits, 0
+        level = 0
         while todo:
-            acc *= 2
-            goal, still = min(acc, target), []
+            goal, still = -(-target >> max(0, halvings - level)), []
             for i in todo:
                 word, x, y, step, _ = _ring_newton(rings, j, goal, *roots[i])
                 if step is None:
@@ -360,7 +349,7 @@ def _lift(rings, zs, prec, bits, target):
                 cx, cy = step
                 # both tests in z's units, 2^-(word + t): exact multiples by a
                 zp, ax, ay, ux, uy = word + t, a * x, a * y, a * cx, a * cy
-                if not _within(ux, uy, ax, ay, _pow2(zp - acc // 4), zp):
+                if not _within(ux, uy, ax, ay, _pow2(zp - goal // 4), zp):
                     return None
                 roots[i] = (x - cx, y - cy, word)
                 if goal < target or not _within(ux, uy, ax, ay,
@@ -381,46 +370,63 @@ def _pow2(e):
 def _certificate(cs, fixed, prec, log_tol):
     """Residual bounds in 2^-prec units, log radii and suspect indices.
 
-    A _fixed_horner step adds one coefficient rounding (at most 1/2) and
-    a floor of each component (under sqrt 2 together), in 2^-prec units, so
-    |P~(z) - P(z)| <= 2 (n + 1) max(1, |z|)^n 2^-prec (Higham, sec. 5.1).
+    A _fixed_horner step adds a coefficient rounding (at most 1/2) and a
+    floor of each part (under sqrt 2 together), so |P~(z) - P(z)| <=
+    2 (n + 1) max(1, |z|)^n 2^-prec (Higham, sec. 5.1).
     The radius n (|P~(z_i)| + that) / prod_{j != i} |z_i - z_j| is doubled
     to cover the float64 sum of logs that stands for the product.
 
-    The coefficients are real, so |P(conj z)| = |P(z)|: P~ is taken at
-    (x, |y|) only, once for both members of an exact pair.
+    |P(conj z)| = |P(z)|: with the points closed under conjugation, P~ is
+    taken once per pair, and one log |z_i - z_j| per orbit {z_i, z_j},
+    {conj z_i, conj z_j} gives every product.
     """
     n, shift = len(cs) - 1, prec * math.log(2)
-    bounds, log_m, upper = [], [], {}
-    for x, y in fixed:
+    where = {p: i for i, p in enumerate(fixed)}
+    twin = [where.get((x, -y)) for x, y in fixed]  # conj z_i = z_twin[i]
+    if any(k is None or twin[k] != i for i, k in enumerate(twin)):
+        twin = list(range(n))
+    reps = [i for i, k in enumerate(twin) if k >= i]
+    bounds, log_m, log_r = [0] * n, [0.0] * n, [0.0] * n
+    rows, pairs = {i: [] for i in reps}, []
+    for a, i in enumerate(reps):
+        (x, y), row, pi = fixed[i], rows[i], twin[i] != i
         m = math.isqrt(x * x + y * y)  # floor(|z| 2^prec)
-        bound = upper.get((x, abs(y)))
-        if bound is None:
-            px, py = _fixed_horner(cs, x, abs(y), prec, False)
-            bound = math.isqrt(px * px + py * py) + 1
-            if m >> prec:
-                # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
-                s = max(0, min(prec, m.bit_length() - 64))
-                bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
-            bound = upper[x, abs(y)] = bound + 2 * (n + 1)
-        bounds.append(bound)
-        log_m.append(max(0.0, math.log(m or 1) - shift))
-    # log |z_i - z_j|, -inf where two coincide
-    dist = [[0.0] * n for _ in range(n)]
-    for i, (x, y) in enumerate(fixed):
-        for j, (u, v) in enumerate(fixed[:i]):
-            dd = (x - u) ** 2 + (y - v) ** 2
-            dist[i][j] = dist[j][i] = 0.5 * math.log(dd) - shift if dd else -math.inf
-    log_r = [math.log(2 * n) - shift + math.log(b) + n * lm - math.fsum(row)
-             for b, lm, row in zip(bounds, log_m, dist)]
+        px, py = _fixed_horner(cs, x, abs(y), prec)
+        bound = math.isqrt(px * px + py * py) + 1
+        if m >> prec:
+            # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
+            s = max(0, min(prec, m.bit_length() - 64))
+            bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
+        bounds[i] = bounds[twin[i]] = bound + 2 * (n + 1)
+        log_m[i] = log_m[twin[i]] = max(0.0, math.log(m or 1) - shift)
+        if pi:
+            d = 0.5 * math.log(4 * y * y) - shift
+            pairs.append((d, i, twin[i]))
+            row.append(d)
+        for k in reps[:a]:
+            (u, v), pk = fixed[k], twin[k] != k
+            ex = (x - u) ** 2
+            dd = ex + (y - v) ** 2
+            d = 0.5 * math.log(dd) - shift if dd else -math.inf
+            pairs.append((d, i, k))
+            # a real root is as far from z as from conj z
+            row.append(d if pi or not pk else 2 * d)
+            rows[k].append(d if pk or not pi else 2 * d)
+            if pi and pk:
+                d = 0.5 * math.log(ex + (y + v) ** 2) - shift
+                pairs.append((d, i, twin[k]))
+                row.append(d)
+                rows[k].append(d)
+    for i in reps:
+        log_r[i] = log_r[twin[i]] = (math.log(2 * n) - shift + math.log(bounds[i])
+                                     + n * log_m[i] - math.fsum(rows[i]))
     # disks i and j meet when log |z_i - z_j| <= log(r_i + r_j), which is
     # at most log 2 + max log_r
     reach = _LOG2 + max(log_r)
     suspect = {i for i in range(n) if log_r[i] > log_tol + log_m[i]}
-    for i, row in enumerate(dist):
-        for j in range(i):
-            if row[j] <= reach and row[j] <= _logaddexp(log_r[i], log_r[j]):
-                suspect.update((i, j))
+    for d, i, k in pairs:
+        if d <= reach and d <= _logaddexp(log_r[i], log_r[k]):
+            suspect.update((i, k, twin[i], twin[k]))
     return bounds, log_r, tuple(sorted(suspect))
 
 
@@ -430,6 +436,11 @@ def _logaddexp(a, b):
         return a + _LOG2
     d = a - b
     return a + math.log1p(math.exp(-d)) if d > 0 else b + math.log1p(math.exp(d))
+
+
+def _rounded(exact, prec):
+    # each c_k 2^prec to the nearest integer (ties up), without a Fraction's gcd
+    return [((c.numerator << (prec + 1)) + c.denominator) // (2 * c.denominator) for c in exact]
 
 
 def _guard_bits(exact) -> int:
@@ -445,40 +456,28 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     Fraction coefficients c_0..c_n (c_n = 1) are coeffs, as
     laguerre.monic_rescaled returns them.
 
-    Zero low-order coefficients c_0 = ... = c_{m-1} = 0 are a zero of
-    order m at the origin: they are stripped first and returned as
-    ZeroSet.origin_multiplicity, and everything below (the seeds, one per
-    remaining zero, the sweeps and the certificate) sees c_m..c_n alone.
+    c_0 = ... = c_{m-1} = 0 make a zero of order m at the origin, returned
+    as ZeroSet.origin_multiplicity; the rest sees c_m..c_n alone.
 
-    Each Aberth sweep updates only the roots whose last step exceeded a
-    tolerance times max(1, |z|); the sweeps end when none is left, and a
-    final Newton step z -= P(z)/P'(z) polishes every root. The sweeps run at
-    bits = min(LOW_BITS, precision_bits) with tolerance 2^-(bits//2); below
-    precision_bits, Newton steps then lift each root, doubling its accuracy
-    per step, until a step on the words for precision_bits is at most
-    tol * max(1, |z|), tol = 2^-(precision_bits//2).
-    When those sweeps do not converge, or a lift step does not contract or
-    meets P' = 0, the sweeps start again from the seeds at twice the bits;
-    at precision_bits they meet tol and need no lift. ZeroSet.iterations
-    counts the sweeps of every pass. Without seeds the roots start,
-    unpaired, on the circles of the Newton polygon (initial_guesses).
-    Seeds closed under exact conjugation are iterated as one
-    representative per conjugate class, and the zeros come back closed
-    under it too.
+    The sweeps run at bits = min(LOW_BITS, precision_bits) to tolerance
+    2^-(bits//2), and the lift takes each root on until its step for
+    precision_bits is at most tol max(1, |z|), tol = 2^-(precision_bits//2).
+    Sweeps that do not converge, or a lift step that does not contract or
+    meets P' = 0, restart the sweeps from the seeds at twice the bits;
+    ZeroSet.iterations counts every pass's sweeps. Without seeds the roots
+    start, unpaired, on the Newton polygon's circles (initial_guesses).
 
-    Sweeps, polish and lift evaluate the scaled polynomial of each root's
-    ring (tropical.Rings) on words sized by the accuracy they need and the
-    cancellation they measure; the pair sums run on positions that keep
-    bits + 16 bits below the smallest root modulus the hull predicts. The
-    certificate alone runs on P's coefficients rounded once from the exact
-    coeffs to P = precision_bits + max(0, -log2 min_k |c_k|) + 16 bits over
-    the nonzero c_k, the words the scaled coefficients are rounded from.
-    The roots are returned at precision_bits, and the disks are centred on
-    those values.
+    The pair sums keep bits + 16 bits below the smallest root modulus the
+    hull predicts. P's coefficients are rounded once from coeffs to
+    precision_bits + max(0, -log2 min_k |c_k|) + 16 bits over the nonzero
+    c_k, and again after the sweeps to as many more bits as the largest
+    cancellation they measured; the lift's scaled coefficients and the
+    certificate's are rounded from them. The roots are returned at
+    precision_bits, and the disks are centred on those values.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
-    max_iterations, or when a residual bound exceeds tol; caller policy is
-    a single retry at doubled precision.
+    max_iterations or a residual bound exceeds tol; callers retry once, at
+    doubled precision.
     """
     assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
     origin = next(k for k, c in enumerate(coeffs) if c)
@@ -494,20 +493,18 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        prec = precision_bits + _guard_bits(coeffs) + 16
-        cs = [round(c * (1 << prec)) for c in coeffs]
+        prec = guarded = precision_bits + _guard_bits(coeffs) + 16
+        cs = _rounded(coeffs, prec)
         hull = tropical.hull(coeffs)
         rings = tropical.Rings(cs, prec, hull)
-        # -log2 of the smallest root modulus the hull predicts: its first
-        # edge's slope
+        # -log2 of the smallest root modulus the hull predicts: its first slope
         (k0, l0), (k1, l1) = hull[:2]
         below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
         bits, iterations = min(LOW_BITS, precision_bits), 0
         while True:
-            # at bits == precision_bits the sweeps run to tol itself, and
-            # no lift follows
+            # at precision_bits the sweeps run to tol, and no lift follows
             full = bits == precision_bits
             pos = bits + 16 + below
             fixed = _to_fixed(reps, pos)
@@ -517,6 +514,11 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             words = rings.take_words()
             debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words)", sweeps,
                   bits, len(words), min(words.values()), max(words.values()))
+            # zeros that lose c bits to cancellation need c more of P's bits
+            wide = guarded + max(rings.cancellation.values(), default=0)
+            if wide > prec:
+                prec, cs = wide, _rounded(coeffs, wide)
+                rings.widen(cs, prec)
             if full:
                 roots = [(x, y, pos) for x, y in fixed]
                 break
@@ -535,10 +537,8 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         # rounding to nearest is odd in y, so an implied twin is returned
         # as the exact conjugate of its representative
         zs = [mp.mpc(mp.mpf((x, -e)), mp.mpf((y, -e))) for x, y, e in roots]
-        # real coefficients force conjugate symmetry: an imaginary part at
-        # the quarter-precision level is iteration dust on a real zero
-        # (converged steps sit at 2^-prec/2), not a genuine pair; paired
-        # runs keep real roots exactly real, so only unpaired seeds need this
+        # from unpaired seeds, an imaginary part at the quarter-precision
+        # level is iteration dust on a real zero, not a genuine pair
         snap = mp.mpf(2) ** (-(precision_bits // 4))
         zs = sorted((mp.mpc(z.real, 0) if abs(z.imag) <= snap * max(1, abs(z.real))
                      else z for z in zs), key=_sorted_key)

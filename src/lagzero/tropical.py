@@ -144,6 +144,9 @@ class Rings:
     that needs acc correct bits is evaluated on acc + c + ceil(log2(n + 1))
     + MARGIN bits, rounded up to a multiple of 8, where c is the largest
     cancellation -log2 |w Q'(w)| measured in its ring so far (measure).
+    The root finder's evaluation leaves Q(w) within 2 (n + 1) + 1 units of
+    the word (rootfinder._quadratic_horner), under 2^(ceil(log2(n + 1)) + 2),
+    so MARGIN - 2 bits stay past that bound.
     """
 
     def __init__(self, cs, prec, hull):
@@ -212,6 +215,13 @@ class Rings:
         """Drop ring j's coefficients; it is rounded again when asked."""
         self.rounded.pop(j, None)
         self.shifted.pop(j, None)
+
+    def widen(self, cs, prec):
+        """Round every ring again, when asked, from cs = c_k 2^prec; the
+        cancellation measured so far is kept."""
+        self.cs, self.prec = cs, prec
+        self.rounded.clear()
+        self.shifted.clear()
 
     def measure(self, j, word, acc, dx, dy) -> bool:
         """Record the cancellation -log2 |w Q'(w)|, to a bit or two (|w| is

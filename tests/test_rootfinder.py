@@ -13,6 +13,7 @@ import mpmath as mp
 import pytest
 
 import lagzero
+import rootfinder_reference as reference
 from lagzero import harness, laguerre, rootfinder, tropical
 from lagzero.errors import NonConvergence
 
@@ -143,7 +144,7 @@ def test_real_roots_stay_real_through_the_nudge():
     one = 1 << prec
     zs = [(0, 0), (3 * one, 0)]
     it = rootfinder._aberth_fixed(zs, [False, False], prec, one >> 40, 50,
-                                  partial(rootfinder._plain_newton, [-one, 0, one], prec))
+                                  partial(reference.plain_newton, [-one, 0, one], prec))
     assert it is not None
     assert [y for _, y in zs] == [0, 0]
     assert abs(zs[0][0] + one) <= 2 and abs(zs[1][0] - one) <= 2
@@ -173,15 +174,14 @@ def test_horner_calls_per_representative(monkeypatch):
     # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs: 53
     # representatives, each evaluated at most once per pass: per sweep at
     # LOW_BITS, in the polish after them, at each of the two lift levels
-    # (256 bits, then the full 416 since 512 >= 416) and in the certificate
+    # (208 bits, then the full 416) and in the certificate
     calls = []
-    horner = rootfinder._fixed_horner
+    for name in ("_fixed_horner", "_quadratic_horner"):
+        def counted(*args, evaluate=getattr(rootfinder, name)):
+            calls.append(1)
+            return evaluate(*args)
 
-    def counted(*args):
-        calls.append(1)
-        return horner(*args)
-
-    monkeypatch.setattr(rootfinder, "_fixed_horner", counted)
+        monkeypatch.setattr(rootfinder, name, counted)
     zset, _ = harness.compute_zeros(88, "-71.2909")
     assert len(zset.zeros) == 88
     assert zset.precision_bits == 416
@@ -189,14 +189,49 @@ def test_horner_calls_per_representative(monkeypatch):
 
 
 def test_certificate_horner_matches_the_derivative_pass():
-    # the certificate's P-only Horner gives P bit for bit as the full one
+    # the certificate's P-only Horner gives P bit for bit as the complex
+    # P-and-P' pass, and on the real axis the kernel's real pass gives both
     rng = random.Random(3)
     prec = 200
     cs = [rng.randint(-1 << (prec + 8), 1 << (prec + 8)) for _ in range(30)] + [1 << prec]
     for y in (0, rng.randint(1, 1 << prec)):
         x = rng.randint(-2 << prec, 2 << prec)
-        assert rootfinder._fixed_horner(cs, x, y, prec, False) == \
-            rootfinder._fixed_horner(cs, x, y, prec)[:2]
+        full = reference.complex_horner(cs, x, y, prec)
+        assert rootfinder._fixed_horner(cs, x, y, prec) == full[:2]
+    assert rootfinder._quadratic_horner(cs, x, 0, prec) == reference.complex_horner(cs, x, 0, prec)
+
+
+@pytest.mark.parametrize("n, alpha, few", [(88, "-71.2909", 218), (96, "-76.0000011", 254)],
+                         ids=["88", "96"])
+def test_certificate_matches_the_full_distance_matrix(n, alpha, few):
+    # one log |z_i - z_j| per conjugate orbit gives the radii and suspect
+    # set of every distance taken on its own, bit for bit: at the returned
+    # zeros, and at them cut to few bits, where some neighbouring disks
+    # meet and others do not (with a tolerance of 1 for the radii)
+    zset, _ = harness.compute_zeros(n, alpha)
+    coeffs = laguerre.monic_rescaled(n, alpha)
+    prec = zset.precision_bits + rootfinder._guard_bits(coeffs) + 16
+    fixed = rootfinder._to_fixed(zset.zeros, prec)
+    for bits, log_tol in ((prec, -(zset.precision_bits // 2) * math.log(2)), (few, 0.0)):
+        # cut toward 0, so that exact conjugates stay exact
+        cut = [(x >> (prec - bits), (abs(y) >> (prec - bits)) * (1 if y >= 0 else -1))
+               for x, y in fixed]
+        cs = [round(c * (1 << bits)) for c in coeffs]
+        bounds, log_r, suspect = rootfinder._certificate(cs, cut, bits, log_tol)
+        assert (log_r, suspect) == reference.certificate_radii(cut, bounds, bits, log_tol)
+    assert 0 < len(suspect) < n
+
+
+def test_integer_case_rounds_every_part_correctly():
+    # (112, -89) leaves 23 real zeros that lose 40-56 bits to cancellation:
+    # with the coefficients widened by it, each of the 46 parts at 512 bits
+    # is a 1024-bit run's rounded to 512 bits
+    zset, _ = harness.compute_zeros(112, "-89")
+    ref, _ = harness.compute_zeros(112, "-89", precision_bits=1024)
+    assert zset.precision_bits == 512 and len(zset.zeros) == 23
+    with mp.workprec(512):
+        assert [(z.real, z.imag) for z in zset.zeros] == \
+            [(+w.real, +w.imag) for w in ref.zeros]
 
 
 @pytest.mark.parametrize("n, alpha", [
@@ -226,7 +261,7 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         fixed = rootfinder._to_fixed(reps, prec)
         tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
         assert rootfinder._aberth_fixed(fixed, twin, prec, tol, rootfinder.MAX_ITERATIONS,
-                                        partial(rootfinder._plain_newton, cs, prec)) is not None
+                                        partial(reference.plain_newton, cs, prec)) is not None
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
                      for x, y in fixed)
@@ -261,7 +296,8 @@ def test_stage_boundaries_are_logged(caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
     assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words)",
                         "lifted to 256 bits in 1 Newton levels (280-304-bit words)"]
-    assert msgs[2].startswith("certificate at 359-bit words: worst log radius ")
+    # the guarded 359 bits plus the 21 bits of cancellation the sweeps measured
+    assert msgs[2].startswith("certificate at 380-bit words: worst log radius ")
     assert msgs[2].endswith(", 0 suspect")
     assert len(msgs) == 3
 
@@ -432,6 +468,11 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
         def __init__(self, cs, prec, hull):
             super().__init__([c >> drop for c in cs], prec - drop, hull)
 
+        def widen(self, cs, prec):
+            # nor the bits find_zeros adds for the cancellation it measures,
+            # which alone would part these zeros correctly
+            pass
+
     monkeypatch.setattr(tropical, "Rings", StarvedRings)
     tol = mp.mpf(2) ** -(bits // 2)
     zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds)
@@ -450,38 +491,76 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
 @pytest.mark.parametrize("n, alpha", [(88, "-71.2909"), (96, "-76.0000011")],
                          ids=["88", "96"])
 def test_scaled_horner_is_within_its_bound(n, alpha):
-    # in Q's units the fixed-point Horner is off by at most 2 (n + 1) 2^-W
-    # at |w| <= 1: |2^m Q~(w) - P(s w)| <= 2 (n + 1) 2^(m - W) against the
-    # exact P, at seeded dyadic points in rings from the loop to the top of
-    # the interval, on the words of the sweeps and of the first lift level
+    # in Q's units at |w| <= 1, against the exact P: the certificate's
+    # complex Horner is off by at most 2 (n + 1) 2^-W, and the kernel's
+    # division by the real quadratic by 2 (n + 1) + 1 units in Q(w) and
+    # (n + 1)^2 (1 + n/1536) + 2 in Q'(w), the bounds _quadratic_horner
+    # derives; near the real axis (arg w down to 1e-12), anywhere in the
+    # disk and next to |w| = 1, in rings from the loop to the top of the
+    # interval, on the words of the sweeps and of the first lift level.
+    # The seeded dyadic points are checked against laguerre.evaluate; at
+    # them |w|^2 fits the word, so full-word points, where it does not,
+    # are checked against mpmath at four times the bits
     coeffs = laguerre.monic_rescaled(n, alpha)
+    deriv = [k * c for k, c in enumerate(coeffs)][1:]
     bits = harness.working_precision(n, alpha)
+    first = -(-bits >> (math.ceil(math.log2(bits / rootfinder.LOW_BITS)) - 1))
     prec = bits + rootfinder._guard_bits(coeffs) + 16
     rings = tropical.Rings([round(c * (1 << prec)) for c in coeffs], prec,
                            tropical.hull(coeffs))
     rng = random.Random(n)
+
+    def check(q, wx, wy, word, m, s, exact, slope):
+        unit = mp.mpf(2) ** (m - word)
+        px, py = rootfinder._fixed_horner(q, wx, wy, word)
+        assert abs(mp.mpc(px, py) * unit - exact) <= 2 * (n + 1) * unit
+        px, py, dx, dy = rootfinder._quadratic_horner(q, wx, wy, word)
+        assert abs(mp.mpc(px, py) * unit - exact) <= (2 * (n + 1) + 1) * unit
+        # Q'(w) = s P'(s w) 2^-m
+        assert abs(mp.mpc(dx, dy) * unit / s - slope) <= \
+            ((n + 1) ** 2 * (1 + mp.mpf(n) / 1536) + 2) * unit / s
+
     for modulus in (0.11, 0.16, 0.2, 0.45, 1.0, 1.7):
         j = rings.ring(round(modulus * 2 ** 60), 0, 60)
-        for acc in (128, 256):
+        for acc in (rootfinder.LOW_BITS, first):
             word = rings.word(j, acc)
             a, t, m, q = rings.coefficients(j, word)
             # the guarded coefficients' own rounding stays below 2^-8 of
             # a unit of Q's last place, so P's exact values stand for them
             assert word - prec + max(0, -m) + (n + 1).bit_length() <= -8
-            for k in range(6):
-                # w = (u + iv) 2^-36; s w is exact in doubles (a has 16 bits)
-                while True:
-                    u, v = (rng.randint(-2 ** 36, 2 ** 36) for _ in range(2))
-                    v = v if k else 0
-                    if u * u + v * v <= 2 ** 72:
-                        break
-                px, py = rootfinder._fixed_horner(q, u << (word - 36), v << (word - 36),
-                                                  word, False)
-                z = complex(math.ldexp(a * u, -36 - t), math.ldexp(a * v, -36 - t))
+            for k in range(12):
+                # w = (u + i v 2^-e) 2^-36; s w is exact in doubles (a has 16 bits)
+                e = 0
+                if k % 3 == 0:
+                    e = (20, 30, 40, 40)[k // 3]
+                    u, v = (rng.randint(2 ** 35, 2 ** 36) for _ in range(2))
+                    u *= rng.choice((-1, 1))
+                elif k % 3 == 1:
+                    while True:
+                        u, v = (rng.randint(-2 ** 36, 2 ** 36) for _ in range(2))
+                        v = v if k > 1 else 0
+                        if u * u + v * v <= 2 ** 72:
+                            break
+                else:
+                    theta = rng.uniform(0, 2 * math.pi)
+                    u, v = (math.floor(2 ** 36 * f(theta)) for f in (math.cos, math.sin))
+                z = complex(math.ldexp(a * u, -36 - t), math.ldexp(a * v, -36 - e - t))
                 with mp.workprec(3 * prec):
-                    exact, = laguerre.evaluate(coeffs, [z])
-                    scale = mp.mpf(2) ** (m - word)
-                    assert abs(mp.mpc(px, py) * scale - exact) <= 2 * (n + 1) * scale
+                    check(q, u << (word - 36), v << (word - 36 - e), word, m,
+                          mp.mpf(a) * mp.mpf(2) ** -t, *laguerre.evaluate(coeffs, [z]),
+                          *laguerre.evaluate(deriv, [z]))
+            for k in range(6):
+                # every bit of the word random, at arg w from 1e-12 on
+                theta = rng.uniform(1e-12, 1e-9) if k % 2 else rng.uniform(0, math.pi)
+                r = 1 - 2.0 ** -40 if k > 3 else rng.uniform(0.5, 1)
+                wx, wy = ((math.floor(r * f(theta) * 2 ** 60) << (word - 60))
+                          + rng.randrange(1 << (word - 60)) for f in (math.cos, math.sin))
+                with mp.workprec(4 * prec):
+                    s = mp.mpf(a) * mp.mpf(2) ** -t
+                    z = mp.mpc(wx, wy) * mp.mpf(2) ** -word * s
+                    check(q, wx, wy, word, m, s,
+                          *(mp.polyval([mp.mpf(c.numerator) / c.denominator
+                                        for c in reversed(cs)], z) for cs in (coeffs, deriv)))
 
 
 @pytest.mark.parametrize("n, alpha", [(40, "5.5"), (40, "-50.3"), (41, "-50.3"),
