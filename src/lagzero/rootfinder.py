@@ -22,6 +22,13 @@ widened. The sweeps need far fewer bits than the result (Bini & Robol
 2014): they run at LOW_BITS = 128 bits, and _lift then takes each root on
 its own, without pair sums, up to the working precision.
 
+The pair sums alone are taken in float64, as in the float phase of MPSolve
+(Bini 1996; Bini & Robol 2014): S = sum_j 1/(z_i - z_j) enters the step only
+through newton * S, so float64 serves nearly every row. A row is summed in
+fixed point where float64 cannot tell its points apart (a distance below
+2^-40 max(1, |z_i|), or a position past 2^512), and where 1 - newton * S is
+so small that the float row's error bound could move the step by 2^-30.
+
 A last complex Horner pass bounds each |P(z_i)| on P's own coefficients,
 and so proves what the kernel returns without relying on it. Each
 connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
@@ -153,59 +160,166 @@ def _fixed_div(ax, ay, bx, by, prec):
     return ((ax * bx + ay * by) << prec) // bb, ((ay * bx - ax * by) << prec) // bb
 
 
-def _pair_sums(zs, twin, active, prec, floor):
-    """sum 1/(z_i - w) over every root w != z_i, for every active i, in
-    fixed point; the roots are zs plus conj(zs[j]) for each j with twin[j].
+class _Gaussian(tuple):
+    """x + iy on integers x, y: what _pair_loop asks of the exact kernel's
+    points and terms. Its abs is 0: the exact kernel tracks no separation."""
 
-    Each term is conj(e) r with e = z_i - w and r = 2^(3 prec) // |e|^2,
-    held in 2^-(2 prec) units until the total is shifted back. r is
-    symmetric in i and j and the sweep is Jacobi, so two active roots share
-    one division: they receive exactly opposite direct terms, and two
-    twins' conjugate terms are -conj of each other. For a real i the
-    conjugate term of a twin j is the conjugate of its direct term, so the
-    sum of a real root has imaginary part 0.
+    __slots__ = ()
+
+    def __add__(self, w):
+        return _Gaussian((self[0] + w[0], self[1] + w[1]))
+
+    def __sub__(self, w):
+        return _Gaussian((self[0] - w[0], self[1] - w[1]))
+
+    def conjugate(self):
+        return _Gaussian((self[0], -self[1]))
+
+    def __abs__(self):
+        return 0
+
+
+def _pair_loop(pts, twin, active, inverse, zero):
+    """(sums, sizes), indexed like pts: for every active i, sums[i] is the
+    sum of the terms t = 1/(z_i - w) over every root w != z_i, the roots
+    being pts plus conj(pts[j]) for each j with twin[j], and sizes[i] the
+    sum of their |t|, in the arithmetic of pts, zero and inverse(e) = 1/e.
+
+    The sweep is Jacobi, so two active roots share one inverse: they
+    receive exactly opposite direct terms, and two twins' conjugate terms
+    are -conj of each other. For a real i the conjugate term of a twin j is
+    the conjugate of its direct term, so the sum of a real root is t +
+    conj t per twin, and its imaginary part is 0.
     """
-    cube = 1 << (3 * prec)
-    acc = {i: [0, 0] for i in active}
+    n = len(pts)
+    sums, sizes, live = [zero] * n, [0] * n, [False] * n
     for i in active:
-        x, y = zs[i]
-        si, ti = acc[i], twin[i]
-        for j, (wx, wy) in enumerate(zs):
-            sj = acc.get(j)
-            if sj is not None and j < i:
+        live[i] = True
+    for i in active:
+        z, ti = pts[i], twin[i]
+        s, r = sums[i], sizes[i]
+        for j, w in enumerate(pts):
+            lj = live[j]
+            if lj and j < i:
                 continue  # an active j < i already added this pair
             tj = twin[j]
             if j != i:
-                ex, ey = x - wx, y - wy
-                if ex == 0 and ey == 0:
-                    # coincident approximations: opposite offsets part them
-                    ex = ey = floor
-                r = cube // (ex * ex + ey * ey)
-                tx, ty = ex * r, ey * r
+                t = inverse(z - w)
+                a = abs(t)
                 if tj and not ti:
-                    si[0] += 2 * tx
+                    s, r = s + (t + t.conjugate()), r + a + a
                 else:
-                    si[0] += tx
-                    si[1] -= ty
-                if sj is not None:
+                    s, r = s + t, r + a
+                if lj:
                     if ti and not tj:
-                        sj[0] -= 2 * tx
+                        sums[j] -= t + t.conjugate()
+                        sizes[j] += a + a
                     else:
-                        sj[0] -= tx
-                        sj[1] += ty
+                        sums[j] -= t
+                        sizes[j] += a
             if ti and tj:
                 # w = conj z_j; j == i is the twin's own 1/(2i y)
-                ex, ey = x - wx, y + wy
-                if ex == 0 and ey == 0:
-                    ex = ey = floor
-                r = cube // (ex * ex + ey * ey)
-                tx, ty = ex * r, ey * r
-                si[0] += tx
-                si[1] -= ty
-                if sj is not None and j != i:
-                    sj[0] -= tx
-                    sj[1] -= ty
-    return {i: (sx >> prec, sy >> prec) for i, (sx, sy) in acc.items()}
+                t = inverse(z - w.conjugate())
+                a = abs(t)
+                s, r = s + t, r + a
+                if lj and j != i:
+                    sums[j] -= t.conjugate()
+                    sizes[j] += a
+        sums[i], sizes[i] = s, r
+    return sums, sizes
+
+
+def _pair_sums(zs, twin, active, prec, floor):
+    """sum 1/(z_i - w) over every root w != z_i, for every active i, in
+    fixed point; the roots are zs plus conj(zs[j]) for each j with twin[j]
+    (_pair_loop). Each term is conj(e) r with e = z_i - w and r =
+    2^(3 prec) // |e|^2, held in 2^-(2 prec) units until the total is
+    shifted back: exact up to the floors. Coincident approximations are
+    parted by opposite offsets, e = +-(floor + i floor). The sweeps take
+    it for the rows float64 cannot serve: those _float_pair_sums' separation
+    and range guards send here, and those whose 1 - N S is too small for
+    the float row's error (_aberth_fixed).
+    """
+    cube = 1 << (3 * prec)
+
+    def inverse(e):
+        ex, ey = e
+        if ex == 0 and ey == 0:
+            ex = ey = floor
+        r = cube // (ex * ex + ey * ey)
+        return _Gaussian((ex * r, -ey * r))
+
+    sums, _ = _pair_loop([_Gaussian(p) for p in zs], twin, active, inverse, _Gaussian((0, 0)))
+    return {i: (sums[i][0] >> prec, sums[i][1] >> prec) for i in active}
+
+
+# a float64 row goes to _pair_sums when a distance may be below
+# 2^-SEPARATION max(1, |z_i|), and every row does when a position lies past
+# 2^RANGE; one whose error may move its step by more than 2^-CONDITION
+# relative is taken again there (_aberth_fixed)
+SEPARATION, RANGE, CONDITION = 40, 512, 30
+_INF = complex(math.inf, 0)
+
+
+def _float_inverse(e):
+    # inf where float64 cannot tell the two points apart; the separation
+    # guard then sends both rows to _pair_sums
+    return 1 / e if e else _INF
+
+
+def _from_float(v, prec):
+    # floor(v 2^prec), exactly
+    m, e = math.frexp(v)
+    return _shift(int(m * (1 << 53)), e - 53 + prec)
+
+
+def _float_pair_sums(zs, twin, active, prec, floor):
+    """_pair_sums in float64 where that is enough, as (sums, slack): sums
+    as _pair_sums returns them, and slack[i] = e with |S~_i - S_i| < 2^e
+    for each row i summed in float64; the other rows are _pair_sums' own.
+
+    Each position is rounded once, x / 2^prec (correctly rounded at any
+    prec), and the terms are summed in Python complex (_pair_loop). With A
+    the sum of a row's |t| and M = max(1, |z_i|), the row goes to _pair_sums
+    when A M > 2^SEPARATION, so whenever one of its distances is below
+    2^-SEPARATION M: coincident approximations, a twin's own 2|y| (also
+    when y underflows), zeros too close for float64. Whether a row is real
+    is read off twin, never off a float.
+
+    The bound, with m terms: rounding the positions, 2^-53 |z| each, moves
+    a term t by about 2^-53 (|z_i| + |w|) |t|^2 <= 2^-53 (2 M |t|^2 + |t|),
+    which sums to at most 2^-53 (2 M A^2 + A); the subtraction, the
+    division and the sum add under (m + 9) 2^-53 A. Doubled for the terms
+    of second order, |S~_i - S_i| <= 2^-52 A (2 M A + m + 10).
+    """
+    if max(abs(v) for p in zs for v in p).bit_length() > prec + RANGE:
+        return _pair_sums(zs, twin, active, prec, floor), {}
+    one = 1 << prec
+    pts = [complex(x / one, y / one) for x, y in zs]
+    sums, sizes = _pair_loop(pts, twin, active, _float_inverse, 0j)
+    m = len(zs) + sum(twin) - 1
+    exact, slack = [], {}
+    for i in active:
+        a, big = sizes[i], max(1.0, abs(pts[i]))
+        if a * big > 2.0 ** SEPARATION:
+            exact.append(i)
+        else:
+            slack[i] = math.frexp(2.0 ** -52 * a * (2 * big * a + m + 10))[1]
+    out = {i: (_from_float(sums[i].real, prec), _from_float(sums[i].imag, prec))
+           for i in slack}
+    if exact:
+        out.update(_pair_sums(zs, twin, exact, prec, floor))
+    return out, slack
+
+
+def _bits(x, y):
+    return max(abs(x), abs(y)).bit_length()
+
+
+def _one_minus(nx, ny, s, prec):
+    # 1 - N S in 2^-prec units, for N and S in them
+    sx, sy = s
+    return (1 << prec) - ((nx * sx - ny * sy) >> prec), -((nx * sy + ny * sx) >> prec)
 
 
 def _within(cx, cy, x, y, tol, prec):
@@ -229,14 +343,26 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
     in 2^-prec units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized
     is false when the word proved too short for a step that small to count;
     such a root stays active. final is set for the polish, the root's last
-    step. Returns the sweep count, or None when max_iterations run out; zs
-    is updated in place either way.
+    step. Returns (sweeps, exact, rows): the sweep count, or None when
+    max_iterations run out, and how many of the rows summed, one per active
+    root and sweep, were taken in fixed point; zs is updated in place
+    either way.
+
+    The pair sums S are taken in float64 where that is enough
+    (_float_pair_sums). S enters the step N / (1 - N S) only through N S,
+    so an error dS moves the step by |N| dS / |1 - N S| relative, which
+    grows without bound as 1 - N S nears 0. A float row whose bound allows
+    more than 2^-CONDITION there is summed again in fixed point before its
+    step. The test runs on bit lengths, two bits on the safe side, since
+    the words may hold thousands of bits, more than a float64 can.
     """
-    one = 1 << prec
-    active = list(range(len(zs)))
+    active, exact, rows = list(range(len(zs))), 0, 0
     for it in range(1, max_iterations + 1):
-        # every pair sum is taken before any root moves (Jacobi order)
-        sums = _pair_sums(zs, twin, active, prec, tol)
+        # every pair sum, a row summed again included, is taken at the
+        # positions before any root moves (Jacobi order)
+        pos = zs[:]
+        sums, slack = _float_pair_sums(pos, twin, active, prec, tol)
+        rows, exact = rows + len(active), exact + len(active) - len(slack)
         still = []
         for i in active:
             x, y = zs[i]
@@ -248,9 +374,11 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
                 still.append(i)
                 continue
             nx, ny = step
-            sx, sy = sums[i]
-            ax = one - ((nx * sx - ny * sy) >> prec)
-            ay = -((nx * sy + ny * sx) >> prec)
+            ax, ay = _one_minus(nx, ny, sums[i], prec)
+            e = slack.get(i)
+            if e is not None and _bits(nx, ny) + e + CONDITION + 2 > _bits(ax, ay):
+                ax, ay = _one_minus(nx, ny, _pair_sums(pos, twin, [i], prec, tol)[i], prec)
+                exact += 1
             if ax == 0 and ay == 0:
                 cx, cy = nx, ny
             else:
@@ -262,7 +390,7 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
         if not active:
             break
     else:
-        return None
+        return None, exact, rows
 
     # a frozen root keeps the error its last step left, which later
     # moves of the other roots no longer shrink; one Newton step
@@ -271,27 +399,27 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
         step, _ = newton(x, y, True)
         if step is not None:
             zs[i] = (x - step[0], y - step[1])
-    return it
+    return it, exact, rows
 
 
 def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
     """Q(w)/Q'(w) on ring j's scaled polynomial (tropical.Rings) at
     w = (x + iy) 2^-e / a, on the ring's word for acc correct bits, as
     (word, wx, wy, step, sized): w rounded to (wx + i wy) 2^-word, step in
-    2^-word units, (0, 0) at Q(w) = 0 and None at Q'(w) = 0, and sized
-    false when the word proves short (Rings.measure), which widens the
-    ring's later words. A final step, one that has to count, is then taken
-    again on the widened word; a sweep's stands, and its root stays active.
+    2^-word units, (0, 0) at Q(w) = 0 and None at Q'(w) = 0 != Q(w), and
+    sized false when the word proves short (Rings.measure), which widens
+    the ring's later words. A final step, one that has to count, is then
+    taken again on the widened word; a sweep's stands, and its root stays
+    active. An exact zero is sized like any other step: on a short word Q
+    is rounding noise, which can sum to exactly 0 far from a zero.
     """
     for _ in range(2 if final else 1):
         word = rings.word(j, acc)
         q = rings.coefficients(j, word)[3]
         wx, wy = _shift(x, word - e) // a, _shift(y, word - e) // a
         px, py, dx, dy = _quadratic_horner(q, wx, wy, word)
-        if px == 0 and py == 0:
-            return word, wx, wy, (0, 0), True
         if dx == 0 and dy == 0:
-            return word, wx, wy, None, True
+            return word, wx, wy, None if px or py else (0, 0), True
         sized = rings.measure(j, word, acc, dx, dy)
         if sized:
             break
@@ -508,12 +636,14 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             full = bits == precision_bits
             pos = bits + 16 + below
             fixed = _to_fixed(reps, pos)
-            sweeps = _aberth_fixed(fixed, twin, pos, 1 << (pos - bits // 2), max_iterations,
-                                   partial(_scaled_newton, rings, prec=pos, acc=bits))
+            sweeps, exact, rows = _aberth_fixed(
+                fixed, twin, pos, 1 << (pos - bits // 2), max_iterations,
+                partial(_scaled_newton, rings, prec=pos, acc=bits))
             iterations += max_iterations if sweeps is None else sweeps
             words = rings.take_words()
-            debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words)", sweeps,
-                  bits, len(words), min(words.values()), max(words.values()))
+            debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words, "
+                  "%d of %d rows in fixed point)", sweeps, bits, len(words),
+                  min(words.values()), max(words.values()), exact, rows)
             # zeros that lose c bits to cancellation need c more of P's bits
             wide = guarded + max(rings.cancellation.values(), default=0)
             if wide > prec:

@@ -74,20 +74,25 @@ def test_matches_polyroots_near_integer():
     assert zset.suspect == ()
 
 
-@pytest.mark.parametrize("alpha, bits, sweeps", [
-    ("-32.3564", 256, 5),
-    ("-31.99999886", 360, 9),
+@pytest.mark.parametrize("n, alpha, bits, sweeps", [
+    pytest.param(40, "-32.3564", 256, 5, id="-32.3564-256-5"),
+    pytest.param(40, "-31.99999886", 360, 9, id="-31.99999886-360-9"),
+    (88, "-71.2909", 416, 5),
+    (96, "-76.0000011", 584, 5),
+    (80, "-64.7741", 384, 8),
 ])
-def test_sweep_counts_and_moments(alpha, bits, sweeps):
+def test_sweep_counts_and_moments(n, alpha, bits, sweeps):
     # the counts come from the seeding: one seed per zero of the exact
     # real/complex split, the loop seeds in exact conjugate pairs, so the
     # odd case no longer waits for float rounding to break a symmetry;
-    # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2)
-    zset, _ = harness.compute_zeros(40, alpha)
+    # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2), with
+    # the pair sums in float64 (the last three are the fixed-point
+    # kernel's counts, which the float rows keep)
+    zset, _ = harness.compute_zeros(n, alpha)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
     # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
-    mon = laguerre.monic_rescaled(40, alpha)
+    mon = laguerre.monic_rescaled(n, alpha)
     with mp.workprec(bits):
         c1, c2 = (mp.mpf(c.numerator) / c.denominator
                   for c in (mon[-2], mon[-3]))
@@ -137,14 +142,88 @@ def test_pair_sums_match_per_root_loop():
     assert sums[3][1] == 0
 
 
+def _paired_points(rng, prec, pairs, reals):
+    # well-separated representatives: pairs in the upper half plane (twins)
+    # and real points, all within |z| < 3
+    pts = []
+    while len(pts) < pairs + reals:
+        z = complex(rng.uniform(-3, 3), rng.uniform(0.2, 2) if len(pts) < pairs else 0)
+        if all(abs(z - w) > 0.1 and abs(z - w.conjugate()) > 0.1 for w in pts):
+            pts.append(z)
+    zs = [(int(Fraction(z.real) * 2 ** prec), int(Fraction(z.imag) * 2 ** prec)) for z in pts]
+    return zs, [k < pairs for k in range(len(zs))]
+
+
+def test_float_pair_sums_hold_their_bound():
+    # every row of well-separated points is summed in float64, within the
+    # bound it states of the exact sum (the floors add two units); a real
+    # row's sum is exactly real
+    prec = 150
+    rng = random.Random(11)
+    zs, twin = _paired_points(rng, prec, 12, 6)
+    roots = zs + [(x, -y) for (x, y), t in zip(zs, twin) if t]
+    active = [0, 1, 4, 5, 9, 12, 13, 17]
+    sums, slack = rootfinder._float_pair_sums(zs, twin, active, prec, floor=1)
+    assert sorted(sums) == sorted(slack) == active
+    for i in active:
+        sx, sy = _per_root_sum(roots, i, prec)
+        bound = 1 << (slack[i] + prec)
+        assert abs(sums[i][0] - sx) <= bound + 2 and abs(sums[i][1] - sy) <= bound + 2
+        # the bound is a bound, not noise: within 2^-40 |S| of the sum
+        assert bound < math.hypot(sx, sy) * 2 ** -40
+    assert [sums[i][1] for i in (12, 13, 17)] == [0, 0, 0]
+
+
+def test_rows_float64_cannot_separate_are_summed_exactly():
+    # coincident approximations (parted by the floor offset), real points
+    # 2^-100 apart (one float64) and 2^-45 apart (two), and a twin whose
+    # y = 2^-1200 underflows float64: each such row is _pair_sums' own, bit
+    # for bit, and the rest stay float
+    prec = 1200
+    rng = random.Random(7)
+    zs, twin = _paired_points(rng, prec, 5, 3)
+    one = 1 << prec
+    zs += [(one // 3, 0), (one // 3, 0), (-one, 0), (-one + (one >> 100), 0),
+           (one // 5, 0), (one // 5 + (one >> 45), 0), (one // 2, 1)]
+    twin += [False] * 6 + [True]
+    active = list(range(len(zs)))
+    sums, slack = rootfinder._float_pair_sums(zs, twin, active, prec, floor=one >> 64)
+    flagged = [i for i in active if i not in slack]
+    assert flagged == list(range(8, 15))
+    exact = rootfinder._pair_sums(zs, twin, active, prec, one >> 64)
+    assert all(sums[i] == exact[i] for i in flagged)
+    assert all(sums[i] != exact[i] for i in range(8))
+
+
+def test_ill_conditioned_row_is_taken_again_in_fixed_point():
+    # roots 0 and 3 with S_0 = -1/3, and a contrived Newton step N at 0 for
+    # which 1 - N S = 2^-40: float64's error in S would move the step in
+    # its 14th bit, so the row is summed again in fixed point first
+    prec = 128
+    one = 1 << prec
+    n0 = -3 * one + (3 * one >> 40)
+
+    def newton(x, y, final):
+        return ((n0, 0) if x == 0 else (0, 0)), True
+
+    zs = [(0, 0), (3 * one, 0)]
+    sweeps, exact, rows = rootfinder._aberth_fixed(zs, [False, False], prec, one >> 64, 1, newton)
+    assert (sweeps, exact, rows) == (None, 1, 2)
+    s = rootfinder._pair_sums([(0, 0), (3 * one, 0)], [False, False], [0], prec, 1)[0]
+    cx, cy = rootfinder._fixed_div(n0, 0, *rootfinder._one_minus(n0, 0, s, prec), prec)
+    assert zs[0] == (-cx, -cy)
+    float_s, _ = rootfinder._float_pair_sums([(0, 0), (3 * one, 0)], [False, False], [0], prec, 1)
+    assert float_s[0] != s
+
+
 def test_real_roots_stay_real_through_the_nudge():
     # z^2 - 1 from 0, its critical point, and 3: the nudge off 0 runs
     # along the axis, so both roots stay exactly real
     prec = 128
     one = 1 << prec
     zs = [(0, 0), (3 * one, 0)]
-    it = rootfinder._aberth_fixed(zs, [False, False], prec, one >> 40, 50,
-                                  partial(reference.plain_newton, [-one, 0, one], prec))
+    it, _, _ = rootfinder._aberth_fixed(zs, [False, False], prec, one >> 40, 50,
+                                        partial(reference.plain_newton, [-one, 0, one], prec))
     assert it is not None
     assert [y for _, y in zs] == [0, 0]
     assert abs(zs[0][0] + one) <= 2 and abs(zs[1][0] - one) <= 2
@@ -260,8 +339,9 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
         fixed = rootfinder._to_fixed(reps, prec)
         tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
-        assert rootfinder._aberth_fixed(fixed, twin, prec, tol, rootfinder.MAX_ITERATIONS,
-                                        partial(reference.plain_newton, cs, prec)) is not None
+        sweeps, _, _ = rootfinder._aberth_fixed(fixed, twin, prec, tol, rootfinder.MAX_ITERATIONS,
+                                                partial(reference.plain_newton, cs, prec))
+        assert sweeps is not None
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
                      for x, y in fixed)
@@ -290,11 +370,31 @@ def test_ladder_escalates_on_zeros_128_bits_cannot_separate(caplog):
         assert abs(gap - mp.mpf(2) ** -100) <= mp.mpf(2) ** -200
 
 
+def test_exact_zero_on_a_short_word_is_not_sized():
+    # zeros 1/2 and 1/2 + 2^-30 cancel about 29 bits of Q'(w) at w = 1 in
+    # the ring of 1/2, which no evaluation has measured yet: its 88-bit word
+    # for 64 bits is short, though Q(w) comes out exactly 0 there. A sweep's
+    # step stands but is not sized; a final one is taken again on the
+    # widened word, where it is
+    mon = _expand([Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2 ** 30), Fraction(-1)])
+    prec = 128
+    rings = tropical.Rings(rootfinder._rounded(mon, prec), prec, tropical.hull(mon))
+    x = 1 << (prec - 1)
+    j = rings.ring(x, 0, prec)
+    a, t = rings.scale(j)
+    assert rings.cancellation == {}
+    word, _, _, step, sized = rootfinder._ring_newton(rings, j, 64, x, 0, prec - t, a, False)
+    assert (word, step, sized) == (88, (0, 0), False)
+    word, _, _, step, sized = rootfinder._ring_newton(rings, j, 64, x, 0, prec - t, a, True)
+    assert (word, step, sized) == (112, (0, 0), True)
+
+
 def test_stage_boundaries_are_logged(caplog):
     caplog.set_level(logging.DEBUG, logger=rootfinder.__name__)
     harness.compute_zeros(40, "-32.3564")
     msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
-    assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words)",
+    assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words, "
+                        "0 of 115 rows in fixed point)",
                         "lifted to 256 bits in 1 Newton levels (280-304-bit words)"]
     # the guarded 359 bits plus the 21 bits of cancellation the sweeps measured
     assert msgs[2].startswith("certificate at 380-bit words: worst log radius ")
