@@ -4,8 +4,8 @@ negative parameters.
 The package is organized around the scaled family L_n^(alpha)(n z) with
 alpha = -n A, A in (0, 1).  Modules:
 
-- laguerre:    exact coefficients, exact evaluation, integer-parameter
-               reduction, the A_n in (0, 1) domain check
+- laguerre:    exact coefficients, exact evaluation, the A_n in (0, 1)
+               domain check
 - rootfinder:  simultaneous root solver with inclusion disks
 - tropical:    the Newton polygon of the coefficients: seeds, and the
                scales and words of the root solver's evaluations

@@ -16,11 +16,11 @@ P_n from laguerre.evaluate.
 
 The oscillatory value restores the exponential growth envelope
 e^{n(x + A log x + ell)/2} * n^n / n! that the bare cosine term needs to
-be comparable with L_n^{(alpha_n)}(nx).  Amplitude and phase are those of
-N11_+(x): with a_+ = t e^{i pi/4}, t^4 = (beta2 - x)/(x - beta1), the
-amplitude sqrt(beta2 - beta1) ((beta2 - x)(x - beta1))^{-1/4} is exactly
-2|N11_+(x)|, and the arcsine term asin((2x - beta1 - beta2)/(beta2 -
-beta1))/2 is -arg N11_+(x).  Correction terms of order 1/n are dropped
+be comparable with L_n^{(alpha_n)}(nx).  Its amplitude 2|N11_+(x)| and
+the phase term -arg N11_+(x) are read off the boundary value of the same
+N11 (n11): with a_+ = t e^{i pi/4}, t^4 = (beta2 - x)/(x - beta1), they are
+sqrt(beta2 - beta1) ((beta2 - x)(x - beta1))^{-1/4} and asin((2x - beta1 -
+beta2)/(beta2 - beta1))/2.  Correction terms of order 1/n are dropped
 throughout; the O(1/n) decay of the relative error is what the tests check.
 """
 
@@ -40,13 +40,26 @@ OUTER_CLEARANCE = 0.2
 WINDOW_FRACTION = 0.1
 
 
-def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
-    """Outer-parametrix value N11(z) = (a(z) + a(z)^{-1})/2.
+def n11(ctx: PotentialContext, z) -> mp.mpc:
+    """Outer-parametrix value N11(z) = (a(z) + a(z)^{-1})/2 at
+    LANDSCAPE_BITS, a(z) = ((z - beta2)/(z - beta1))^{1/4} with cut
+    [beta1, beta2] and a -> 1 at infinity; at a real x on the cut, the
+    boundary value N11_+(x) from the upper half plane."""
+    with mp.workprec(LANDSCAPE_BITS):
+        # (z-b2)/(z-b1) maps the cut plane off the negative reals, so the
+        # principal fourth root realizes the a -> 1 normalization; on the
+        # cut the ratio is negative, and its root is a_+ = t e^{i pi/4}
+        zc = mp.mpc(z)
+        a = ((zc - ctx.beta2) / (zc - ctx.beta1)) ** mp.mpf("0.25")
+        return (a + 1 / a) / 2
 
-    a(z) = ((z - beta2)/(z - beta1))^{1/4} with cut [beta1, beta2] and
-    a -> 1 at infinity.  The intended comparison is
-    P_n(z) e^{-n g_n(z)} ~ N11(z) with error O(1/n); callers must stay
-    at distance >= 0.2 from the interval and from the loop region.
+
+def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
+    """N11(z), the outer parametrix (n11).
+
+    The intended comparison is P_n(z) e^{-n g_n(z)} ~ N11(z) with error
+    O(1/n); callers must stay at distance >= 0.2 from the interval and
+    from the loop region.
     """
     zc = mp.mpc(z)
     gap = contour.interval_gap(ctx_n, complex(zc))[0]
@@ -57,12 +70,7 @@ def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
         raise DomainError(
             f"z={complex(zc)} is within {OUTER_CLEARANCE} of the limit set"
         )
-    with mp.workprec(LANDSCAPE_BITS):
-        # (z-b2)/(z-b1) maps the cut plane off the negative reals, so the
-        # principal fourth root realizes the a -> 1 normalization
-        ratio = (zc - ctx_n.beta2) / (zc - ctx_n.beta1)
-        a = ratio ** mp.mpf("0.25")
-        return (a + 1 / a) / 2
+    return n11(ctx_n, zc)
 
 
 def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
@@ -87,18 +95,16 @@ def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
         envelope *= mp.e ** (n * (xm + ctx.A * mp.log(xm) + ell) / 2)
         if n % 2:
             envelope = -envelope
-        quarter = ((ctx.beta2 - xm) * (xm - ctx.beta1)) ** mp.mpf("-0.25")
-        return envelope * mp.sqrt(ctx.beta2 - ctx.beta1) * quarter * mp.cos(phase)
+        return envelope * 2 * abs(n11(ctx, xm)) * mp.cos(phase)
 
 
 def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
     """Phase of the cosine in oscillatory_value, for zero counting."""
-    # n pi * signed CDF from beta2 (nonpositive), plus the arcsine
-    # phase; the integral term vanishes at x = beta2
+    # n pi * signed CDF from beta2 (nonpositive), minus arg N11_+(x);
+    # the integral term vanishes at x = beta2
     with mp.workprec(LANDSCAPE_BITS):
         phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
-        return phase + mp.asin((2 * mp.mpf(x) - ctx.beta1 - ctx.beta2)
-                               / (ctx.beta2 - ctx.beta1)) / 2
+        return phase - mp.arg(n11(ctx, x))
 
 
 def nth_root_exponent(spec: measure.MeasureSpec, n: int, z,

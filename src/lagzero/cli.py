@@ -116,16 +116,16 @@ def cmd_zeros(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        sweep = tuple(float(t) for t in args.sweep.split(",")) if args.sweep else (0.05, 0.1, 0.2)
-    except ValueError as exc:
-        raise DomainError(f"--sweep wants a comma list of numbers, got {args.sweep!r}") from exc
-    opts = harness.RunOptions(
-        classify_tol=args.classify_tol,
-        sweep=sweep,
-        precision_bits=args.precision,
-    )
-    rep = harness.run_comparison(args.n, args.alpha, opts)
+    # only the flags given: RunOptions owns the defaults
+    given = {"precision_bits": args.precision}
+    if args.classify_tol is not None:
+        given["classify_tol"] = args.classify_tol
+    if args.sweep:
+        try:
+            given["sweep"] = tuple(float(t) for t in args.sweep.split(","))
+        except ValueError as exc:
+            raise DomainError(f"--sweep wants a comma list of numbers, got {args.sweep!r}") from exc
+    rep = harness.run_comparison(args.n, args.alpha, harness.RunOptions(**given))
     _emit(harness.report_json(rep) + "\n", args.out)
     return 0
 
@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="comparison report as JSON")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--alpha", required=True)
-    p.add_argument("--classify-tol", dest="classify_tol", type=float, default=0.1)
+    p.add_argument("--classify-tol", dest="classify_tol", type=float)
     p.add_argument("--sweep", default=None, help="comma list of deltas")
     p.add_argument("--precision", type=int)
     p.add_argument("--out")

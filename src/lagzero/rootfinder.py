@@ -4,8 +4,9 @@ Aberth-Ehrlich iteration: Jacobi-style sweeps move each approximation by
 newton / (1 - newton * sum_j 1/(z_i - z_j)). A root whose step falls below
 tol is frozen: later sweeps no longer update it, though it still enters the
 other roots' pair sums, and the iteration stops once every root is frozen
-(Bini, Numer. Algorithms 13, 1996). One Newton step per root then polishes
-the frozen approximations. The coefficients are real: seeds closed under
+(Bini, Numer. Algorithms 13, 1996). The sweeps take no last step of their
+own: _lift is the one finisher, and its Newton steps give every root the
+accuracy returned. The coefficients are real: seeds closed under
 conjugation are swept as one representative per conjugate class
 (_conjugate_classes), and real roots stay exactly real.
 
@@ -334,19 +335,19 @@ def _shift(v, s):
 
 
 def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
-    """Freeze-rule Aberth sweeps and the Newton polish on fixed-point zs.
+    """Freeze-rule Aberth sweeps on fixed-point zs, which leave each root
+    within about tol of a zero; _lift finishes them.
 
     The roots are zs plus conj(zs[i]) for each i with twin[i] set. tol, in
     2^-prec units, is the freeze tolerance, the nudge off a critical point
-    and the offset that parts coincident approximations. newton(x, y,
-    final) returns (step, sized): step is P(z)/P'(z) at z = (x + iy) 2^-prec
-    in 2^-prec units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized
-    is false when the word proved too short for a step that small to count;
-    such a root stays active. final is set for the polish, the root's last
-    step. Returns (sweeps, exact, rows): the sweep count, or None when
-    max_iterations run out, and how many of the rows summed, one per active
-    root and sweep, were taken in fixed point; zs is updated in place
-    either way.
+    and the offset that parts coincident approximations. newton(x, y)
+    returns (step, sized): step is P(z)/P'(z) at z = (x + iy) 2^-prec in
+    2^-prec units, (0, 0) at P(z) = 0 and None at P'(z) = 0, and sized is
+    false when the word proved too short for a step that small to count;
+    such a root stays active. Returns (sweeps, exact, rows): the sweep
+    count, or None when max_iterations run out, and how many of the rows
+    summed, one per active root and sweep, were taken in fixed point; zs is
+    updated in place either way.
 
     The pair sums S are taken in float64 where that is enough
     (_float_pair_sums). S enters the step N / (1 - N S) only through N S,
@@ -366,7 +367,7 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
         still = []
         for i in active:
             x, y = zs[i]
-            step, sized = newton(x, y, False)
+            step, sized = newton(x, y)
             if step is None:
                 # nudge off the critical point, along the axis for a real
                 # root so that it stays real; rare with spread seeds
@@ -388,18 +389,8 @@ def _aberth_fixed(zs, twin, prec, tol, max_iterations, newton):
             zs[i] = (x - cx, y - cy)
         active = still
         if not active:
-            break
-    else:
-        return None, exact, rows
-
-    # a frozen root keeps the error its last step left, which later
-    # moves of the other roots no longer shrink; one Newton step
-    # squares it without any pair sums
-    for i, (x, y) in enumerate(zs):
-        step, _ = newton(x, y, True)
-        if step is not None:
-            zs[i] = (x - step[0], y - step[1])
-    return it, exact, rows
+            return it, exact, rows
+    return None, exact, rows
 
 
 def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
@@ -426,12 +417,12 @@ def _ring_newton(rings, j, acc, x, y, e, a=1, final=True):
     return word, wx, wy, _fixed_div(px, py, dx, dy, word), sized
 
 
-def _scaled_newton(rings, x, y, final, prec, acc):
+def _scaled_newton(rings, x, y, prec, acc):
     """_aberth_fixed's newton at z = (x + iy) 2^-prec for acc correct bits:
-    _ring_newton in z's ring at w = z/s, and back as s Q/Q'."""
+    _ring_newton's sweep step in z's ring at w = z/s, and back as s Q/Q'."""
     j = rings.ring(x, y, prec)
     a, t = rings.scale(j)
-    word, _, _, step, sized = _ring_newton(rings, j, acc, x, y, prec - t, a, final)
+    word, _, _, step, sized = _ring_newton(rings, j, acc, x, y, prec - t, a, False)
     if step is None:
         return None, sized
     sh = word + t - prec
@@ -588,8 +579,9 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     as ZeroSet.origin_multiplicity; the rest sees c_m..c_n alone.
 
     The sweeps run at bits = min(LOW_BITS, precision_bits) to tolerance
-    2^-(bits//2), and the lift takes each root on until its step for
-    precision_bits is at most tol max(1, |z|), tol = 2^-(precision_bits//2).
+    2^-(bits//2), and the lift takes each root on from those bits//2 bits
+    until its step for precision_bits is at most tol max(1, |z|), tol =
+    2^-(precision_bits//2): every returned root ends in the lift.
     Sweeps that do not converge, or a lift step that does not contract or
     meets P' = 0, restart the sweeps from the seeds at twice the bits;
     ZeroSet.iterations counts every pass's sweeps. Without seeds the roots
@@ -604,10 +596,11 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     precision_bits, and the disks are centred on those values.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
-    max_iterations or a residual bound exceeds tol; callers retry once, at
-    doubled precision.
+    max_iterations, the lift fails from them, or a residual bound exceeds
+    tol; callers retry once, at doubled precision.
     """
-    assert coeffs[-1] == 1, "find_zeros expects a monic polynomial"
+    if coeffs[-1] != 1:
+        raise ValueError("find_zeros expects a monic polynomial")
     origin = next(k for k, c in enumerate(coeffs) if c)
     coeffs = coeffs[origin:]
     n = len(coeffs) - 1
@@ -632,8 +625,6 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         reps, twin = _conjugate_classes(zs)
         bits, iterations = min(LOW_BITS, precision_bits), 0
         while True:
-            # at precision_bits the sweeps run to tol, and no lift follows
-            full = bits == precision_bits
             pos = bits + 16 + below
             fixed = _to_fixed(reps, pos)
             sweeps, exact, rows = _aberth_fixed(
@@ -649,16 +640,19 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             if wide > prec:
                 prec, cs = wide, _rounded(coeffs, wide)
                 rings.widen(cs, prec)
-            if full:
-                roots = [(x, y, pos) for x, y in fixed]
-                break
-            lifted = None if sweeps is None else _lift(rings, fixed, pos, bits,
+            # the sweeps freeze each root within 2^-(bits//2)
+            lifted = None if sweeps is None else _lift(rings, fixed, pos, bits // 2,
                                                        precision_bits)
             words = rings.take_words()
             if lifted is not None:
                 levels, roots = lifted
                 debug(__name__, "lifted to %d bits in %d Newton levels (%d-%d-bit words)",
                       precision_bits, levels, min(words.values()), max(words.values()))
+                break
+            if bits == precision_bits:
+                # nothing left to escalate to: the swept roots stand for
+                # the worst residual that NonConvergence reports
+                roots = [(x, y, pos) for x, y in fixed]
                 break
             debug(__name__, "escalating from %d bits: %s", bits,
                   "sweeps did not converge" if sweeps is None else "lift failed")
@@ -680,7 +674,7 @@ def find_zeros(coeffs: tuple, precision_bits: int,
                           for b in bounds)
         debug(__name__, "certificate at %d-bit words: worst log radius %.1f, %d suspect",
               prec, max(log_r), len(suspect))
-        if sweeps is None or max(residuals) > tol:
+        if lifted is None or max(residuals) > tol:
             raise NonConvergence(iterations, max(residuals))
     return ZeroSet(tuple(zs), residuals, origin, precision_bits, iterations,
                    tuple(mp.exp(r) for r in log_r), suspect)

@@ -23,7 +23,7 @@ def complex_horner(cs, x, y, prec):
     return px, py, dx, dy
 
 
-def plain_newton(cs, prec, x, y, final):
+def plain_newton(cs, prec, x, y):
     """_aberth_fixed's newton on P's own coefficients cs, scaled by 2^prec,
     every step sized: the reference the scaled kernel is checked against."""
     px, py, dx, dy = complex_horner(cs, x, y, prec)

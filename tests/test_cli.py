@@ -85,13 +85,15 @@ def test_zeros_at_alpha_minus_n_finds_no_root(capsys, monkeypatch):
 
 
 def test_zeros_precision_stability(capsys):
-    # doubling the precision must not move the printed coordinates
+    # neither doubling the precision nor a precision below LOW_BITS, where
+    # the one rung of sweeps is lifted too, may move the printed coordinates
     _, base, _ = run_cli(capsys, "zeros", "--n", "8", "--alpha", "-6.4")
-    _, hi, _ = run_cli(capsys, "zeros", "--n", "8", "--alpha", "-6.4",
-                       "--precision", "512")
     strip = lambda text: [",".join(row.split(",")[:2])
                           for row in text.splitlines()[1:]]
-    assert strip(base) == strip(hi)
+    for bits in ("512", "100"):
+        _, other, _ = run_cli(capsys, "zeros", "--n", "8", "--alpha", "-6.4",
+                              "--precision", bits)
+        assert strip(other) == strip(base)
 
 
 @pytest.mark.parametrize("n,alpha", [("12", "-9.6"), ("25", "-10.5")])
@@ -248,6 +250,17 @@ def test_verify_runs_the_small_loop_regime(capsys, alpha, r_hat, loops):
     assert doc["r_hat"] == pytest.approx(r_hat, abs=0.01)
     assert doc["valid"]
     assert (doc["loop_count"], doc["outlier_count"]) == (loops, 0)
+
+
+def test_verify_defaults_are_run_options(capsys):
+    # without flags, verify runs RunOptions' own sweep and classify_tol
+    _, out, _ = run_cli(capsys, "verify", "--n", "12", "--alpha", "-9.6")
+    defaults = harness.RunOptions()
+    assert [row["delta"] for row in json.loads(out)["sweep"]] == list(defaults.sweep)
+    _, given, _ = run_cli(capsys, "verify", "--n", "12", "--alpha", "-9.6",
+                          "--classify-tol", repr(defaults.classify_tol),
+                          "--sweep", ",".join(map(repr, defaults.sweep)))
+    assert out == given
 
 
 def test_verify_ratio_out_of_range(capsys):

@@ -203,7 +203,7 @@ def test_ill_conditioned_row_is_taken_again_in_fixed_point():
     one = 1 << prec
     n0 = -3 * one + (3 * one >> 40)
 
-    def newton(x, y, final):
+    def newton(x, y):
         return ((n0, 0) if x == 0 else (0, 0)), True
 
     zs = [(0, 0), (3 * one, 0)]
@@ -252,8 +252,8 @@ def test_zeros_come_back_in_exact_conjugate_pairs():
 def test_horner_calls_per_representative(monkeypatch):
     # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs: 53
     # representatives, each evaluated at most once per pass: per sweep at
-    # LOW_BITS, in the polish after them, at each of the two lift levels
-    # (208 bits, then the full 416) and in the certificate
+    # LOW_BITS, at each of the three lift levels (104, 208, then the full
+    # 416 bits) and in the certificate
     calls = []
     for name in ("_fixed_horner", "_quadratic_horner"):
         def counted(*args, evaluate=getattr(rootfinder, name)):
@@ -320,7 +320,8 @@ def test_integer_case_rounds_every_part_correctly():
 ], ids=["88", "96", "80-small-loop"])
 def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
     # sweeps at LOW_BITS plus the Newton lift print the same doubles as the
-    # sweeps and polish at the full working precision from the same seeds
+    # sweeps at the full working precision from the same seeds, followed by
+    # one full-precision Newton step per root
     find, runs = rootfinder.find_zeros, []
 
     def spy(coeffs, bits, **kwargs):
@@ -339,9 +340,14 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         reps, twin = rootfinder._conjugate_classes([mp.mpc(s) for s in seeds])
         fixed = rootfinder._to_fixed(reps, prec)
         tol = 1 << (prec - bits // 2)  # 2^-(bits // 2), as find_zeros derives it
+        newton = partial(reference.plain_newton, cs, prec)
         sweeps, _, _ = rootfinder._aberth_fixed(fixed, twin, prec, tol, rootfinder.MAX_ITERATIONS,
-                                                partial(reference.plain_newton, cs, prec))
+                                                newton)
         assert sweeps is not None
+        for i, (x, y) in enumerate(fixed):
+            step, _ = newton(x, y)
+            if step is not None:
+                fixed[i] = (x - step[0], y - step[1])
         fixed += [(x, -y) for (x, y), t in zip(fixed, twin) if t]
         ref = sorted((float(mp.mpf((x, -prec))), float(mp.mpf((y, -prec))))
                      for x, y in fixed)
@@ -395,7 +401,7 @@ def test_stage_boundaries_are_logged(caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
     assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words, "
                         "0 of 115 rows in fixed point)",
-                        "lifted to 256 bits in 1 Newton levels (280-304-bit words)"]
+                        "lifted to 256 bits in 2 Newton levels (280-304-bit words)"]
     # the guarded 359 bits plus the 21 bits of cancellation the sweeps measured
     assert msgs[2].startswith("certificate at 380-bit words: worst log radius ")
     assert msgs[2].endswith(", 0 suspect")
@@ -461,6 +467,13 @@ def test_seed_count_must_match_degree():
     coeffs = _wilkinson(3)
     with pytest.raises(ValueError):
         rootfinder.find_zeros(coeffs, 128, seeds=[mp.mpc(1)])
+
+
+def test_non_monic_polynomial_is_refused():
+    # a ValueError, not an assert, so that python -O refuses it too
+    coeffs = tuple(2 * c for c in _wilkinson(3))
+    with pytest.raises(ValueError, match="monic"):
+        rootfinder.find_zeros(coeffs, 128)
 
 
 def test_max_iterations_raises():
