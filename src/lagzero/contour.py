@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
-from lagzero.landscape import PotentialContext, phi_closed_form, phi_origin_constant
+from lagzero.landscape import PotentialContext, phi_from_root, phi_origin_constant
 
 DEFAULT_LEVEL_TOL = 1e-9
 _NEWTON_TOL = 1e-13
@@ -77,7 +77,7 @@ class ContourPolyline:
 def _phase(A: float, b1: float, b2: float, z: complex) -> Tuple[complex, complex]:
     # phi(z) and R(z) = 2 d phi/dw, in cmath
     R = cmath.sqrt(z - b1) * cmath.sqrt(z - b2)
-    return phi_closed_form(A, b1, b2, z, cmath.sqrt, cmath.log), R
+    return phi_from_root(A, b1, b2, z, R, cmath.log), R
 
 
 def _real_crossing(A: float, b1: float, b2: float, level: float,

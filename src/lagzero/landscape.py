@@ -12,9 +12,10 @@ g-function normalization constant ell.
 These objects depend on A alone and leave the program as float64, so
 they run at one precision, LANDSCAPE_BITS, whatever n and alpha_n are.
 
-phi has an elementary antiderivative (phi_closed_form), written once and
-evaluated in mpmath at LANDSCAPE_BITS here and in float64 by the contour
-tracer and the interval quantiles; ell is closed form too.
+phi has an elementary antiderivative (phi_closed_form), written once
+(phi_from_root) and evaluated in mpmath at LANDSCAPE_BITS here and in
+float64 by the contour tracer, which takes its R from the same square
+roots, and the interval quantiles; ell is closed form too.
 The one adaptive quadrature, Gauss-Legendre with recursive bisection
 (quad_seg), is left for integrals against the interval density
 (interval_integral, used by g and the interval mass), whose cosine
@@ -202,9 +203,13 @@ def phi_closed_form(A, beta1, beta2, z, sqrt, log):
     the limit from above on the open cut (beta1, beta2).  Elsewhere on
     the real axis only the real part is meaningful.
     """
+    return phi_from_root(A, beta1, beta2, z, sqrt(z - beta1) * sqrt(z - beta2), log)
+
+
+def phi_from_root(A, beta1, beta2, z, R, log):
+    """phi_closed_form given its R, which the contour tracer needs too."""
     c = 2 - A
     rho = (beta2 - beta1) / 2
-    R = sqrt(z - beta1) * sqrt(z - beta2)
     return (R - c * log((c - z - R) / rho)
             + A * log((A * A - c * z - A * R) / (rho * z))) / 2
 

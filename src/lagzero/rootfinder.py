@@ -30,11 +30,12 @@ fixed point where float64 cannot tell its points apart (a distance below
 2^-40 max(1, |z_i|), or a position past 2^512), and where 1 - newton * S is
 so small that the float row's error bound could move the step by 2^-30.
 
-A last complex Horner pass bounds each |P(z_i)| on P's own coefficients,
-and so proves what the kernel returns without relying on it. Each
-connected component of the disks |w - z_i| <= n |P(z_i)| / prod_{j != i}
-|z_i - z_j| holds as many zeros as disks (Neumaier, J. Comput. Appl. Math.
-156, 2003). Stage boundaries are logged at DEBUG on this module's logger."""
+The lift certifies each ring's roots by one complex Horner pass on the
+ring's own words (_certify), not by the kernel's division, so that the
+proof stands apart from it. Each connected component of the disks
+|w - z_i| <= n |P(z_i)| / prod_{j != i} |z_i - z_j| holds as many zeros as
+disks (Neumaier, J. Comput. Appl. Math. 156, 2003). Stage boundaries are
+logged at DEBUG on this module's logger."""
 
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
+from mpmath.libmp import from_man_exp, fzero, round_ceiling, round_nearest, to_fixed
 
 from . import tropical
 from .debuglog import debug
@@ -433,7 +434,8 @@ def _lift(rings, zs, prec, bits, target):
     """Newton steps that raise fixed-point representatives zs, in 2^-prec
     units with about bits correct bits, to target bits, one root at a time
     and without pair sums, each in its ring's frame w = z/s; the rings are
-    lifted one after the other, each rounded once for its last word.
+    lifted one after the other, each rounded once for its last word, and
+    each ring's roots are certified (_certify) before the next is rounded.
 
     Level l steps for the goal target / 2^(h - l), rounded up, with h + 1
     the fewest doublings that take bits to target: each level at most
@@ -442,8 +444,8 @@ def _lift(rings, zs, prec, bits, target):
     stay within 2^-(goal/4) max(1, |z|): a larger one means the
     approximation did not hold the bits claimed for it, as next to a zero
     the low words cannot separate from its neighbour. Returns None at such
-    a step or at P' = 0, else (levels, roots): roots[i] = (x, y, e) is the
-    lifted z_i as exactly (x + iy) 2^-e, and levels the most any ring took.
+    a step or at P' = 0, else (levels, roots): roots[i] is _certify's
+    (z, word, bound) for the lifted z_i, and levels the most any ring took.
     """
     rings_of = {}
     for i, (x, y) in enumerate(zs):
@@ -475,10 +477,11 @@ def _lift(rings, zs, prec, bits, target):
                                                 _pow2(zp - target // 2), zp):
                     still.append(i)
             todo, level = still, level + 1
-        rings.release(j)
         levels = max(levels, level)
+        # the ring still holds the rounding for its last word
         for i, (wx, wy, e) in roots.items():
-            out[i] = (a * wx, a * wy, e + t)
+            out[i] = _certify(rings, j, a * wx, a * wy, e + t, target)
+        rings.release(j)
     return levels, out
 
 
@@ -486,37 +489,89 @@ def _pow2(e):
     return 1 << e if e >= 0 else 0
 
 
-def _certificate(cs, fixed, prec, log_tol):
-    """Residual bounds in 2^-prec units, log radii and suspect indices.
+def _certify(rings, j, x, y, e, acc):
+    """(z, word, bound) for the root (x + iy) 2^-e of ring j. z is the value
+    returned: each part rounded to the context's precision, and made real
+    when its imaginary part is at most 2^-(acc // 4) max(1, |Re z|),
+    iteration dust on a real zero from unpaired seeds. bound 2^-(prec + 1)
+    >= |P(z)| / max(1, |z|)^n comes from one _fixed_horner pass on ring j's
+    coefficients at its word W for acc bits, the word the lift ends on, so
+    the ring holds that rounding already; prec is the Rings' own.
 
-    A _fixed_horner step adds a coefficient rounding (at most 1/2) and a
-    floor of each part (under sqrt 2 together), so |P~(z) - P(z)| <=
-    2 (n + 1) max(1, |z|)^n 2^-prec (Higham, sec. 5.1).
-    The radius n (|P~(z_i)| + that) / prod_{j != i} |z_i - z_j| is doubled
-    to cover the float64 sum of logs that stands for the product.
+    The Rings' cs_k lie within 1/2 of c_k 2^prec, so P and P_cs = sum cs_k
+    2^-prec z^k differ by at most (n + 1) 2^-(prec + 1) max(1, |z|)^n. Ring
+    j's q_k lie within 1/2 + 2^-8 units of 2^-W of the coefficients of
+    Q(w) = P_cs(s w) 2^-m, which are below 2 in modulus (up to the float64
+    rounding of m): rounded at the ring's top word and again to W
+    (tropical._scaled_coefficients, Rings.coefficients). w = z/s is not
+    dyadic: it is floored to w~, |w - w~| < sqrt 2 units, and |w~| <= 1 is
+    checked exactly; a point outside ring j is taken in its own ring,
+    rounded for it alone. At |w~| <= 1, Horner's floors add under sqrt 2 a
+    step and q's rounding under 1/2 + 2^-8 a coefficient, so
+    |Q~(w~) - Q(w~)| <= 2 (n + 1) units (Higham, sec. 5.1); |Q'| <= n (n + 1)
+    on the unit disk and barely more within sqrt 2 units of it, so
+    |Q(w) - Q(w~)| <= 3 n (n + 1) / 2 units. In all
+        |P(z)| <= 2^(m - W) (|Q~(w~)| + 2 (n + 1) + 3 n (n + 1) / 2)
+                  + (n + 1) 2^-(prec + 1) max(1, |z|)^n.
+    """
+    parts = [from_man_exp(v, -e, mp.mp.prec, round_nearest) for v in (x, y)]
+    ((x, y),), e = _exact_fixed([parts])
+    if abs(y) << (acc // 4) <= max(abs(x), 1 << e):
+        parts[1], y = fzero, 0
+    lift = j
+    while True:
+        word = rings.word(j, acc)
+        a, t, m, q = rings.coefficients(j, word)
+        wx, wy = _shift(x, word + t - e) // a, _shift(y, word + t - e) // a
+        if wx * wx + wy * wy <= 1 << (2 * word):
+            break
+        if j != lift:
+            rings.release(j)
+        j = max(j + 1, rings.ring(x, y, e))
+    px, py = _fixed_horner(q, wx, wy, word)
+    if j != lift:
+        rings.release(j)
+    n = len(q) - 1
+    top = math.isqrt(px * px + py * py) + 1 + 2 * (n + 1) + (3 * n * (n + 1) + 1) // 2
+    # in 2^-(prec + 1) units, over max(1, |z|)^n
+    k, den, rr = m - word + rings.prec + 1, 1, x * x + y * y
+    if rr >> (2 * e):
+        # |z|^n, each factor floor(|z| 2^(e + 64)) rounded down to 64 bits
+        r = math.isqrt(rr << 128)
+        s = r.bit_length() - 64
+        k, den = k + n * (e + 64 - s), (r >> s) ** n
+    bound = -(-(top << k) // den) if k >= 0 else -(-top // (den << -k))
+    return mp.make_mpc(tuple(parts)), word, bound + n + 1
 
-    |P(conj z)| = |P(z)|: with the points closed under conjugation, P~ is
-    taken once per pair, and one log |z_i - z_j| per orbit {z_i, z_j},
+
+def _exact_fixed(parts):
+    """([(x, y)], e): the points whose real and imaginary parts are the raw
+    mpf pairs in parts, as exactly (x + iy) 2^-e, on the fewest bits e >= 0
+    that hold every part."""
+    e = max(0, max(-p[2] for pair in parts for p in pair))
+    return [(to_fixed(u, e), to_fixed(v, e)) for u, v in parts], e
+
+
+def _certificate(fixed, prec, bounds, unit, log_tol):
+    """Log radii and suspect indices for the zeros (x + iy) 2^-prec in
+    fixed, given bounds[i] 2^-unit >= |P(z_i)| / max(1, |z_i|)^n.
+
+    The radius n |P(z_i)| / prod_{j != i} |z_i - z_j| is doubled to cover
+    the float64 sum of logs that stands for the product. With the points
+    closed under conjugation, one log |z_i - z_j| per orbit {z_i, z_j},
     {conj z_i, conj z_j} gives every product.
     """
-    n, shift = len(cs) - 1, prec * math.log(2)
+    n, shift, ushift = len(fixed), prec * math.log(2), unit * math.log(2)
     where = {p: i for i, p in enumerate(fixed)}
     twin = [where.get((x, -y)) for x, y in fixed]  # conj z_i = z_twin[i]
     if any(k is None or twin[k] != i for i, k in enumerate(twin)):
         twin = list(range(n))
     reps = [i for i, k in enumerate(twin) if k >= i]
-    bounds, log_m, log_r = [0] * n, [0.0] * n, [0.0] * n
+    log_m, log_r = [0.0] * n, [0.0] * n
     rows, pairs = {i: [] for i in reps}, []
     for a, i in enumerate(reps):
         (x, y), row, pi = fixed[i], rows[i], twin[i] != i
         m = math.isqrt(x * x + y * y)  # floor(|z| 2^prec)
-        px, py = _fixed_horner(cs, x, abs(y), prec)
-        bound = math.isqrt(px * px + py * py) + 1
-        if m >> prec:
-            # over max(1, |z|)^n = |z|^n, rounded down at 64 bits a factor
-            s = max(0, min(prec, m.bit_length() - 64))
-            bound = -(-(bound << (n * (prec - s))) // (m >> s) ** n)
-        bounds[i] = bounds[twin[i]] = bound + 2 * (n + 1)
         log_m[i] = log_m[twin[i]] = max(0.0, math.log(m or 1) - shift)
         if pi:
             d = 0.5 * math.log(4 * y * y) - shift
@@ -537,7 +592,7 @@ def _certificate(cs, fixed, prec, log_tol):
                 row.append(d)
                 rows[k].append(d)
     for i in reps:
-        log_r[i] = log_r[twin[i]] = (math.log(2 * n) - shift + math.log(bounds[i])
+        log_r[i] = log_r[twin[i]] = (math.log(2 * n) - ushift + math.log(bounds[i])
                                      + n * log_m[i] - math.fsum(rows[i]))
     # disks i and j meet when log |z_i - z_j| <= log(r_i + r_j), which is
     # at most log 2 + max log_r
@@ -546,7 +601,12 @@ def _certificate(cs, fixed, prec, log_tol):
     for d, i, k in pairs:
         if d <= reach and d <= _logaddexp(log_r[i], log_r[k]):
             suspect.update((i, k, twin[i], twin[k]))
-    return bounds, log_r, tuple(sorted(suspect))
+    return log_r, tuple(sorted(suspect))
+
+
+def _residual(bound, unit, bits):
+    # bound 2^-unit, rounded up to bits
+    return mp.make_mpf(from_man_exp(bound, -unit, bits, round_ceiling))
 
 
 def _logaddexp(a, b):
@@ -564,7 +624,7 @@ def _rounded(exact, prec):
 
 def _guard_bits(exact) -> int:
     # an integer >= -log2 min |c_k| over the nonzero c_k (at most two bits
-    # over), or 0 when every |c_k| >= 1; it sizes the certificate's words
+    # over), or 0 when every |c_k| >= 1; it sizes P's rounded coefficients
     return max(0, max(c.denominator.bit_length() - abs(c.numerator).bit_length() + 1
                       for c in exact if c))
 
@@ -591,8 +651,9 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     hull predicts. P's coefficients are rounded once from coeffs to
     precision_bits + max(0, -log2 min_k |c_k|) + 16 bits over the nonzero
     c_k, and again after the sweeps to as many more bits as the largest
-    cancellation they measured; the lift's scaled coefficients and the
-    certificate's are rounded from them. The roots are returned at
+    cancellation they measured; the lift's scaled coefficients are rounded
+    from them, and the certificate bounds |P| at each root on its ring's,
+    at the lift's last word for precision_bits. The roots are returned at
     precision_bits, and the disks are centred on those values.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
@@ -614,10 +675,9 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
-        prec = guarded = precision_bits + _guard_bits(coeffs) + 16
-        cs = _rounded(coeffs, prec)
+        guarded = precision_bits + _guard_bits(coeffs) + 16
         hull = tropical.hull(coeffs)
-        rings = tropical.Rings(cs, prec, hull)
+        rings = tropical.Rings(_rounded(coeffs, guarded), guarded, hull)
         # -log2 of the smallest root modulus the hull predicts: its first slope
         (k0, l0), (k1, l1) = hull[:2]
         below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
@@ -637,9 +697,8 @@ def find_zeros(coeffs: tuple, precision_bits: int,
                   min(words.values()), max(words.values()), exact, rows)
             # zeros that lose c bits to cancellation need c more of P's bits
             wide = guarded + max(rings.cancellation.values(), default=0)
-            if wide > prec:
-                prec, cs = wide, _rounded(coeffs, wide)
-                rings.widen(cs, prec)
+            if wide > rings.prec:
+                rings.widen(_rounded(coeffs, wide), wide)
             # the sweeps freeze each root within 2^-(bits//2)
             lifted = None if sweeps is None else _lift(rings, fixed, pos, bits // 2,
                                                        precision_bits)
@@ -650,31 +709,30 @@ def find_zeros(coeffs: tuple, precision_bits: int,
                       precision_bits, levels, min(words.values()), max(words.values()))
                 break
             if bits == precision_bits:
-                # nothing left to escalate to: the swept roots stand for
-                # the worst residual that NonConvergence reports
-                roots = [(x, y, pos) for x, y in fixed]
-                break
+                # nothing left to escalate to: the swept roots, bounded in
+                # their rings, give the worst residual NonConvergence reports
+                worst = max(_certify(rings, rings.ring(x, y, pos), x, y, pos,
+                                     precision_bits)[2] for x, y in fixed)
+                raise NonConvergence(iterations,
+                                     _residual(worst, rings.prec + 1, precision_bits))
             debug(__name__, "escalating from %d bits: %s", bits,
                   "sweeps did not converge" if sweeps is None else "lift failed")
             bits = min(2 * bits, precision_bits)
-        roots += [(x, -y, e) for (x, y, e), t in zip(roots, twin) if t]
         # rounding to nearest is odd in y, so an implied twin is returned
-        # as the exact conjugate of its representative
-        zs = [mp.mpc(mp.mpf((x, -e)), mp.mpf((y, -e))) for x, y, e in roots]
-        # from unpaired seeds, an imaginary part at the quarter-precision
-        # level is iteration dust on a real zero, not a genuine pair
-        snap = mp.mpf(2) ** (-(precision_bits // 4))
-        zs = sorted((mp.mpc(z.real, 0) if abs(z.imag) <= snap * max(1, abs(z.real))
-                     else z for z in zs), key=_sorted_key)
-        # rounding to precision_bits only drops low bits, so the disks are
-        # centred exactly on the returned values
-        bounds, log_r, suspect = _certificate(cs, _to_fixed(zs, prec), prec,
-                                              float(mp.log(tol)))
-        residuals = tuple(mp.make_mpf(from_man_exp(b, -prec, precision_bits, round_ceiling))
-                          for b in bounds)
-        debug(__name__, "certificate at %d-bit words: worst log radius %.1f, %d suspect",
-              prec, max(log_r), len(suspect))
-        if lifted is None or max(residuals) > tol:
+        # as the exact conjugate of its representative, and P is real, so
+        # it shares its bound
+        roots += [(mp.conj(z), word, b) for (z, word, b), t in zip(roots, twin) if t]
+        roots.sort(key=lambda r: _sorted_key(r[0]))
+        zs = [z for z, _, _ in roots]
+        unit = rings.prec + 1  # _certify's bounds are in 2^-unit
+        residuals = tuple(_residual(b, unit, precision_bits) for _, _, b in roots)
+        if max(residuals) > tol:
             raise NonConvergence(iterations, max(residuals))
+        fixed, e = _exact_fixed([(z.real._mpf_, z.imag._mpf_) for z in zs])
+        log_r, suspect = _certificate(fixed, e, [b for _, _, b in roots], unit,
+                                      float(mp.log(tol)))
+        words = [word for _, word, _ in roots]
+        debug(__name__, "certificate at %d-%d-bit words: worst log radius %.1f, %d suspect",
+              min(words), max(words), max(log_r), len(suspect))
     return ZeroSet(tuple(zs), residuals, origin, precision_bits, iterations,
                    tuple(mp.exp(r) for r in log_r), suspect)

@@ -56,14 +56,14 @@ def test_zeros_integer_reduction_rows(capsys):
 # that found the zeros of the reduced L_{n+alpha}^{(-alpha)}(nz): the
 # -alpha origin rows come first, then the interval zeros
 ZEROS_40_32_FROZEN = "re,im,residual\n" + "0.0,0.0,0.0\n" * 32 + (
-    "0.4336335851843287,0.0,3.4975652481211324e-81\n"
-    "0.5695069939856084,0.0,5.469756238694158e-81\n"
-    "0.7090703691099995,0.0,2.679769028833124e-81\n"
-    "0.8599038801983246,0.0,7.231644178669683e-82\n"
-    "1.0274232615393817,0.0,2.8120224259895043e-81\n"
-    "1.218475919151815,0.0,7.183891659259084e-82\n"
-    "1.4450329336762084,0.0,1.070750793476339e-81\n"
-    "1.7369530571543335,0.0,1.4060027552158026e-80\n"
+    "0.4336335851843287,0.0,3.4985940998568643e-81\n"
+    "0.5695069939856084,0.0,5.469787436964948e-81\n"
+    "0.7090703691099995,0.0,2.6798004156131036e-81\n"
+    "0.8599038801983246,0.0,7.231956789741553e-82\n"
+    "1.0274232615393817,0.0,2.8128524947853645e-81\n"
+    "1.218475919151815,0.0,7.185956777425318e-82\n"
+    "1.4450329336762084,0.0,1.0708029476853144e-81\n"
+    "1.7369530571543335,0.0,1.4060039145473154e-80\n"
 )
 
 

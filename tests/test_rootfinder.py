@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -65,8 +66,8 @@ def test_matches_polyroots_on_laguerre():
 
 def test_matches_polyroots_near_integer():
     # dist(alpha, Z) = 1e-15 pulls the constant coefficient down to about
-    # 2^-75: the certificate's words carry that many extra guard bits, and
-    # the scaled words of the sweeps do not
+    # 2^-75: P's rounded coefficients carry that many extra guard bits, and
+    # the scaled words of the sweeps, the lift and the certificate do not
     mon = laguerre.monic_rescaled(12, "-9.000000000000001")
     assert abs(mon[0]) < Fraction(1, 2 ** 74)
     zset = rootfinder.find_zeros(mon, 320)
@@ -253,7 +254,7 @@ def test_horner_calls_per_representative(monkeypatch):
     # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs: 53
     # representatives, each evaluated at most once per pass: per sweep at
     # LOW_BITS, at each of the three lift levels (104, 208, then the full
-    # 416 bits) and in the certificate
+    # 416 bits) and in the certificate, on the last level's ring words
     calls = []
     for name in ("_fixed_horner", "_quadratic_horner"):
         def counted(*args, evaluate=getattr(rootfinder, name)):
@@ -267,6 +268,28 @@ def test_horner_calls_per_representative(monkeypatch):
     assert len(calls) <= (zset.iterations + 4) * (88 + 18) // 2
 
 
+@pytest.mark.parametrize("n, alpha, reps, roundings", [(88, "-71.2909", 53, 62),
+                                                       (96, "-76.0000011", 58, 68)],
+                         ids=["88", "96"])
+def test_certificate_rounds_no_ring_of_its_own(monkeypatch, n, alpha, reps, roundings):
+    # the certificate bounds each representative once, in its ring, on the
+    # coefficients the lift rounded for its last word: no more ring
+    # roundings than the sweeps and the lift take without it (62 and 68),
+    # and one complex Horner pass per representative (17 + 1 + 35 and
+    # 20 + 38, Szego's real split)
+    calls = Counter()
+    for mod, name in ((rootfinder, "_fixed_horner"), (tropical, "_scaled_coefficients")):
+        def counted(*args, evaluate=getattr(mod, name), name=name):
+            calls[name] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    zset, _ = harness.compute_zeros(n, alpha)
+    assert len(zset.zeros) == n and zset.suspect == ()
+    assert calls["_fixed_horner"] == reps
+    assert calls["_scaled_coefficients"] <= roundings
+
+
 def test_certificate_horner_matches_the_derivative_pass():
     # the certificate's P-only Horner gives P bit for bit as the complex
     # P-and-P' pass, and on the real axis the kernel's real pass gives both
@@ -278,6 +301,21 @@ def test_certificate_horner_matches_the_derivative_pass():
         full = reference.complex_horner(cs, x, y, prec)
         assert rootfinder._fixed_horner(cs, x, y, prec) == full[:2]
     assert rootfinder._quadratic_horner(cs, x, 0, prec) == reference.complex_horner(cs, x, 0, prec)
+
+
+def _horner_bounds(coeffs, fixed, prec):
+    # a complex Horner pass on P's coefficients rounded to prec bits, as a
+    # residual bound on those words: (|P~(z)| + 1 + 2 (n + 1)
+    # max(1, |z|)^n) / max(1, |z|)^n in 2^-prec units, rounded up
+    n, out = len(coeffs) - 1, []
+    cs = [round(c * (1 << prec)) for c in coeffs]
+    for x, y in fixed:
+        px, py = reference.complex_horner(cs, x, abs(y), prec)[:2]
+        bound, m = math.isqrt(px * px + py * py) + 1, math.isqrt(x * x + y * y)
+        if m >> prec:
+            bound = -(-(bound << (n * prec)) // m ** n)
+        out.append(bound + 2 * (n + 1))
+    return out
 
 
 @pytest.mark.parametrize("n, alpha, few", [(88, "-71.2909", 218), (96, "-76.0000011", 254)],
@@ -295,8 +333,8 @@ def test_certificate_matches_the_full_distance_matrix(n, alpha, few):
         # cut toward 0, so that exact conjugates stay exact
         cut = [(x >> (prec - bits), (abs(y) >> (prec - bits)) * (1 if y >= 0 else -1))
                for x, y in fixed]
-        cs = [round(c * (1 << bits)) for c in coeffs]
-        bounds, log_r, suspect = rootfinder._certificate(cs, cut, bits, log_tol)
+        bounds = _horner_bounds(coeffs, cut, bits)
+        log_r, suspect = rootfinder._certificate(cut, bits, bounds, bits, log_tol)
         assert (log_r, suspect) == reference.certificate_radii(cut, bounds, bits, log_tol)
     assert 0 < len(suspect) < n
 
@@ -402,8 +440,8 @@ def test_stage_boundaries_are_logged(caplog):
     assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words, "
                         "0 of 115 rows in fixed point)",
                         "lifted to 256 bits in 2 Newton levels (280-304-bit words)"]
-    # the guarded 359 bits plus the 21 bits of cancellation the sweeps measured
-    assert msgs[2].startswith("certificate at 380-bit words: worst log radius ")
+    # each zero is bounded in its ring, on the lift's last word
+    assert msgs[2].startswith("certificate at 280-304-bit words: worst log radius ")
     assert msgs[2].endswith(", 0 suspect")
     assert len(msgs) == 3
 
@@ -500,17 +538,31 @@ def _sound_case(name):
     if name == "compute_zeros":
         zset, _ = harness.compute_zeros(40, "-31.99999886")
         return laguerre.monic_rescaled(40, "-31.99999886"), zset
+    if name == "ring-edges":
+        # zeros 2^-200 past the outer edges 1/2, 2 and 4 of their rings
+        # (n <= 8: one ring per octave), and +-2i as far past the edge 2
+        e = 1 + Fraction(1, 2 ** 200)
+        real = _expand([e / 2, 2 * e, 4 * e, Fraction(-3), Fraction(5, 4)])
+        # times z^2 + 4 e^2
+        mon = tuple((real[k - 2] if k >= 2 else 0)
+                    + 4 * e * e * (real[k] if k < len(real) else 0)
+                    for k in range(len(real) + 2))
+        return mon, rootfinder.find_zeros(mon, 256)
     n, alpha = name
     mon = laguerre.monic_rescaled(n, alpha)
     return mon, rootfinder.find_zeros(mon, 256)
 
 
 @pytest.mark.parametrize("name", ["wilkinson6", (12, "-9.6"), (25, "-10.5"),
-                                  "compute_zeros"],
-                         ids=["wilkinson6", "12,-9.6", "25,-10.5", "40,-31.99999886"])
+                                  "compute_zeros", "ring-edges"],
+                         ids=["wilkinson6", "12,-9.6", "25,-10.5", "40,-31.99999886",
+                              "ring-edges"])
 def test_inclusion_disks_hold_the_zeros(name):
     # each disk holds a zero of P: the polyroots zero nearest to z_i, 64
-    # bits past the working precision, lies within radii[i] of it
+    # bits past the working precision, lies within radii[i] of it. The
+    # residual bounds come from each zero's ring (rootfinder._certify); the
+    # ring-edges zeros are swept inside their rings' outer edges and lifted
+    # past them, so each is bounded in the next ring out
     mon, zset = _sound_case(name)
     bits = zset.precision_bits + 64
     with mp.workprec(bits):
@@ -577,7 +629,8 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     class StarvedRings(tropical.Rings):
         # the scaled words rounded from coefficients held to
         # 2^-precision_bits, as if with no guard bits; the certificate
-        # keeps its own guarded words
+        # reads the same rings, and its term for the rounding of cs, sized
+        # by their prec, is what flags the wrong zeros
         def __init__(self, cs, prec, hull):
             super().__init__([c >> drop for c in cs], prec - drop, hull)
 
@@ -594,6 +647,9 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
                  if min(abs(w - z) for w in ref.zeros) > tol * max(1, abs(z))]
     assert len(wrong) > 10
     assert set(wrong) <= set(zset.suspect)
+    # the certificate reads the starved rings: each residual carries their
+    # rounding of cs, (n + 1) 2^-(prec + 1) at their prec = bits
+    assert min(zset.residuals) >= 61 * mp.mpf(2) ** -(bits + 1)
     # compute_zeros retries a suspect (or unconverged) first pass
     got, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
     with mp.workprec(512):
@@ -674,6 +730,68 @@ def test_scaled_horner_is_within_its_bound(n, alpha):
                     check(q, wx, wy, word, m, s,
                           *(mp.polyval([mp.mpf(c.numerator) / c.denominator
                                         for c in reversed(cs)], z) for cs in (coeffs, deriv)))
+
+
+@pytest.mark.parametrize("n, alpha", [(88, "-71.2909"), (96, "-76.0000011")],
+                         ids=["88", "96"])
+def test_ring_certificate_bound_holds(n, alpha):
+    # rootfinder._certify's bound on |P(z)| / max(1, |z|)^n, in 2^-(prec + 1)
+    # units, against P's exact value (laguerre.evaluate at double points,
+    # mpmath at four times the bits at the zeros): it holds, and it exceeds
+    # the value by at most twice its own slack, plus n 2^-62 of it where
+    # |z| > 1 (max(1, |z|)^n is taken on 64-bit factors). The points: near the real
+    # axis (arg z down to 1e-12), anywhere in rings from the loop to the top
+    # of the interval, at |w| = 1 (w = +-1, +-i, exact), where w = z/s is
+    # floored (every other point), at the returned zeros, where |Q(w)| is
+    # mostly far below the slack, which then carries the bound, and outside
+    # the ring they are certified in: those are bounded in their own ring,
+    # which keeps no rounding afterwards
+    coeffs = laguerre.monic_rescaled(n, alpha)
+    zset, _ = harness.compute_zeros(n, alpha)
+    bits = zset.precision_bits
+    prec = bits + rootfinder._guard_bits(coeffs) + 16
+    rings = tropical.Rings([round(c * (1 << prec)) for c in coeffs], prec,
+                           tropical.hull(coeffs))
+    rng = random.Random(n)
+    # (z, exact |P(z)|, the ring z is certified in, the ring it is bounded in)
+    points = []
+    for modulus in (0.11, 0.16, 0.2, 0.45, 1.0, 1.7):
+        j = rings.ring(round(modulus * 2 ** 60), 0, 60)
+        a, t = rings.scale(j)
+        s = math.ldexp(a, -t)
+        zs = [complex(s * u, s * v) for u, v in ((1, 0), (-1, 0), (0, 1), (0, -1))]
+        for k in range(8):
+            r = s * 2 ** -(1 / rings.per_octave) * rng.uniform(
+                1, 1.01 if k < 4 else 2 ** (1 / rings.per_octave))
+            theta = rng.uniform(1e-12, 1e-9) if k % 2 else rng.uniform(0, math.pi)
+            zs.append(complex(r * math.cos(theta), r * math.sin(theta)))
+        # two mid-ring points certified one ring in, past its s
+        zs += [complex(0.96 * s * math.cos(theta), 0.96 * s * math.sin(theta))
+               for theta in (rng.uniform(0, math.pi), rng.uniform(0, math.pi))]
+        for k, z in enumerate(zs):
+            with mp.workprec(3 * prec):
+                value = abs(laguerre.evaluate(coeffs, [z])[0])
+            points.append((mp.mpc(z), value, j - (k >= 12), j))
+    with mp.workprec(4 * prec):
+        cs = [mp.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        for z in zset.zeros[::4]:
+            j = rings.ring(*rootfinder._to_fixed([z], 2 * bits)[0], 2 * bits)
+            points.append((z, abs(mp.polyval(cs, z)), j, j))
+    for z, value, j, own in points:
+        ((x, y),), e = rootfinder._exact_fixed([(z.real._mpf_, z.imag._mpf_)])
+        with mp.workprec(bits):
+            w, word, bound = rootfinder._certify(rings, j, x, y, e, bits)
+        assert w == z
+        assert word == rings.word(own, bits)
+        if j != own:
+            assert own not in rings.rounded
+        m = rings.coefficients(own, word)[2]
+        with mp.workprec(4 * prec):
+            big = max(1, abs(z)) ** n
+            got = mp.ldexp(bound, -(prec + 1))
+            slack = (mp.ldexp(2 * (n + 1) + 3 * n * (n + 1) // 2 + 2, m - word) / big
+                     + mp.ldexp(n + 2, -(prec + 1)))
+            assert value / big <= got <= value / big * (1 + mp.ldexp(n, -62)) + 2 * slack
 
 
 @pytest.mark.parametrize("n, alpha", [(40, "5.5"), (40, "-50.3"), (41, "-50.3"),
