@@ -25,6 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from lagzero.debuglog import debug
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
 from lagzero.landscape import PotentialContext, phi_from_root, phi_origin_constant
 
@@ -204,6 +205,7 @@ def trace_gamma(
     arcs = [0.0]
     for i in range(1, len(points)):
         arcs.append(arcs[-1] + abs(points[i] - points[i - 1]))
+    debug(__name__, "Gamma_%s: %d vertices at max_step %.3g", r, len(points), max_step)
 
     return ContourPolyline(
         points=tuple(points),

@@ -23,6 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 from mpmath import mp
 
 from . import contour, laguerre, measure, rootfinder, tropical
+from .debuglog import debug
 from .errors import DomainError, NonConvergence, PlanError
 from .landscape import make_context
 
@@ -313,23 +314,26 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     labels = _classify(zeros, d_int, d_loop, opts.classify_tol)
     n_loop, n_int, n_out = _counts(labels)
     max_dev = max(map(min, d_int, d_loop), default=0.0)
-    ks_loop = 0.0
+    ks_loop, ss = 0.0, []
     if gamma is not None:
         arcs, cum = measure.loop_cdf_points(spec_m)
         ss = sorted(s for s, lab in zip(s_loop, labels) if lab == "loop")
         ks_loop = _ks([_interp(s, arcs, cum) / cum[-1] for s in ss])
-    b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    ks_interval = _ks([float(measure.cdf_interval(ctx, min(max(x, b1), b2)))
-                       / (1 - float(ctx.A))
-                       for x in sorted(z.real for z, lab in zip(zeros, labels)
-                                       if lab == "interval")])
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    xs = sorted(z.real for z, lab in zip(zeros, labels) if lab == "interval")
+    ks_interval = _ks([measure.interval_phase(A, b1, b2, x) / math.pi / (1 - A)
+                       for x in xs])
+    alpha_s = decimal_str(alpha_f)
+    debug(__name__, "n=%d alpha=%s: %d loop, %d interval, %d outlier zeros; "
+          "KS over %d loop and %d interval points", n, alpha_s, n_loop, n_int,
+          n_out, len(ss), len(xs))
     mass = Fraction(n_loop + origin_mult, n) - a_n
     sweep = tuple((delta, *_counts(_classify(zeros, d_int, d_loop, delta)))
                   for delta in opts.sweep)
 
     return ComparisonReport(
         n=n,
-        alpha=decimal_str(alpha_f),
+        alpha=alpha_s,
         r_hat=r_hat,
         max_deviation=max_dev,
         loop_count=n_loop,

@@ -7,13 +7,15 @@ r = infinity case replaces the loop by an atom of mass A at the origin,
 stored symbolically.
 
 Both CDFs are closed forms in the landscape module's phi.  On the
-interval F(x) = Im phi_+(x)/pi, in mpmath for cdf_interval and in cmath
-for the interval quantiles.  Along Gamma_r, where Re phi = r/2,
-dnu_r = d(Im phi)/pi: the tracer keeps Im phi at every vertex it places
-(gamma.upper_mass), and the loop quantiles interpolate linearly between
-the vertices.  The log potential follows from phi and the constant ell.
-Only the interval mass integrates against the density in mpmath
-(landscape.interval_integral).
+interval F(x) = Im phi_+(x)/pi.  interval_phase evaluates Im phi_+ in
+cmath, for the interval quantiles (the root finder's seeds) and the
+harness's interval KS statistic; cdf_interval evaluates F in mpmath at
+LANDSCAPE_BITS, for the oscillatory asymptotics only.  Along Gamma_r,
+where Re phi = r/2, dnu_r = d(Im phi)/pi: the tracer keeps Im phi at
+every vertex it places (gamma.upper_mass), and the loop quantiles
+interpolate linearly between the vertices.  The log potential follows
+from phi and the constant ell.  Only the interval mass integrates against
+the density in mpmath (landscape.interval_integral).
 """
 
 from __future__ import annotations
@@ -149,6 +151,18 @@ def interval_mass(ctx: PotentialContext) -> mp.mpf:
     return interval_integral(ctx, lambda s: 1, QUAD_TOL)
 
 
+def interval_phase(A: float, b1: float, b2: float, x: float) -> float:
+    """Im phi_+(x) = pi F(x) in float64, with A, b1 and b2 the context's
+    as floats: exactly 0 at x <= b1 and pi (1 - A) at x >= b2.  Between
+    them, divided by pi, it lies within about 1e-15 of cdf_interval."""
+    if x <= b1:
+        return 0.0
+    if x >= b2:
+        return math.pi * (1 - A)
+    # the +0 imaginary part selects the limit from above
+    return phi_closed_form(A, b1, b2, complex(x, 0.0), cmath.sqrt, cmath.log).imag
+
+
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
     """Integral of mp_density from beta1 to x, in closed form as
     Im phi_+(x)/pi; equals 1-A at x = beta2."""
@@ -226,9 +240,9 @@ def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
 def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
     """k real points at Marchenko-Pastur quantiles (j+1/2)/k.
 
-    Bisection on the closed-form CDF pi F(x) = Im phi_+(x), in cmath, per
-    target; it stops once a halving leaves the bracket as it was, which
-    every later halving would too.
+    Bisection on pi F(x) = interval_phase(x) per target; it stops once a
+    halving leaves the bracket as it was, which every later halving would
+    too.
     """
     if k <= 0:
         return []
@@ -240,8 +254,7 @@ def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
         # 64 halvings shrink beta2 - beta1 < 4 below 2^-62
         for _ in range(64):
             mid = (lo + hi) / 2
-            # the +0 imaginary part selects the limit from above
-            if phi_closed_form(A, b1, b2, complex(mid, 0.0), cmath.sqrt, cmath.log).imag < target:
+            if interval_phase(A, b1, b2, mid) < target:
                 if lo == mid:
                     break
                 lo = mid

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib.resources
 import json
+import logging
 import math
 from fractions import Fraction
 
@@ -112,6 +113,38 @@ def test_run_comparison_frozen_noninteger():
     assert rep.valid
     assert rep.residual_max < 1e-60
     assert rep.sweep == ((0.05, 32, 8, 0), (0.1, 32, 8, 0), (0.2, 32, 8, 0))
+
+
+@pytest.mark.parametrize("n,alpha", [(40, "-32.4"), (80, -64), (40, "-31.99999886")])
+def test_ks_interval_is_float64_and_matches_cdf_interval(monkeypatch, n, alpha):
+    # the interval KS takes the float64 phase, never the 256-bit CDF,
+    # and lands within 1e-14 of the KS that CDF gives
+    cdf_interval = measure.cdf_interval
+
+    def refuse(*args):
+        raise AssertionError("run_comparison called measure.cdf_interval")
+
+    monkeypatch.setattr(measure, "cdf_interval", refuse)
+    rep = harness.run_comparison(n, alpha)
+    ctx = landscape.make_context(laguerre.theorem_ratio(n, alpha))
+    b1, b2 = float(ctx.beta1), float(ctx.beta2)
+    xs = sorted(x for x, _, lab in rep.zeros if lab == "interval")
+    assert len(xs) == rep.interval_count > 0
+    want = harness._ks([float(cdf_interval(ctx, min(max(x, b1), b2))) / (1 - float(ctx.A))
+                        for x in xs])
+    assert abs(rep.ks_interval - want) <= 1e-14
+
+
+def test_run_comparison_and_trace_log_counts(caplog):
+    caplog.set_level(logging.DEBUG, logger=harness.__name__)
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    harness.run_comparison(40, "-32.4")
+    traced = [r.getMessage() for r in caplog.records if r.name == contour.__name__]
+    assert len(traced) == 1
+    assert traced[0].startswith("Gamma_0.0229") and " vertices at max_step " in traced[0]
+    counts = [r.getMessage() for r in caplog.records if r.name == harness.__name__]
+    assert counts == ["n=40 alpha=-32.4: 32 loop, 8 interval, 0 outlier zeros; "
+                      "KS over 32 loop and 8 interval points"]
 
 
 def test_report_geometry_is_step_converged(monkeypatch):

@@ -123,6 +123,25 @@ def test_cdf_interval_matches_quadrature(A):
         assert abs(measure.cdf_interval(ctx, x) - want) <= landscape.QUAD_TOL
 
 
+@pytest.mark.parametrize("A", [Fraction(1, 20), Fraction(1, 2), Fraction(81, 100),
+                               Fraction(99, 100), Fraction(999, 1000)])
+def test_interval_phase_matches_cdf_interval(A):
+    # the float64 Im phi_+ / pi against the 256-bit cdf_interval on a
+    # uniform grid and at 1e-15, 1e-12 and 1e-9 of the span from each end
+    ctx = landscape.make_context(A)
+    a, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    span = b2 - b1
+    grid = [b1 + span * k / 400 for k in range(401)]
+    ends = [x for t in (1e-15, 1e-12, 1e-9) for x in (b1 + t * span, b2 - t * span)]
+    for x in grid + ends:
+        got = measure.interval_phase(a, b1, b2, x) / math.pi
+        assert abs(got - float(measure.cdf_interval(ctx, x))) <= 1e-14
+    assert measure.interval_phase(a, b1, b2, b1) == 0
+    assert measure.interval_phase(a, b1, b2, b2) == math.pi * (1 - a)
+    vals = [measure.interval_phase(a, b1, b2, x) for x in grid]
+    assert all(u < v for u, v in zip(vals, vals[1:]))
+
+
 def test_loop_cdf_points(mu81_r0):
     arcs, cum = measure.loop_cdf_points(mu81_r0)
     assert len(arcs) == len(cum) == len(mu81_r0.gamma.points)
@@ -192,6 +211,27 @@ def test_interval_quantiles(ctx81):
     for j, q in enumerate(qs):
         target = (j + 0.5) / 8 * (1 - 0.81)
         assert abs(float(measure.cdf_interval(ctx81, q)) - target) <= 1e-6
+
+
+# repr of the interval seeds, bit for bit:
+# the root finder starts from them, so they pin the zeros' last digits
+_SEEDS_81_8 = (
+    "[0.42016873380036446, 0.5623636117745172, 0.7035351065482793, "
+    "0.8548530248500317, 1.0226781131615361, 1.2147915563338376, "
+    "1.4454600908699033, 1.756997908394089]")
+_SEEDS_80_16 = (
+    "[0.36693334423349977, 0.4451609389161577, 0.5163594005042806, "
+    "0.5867525120113704, 0.658375005063764, 0.7323505773053995, "
+    "0.8095138331534881, 0.8906281336297861, 0.9765030848526972, "
+    "1.0680938383214933, 1.1666251721128118, 1.2737924757355517, "
+    "1.3921512834093326, 1.5260194387815562, 1.6841751915590932, "
+    "1.893589974598377]")
+
+
+def test_interval_quantiles_frozen(ctx81, ctx80):
+    # the 16 are the interval seeds of (80, -64)
+    assert repr(measure.interval_quantiles(ctx81, 8)) == _SEEDS_81_8
+    assert repr(measure.interval_quantiles(ctx80, 16)) == _SEEDS_80_16
 
 
 def test_log_potential_r_independent_outside(ctx80):
