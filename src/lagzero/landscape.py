@@ -23,8 +23,10 @@ substitution absorbs the square-root endpoint zeros.  It runs at the
 precision its result needs: QUAD_BITS = 96, or more for a finer tolerance.
 mpmath raises the Gauss-Legendre degree until its error estimate meets
 mpmath's own working precision, whatever tol asks: at 96 bits a panel
-stops at the 48-node rule, at LANDSCAPE_BITS only the 96-node rule, with
-its nodes computed afresh, would do.
+stops at the 48-node rule, at LANDSCAPE_BITS only the 96-node rule would
+do.  The rule's nodes are mpmath's, found by Newton on Python integers
+once per process (_FixedGaussLegendre), and interval_integral keeps the
+density at each node per context and precision.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from functools import lru_cache
 from typing import Callable, List, Optional, Union
 
 from mpmath import mp
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from lagzero.debuglog import debug
 from lagzero.errors import BranchCutError, DomainError, QuadratureError
@@ -112,6 +115,60 @@ def make_context(A: Scalar) -> PotentialContext:
 # quadrature core
 
 
+class _FixedGaussLegendre(GaussLegendre):
+    """mpmath's Gauss-Legendre rule with its nodes found in fixed point.
+    mp.quad makes a new rule object per call given a class, so the node
+    tables are the class's: one per process, keyed like mpmath's."""
+
+    _tables: tuple = ({}, {}, {})
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.standard_cache, self.transformed_cache, self.interval_count = self._tables
+
+    def calc_nodes(self, degree, prec, verbose=False):
+        """mpmath's 3*2^(degree-1)-point rule: Newton on the three-term
+        recurrence from mpmath's guess, in float64 and then on integers
+        scaled by 2^(int(1.5 prec) + 16), until |step| < 2^-(prec+8); each
+        root, its mirror and its weight (from P' at the root, not before
+        the last step as mpmath's) rounded at int(1.5 prec) bits."""
+        if degree == 1:
+            return GaussLegendre.calc_nodes(self, degree, prec)
+        bits = int(1.5 * prec)
+        word = bits + 16
+        one = 1 << word
+        n = 3 * 2 ** (degree - 1)
+        nodes = []
+        for j in range(1, n // 2 + 1):
+            r = math.cos(math.pi * (j - 0.25) / (n + 0.5))
+            step = 1.0
+            while abs(step) > 1e-12:
+                p, q = 1.0, 0.0
+                for k in range(1, n + 1):
+                    p, q = ((2 * k - 1) * r * p - (k - 1) * q) / k, p
+                step = p * (r * r - 1) / (n * (r * p - q))
+                r -= step
+            x, done = int(math.ldexp(r, word)), False
+            while True:
+                p, q = one, 0
+                for k in range(1, n + 1):
+                    p, q = ((2 * k - 1) * (x * p >> word) - (k - 1) * q) // k, p
+                # d = (x^2 - 1) P'(x) and u = 1 - x^2, scaled by 2^word
+                d = n * ((x * p >> word) - q)
+                u = one - (x * x >> word)
+                if done:
+                    break
+                step = p * u // d
+                x += step
+                done = abs(step) < 1 << (word - prec - 8)
+            # w = 2 / ((1 - x^2) P'(x)^2) = 2 u / d^2
+            w = mp.make_mpf(from_man_exp((u << (2 * word + 1)) // (d * d),
+                                         -word, bits, round_nearest))
+            nodes += [(mp.make_mpf(from_man_exp(v, -word, bits, round_nearest)), w)
+                      for v in (x, -x)]
+        return nodes
+
+
 def quad_seg(
     f: Callable[[mp.mpf], Union[mp.mpf, mp.mpc]],
     a: Scalar,
@@ -123,7 +180,8 @@ def quad_seg(
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Gauss-Legendre panels with recursive bisection; the per-panel error
-    estimate comes from mpmath's internal degree refinement.  A single
+    estimate comes from mpmath's internal degree refinement, on the
+    nodes of _FixedGaussLegendre.  A single
     long panel can fool the estimator near a barely-resolved feature, so
     callers must substitute away any endpoint singularity first.  The
     depth cap is generous: a residual square-root kink at distance d from
@@ -135,7 +193,7 @@ def quad_seg(
 
     def rec(lo: mp.mpf, hi: mp.mpf, budget: mp.mpf, depth: int):
         val, err = mp.quad(
-            f, [lo, hi], method="gauss-legendre", maxdegree=6, error=True
+            f, [lo, hi], method=_FixedGaussLegendre, maxdegree=6, error=True
         )
         if panels is not None:
             panels.append(depth)
@@ -333,24 +391,35 @@ def interval_integral(
     Runs at max(QUAD_BITS, ceil(log2(1/tol)) + _GUARD_BITS) bits, not at
     LANDSCAPE_BITS, so f sees arguments rounded to those bits.
     The substitution s = mid - half*cos(t) absorbs both square-root
-    endpoint zeros of the density.
+    endpoint zeros of the density.  s and the density at each node are
+    computed once per (ctx, bits) and kept for the next integral.
     """
     bits = max(QUAD_BITS, math.ceil(-math.log2(tol)) + _GUARD_BITS)
     panels = []
+    density = _interval_density(ctx, bits)
     with mp.workprec(bits):
         b1, b2 = ctx.beta1, ctx.beta2
         mid = (b1 + b2) / 2
         half = (b2 - b1) / 2
 
         def g(t):
-            s = mid - half * mp.cos(t)
-            w = half * mp.sin(t)
-            return f(s) * w * w / (2 * mp.pi * s)
+            node = density.get(t)
+            if node is None:
+                s = mid - half * mp.cos(t)
+                w = half * mp.sin(t)
+                node = density[t] = s, w * w / (2 * mp.pi * s)
+            return f(node[0]) * node[1]
 
         value = quad_seg(g, 0, mp.pi, tol, panels=panels)
     debug(__name__, "interval integral at %d bits, tol %.3g: %d panels",
           bits, tol, len(panels))
     return value
+
+
+@lru_cache(maxsize=32)
+def _interval_density(ctx: PotentialContext, bits: int) -> dict:
+    """node t -> (s, density at s) of interval_integral, for (ctx, bits)."""
+    return {}
 
 
 @lru_cache(maxsize=32)

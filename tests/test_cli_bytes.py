@@ -1,0 +1,38 @@
+"""tools/cli_bytes.py: byte-for-byte comparison of two checkouts' commands."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "cli_bytes.py"
+
+
+def _run(parent, change):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(parent), str(change),
+         "--seeds", "1", "--only", "betas"],
+        capture_output=True, text=True, timeout=300)
+
+
+def test_same_checkout_reports_no_difference():
+    proc = _run(ROOT, ROOT)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["seed 1 landscape betas: same",
+                                        "1 commands, 0 differ"]
+
+
+def test_a_different_output_is_printed_and_fails(tmp_path):
+    package = tmp_path / "src" / "lagzero"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import sys\nprint('{')\nprint('  \"A\": \"other\"')\nsys.exit(2)\n")
+    proc = _run(ROOT, tmp_path)
+    assert proc.returncode == 1
+    out = proc.stdout
+    assert "seed 1 landscape betas: DIFFERS" in out
+    assert "  exit code 0 -> 2" in out
+    assert "  stdout, parent (-) against change (+):" in out
+    assert '    +  "A": "other"' in out
+    assert out.rstrip().endswith("1 commands, 1 differ")

@@ -7,11 +7,13 @@ quadrature at 256 bits before being written down here.
 import dataclasses
 import inspect
 import logging
+import math
 import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from mpmath.calculus.quadrature import GaussLegendre
 
 import phase_quadrature
 from lagzero import contour, landscape
@@ -87,6 +89,54 @@ def test_quad_seg_nonintegrable_raises():
         with pytest.raises(QuadratureError):
             landscape.quad_seg(lambda x: 1 / (x - sing), mp.mpf(0), mp.mpf(1),
                                mp.mpf(1e-12))
+
+
+
+@pytest.mark.parametrize("prec", [96, 157, 256])
+@pytest.mark.parametrize("degree", range(1, 7))
+def test_fixed_point_rule_matches_mpmath(degree, prec):
+    # the nodes against mpmath's table at the same bits; the weights
+    # against mpmath's table at twice the bits, because mpmath's own
+    # weight takes P' from before its last Newton step and is 2^-263 off
+    # at (3, 256 bits), where the new one takes it at the root
+    nodes = landscape._FixedGaussLegendre(mp.mp).calc_nodes(degree, prec)
+    ref = GaussLegendre(mp.mp).calc_nodes(degree, prec)
+    fine = GaussLegendre(mp.mp).calc_nodes(degree, 2 * prec)
+    n = 3 * 2 ** (degree - 1)
+    assert len(nodes) == n
+    with mp.workprec(2 * prec):
+        eps = mp.ldexp(1, -(prec + 8))
+        for (x, w), (x_ref, _), (_, w_fine) in zip(nodes, ref, fine):
+            assert abs(x - x_ref) <= eps
+            assert abs(w - w_fine) <= eps
+        # exact for every polynomial of degree < 2n; odd moments vanish
+        # by the rule's symmetry
+        powers = [mp.mpf(1)] * n
+        squares = [x * x for x, _ in nodes]
+        for j in range(0, 2 * n, 2):
+            moment = mp.fsum(w * p for (_, w), p in zip(nodes, powers))
+            assert abs(moment - mp.mpf(2) / (j + 1)) <= mp.ldexp(1, -prec)
+            powers = [p * x2 for p, x2 in zip(powers, squares)]
+
+
+def test_second_quad_seg_builds_no_node_table(monkeypatch):
+    # mp.quad builds a new rule object per call; the tables are shared
+    monkeypatch.setattr(landscape._FixedGaussLegendre, "_tables", ({}, {}, {}))
+    built = []
+    calc_nodes = landscape._FixedGaussLegendre.calc_nodes
+
+    def counted(self, degree, prec, verbose=False):
+        built.append((degree, prec))
+        return calc_nodes(self, degree, prec, verbose)
+
+    monkeypatch.setattr(landscape._FixedGaussLegendre, "calc_nodes", counted)
+    with mp.workprec(100):
+        first = landscape.quad_seg(mp.exp, 0, 1, mp.mpf(1e-20))
+        assert built and len(set(built)) == len(built)
+        built.clear()
+        assert landscape.quad_seg(mp.exp, 0, 1, mp.mpf(1e-20)) == first
+        assert built == []
+        assert abs(first - (mp.e - 1)) <= 1e-20
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +459,62 @@ def test_interval_integral_accuracy_at_quad_bits(A, bound):
             got = landscape.interval_integral(
                 ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
             assert abs(got - want) <= bound
+
+
+def _per_node_interval_integral(ctx, f, tol):
+    # interval_integral with the density computed at every node, as it
+    # was before the density cache
+    bits = max(landscape.QUAD_BITS, math.ceil(-math.log2(tol)) + landscape._GUARD_BITS)
+    with mp.workprec(bits):
+        mid = (ctx.beta1 + ctx.beta2) / 2
+        half = (ctx.beta2 - ctx.beta1) / 2
+
+        def g(t):
+            s = mid - half * mp.cos(t)
+            w = half * mp.sin(t)
+            return f(s) * w * w / (2 * mp.pi * s)
+
+        return landscape.quad_seg(g, 0, mp.pi, tol)
+
+
+@pytest.mark.parametrize("A", [Fraction(21, 50), Fraction(81, 100), Fraction(1, 20)])
+def test_interval_density_cache_matches_the_per_node_formula(A):
+    ctx = landscape.make_context(A)
+    points = [mp.mpc("0.2246", "-3.7387"), mp.mpc("2.8090", "3.9585"),
+              mp.mpc("-2.0780", "2.7755"), mp.mpc("-4.2", "-2.5"),
+              mp.mpc("1.3", "2.3")]
+    tol = landscape.QUAD_TOL / 2
+    for z in points:
+        got = landscape.interval_integral(ctx, lambda s: mp.log(z - s), tol)
+        want = _per_node_interval_integral(ctx, lambda s: mp.log(z - s), tol)
+        assert abs(got - want) <= 1e-28
+
+
+def test_interval_density_is_computed_once_per_node(monkeypatch):
+    ctx = landscape.make_context(Fraction(333, 1000))
+    cos = landscape.mp.cos
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return cos(t)
+
+    monkeypatch.setattr(landscape.mp, "cos", counted)
+    first = landscape.interval_integral(ctx, lambda s: s, landscape.QUAD_TOL)
+    assert calls
+    calls.clear()
+    again = landscape.interval_integral(ctx, lambda s: s, landscape.QUAD_TOL)
+    assert calls == [] and again == first
+    # Integral s dMP(s) = (beta2 - beta1)^2 / 16 = 1 - A
+    assert abs(first - (1 - ctx.A)) <= landscape.QUAD_TOL
+
+
+def test_interval_density_cache_stays_bounded():
+    bound = landscape._interval_density.cache_info().maxsize
+    for k in range(40):
+        ctx = landscape.make_context(Fraction(500 + k, 1000))
+        landscape.interval_integral(ctx, lambda s: 1, landscape.QUAD_TOL)
+    assert landscape._interval_density.cache_info().currsize == bound
 
 
 def test_interval_integral_precision_follows_a_fine_tolerance(ctx81):
