@@ -14,12 +14,12 @@ produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
 failure (Newton stalled, or the level's loop underflows float64), 4
 root-finder non-convergence, 5 asymptotic-domain violation.
 
-The working precision (bits) sizes only the root finder of zeros and
-verify. The landscape runs at landscape.LANDSCAPE_BITS, and asymp
-evaluates its polynomial exactly and rounds at LANDSCAPE_BITS, so betas,
-contour and asymp take no --precision. The LAGZERO_PRECISION environment
-variable overrides the default wherever --precision is not given; either
-must be at least 64, for every subcommand.
+The working precision (bits), rootfinder.start_precision's by default,
+sizes only the root finder of zeros and verify (whose valid says every
+printed zero is proven to the last bit); betas, contour and asymp take no
+--precision: the landscape and asymp's exact values are rounded at
+landscape.LANDSCAPE_BITS. LAGZERO_PRECISION overrides the default where
+--precision is not given; either must be at least 64, for every subcommand.
 """
 
 from __future__ import annotations

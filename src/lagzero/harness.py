@@ -99,27 +99,15 @@ def r_hat_from(n: int, alpha) -> float:
 def decimal_str(q: Fraction) -> str:
     """Exact decimal string when the denominator divides a power of 10."""
     num, den = q.numerator, q.denominator
-    sign = "-" if num < 0 else ""
-    num = abs(num)
-    d = den
-    e2 = e5 = 0
-    while d % 2 == 0:
-        d //= 2
-        e2 += 1
-    while d % 5 == 0:
-        d //= 5
-        e5 += 1
-    if d != 1:
+    e2 = (den & -den).bit_length() - 1
+    e5 = round(math.log(den >> e2, 5))
+    if den != 5 ** e5 << e2:
         with mp.workprec(200):
-            return mp.nstr(mp.mpf(num) / den * (-1 if sign else 1), 40)
-    k = max(e2, e5)
-    scaled = num * 10 ** k // den
-    s = str(scaled).rjust(k + 1, "0")
-    if k:
-        head, tail = s[:-k], s[-k:].rstrip("0")
-    else:
-        head, tail = s, ""
-    return sign + head + ("." + tail if tail else "")
+            return mp.nstr(mp.mpf(num) / den, 40)
+    k = max(e2, e5)  # the fewest digits after the point
+    s = str(abs(num) * 10 ** k // den).rjust(k + 1, "0")
+    head, tail = s[:len(s) - k], s[len(s) - k:].rstrip("0")
+    return ("-" if num < 0 else "") + head + ("." + tail if tail else "")
 
 
 def _round_frac(q: Fraction) -> int:
@@ -231,20 +219,6 @@ def _seeds_for(n: int, alpha: Fraction, spec_m):
     return [mp.mpc(s) for s in seeds]
 
 
-def working_precision(n: int, alpha) -> int:
-    """Bits for the root finder (find_zeros and its certificate) on
-    (n, alpha): at least max(256, 4n + 64), raised for near-integer alpha,
-    whose constant coefficient scales with dist(alpha, Z)."""
-    alpha_f = laguerre.parse_alpha(alpha)
-    dist = dist_to_integers(alpha_f)
-    bits = max(256, 4 * n + 64)
-    if 0 < dist < Fraction(1, 2):
-        with mp.workprec(64 + dist.denominator.bit_length()):
-            lg = int(mp.ceil(-mp.log(mp.mpf(dist.numerator) / dist.denominator, 2)))
-        bits = max(bits, 4 * n + 10 * max(lg, 0))
-    return bits
-
-
 def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
 
@@ -258,9 +232,10 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     measure (see _seeds_for), and from the circles of the Newton polygon
     (tropical.initial_guesses) when spec is None, with as many real seeds
     on each side of 0 as laguerre.real_zero_split counts zeros there.
-    Retries once at doubled precision on NonConvergence or a non-empty
-    suspect list; a second NonConvergence propagates, and a second suspect
-    set is returned as it is. precision_bits below 64 raises DomainError.
+    The default precision is rootfinder.start_precision's. Retries once at
+    doubled precision, logging why at DEBUG, on NonConvergence or suspect
+    zeros; a second NonConvergence propagates, and a second suspect set
+    is returned as it is. precision_bits below 64 raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
@@ -269,22 +244,30 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
         raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = Fraction(-alpha_f, n)
-    bits = precision_bits if precision_bits is not None else working_precision(n, alpha_f)
+    coeffs = laguerre.monic_rescaled(n, alpha_f)
+    bits, below = rootfinder.start_precision(coeffs)
+    bits = precision_bits or bits
 
     spec_m = seeds = None
     if 0 < a_n < 1:
         spec_m = measure.make_measure(make_context(a_n), r_hat_from(n, alpha_f))
         seeds = _seeds_for(n, alpha_f, spec_m)
-
-    coeffs = laguerre.monic_rescaled(n, alpha_f)
-    if spec_m is None and coeffs[0]:
+    elif coeffs[0]:
         # the paired sweeps need as many real seeds as real zeros
         seeds = tropical.initial_guesses(n, coeffs, laguerre.real_zero_split(n, alpha_f))
+    debug(__name__, "n=%d alpha=%s: starting at %d bits; the Newton polygon puts "
+          "the smallest zero near 2^-%d", n, decimal_str(alpha_f), bits, below)
     try:
         zset = rootfinder.find_zeros(coeffs, bits, seeds=seeds)
-    except NonConvergence:
-        zset = None
-    if zset is None or zset.suspect:
+    except NonConvergence as exc:
+        zset, why = None, f"NonConvergence ({exc})"
+    else:
+        loose = sum(not rootfinder.fixes_double(zset.zeros[i], zset.log_radii[i])
+                    for i in zset.suspect)
+        why = zset.suspect and (f"{loose} suspect zeros whose disk does not fix a printed double, "
+                                f"{len(zset.suspect) - loose} in disks that overlap or exceed tol")
+    if why:
+        debug(__name__, "retrying at %d bits: %s", 2 * bits, why)
         zset = rootfinder.find_zeros(coeffs, 2 * bits, seeds=seeds)
     return zset, spec_m
 
@@ -395,14 +378,6 @@ def study_json(reports: Sequence[ComparisonReport]) -> str:
 
 
 def study_csv(reports: Sequence[ComparisonReport]) -> str:
-    lines = [",".join(_CSV_FIELDS)]
-    for rep in reports:
-        row = []
-        for name in _CSV_FIELDS:
-            v = getattr(rep, name)
-            if isinstance(v, float):
-                row.append("inf" if math.isinf(v) else repr(v))
-            else:
-                row.append(str(v))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    rows = [_CSV_FIELDS] + [[str(_json_value(getattr(rep, name))) for name in _CSV_FIELDS]
+                            for rep in reports]
+    return "".join(",".join(row) + "\n" for row in rows)

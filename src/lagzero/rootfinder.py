@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from functools import partial
 
 import mpmath as mp
-from mpmath.libmp import from_man_exp, fzero, round_ceiling, round_nearest, to_fixed
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, round_ceiling, round_nearest, to_fixed,
+                           to_float)
 
 from . import tropical
 from .debuglog import debug
@@ -60,16 +61,16 @@ _LOG2 = math.log(2)
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Zeros with upper bounds on |P(z)| / max(1, |z|)^n and inclusion radii.
+    """Zeros with bounds on |P(z)| / max(1, |z|)^n and log inclusion radii.
     A disk that meets no other holds exactly one zero; suspect lists those
-    that meet another or whose radius exceeds tol max(1, |z|)."""
+    that meet another, exceed tol max(1, |z|) or do not fix z's doubles."""
 
     zeros: tuple
     residuals: tuple
     origin_multiplicity: int
     precision_bits: int
     iterations: int = 0
-    radii: tuple = ()
+    log_radii: tuple = ()
     suspect: tuple = ()
 
     @property
@@ -629,6 +630,29 @@ def _guard_bits(exact) -> int:
                       for c in exact if c))
 
 
+def start_precision(coeffs) -> tuple:
+    """(bits, below): the default working precision for the coefficients
+    and -log2 of the smallest zero modulus their Newton polygon predicts
+    (its first slope, or 0): 256 bits, or 2 below + 128 where the lift's
+    2^-(bits // 2) would leave such a zero fewer than 64 bits of its own."""
+    hull = tropical.hull(coeffs)
+    (k0, l0), (k1, l1) = hull[:2] if len(hull) > 1 else [(0, 0), (1, 0)]
+    below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
+    return max(256, 2 * below + 128), below
+
+
+def fixes_double(z, log_radius) -> bool:
+    """Whether every point within e^log_radius of z prints as z does, part
+    by part, -0.0 apart from 0.0 (complex(z)); a part that is exactly 0 is
+    left out: an isolated disk proves a real zero real, P being real.
+    Rounding is monotone, so the ends of each part's range, with a radius
+    2^k > e^log_radius (or past every double), decide."""
+    k = math.floor(min(log_radius, 710) / _LOG2) + 1
+    return all(p == fzero or len({to_float(mpf_add(p, q), rnd=round_nearest).hex()
+                                  for q in (fzero, (0, 1, k, 1), (1, 1, k, 1))}) == 1
+               for p in (z.real._mpf_, z.imag._mpf_))
+
+
 def find_zeros(coeffs: tuple, precision_bits: int,
                seeds=None, max_iterations: int = MAX_ITERATIONS) -> ZeroSet:
     """All zeros, with inclusion disks, of the monic polynomial whose exact
@@ -654,7 +678,8 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     cancellation they measured; the lift's scaled coefficients are rounded
     from them, and the certificate bounds |P| at each root on its ring's,
     at the lift's last word for precision_bits. The roots are returned at
-    precision_bits, and the disks are centred on those values.
+    precision_bits, and the disks are centred on those values; a disk that
+    does not fix its zero's printed doubles makes the zero suspect.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
     max_iterations, the lift fails from them, or a residual bound exceeds
@@ -676,11 +701,8 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
         guarded = precision_bits + _guard_bits(coeffs) + 16
-        hull = tropical.hull(coeffs)
-        rings = tropical.Rings(_rounded(coeffs, guarded), guarded, hull)
-        # -log2 of the smallest root modulus the hull predicts: its first slope
-        (k0, l0), (k1, l1) = hull[:2]
-        below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
+        rings = tropical.Rings(_rounded(coeffs, guarded), guarded, tropical.hull(coeffs))
+        below = start_precision(coeffs)[1]
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
         bits, iterations = min(LOW_BITS, precision_bits), 0
@@ -731,8 +753,10 @@ def find_zeros(coeffs: tuple, precision_bits: int,
         fixed, e = _exact_fixed([(z.real._mpf_, z.imag._mpf_) for z in zs])
         log_r, suspect = _certificate(fixed, e, [b for _, _, b in roots], unit,
                                       float(mp.log(tol)))
+        suspect = tuple(sorted({*suspect, *(i for i, z in enumerate(zs)
+                                            if not fixes_double(z, log_r[i]))}))
         words = [word for _, word, _ in roots]
         debug(__name__, "certificate at %d-%d-bit words: worst log radius %.1f, %d suspect",
               min(words), max(words), max(log_r), len(suspect))
     return ZeroSet(tuple(zs), residuals, origin, precision_bits, iterations,
-                   tuple(mp.exp(r) for r in log_r), suspect)
+                   tuple(log_r), suspect)

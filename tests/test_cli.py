@@ -96,6 +96,23 @@ def test_zeros_precision_stability(capsys):
         assert strip(other) == strip(base)
 
 
+@pytest.mark.parametrize("n, alpha, bits", [("96", "-76.0000011", "584"),
+                                           ("40", "-31.99999886", "360"),
+                                           ("40", "-31." + "9" * 30, "1160")])
+def test_zeros_default_prints_what_more_bits_print(capsys, n, alpha, bits):
+    # the default, 256 bits on these three, prints the coordinates of a run
+    # at the bits a rule of 4n + 64, raised by 10 per bit of
+    # -log2 dist(alpha, Z), used to give them; and its residual bounds,
+    # which that rule drove below float64 at (40, -31.<30 nines>), stay
+    # readable for every zero off the origin
+    _, base, _ = run_cli(capsys, "zeros", "--n", n, "--alpha", alpha)
+    _, ref, _ = run_cli(capsys, "zeros", "--n", n, "--alpha", alpha, "--precision", bits)
+    rows = [row.split(",") for row in base.splitlines()[1:]]
+    assert [row[:2] for row in rows] == [row.split(",")[:2] for row in ref.splitlines()[1:]]
+    assert len(rows) == int(n)
+    assert all(float(res) > 0 for re, im, res in rows if (float(re), float(im)) != (0, 0))
+
+
 @pytest.mark.parametrize("n,alpha", [("12", "-9.6"), ("25", "-10.5")])
 def test_zeros_conjugate_pairs_print_minus_first(capsys, n, alpha):
     _, out, _ = run_cli(capsys, "zeros", "--n", n, "--alpha", alpha)
@@ -359,7 +376,7 @@ def test_asymp_never_sizes_a_working_precision(capsys, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("asymp asked for a working precision")
 
-    monkeypatch.setattr(harness, "working_precision", refuse)
+    monkeypatch.setattr(rootfinder, "start_precision", refuse)
     for regime in sorted(ASYMP_ARGV):
         code, out, err = run_cli(capsys, "asymp", "--n", "40", *ASYMP_ARGV[regime])
         assert code == 0 and err == "" and out.startswith("point,exact")

@@ -30,17 +30,6 @@ def test_r_hat_frozen():
     assert harness.r_hat_from(40, -32) == math.inf
 
 
-def test_working_precision():
-    # near-integer alpha shrinks the constant coefficient, so the root
-    # finder needs extra bits to see it
-    assert harness.working_precision(40, "-31.999999") == 360
-    assert harness.working_precision(40, "-32.4") == 256
-    # generic alpha gets the floor max(256, 4n + 64)
-    assert harness.working_precision(1, "-0.5") == 256
-    assert harness.working_precision(48, "-38.5") == 256
-    assert harness.working_precision(80, "-64.5") == 4 * 80 + 64
-
-
 def test_decimal_str():
     assert harness.decimal_str(Fraction(-162, 5)) == "-32.4"
     assert harness.decimal_str(Fraction(-63, 2)) == "-31.5"
@@ -142,8 +131,11 @@ def test_run_comparison_and_trace_log_counts(caplog):
     traced = [r.getMessage() for r in caplog.records if r.name == contour.__name__]
     assert len(traced) == 1
     assert traced[0].startswith("Gamma_0.0229") and " vertices at max_step " in traced[0]
+    # compute_zeros' start, read off the Newton polygon, and no retry
     counts = [r.getMessage() for r in caplog.records if r.name == harness.__name__]
-    assert counts == ["n=40 alpha=-32.4: 32 loop, 8 interval, 0 outlier zeros; "
+    assert counts == ["n=40 alpha=-32.4: starting at 256 bits; the Newton polygon "
+                      "puts the smallest zero near 2^-6",
+                      "n=40 alpha=-32.4: 32 loop, 8 interval, 0 outlier zeros; "
                       "KS over 32 loop and 8 interval points"]
 
 
@@ -302,6 +294,11 @@ def test_compute_zeros_outside_theorem_range():
     assert all(z.imag == 0 and z.real > 0 for z in zset.zeros)
 
 
+def _start(n, alpha):
+    # the default precision compute_zeros starts from
+    return rootfinder.start_precision(laguerre.monic_rescaled(n, alpha))[0]
+
+
 @pytest.mark.parametrize("n, alpha, real", [(40, "5.5", 40), (80, "-100.3", 0)])
 def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
     # seeded from the Newton polygon: alpha > -1 has n positive zeros, and
@@ -309,7 +306,7 @@ def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
     # certified, with no suspect disk, at the first precision tried
     zset, spec = harness.compute_zeros(n, alpha)
     assert spec is None
-    assert zset.precision_bits == harness.working_precision(n, alpha)
+    assert zset.precision_bits == _start(n, alpha)
     assert len(zset.zeros) == n
     assert zset.suspect == ()
     assert sum(1 for z in zset.zeros if z.imag == 0) == real
@@ -327,13 +324,36 @@ def test_compute_zeros_just_below_minus_n():
         alpha = f"-{n}.5"
         zset, spec = harness.compute_zeros(n, alpha)
         assert spec is None
-        assert zset.precision_bits == harness.working_precision(n, alpha), n
+        assert zset.precision_bits == _start(n, alpha), n
         assert zset.suspect == (), n
         assert len(zset.zeros) == n
         assert [z.real < 0 for z in zset.zeros if z.imag == 0] == [True] * (n % 2), n
 
 
-def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
+def _retries(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == harness.__name__ and r.getMessage().startswith("retrying")]
+
+
+def test_small_zeros_raise_the_start(caplog):
+    # dist(alpha, Z) = 1e-301 puts eight zeros near 2^-127.5, the Newton
+    # polygon's first slope: compute_zeros starts at 2 * 128 + 128 = 384
+    # bits, and prints the zeros of a run at four times that
+    caplog.set_level(logging.DEBUG, logger=harness.__name__)
+    alpha = "-8." + "0" * 300 + "1"
+    assert rootfinder.start_precision(laguerre.monic_rescaled(10, alpha)) == (384, 128)
+    zset, _ = harness.compute_zeros(10, alpha)
+    ref, _ = harness.compute_zeros(10, alpha, precision_bits=4 * 384)
+    assert caplog.records[0].getMessage() == (
+        f"n=10 alpha={alpha}: starting at 384 bits; the Newton polygon puts the "
+        "smallest zero near 2^-128")
+    assert min(abs(z) for z in zset.zeros) < mp.mpf(2) ** -100
+    assert zset.precision_bits in (384, 768) and zset.suspect == ()
+    assert [complex(z) for z in zset.zeros] == [complex(z) for z in ref.zeros]
+
+
+def test_compute_zeros_retries_at_doubled_precision(monkeypatch, caplog):
+    caplog.set_level(logging.DEBUG, logger=harness.__name__)
     find = rootfinder.find_zeros
     calls = []
 
@@ -345,16 +365,20 @@ def test_compute_zeros_retries_at_doubled_precision(monkeypatch):
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_fails)
     zset, _ = harness.compute_zeros(12, "-9.6")
-    bits = harness.working_precision(12, "-9.6")
+    bits = _start(12, "-9.6")
     assert calls == [bits, 2 * bits]
     assert zset.precision_bits == 2 * bits
     assert zset.count == 12
     assert zset.suspect == ()
+    assert _retries(caplog) == [f"retrying at {2 * bits} bits: NonConvergence "
+                                f"(no convergence after {rootfinder.MAX_ITERATIONS} "
+                                "iterations (worst residual 1.0))"]
 
 
-def test_compute_zeros_retries_a_suspect_set(monkeypatch):
+def test_compute_zeros_retries_a_suspect_set(monkeypatch, caplog):
     # a first pass whose disks are not all certified goes through the
     # same single retry as one that does not converge
+    caplog.set_level(logging.DEBUG, logger=harness.__name__)
     find = rootfinder.find_zeros
     calls, results = [], []
 
@@ -368,7 +392,11 @@ def test_compute_zeros_retries_a_suspect_set(monkeypatch):
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_suspect)
     zset, _ = harness.compute_zeros(12, "-9.6")
-    bits = harness.working_precision(12, "-9.6")
+    bits = _start(12, "-9.6")
     assert calls == [bits, 2 * bits]
     assert zset is results[1]
     assert zset.precision_bits == 2 * bits
+    # zero 0's disk fixes its doubles: only the replaced suspect list fired
+    assert _retries(caplog) == [f"retrying at {2 * bits} bits: 0 suspect zeros whose "
+                                "disk does not fix a printed double, 1 in disks that "
+                                "overlap or exceed tol"]

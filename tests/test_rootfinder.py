@@ -89,7 +89,7 @@ def test_sweep_counts_and_moments(n, alpha, bits, sweeps):
     # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2), with
     # the pair sums in float64 (the last three are the fixed-point
     # kernel's counts, which the float rows keep)
-    zset, _ = harness.compute_zeros(n, alpha)
+    zset, _ = harness.compute_zeros(n, alpha, precision_bits=bits)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
     # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
@@ -262,7 +262,7 @@ def test_horner_calls_per_representative(monkeypatch):
             return evaluate(*args)
 
         monkeypatch.setattr(rootfinder, name, counted)
-    zset, _ = harness.compute_zeros(88, "-71.2909")
+    zset, _ = harness.compute_zeros(88, "-71.2909", precision_bits=416)
     assert len(zset.zeros) == 88
     assert zset.precision_bits == 416
     assert len(calls) <= (zset.iterations + 4) * (88 + 18) // 2
@@ -343,7 +343,7 @@ def test_integer_case_rounds_every_part_correctly():
     # (112, -89) leaves 23 real zeros that lose 40-56 bits to cancellation:
     # with the coefficients widened by it, each of the 46 parts at 512 bits
     # is a 1024-bit run's rounded to 512 bits
-    zset, _ = harness.compute_zeros(112, "-89")
+    zset, _ = harness.compute_zeros(112, "-89", precision_bits=512)
     ref, _ = harness.compute_zeros(112, "-89", precision_bits=1024)
     assert zset.precision_bits == 512 and len(zset.zeros) == 23
     with mp.workprec(512):
@@ -527,8 +527,23 @@ def test_clean_roots_are_isolated():
     zset = rootfinder.find_zeros(coeffs, 256)
     assert zset.suspect == ()
     assert zset.count == 5
-    assert len(zset.radii) == 5
-    assert all(0 < r <= tol * max(1, abs(z)) for r, z in zip(zset.radii, zset.zeros))
+    radii = [mp.exp(r) for r in zset.log_radii]
+    assert len(radii) == 5
+    assert all(0 < r <= tol * max(1, abs(z)) for r, z in zip(radii, zset.zeros))
+
+
+_EDGE = 1 + Fraction(1, 2 ** 200)
+
+
+def _ring_edges(middle):
+    # zeros 2^-200 past the outer edges 1/2, 2 and 4 of their rings (n <= 8:
+    # one ring per octave), and the pair of z^2 + middle z + 4 e^2, as far
+    # past the edge 2
+    e = _EDGE
+    real = _expand([e / 2, 2 * e, 4 * e, Fraction(-3), Fraction(5, 4)])
+    quad = (4 * e * e, middle, Fraction(1))
+    return tuple(sum(quad[j] * real[k - j] for j in range(3) if 0 <= k - j < len(real))
+                 for k in range(len(real) + 2))
 
 
 def _sound_case(name):
@@ -539,14 +554,8 @@ def _sound_case(name):
         zset, _ = harness.compute_zeros(40, "-31.99999886")
         return laguerre.monic_rescaled(40, "-31.99999886"), zset
     if name == "ring-edges":
-        # zeros 2^-200 past the outer edges 1/2, 2 and 4 of their rings
-        # (n <= 8: one ring per octave), and +-2i as far past the edge 2
-        e = 1 + Fraction(1, 2 ** 200)
-        real = _expand([e / 2, 2 * e, 4 * e, Fraction(-3), Fraction(5, 4)])
-        # times z^2 + 4 e^2
-        mon = tuple((real[k - 2] if k >= 2 else 0)
-                    + 4 * e * e * (real[k] if k < len(real) else 0)
-                    for k in range(len(real) + 2))
+        # the pair (6 +- 8i) e / 5, of modulus 2e
+        mon = _ring_edges(-Fraction(12, 5) * _EDGE)
         return mon, rootfinder.find_zeros(mon, 256)
     n, alpha = name
     mon = laguerre.monic_rescaled(n, alpha)
@@ -569,12 +578,54 @@ def test_inclusion_disks_hold_the_zeros(name):
         ref = mp.polyroots(
             [mp.mpf(f.numerator) / f.denominator for f in reversed(mon)],
             maxsteps=400, extraprec=128)
-        for z, r in zip(zset.zeros, zset.radii):
+        radii = [mp.exp(r) for r in zset.log_radii]
+        for z, r in zip(zset.zeros, radii):
             assert min(abs(w - z) for w in ref) <= r
-        for i, (z, r) in enumerate(zip(zset.zeros, zset.radii)):
-            for w, s in zip(zset.zeros[:i], zset.radii[:i]):
+        for i, (z, r) in enumerate(zip(zset.zeros, radii)):
+            for w, s in zip(zset.zeros[:i], radii[:i]):
                 assert abs(z - w) > r + s
     assert zset.suspect == ()
+
+
+def test_a_zero_past_a_rounding_midpoint_waits_for_its_double():
+    # 1 + 2^-53 is the midpoint between the doubles 1 and 1 + 2^-52, and
+    # prints as 1.0 (ties to even). The zero 2^-300 past it comes back at
+    # 256 bits as that midpoint, whose disk reaches both doubles: suspect,
+    # though it meets no other disk. At 512 bits the disk lies above the
+    # midpoint, and the double printed is the zero's
+    mon = _expand([1 + Fraction(1, 2 ** 53) + Fraction(1, 2 ** 300), Fraction(-1, 2),
+                   Fraction(3, 2), Fraction(-2)])
+    low = rootfinder.find_zeros(mon, 256)
+    assert repr(complex(low.zeros[2]).real) == "1.0"
+    with mp.workprec(256):
+        assert low.zeros[2].real == 1 + mp.mpf(2) ** -53
+    assert low.suspect == (2,)
+    high = rootfinder.find_zeros(mon, 512)
+    assert repr(complex(high.zeros[2]).real) == "1.0000000000000002"
+    assert high.suspect == ()
+
+
+def test_noise_in_a_zero_part_is_suspect():
+    # +-2ie: P is real and not even, so nothing proves their real part 0,
+    # and from unpaired seeds a 256-bit run returns it as 1.03e-84, inside
+    # disks that meet no other but reach past 0; no disk fixes that
+    # printed double, so both zeros are suspect. At 384 bits the real
+    # parts come back exactly 0, and nothing is
+    mon = _ring_edges(Fraction(0))
+    zset = rootfinder.find_zeros(mon, 256)
+    assert zset.suspect == (1, 2)
+    with mp.workprec(256):
+        radii = [mp.exp(r) for r in zset.log_radii]
+        for i in zset.suspect:
+            z, r = zset.zeros[i], zset.log_radii[i]
+            assert 0 < abs(z.real) < radii[i] and complex(z).imag in (-2.0, 2.0)
+            assert all(abs(z - w) > radii[i] + s
+                       for j, (w, s) in enumerate(zip(zset.zeros, radii)) if j != i)
+            assert not rootfinder.fixes_double(z, r)
+            assert rootfinder.fixes_double(mp.mpc(0, z.imag), r)
+    zset = rootfinder.find_zeros(mon, 384)
+    assert zset.suspect == ()
+    assert [complex(z).real for z in zset.zeros[1:3]] == [0.0, 0.0]
 
 
 # the old ceil(n A) layout for (60, -45.25): 46 loop seeds at trapezoid-CDF
@@ -657,9 +708,9 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
                    for z in got.zeros)
 
 
-@pytest.mark.parametrize("n, alpha", [(88, "-71.2909"), (96, "-76.0000011")],
+@pytest.mark.parametrize("n, alpha, bits", [(88, "-71.2909", 416), (96, "-76.0000011", 584)],
                          ids=["88", "96"])
-def test_scaled_horner_is_within_its_bound(n, alpha):
+def test_scaled_horner_is_within_its_bound(n, alpha, bits):
     # in Q's units at |w| <= 1, against the exact P: the certificate's
     # complex Horner is off by at most 2 (n + 1) 2^-W, and the kernel's
     # division by the real quadratic by 2 (n + 1) + 1 units in Q(w) and
@@ -672,7 +723,6 @@ def test_scaled_horner_is_within_its_bound(n, alpha):
     # are checked against mpmath at four times the bits
     coeffs = laguerre.monic_rescaled(n, alpha)
     deriv = [k * c for k, c in enumerate(coeffs)][1:]
-    bits = harness.working_precision(n, alpha)
     first = -(-bits >> (math.ceil(math.log2(bits / rootfinder.LOW_BITS)) - 1))
     prec = bits + rootfinder._guard_bits(coeffs) + 16
     rings = tropical.Rings([round(c * (1 << prec)) for c in coeffs], prec,
