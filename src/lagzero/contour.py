@@ -13,6 +13,9 @@ large r costs what Gamma_0 costs.  Both real-axis crossings come from
 Newton in log|x| (the negative-axis crossing x_r and the positive crossing
 in (0, beta1], which is beta1 itself when r = 0), so the lower half is
 the conjugate mirror and closure is structural.
+
+The polyline serves distances, projections and the loop CDF; which side
+of the loop a point lies on is read off phi itself (point_in_loop).
 """
 
 from __future__ import annotations
@@ -289,36 +292,33 @@ def interval_gap(ctx: PotentialContext, zs) -> List[float]:
 
 
 def limit_set_distance(
-    ctx: PotentialContext, gamma: Optional[ContourPolyline], z: complex
+    ctx: PotentialContext, gamma: ContourPolyline, z: complex
 ) -> float:
-    """Distance from z to Gamma_r union [beta1, beta2]; gamma=None stands
-    for r = inf, whose loop is the atom at the origin."""
+    """Distance from z to Gamma_r union [beta1, beta2]."""
     z = complex(z)
-    loop = abs(z) if gamma is None else project_to_loop(gamma, z)[1][0]
-    return min(interval_gap(ctx, z)[0], loop)
+    return min(interval_gap(ctx, z)[0], project_to_loop(gamma, z)[1][0])
 
 
-def point_in_loop(gamma: ContourPolyline, z: complex) -> bool:
-    """Even-odd test for z against the closed polyline.
+def point_in_loop(ctx: PotentialContext, r: float, z: complex) -> bool:
+    """Whether z lies inside Gamma_r, from phi, which defines the loop.
 
-    OnBoundary if z lies within level_tol of the curve (the test is
-    meaningless there).
+    Every Gamma_r lies in the disk |z| <= beta1, and inside that disk
+    Re phi > r/2 holds exactly inside the loop (Re phi grows like
+    -(A/2) log|z| at the origin): so True at z = 0, False where
+    |z| >= beta1, and otherwise whether Re phi(z) > r/2, from the
+    tracer's float64 phase.  OnBoundary where |Re phi - r/2| is within
+    DEFAULT_LEVEL_TOL, the tolerance the traced vertices hold.
     """
     z = complex(z)
-    if project_to_loop(gamma, z)[1][0] <= gamma.level_tol:
-        raise OnBoundary(f"{z} lies on the traced curve")
-    pts = gamma.points
-    inside = False
-    x, y = z.real, z.imag
-    for i in range(len(pts) - 1):
-        p, q = pts[i], pts[i + 1]
-        if (p.imag > y) != (q.imag > y):
-            x_cross = p.real + (y - p.imag) * (q.real - p.real) / (
-                q.imag - p.imag
-            )
-            if x < x_cross:
-                inside = not inside
-    return inside
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    if z == 0:
+        return True
+    if abs(z) >= b1:
+        return False
+    f = _phase(A, b1, b2, z)[0].real - r / 2
+    if abs(f) <= DEFAULT_LEVEL_TOL:
+        raise OnBoundary(f"{z} lies on Gamma_{r}")
+    return f > 0
 
 
 def winding_number(gamma: ContourPolyline, z: complex = 0j) -> int:

@@ -4,11 +4,12 @@ The explicit monomial representation
 
     L_n^(a)(z) = sum_{k=0}^{n} binom(n+a, n-k) (-z)^k / k!
 
-gives the monic P(z) = (n!/(-n)^n) L_n^(a)(n z) in one integer pass
-(monic_rescaled): with a = p/q, c_k = (-1)^{n-k} C(n,k) prod_{j>k} (p + j q)
-/ (q n)^{n-k}. For integer a = -m in {-n..-1} the product vanishes for
-every k < m, so the zero low coefficients are the zero of order m at the
-origin; the root finder counts them.
+gives the monic P(z) = (n!/(-n)^n) L_n^(a)(n z) (monic_rescaled): with
+a = p/q, c_k = (-1)^{n-k} C(n,k) prod_{j>k} (p + j q) / (q n)^{n-k}, so
+each c_k is c_{k+1} times the small ratio -(k+1)(p + (k+1) q) / ((n-k) q n).
+For integer a = -m in {-n..-1} the product vanishes for every k < m, so
+the zero low coefficients are the zero of order m at the origin; the root
+finder counts them.
 
 The parameter is carried as a fractions.Fraction parsed from a decimal
 string, never through binary floating point: the experiments downstream
@@ -100,21 +101,18 @@ def evaluate(coeffs: Sequence[Fraction], points: Iterable) -> list:
 def monic_rescaled(n: int, alpha: AlphaLike) -> tuple:
     """Exact coefficients c_0..c_n of the monic P(z) = (n!/(-n)^n) L_n^(alpha)(n z).
 
-    One integer pass from k = n down (see the module docstring), and one
-    Fraction per coefficient. For alpha = -m in {-n..-1}, c_0..c_{m-1} are
-    0 and c_m..c_n are the monic L_{n-m}^{(m)}(n z).
+    From c_n = 1 down, each c_k is c_{k+1} times a small ratio (see the
+    module docstring), so each reduction is a gcd of a big by a small
+    integer. For alpha = -m in {-n..-1}, c_0..c_{m-1} are 0 and c_m..c_n
+    are the monic L_{n-m}^{(m)}(n z).
     """
     if n < 0:
         raise DomainError(f"degree n must be >= 0, got {n}")
     a = parse_alpha(alpha)
     p, q = a.numerator, a.denominator
     coeffs = [Fraction(1)] * (n + 1)
-    binom, prod, den = 1, 1, 1
     for k in range(n - 1, -1, -1):
-        binom = binom * (k + 1) // (n - k)
-        prod *= -(p + (k + 1) * q)
-        den *= q * n
-        coeffs[k] = Fraction(binom * prod, den)
+        coeffs[k] = coeffs[k + 1] * Fraction(-(k + 1) * (p + (k + 1) * q), (n - k) * q * n)
     return tuple(coeffs)
 
 

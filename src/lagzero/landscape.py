@@ -445,8 +445,9 @@ def g_eval(
     realization carries the standard log cut on (-inf, 0].
 
     g(z) - log z -> 0 at infinity.  DomainError on the support of mu_0
-    (loop and interval, with a 2*max_step guard band) and inside the
-    loop, where no single-valued branch exists.
+    (loop and interval, with a 2*max_step guard band, the one projection
+    onto Gamma_0) and inside the loop, where Re phi > 0
+    (contour.point_in_loop) and no single-valued branch exists.
     """
     from lagzero import contour as _contour
 
@@ -458,7 +459,7 @@ def g_eval(
         dist = _contour.limit_set_distance(ctx, gamma, complex(w))
         if dist < 2 * gamma.max_step:
             raise DomainError("query point too close to the cut system of g")
-        if _contour.point_in_loop(gamma, complex(w)):
+        if _contour.point_in_loop(ctx, 0.0, complex(w)):
             raise DomainError(
                 "g has no single-valued branch inside the loop "
                 "(the log cut must reach the origin)"

@@ -184,10 +184,11 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
     gives U = B - Re phi wherever the loop part is A log|z|: outside
     Gamma_r, and everywhere for the r = inf atom.  Inside Gamma_r,
     U = B + Re phi - r, which is harmonic (Re phi ~ -(A/2) log|z| at 0)
-    and meets the outside value on Gamma_r, where Re phi = r/2.  The
-    inside test is contour.point_in_loop; at z = 0 the inside value is
-    its limit.  The precision grows with log2|z|, which is what B - Re phi
-    loses to cancellation at large |z|.
+    and meets the outside value on Gamma_r, where Re phi = r/2.  Inside
+    is where Re phi itself says so: |z| < beta1, the disk that holds every
+    Gamma_r, and 2 Re phi > r (never for the atom); at z = 0 the inside
+    value is its limit.  The precision grows with log2|z|, which is what
+    B - Re phi loses to cancellation at large |z|.
     """
     ctx = spec.ctx
     A, b1, b2 = ctx.A, ctx.beta1, ctx.beta2
@@ -198,17 +199,16 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
                 raise DomainError("z at the atom")
             if mp.im(w) == 0 and b1 <= mp.re(w) <= b2:
                 raise DomainError("z on the interval support")
-            inside = False
         else:
             dist = contour.limit_set_distance(ctx, spec.gamma, complex(z))
             if dist <= max(10 * spec.gamma.level_tol, 1e-8):
                 raise DomainError("z on the support of mu_r")
-            inside = contour.point_in_loop(spec.gamma, complex(z))
         ell = ell_constant(ctx)
         if w == 0:
             return float(ell / 2 + phi_origin_constant(A, b1, b2, mp.log) - spec.r)
         b = (mp.re(w) + A * mp.log(abs(w)) + ell) / 2
         re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log))
+        inside = abs(w) < b1 and 2 * re_phi > spec.r
         return float(b + re_phi - spec.r if inside else b - re_phi)
 
 

@@ -14,7 +14,6 @@ not the bits the smallest coefficient sits below 1.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import mpmath as mp
 
@@ -48,9 +47,9 @@ def hull(coeffs) -> list:
     return out
 
 
-def initial_guesses(n: int, coeffs=None, real=None) -> list:
+def initial_guesses(n: int, coeffs, real=None) -> list:
     """n seeds on the circles of the Newton polygon of the Fraction
-    coefficients c_0..c_n (c_0 != 0); without coeffs, of z^n - 2^n.
+    coefficients c_0..c_n (c_0 != 0).
 
     The hull edge from k0 to k1 holds the k1 - k0 roots of its binomial
     c_k0 + c_k1 z^(k1 - k0), on the circle of radius
@@ -71,8 +70,6 @@ def initial_guesses(n: int, coeffs=None, real=None) -> list:
     runs on its own. Seeds placed on the predicted limit set come from
     harness._seeds_for.
     """
-    if coeffs is None:
-        coeffs = (Fraction(-2 ** n),) + (Fraction(0),) * (n - 1) + (Fraction(1),)
     ks = [k for k, _ in hull(coeffs)]
     sides, pairs, seeds = ([], []), [], []  # sides: real seeds' moduli, + and -
     for k0, k1 in zip(ks, ks[1:]):

@@ -2,8 +2,8 @@
 
     L_n^(a)(z) = sum_{k=0}^{n} binom(n+a, n-k) (-z)^k / k!
 
-in Fractions, by a path independent of laguerre.monic_rescaled's integer
-pass; monic rescales them to z -> s z, as laguerre.monic_rescaled does
+in Fractions, by a path independent of laguerre.monic_rescaled's ratio
+recurrence; monic rescales them to z -> s z, as laguerre.monic_rescaled does
 with s = n.
 """
 

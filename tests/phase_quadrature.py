@@ -1,5 +1,6 @@
 """Quadrature reference for the phase phi, phi~, the interval CDF, the
-loop mass and CDF, and the potentials ell, g and U.
+loop mass and CDF, and the potentials ell, g and U; and the inside of a
+traced polyline by the even-odd rule.
 
 Test-only: these are path integrals of the definitions, evaluated with
 landscape.quad_seg or summed over a traced polyline, against which the
@@ -237,6 +238,27 @@ def as_arrays(gamma):
         np.array(gamma.points, dtype=np.complex128),
         np.array(gamma.arclengths, dtype=np.float64),
     )
+
+
+def even_odd(gamma, zs):
+    """Per point of zs: inside the closed polyline by the even-odd rule,
+    the parity of the edges that the ray from z toward +x crosses.
+
+    Loop and point are first scaled by a power of 2 to a loop of size
+    near 1, exactly, so that on a loop of radius 1e-178 the product in
+    the crossing does not underflow."""
+    pts, _ = as_arrays(gamma)
+    scale = 2.0 ** -math.frexp(float(np.abs(pts).max()))[1]
+    pts = pts * scale
+    p, q = pts[:-1], pts[1:]
+    out = []
+    for z in zs:
+        z = complex(z) * scale
+        straddle = (p.imag > z.imag) != (q.imag > z.imag)
+        ps, qs = p[straddle], q[straddle]
+        x_cross = ps.real + (z.imag - ps.imag) * (qs.real - ps.real) / (qs.imag - ps.imag)
+        out.append(bool(np.count_nonzero(z.real < x_cross) % 2))
+    return out
 
 
 def _vertex_densities(spec):

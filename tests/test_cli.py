@@ -347,6 +347,30 @@ def test_asymp_nth_root(capsys):
     assert rel < 1e-2
 
 
+# stdout of nth_root at points inside and outside Gamma_0.5 (A = 0.80891,
+# beta1 = 0.3168), frozen from the run whose inside test walked the
+# polyline; reading the inside off phi must leave every byte
+ASYMP_NTH_ROOT_INSIDE_FROZEN = (
+    "point,exact,predicted,rel_error\n"
+    "0.01+0.01j,-1.4780503484713998,-1.9754377586273189,0.2517859183280676\n"
+    "-0.03,-1.5288757779187383,-2.0247297580292587,0.24489884546032092\n"
+    "0.02j,-1.4908988099376024,-1.987871772205714,0.2500025249197425\n"
+    "-0.05-0.02j,-1.5541233619934147,-2.0492461449292736,0.24161215779812883\n"
+    "0.1+0.05j,-1.3614737577581142,-1.8168856820652397,0.250655244192063\n"
+    "0.15-0.01j,-1.2927138951300714,-1.5927903799817766,0.18839672101431104\n"
+    "0.3+0.2j,-0.911059562351414,-0.9137105543274072,0.0029013476570209917\n"
+)
+
+
+def test_asymp_nth_root_inside_the_loop_bytes_frozen(capsys):
+    code, out, _ = run_cli(
+        capsys, "asymp", "--n", "40", "--alpha", "-32.3564", "--regime", "nth_root",
+        "--r", "0.5",
+        "--points=0.01+0.01j,-0.03,0.02j,-0.05-0.02j,0.1+0.05j,0.15-0.01j,0.3+0.2j")
+    assert code == 0
+    assert out == ASYMP_NTH_ROOT_INSIDE_FROZEN
+
+
 ASYMP_ARGV = {
     "outer": ("--alpha", "-32.4", "--regime", "outer", "--points=4,-2+3j"),
     "oscillatory": ("--alpha", "-32.4", "--regime", "oscillatory",

@@ -6,10 +6,12 @@ import random
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+import phase_quadrature
 from lagzero import contour, landscape
-from lagzero.errors import DomainError, OnBoundary
+from lagzero.errors import BracketError, DomainError, OnBoundary
 from lagzero.landscape import BoundarySide
 
 
@@ -112,18 +114,79 @@ def test_arclengths_cumulative(ctx75):
 
 
 def test_nested_levels(ctx99):
+    # each loop lies inside the one of the lower level, by the polyline's
+    # own even-odd rule and by phi
     gs = {r: contour.trace_gamma(ctx99, r) for r in (0.0, 0.5, 1.0)}
-    assert all(contour.point_in_loop(gs[0.0], p) for p in gs[0.5].points[::9])
-    assert all(contour.point_in_loop(gs[0.5], p) for p in gs[1.0].points[::9])
+    for outer, inner in ((0.0, 0.5), (0.5, 1.0)):
+        pts = gs[inner].points[::9]
+        assert all(phase_quadrature.even_odd(gs[outer], pts))
+        assert all(contour.point_in_loop(ctx99, outer, p) for p in pts)
     assert gs[0.0].re_max > gs[0.5].re_max > gs[1.0].re_max
 
 
 def test_point_in_loop(ctx81):
     g = contour.trace_gamma(ctx81, 0.0)
-    assert contour.point_in_loop(g, 0j)
-    assert not contour.point_in_loop(g, 4 + 0j)
+    assert contour.point_in_loop(ctx81, 0.0, 0j)
+    assert not contour.point_in_loop(ctx81, 0.0, 4 + 0j)
+    assert not contour.point_in_loop(ctx81, 0.0, -float(ctx81.beta1))
     with pytest.raises(OnBoundary):
-        contour.point_in_loop(g, g.points[0])
+        contour.point_in_loop(ctx81, 0.0, g.points[0])
+
+
+def test_point_in_loop_inside_a_tiny_loop():
+    # x_r/2 lies inside Gamma_20 at A = 1/2, whose radius is 2e-19; a
+    # distance to the polyline measured against the level tolerance
+    # called it a boundary point
+    ctx = landscape.make_context(Fraction(1, 2))
+    x_r = contour.axis_crossing(ctx, 20.0)
+    assert contour.point_in_loop(ctx, 20.0, x_r / 2)
+    assert not contour.point_in_loop(ctx, 20.0, 2 * x_r)
+
+
+def _off_loop_points(ctx, gamma, rng):
+    # vertices pushed off the loop, points near |z| = beta1 and near
+    # beta1, and points around the loop at its own scale; each kept only
+    # at least 1e-6 |z| from the polyline
+    b1 = float(ctx.beta1)
+    size = max(abs(p) for p in gamma.points)
+    zs = [p + abs(p) * d * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+          for p in gamma.upper_arc[::max(1, len(gamma.upper_arc) // 12)]
+          for d in (1e-2, 1e-4)]
+    zs += [b1 * (1 + d) * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+           for d in (-1e-3, -1e-9, 0.0, 1e-9)]
+    zs += [b1 + b1 * d * cmath.exp(1j * rng.uniform(-math.pi, math.pi))
+           for d in (1e-2, 1e-4)] + [b1 * (1 - 1e-4), b1 * (1 + 1e-4)]
+    zs += [size * complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+           for _ in range(6)]
+    pts = np.array(gamma.points)
+    # distances on the loop scaled by a power of 2 to a size near 1
+    scale = 2.0 ** -math.frexp(size)[1]
+    a, d = pts[:-1] * scale, np.diff(pts) * scale
+    out = []
+    for z in zs:
+        w = z * scale - a
+        t = np.clip((w.real * d.real + w.imag * d.imag) / abs(d) ** 2, 0, 1)
+        if np.abs(w - t * d).min() >= 1e-6 * abs(z * scale):
+            out.append(z)
+    return out
+
+
+@pytest.mark.parametrize("A", ["0.01", "0.05", "0.3", "0.5", "0.81", "0.95",
+                               "0.999", "0.99999"])
+def test_point_in_loop_agrees_with_the_even_odd_rule(A):
+    ctx = landscape.make_context(Fraction(A))
+    rng = random.Random(A)
+    for r in (0.0, 0.01, 0.1, 1.0, 4.6, 20.0):
+        try:
+            gamma = contour.trace_gamma(ctx, r)
+        except BracketError:
+            continue  # x_r underflows: A = 0.01, r = 20
+        zs = _off_loop_points(ctx, gamma, rng)
+        assert len(zs) >= 20
+        want = phase_quadrature.even_odd(gamma, zs)
+        got = [contour.point_in_loop(ctx, r, z) for z in zs]
+        assert got == want, (r, [z for z, a, b in zip(zs, got, want) if a != b])
+        assert any(want) and not all(want)
 
 
 def test_limit_set_distance(ctx81):
@@ -166,8 +229,6 @@ def _assert_kernel_matches_reference(ctx, gamma, zs):
         assert gaps[k] == _reference_gap(ctx, z)
         assert contour.limit_set_distance(ctx, gamma, z) == min(
             _reference_gap(ctx, z), ref_d)
-        assert contour.limit_set_distance(ctx, None, z) == min(
-            _reference_gap(ctx, z), abs(z))
 
 
 @pytest.mark.parametrize("r", [0.0, 3.0])

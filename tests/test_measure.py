@@ -267,9 +267,34 @@ def test_log_potential_inside_loop(ctx80, r):
     spec = measure.make_measure(ctx80, r)
     x_r = contour.axis_crossing(ctx80, r)
     for z in (0j, complex(x_r / 2), 0.5j * spec.gamma.im_max):
-        assert contour.point_in_loop(spec.gamma, z)
+        assert phase_quadrature.even_odd(spec.gamma, [z]) == [True]
         want = phase_quadrature.log_potential(spec, z)
         assert abs(measure.log_potential(spec, z) - want) <= 1e-5
+
+
+def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
+    # the support guard's projection is the only one: inside and outside
+    # come from phi
+    spec = measure.make_measure(ctx80, 1.0)
+    landscape.g_eval(ctx80, 4 + 0j)  # traces Gamma_0 before counting
+    calls = []
+    project = contour.project_to_loop
+
+    def counting(gamma, zs):
+        calls.append(zs)
+        return project(gamma, zs)
+
+    monkeypatch.setattr(contour, "project_to_loop", counting)
+    x_r = contour.axis_crossing(ctx80, 1.0)
+    for z in (complex(x_r / 2), 0.5j * spec.gamma.im_max, 4 + 0j, -2 + 3j):
+        measure.log_potential(spec, z)
+    assert len(calls) == 4
+    calls.clear()
+    for z in (4 + 0j, -2 + 3j):
+        landscape.g_eval(ctx80, z)
+    with pytest.raises(DomainError):
+        landscape.g_eval(ctx80, complex(x_r / 2))
+    assert len(calls) == 3
 
 
 def test_log_potential_rejects_support(ctx80):

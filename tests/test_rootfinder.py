@@ -920,7 +920,8 @@ def test_determinism():
 
 
 def test_initial_guesses_circle_fallback():
-    guesses = rootfinder.initial_guesses(7)
+    coeffs = (Fraction(-2 ** 7),) + (Fraction(0),) * 6 + (Fraction(1),)
+    guesses = rootfinder.initial_guesses(7, coeffs)
     assert len(guesses) == 7
     assert len(set(guesses)) == 7
 
