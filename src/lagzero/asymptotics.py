@@ -10,8 +10,8 @@ compare against exact evaluation:
   limit measure.
 
 Each formula takes the PotentialContext of A_n = -alpha/n (nth_root
-through its MeasureSpec), built once by the caller, and evaluates its
-prediction at LANDSCAPE_BITS. The exact side they are compared with is
+also the level r of its measure mu_r), built once by the caller, and
+evaluates its prediction at LANDSCAPE_BITS. The exact side they are compared with is
 P_n from laguerre.evaluate.
 
 The oscillatory value restores the exponential growth envelope
@@ -107,18 +107,18 @@ def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
         return phase - mp.arg(n11(ctx, x))
 
 
-def nth_root_exponent(spec: measure.MeasureSpec, n: int, z,
+def nth_root_exponent(ctx: PotentialContext, r: float, n: int, z,
                       p) -> Tuple[float, float]:
     """((1/n) log|P_n(z)|, U_mu(z)) for the monic scaled polynomial.
 
     p is the value P_n(z), from laguerre.evaluate, so the first entry is
     exact up to its one rounding; the second is the logarithmic potential
-    of the limit measure. Their difference tends to 0 as n grows, at
-    fixed z off the limit set.
+    of the limit measure mu_r, read off phi with no loop traced. Their
+    difference tends to 0 as n grows, at fixed z off the limit set.
     """
     if p == 0:
         raise DomainError(f"P_n({z}) = 0; nth-root exponent undefined")
     with mp.workprec(LANDSCAPE_BITS):
         empirical = float(mp.log(abs(p)) / n)
-    predicted = float(measure.log_potential(spec, complex(z)))
+    predicted = measure.log_potential(ctx, r, complex(z))
     return empirical, predicted

@@ -11,8 +11,8 @@ alpha and A are accepted only as exact decimal strings; parsing them
 through binary floating point would wreck the near-integer regimes the
 experiments are about. Every command is deterministic: identical flags
 produce byte-identical output. Exit codes: 2 domain violation, 3 tracer
-failure (Newton stalled, or the level's loop underflows float64), 4
-root-finder non-convergence, 5 asymptotic-domain violation.
+failure (Newton stalled, or the loop underflows float64; nth_root traces
+none), 4 root-finder non-convergence, 5 asymptotic-domain violation.
 
 The working precision (bits), rootfinder.start_precision's by default,
 sizes only the root finder of zeros and verify (whose valid says every
@@ -34,7 +34,7 @@ from typing import List, Optional, Tuple
 
 from mpmath import mp
 
-from . import asymptotics, contour, harness, laguerre, measure
+from . import asymptotics, contour, harness, laguerre
 from .errors import (
     BracketError,
     ClosureError,
@@ -79,7 +79,7 @@ def _parse_r(raw: str) -> float:
         r = float(raw)
     except ValueError as exc:
         raise DomainError(f"cannot parse r {raw!r}") from exc
-    if r < 0:
+    if not r >= 0:
         raise DomainError(f"r must be nonnegative, got {r}")
     return r
 
@@ -181,9 +181,9 @@ def cmd_asymp(args) -> int:
                 rel = float(abs(complex(pred) / complex(exact) - 1))
                 lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
         else:
-            spec_m = measure.make_measure(ctx, _parse_r(args.r))
+            r = _parse_r(args.r)
             for (tok, z), p in zip(points, values):
-                emp, pred = asymptotics.nth_root_exponent(spec_m, n, z, p)
+                emp, pred = asymptotics.nth_root_exponent(ctx, r, n, z, p)
                 rel = abs(emp / pred - 1) if pred != 0 else math.inf
                 lines.append(f"{tok},{emp!r},{pred!r},{rel!r}")
     _emit("\n".join(lines) + "\n", args.out)

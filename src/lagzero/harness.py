@@ -216,7 +216,7 @@ def _seeds_for(n: int, alpha: Fraction, spec_m):
     seeds = measure.interval_quantiles(spec_m.ctx, positive)
     if not math.isinf(spec_m.r):
         seeds.extend(measure.loop_quantiles(spec_m, n - positive))
-    return [mp.mpc(s) for s in seeds]
+    return seeds
 
 
 def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):

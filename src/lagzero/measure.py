@@ -177,7 +177,7 @@ def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 # log potential
 
 
-def log_potential(spec: MeasureSpec, z: complex) -> float:
+def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
     """U(z) = Integral log|z - s| dmu_r(s), z off the support, in closed form.
 
     With B(z) = (Re z + A log|z| + ell)/2, the real part of g's identity
@@ -187,29 +187,29 @@ def log_potential(spec: MeasureSpec, z: complex) -> float:
     and meets the outside value on Gamma_r, where Re phi = r/2.  Inside
     is where Re phi itself says so: |z| < beta1, the disk that holds every
     Gamma_r, and 2 Re phi > r (never for the atom); at z = 0 the inside
-    value is its limit.  The precision grows with log2|z|, which is what
-    B - Re phi loses to cancellation at large |z|.
+    value is its limit.  So is the support, and no loop is traced:
+    DomainError for r not >= 0, on [beta1, beta2], at the atom, and on
+    Gamma_r (|z| < beta1, |Re phi - r/2| <= contour.DEFAULT_LEVEL_TOL).
+    The precision grows with log2|z|, which B - Re phi loses at large |z|.
     """
-    ctx = spec.ctx
+    if not r >= 0:
+        raise DomainError(f"r must be nonnegative, got {r}")
     A, b1, b2 = ctx.A, ctx.beta1, ctx.beta2
     w = mp.mpc(z)
     with mp.workprec(LANDSCAPE_BITS + max(0, mp.mag(w))):
-        if math.isinf(spec.r):
-            if abs(w) < 1e-12:
-                raise DomainError("z at the atom")
-            if mp.im(w) == 0 and b1 <= mp.re(w) <= b2:
-                raise DomainError("z on the interval support")
-        else:
-            dist = contour.limit_set_distance(ctx, spec.gamma, complex(z))
-            if dist <= max(10 * spec.gamma.level_tol, 1e-8):
-                raise DomainError("z on the support of mu_r")
+        if mp.im(w) == 0 and b1 <= mp.re(w) <= b2:
+            raise DomainError("z on the interval support")
+        if math.isinf(r) and abs(w) < 1e-12:
+            raise DomainError("z at the atom")
         ell = ell_constant(ctx)
         if w == 0:
-            return float(ell / 2 + phi_origin_constant(A, b1, b2, mp.log) - spec.r)
+            return float(ell / 2 + phi_origin_constant(A, b1, b2, mp.log) - r)
         b = (mp.re(w) + A * mp.log(abs(w)) + ell) / 2
         re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log))
-        inside = abs(w) < b1 and 2 * re_phi > spec.r
-        return float(b + re_phi - spec.r if inside else b - re_phi)
+        if abs(w) < b1 and abs(re_phi - r / 2) <= contour.DEFAULT_LEVEL_TOL:
+            raise DomainError(f"z on Gamma_{r}")
+        inside = abs(w) < b1 and 2 * re_phi > r
+        return float(b + re_phi - r if inside else b - re_phi)
 
 
 # ---------------------------------------------------------------------------

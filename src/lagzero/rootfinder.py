@@ -653,8 +653,7 @@ def fixes_double(z, log_radius) -> bool:
                for p in (z.real._mpf_, z.imag._mpf_))
 
 
-def find_zeros(coeffs: tuple, precision_bits: int,
-               seeds=None, max_iterations: int = MAX_ITERATIONS) -> ZeroSet:
+def find_zeros(coeffs: tuple, precision_bits: int, seeds=None) -> ZeroSet:
     """All zeros, with inclusion disks, of the monic polynomial whose exact
     Fraction coefficients c_0..c_n (c_n = 1) are coeffs, as
     laguerre.monic_rescaled returns them.
@@ -682,7 +681,7 @@ def find_zeros(coeffs: tuple, precision_bits: int,
     does not fix its zero's printed doubles makes the zero suspect.
 
     Raises NonConvergence when the sweeps at precision_bits exhaust
-    max_iterations, the lift fails from them, or a residual bound exceeds
+    MAX_ITERATIONS, the lift fails from them, or a residual bound exceeds
     tol; callers retry once, at doubled precision.
     """
     if coeffs[-1] != 1:
@@ -710,9 +709,9 @@ def find_zeros(coeffs: tuple, precision_bits: int,
             pos = bits + 16 + below
             fixed = _to_fixed(reps, pos)
             sweeps, exact, rows = _aberth_fixed(
-                fixed, twin, pos, 1 << (pos - bits // 2), max_iterations,
+                fixed, twin, pos, 1 << (pos - bits // 2), MAX_ITERATIONS,
                 partial(_scaled_newton, rings, prec=pos, acc=bits))
-            iterations += max_iterations if sweeps is None else sweeps
+            iterations += MAX_ITERATIONS if sweeps is None else sweeps
             words = rings.take_words()
             debug(__name__, "%s sweeps at %d bits (%d rings, %d-%d-bit words, "
                   "%d of %d rows in fixed point)", sweeps, bits, len(words),

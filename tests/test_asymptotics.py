@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 
 import phase_quadrature
-from lagzero import asymptotics, harness, laguerre, landscape, measure
+from lagzero import asymptotics, harness, laguerre, landscape
 from lagzero.errors import DomainError
 
 
@@ -100,19 +100,18 @@ def test_sign_changes_count_real_zeros():
     assert abs(changes - len(inside)) <= 1
 
 
-def _exponent(spec, n, alpha, z):
+def _exponent(ctx, r, n, alpha, z):
     # nth_root_exponent with P_n(z) evaluated exactly
     with mp.workprec(landscape.LANDSCAPE_BITS):
         p, = laguerre.evaluate(laguerre.monic_rescaled(n, alpha), [z])
-    return asymptotics.nth_root_exponent(spec, n, z, p)
+    return asymptotics.nth_root_exponent(ctx, r, n, z, p)
 
 
 def test_nth_root_converges(ctx80):
-    spec = measure.make_measure(ctx80, 0.0)
     diffs = {}
     for n in (20, 40):
         alpha = Fraction(-4 * n, 5) - Fraction(3, 10)
-        emp, prd = _exponent(spec, n, alpha, 4.0)
+        emp, prd = _exponent(ctx80, 0.0, n, alpha, 4.0)
         diffs[n] = abs(emp - prd)
     assert diffs[20] <= 6e-3
     assert diffs[40] <= diffs[20]
@@ -122,14 +121,12 @@ def test_nth_root_prediction_r_insensitive(ctx80):
     # U_mu at an exterior point does not depend on r
     preds = []
     for r in (0.0, 3.0, math.inf):
-        spec = measure.make_measure(ctx80, r)
-        _, prd = _exponent(spec, 20, -16, 4.0)
+        _, prd = _exponent(ctx80, r, 20, -16, 4.0)
         preds.append(prd)
     assert max(preds) - min(preds) <= 2e-6
 
 
 def test_nth_root_far_field(ctx80):
     # U_mu(z) ~ log|z| for large z since mu has total mass 1
-    spec = measure.make_measure(ctx80, 0.0)
-    _, prd = _exponent(spec, 20, -16, 1e3)
+    _, prd = _exponent(ctx80, 0.0, 20, -16, 1e3)
     assert abs(prd - math.log(1e3)) <= 1e-2

@@ -6,7 +6,7 @@ import json
 import jsonschema
 import pytest
 
-from lagzero import cli, harness, rootfinder
+from lagzero import cli, contour, harness, rootfinder
 
 
 def run_cli(capsys, *argv):
@@ -169,8 +169,6 @@ def test_contour_rejects_nonpositive_step(capsys, step):
 
 @pytest.mark.parametrize("argv", [
     ("contour", "--A", "0.81", "--r", "1000"),
-    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
-     "--points", "3", "--r", "1000"),
 ])
 def test_unbracketed_level_exit_code(capsys, argv):
     # Re phi never reaches r/2 = 500 on the float64 negative axis
@@ -178,6 +176,30 @@ def test_unbracketed_level_exit_code(capsys, argv):
     assert code == cli.EXIT_CLOSURE
     assert out == ""
     assert err.startswith("error: no Re phi > r/2")
+
+
+def test_nth_root_needs_no_loop_below_float64(capsys):
+    # Gamma_1000 underflows float64, but the potential outside it is the
+    # r = inf atom's, and nth_root reads it off phi
+    preds = []
+    for r in ("1000", "inf"):
+        code, out, err = run_cli(capsys, "asymp", "--n", "40", "--alpha", "-32.4",
+                                 "--regime", "nth_root", "--points", "3", "--r", r)
+        assert code == 0 and err == ""
+        preds.append(out.splitlines()[1].split(",")[2])
+    assert preds[0] == preds[1]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("contour", "--A", "0.81"), cli.EXIT_DOMAIN),
+    (("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root",
+      "--points", "3"), cli.EXIT_ASYMP_DOMAIN),
+])
+def test_nan_level_is_a_parse_error(capsys, argv, code):
+    got, out, err = run_cli(capsys, *argv, "--r", "nan")
+    assert got == code
+    assert out == ""
+    assert err == "error: r must be nonnegative, got nan\n"
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -369,6 +391,62 @@ def test_asymp_nth_root_inside_the_loop_bytes_frozen(capsys):
         "--points=0.01+0.01j,-0.03,0.02j,-0.05-0.02j,0.1+0.05j,0.15-0.01j,0.3+0.2j")
     assert code == 0
     assert out == ASYMP_NTH_ROOT_INSIDE_FROZEN
+
+
+def test_asymp_nth_root_traces_no_loop(capsys, monkeypatch):
+    # the potential and its support guard read phi, never the polyline
+    def refuse(*args, **kwargs):
+        raise AssertionError("nth_root consulted Gamma_r")
+
+    monkeypatch.setattr(contour, "trace_gamma", refuse)
+    monkeypatch.setattr(contour, "project_to_loop", refuse)
+    code, out, _ = run_cli(
+        capsys, "asymp", "--n", "40", "--alpha", "-32.3564", "--regime", "nth_root",
+        "--r", "0.5",
+        "--points=0.01+0.01j,-0.03,0.02j,-0.05-0.02j,0.1+0.05j,0.15-0.01j,0.3+0.2j")
+    assert code == 0
+    assert out == ASYMP_NTH_ROOT_INSIDE_FROZEN
+
+
+# 16 points on |z| = 0.5, at the angles 2 pi (k + 1/2)/16, against mu_20
+# of A = 0.80891, whose loop has radius about 3e-12; frozen from the run
+# whose support guard projected each point onto the traced Gamma_20
+ASYMP_NTH_ROOT_R20_POINTS = (
+    "0.4903926402016152+0.09754516100806412j,0.4157348061512726+0.2777851165098011j,"
+    "0.27778511650980114+0.4157348061512726j,0.09754516100806417+0.4903926402016152j,"
+    "-0.0975451610080641+0.4903926402016152j,-0.277785116509801+0.41573480615127273j,"
+    "-0.4157348061512727+0.2777851165098011j,-0.4903926402016152+0.0975451610080643j,"
+    "-0.4903926402016152-0.09754516100806418j,-0.41573480615127273-0.277785116509801j,"
+    "-0.2777851165098011-0.4157348061512726j,-0.09754516100806433-0.49039264020161516j,"
+    "0.09754516100806415-0.4903926402016152j,0.2777851165098009-0.41573480615127273j,"
+    "0.4157348061512726-0.2777851165098011j,0.49039264020161516-0.09754516100806436j")
+ASYMP_NTH_ROOT_R20_FROZEN = (
+    "point,exact,predicted,rel_error\n"
+    "0.4903926402016152+0.09754516100806412j,-0.7366785056352702,-0.735886567433916,0.001076168850473458\n"
+    "0.4157348061512726+0.2777851165098011j,-0.6601371185302479,-0.6604873260057909,0.0005302258828504547\n"
+    "0.27778511650980114+0.4157348061512726j,-0.6041583167289616,-0.6048038701172496,0.001067376417685284\n"
+    "0.09754516100806417+0.4903926402016152j,-0.5626994975163379,-0.5635000650748241,0.0014207053523230817\n"
+    "-0.0975451610080641+0.4903926402016152j,-0.5324208158334073,-0.533320187109572,0.001686362710249134\n"
+    "-0.277785116509801+0.41573480615127273j,-0.5111959954632254,-0.5121574107263096,0.001877187058019536\n"
+    "-0.4157348061512727+0.2777851165098011j,-0.4976870865845643,-0.49868469156075224,0.0020004724289123255\n"
+    "-0.4903926402016152+0.0975451610080643j,-0.4911126164622343,-0.49212688136680943,0.0020609825290546224\n"
+    "-0.4903926402016152-0.09754516100806418j,-0.49111261646223436,-0.4921268813668095,0.0020609825290546224\n"
+    "-0.41573480615127273-0.277785116509801j,-0.49768708658456434,-0.49868469156075224,0.0020004724289122144\n"
+    "-0.2777851165098011-0.4157348061512726j,-0.5111959954632255,-0.5121574107263096,0.001877187058019314\n"
+    "-0.09754516100806433-0.49039264020161516j,-0.5324208158334073,-0.533320187109572,0.001686362710249134\n"
+    "0.09754516100806415-0.4903926402016152j,-0.5626994975163379,-0.5635000650748241,0.0014207053523230817\n"
+    "0.2777851165098009-0.41573480615127273j,-0.6041583167289616,-0.6048038701172496,0.001067376417685284\n"
+    "0.4157348061512726-0.2777851165098011j,-0.6601371185302479,-0.6604873260057909,0.0005302258828504547\n"
+    "0.49039264020161516-0.09754516100806436j,-0.73667850563527,-0.735886567433916,0.0010761688504732358\n"
+)
+
+
+def test_asymp_nth_root_small_loop_bytes_frozen(capsys):
+    code, out, _ = run_cli(
+        capsys, "asymp", "--n", "40", "--alpha", "-32.3564", "--regime", "nth_root",
+        "--r", "20", "--points=" + ASYMP_NTH_ROOT_R20_POINTS)
+    assert code == 0
+    assert out == ASYMP_NTH_ROOT_R20_FROZEN
 
 
 ASYMP_ARGV = {

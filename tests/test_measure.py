@@ -235,29 +235,26 @@ def test_interval_quantiles_frozen(ctx81, ctx80):
 
 
 def test_log_potential_r_independent_outside(ctx80):
-    u = [measure.log_potential(measure.make_measure(ctx80, r), 3 + 2j)
-         for r in (0.0, 3.0)]
+    u = [measure.log_potential(ctx80, r, 3 + 2j) for r in (0.0, 3.0)]
     assert abs(u[0] - u[1]) <= 1e-6
 
 
 def test_log_potential_atom_case_agrees(ctx80):
-    u0 = measure.log_potential(measure.make_measure(ctx80, 0.0), 4 + 0j)
-    uinf = measure.log_potential(measure.make_measure(ctx80, math.inf), 4 + 0j)
+    u0 = measure.log_potential(ctx80, 0.0, 4 + 0j)
+    uinf = measure.log_potential(ctx80, math.inf, 4 + 0j)
     assert abs(u0 - uinf) <= 2e-6
 
 
 def test_log_potential_far_field(ctx80):
-    spec = measure.make_measure(ctx80, math.inf)
     z = 1e6 + 0j
-    assert abs(measure.log_potential(spec, z) - math.log(abs(z))) <= 1e-5
+    assert abs(measure.log_potential(ctx80, math.inf, z) - math.log(abs(z))) <= 1e-5
 
 
 def test_log_potential_far_field_finite_r(ctx80):
     # mu_0 has mass exactly 1, so U(z) - log|z| = O(1/|z|); a loop mass
     # off A by 3e-7 would show as 2e-4 at |z| = 1e300
-    spec = measure.make_measure(ctx80, 0.0)
     z = 1e300 + 1j
-    assert abs(measure.log_potential(spec, z) - math.log(abs(z))) <= 1e-12
+    assert abs(measure.log_potential(ctx80, 0.0, z) - math.log(abs(z))) <= 1e-12
 
 
 @pytest.mark.parametrize("r", [0.0, 1.0, 3.0])
@@ -269,12 +266,12 @@ def test_log_potential_inside_loop(ctx80, r):
     for z in (0j, complex(x_r / 2), 0.5j * spec.gamma.im_max):
         assert phase_quadrature.even_odd(spec.gamma, [z]) == [True]
         want = phase_quadrature.log_potential(spec, z)
-        assert abs(measure.log_potential(spec, z) - want) <= 1e-5
+        assert abs(measure.log_potential(ctx80, r, z) - want) <= 1e-5
 
 
 def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
-    # the support guard's projection is the only one: inside and outside
-    # come from phi
+    # g_eval's support guard projects once a point; the log potential
+    # reads inside, outside and its support off phi and projects never
     spec = measure.make_measure(ctx80, 1.0)
     landscape.g_eval(ctx80, 4 + 0j)  # traces Gamma_0 before counting
     calls = []
@@ -287,9 +284,8 @@ def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
     monkeypatch.setattr(contour, "project_to_loop", counting)
     x_r = contour.axis_crossing(ctx80, 1.0)
     for z in (complex(x_r / 2), 0.5j * spec.gamma.im_max, 4 + 0j, -2 + 3j):
-        measure.log_potential(spec, z)
-    assert len(calls) == 4
-    calls.clear()
+        measure.log_potential(ctx80, 1.0, z)
+    assert len(calls) == 0
     for z in (4 + 0j, -2 + 3j):
         landscape.g_eval(ctx80, z)
     with pytest.raises(DomainError):
@@ -298,12 +294,19 @@ def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
 
 
 def test_log_potential_rejects_support(ctx80):
-    spec = measure.make_measure(ctx80, math.inf)
-    with pytest.raises(DomainError):
-        measure.log_potential(spec, 1.0 + 0j)
-    with pytest.raises(DomainError):
-        measure.log_potential(spec, 0j)
-    finite = measure.make_measure(ctx80, 1.0)
-    x0 = contour.axis_crossing(ctx80, 1.0)
-    with pytest.raises(DomainError):
-        measure.log_potential(finite, complex(x0))
+    # r >= 0, the interval, the atom and Gamma_r, all read off phi
+    x_1 = complex(contour.axis_crossing(ctx80, 1.0))
+    for r, z in [(1.0, 1.0 + 0j), (math.inf, 1.0 + 0j), (math.inf, 0j),
+                 (1.0, x_1), (math.nan, 3 + 2j), (-1.0, 3 + 2j)]:
+        with pytest.raises(DomainError):
+            measure.log_potential(ctx80, r, z)
+
+
+@pytest.mark.parametrize("r", [0.0, 1.0, math.inf])
+@pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
+def test_log_potential_is_continuous_onto_the_interval(ctx80, r, x):
+    # 1e-9 off the interval U is within reach of its value there,
+    # 2U = x + A log x + ell, which the support guard no longer refuses
+    A, ell = float(ctx80.A), float(landscape.ell_constant(ctx80))
+    want = (x + A * math.log(x) + ell) / 2
+    assert abs(measure.log_potential(ctx80, r, complex(x, 1e-9)) - want) <= 1e-8

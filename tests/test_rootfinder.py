@@ -514,10 +514,11 @@ def test_non_monic_polynomial_is_refused():
         rootfinder.find_zeros(coeffs, 128)
 
 
-def test_max_iterations_raises():
+def test_max_iterations_raises(monkeypatch):
     coeffs = _wilkinson(8)
+    monkeypatch.setattr(rootfinder, "MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergence):
-        rootfinder.find_zeros(coeffs, 256, max_iterations=1)
+        rootfinder.find_zeros(coeffs, 256)
 
 
 def test_clean_roots_are_isolated():
@@ -902,10 +903,11 @@ def test_seeds_split_a_pair_for_a_missing_real_zero():
         rootfinder.initial_guesses(9, mon, (0, 2))
 
 
-def test_nonconvergence_message_is_short():
+def test_nonconvergence_message_is_short(monkeypatch):
     # the worst residual prints to three digits, not to the working precision
+    monkeypatch.setattr(rootfinder, "MAX_ITERATIONS", 1)
     with pytest.raises(NonConvergence) as info:
-        rootfinder.find_zeros(_wilkinson(8), 256, max_iterations=1)
+        rootfinder.find_zeros(_wilkinson(8), 256)
     message = str(info.value)
     assert message.startswith("no convergence after 2 iterations (worst residual ")
     assert len(message) < 64
