@@ -36,6 +36,7 @@ DEFAULT_LEVEL_TOL = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
 _STEP_BUDGET = 100_000
+SPAN_STEPS = 400  # trace_gamma's default max_step is (beta2 - beta1) / SPAN_STEPS
 # log of the smallest normal double: a loop below it underflows
 _LOG_TINY = math.log(sys.float_info.min)
 
@@ -150,7 +151,7 @@ def trace_gamma(
     if span <= 0:
         raise DomainError(f"beta2 - beta1 = {span} at A = {ctx.A}; Gamma_r needs A < 1")
     if max_step is None:
-        max_step = span / 400
+        max_step = span / SPAN_STEPS
     if not max_step > 0:
         raise DomainError(f"max_step must be positive, got {max_step}")
     x_r = axis_crossing(ctx, r)
@@ -244,22 +245,21 @@ def project_to_loop(
     walk along the polyline skips the segments that end less than
     |z - v| - best - margin of arclength past v, best being the nearest
     distance so far (at first that of the nearest of about sqrt(len)
-    evenly spaced vertices).  The float64 rounding of the distances and
-    arclengths grows with |z|, the size of the loop and its length; the
-    margin, 1e-9 times their sum, stays far above it.
+    evenly spaced vertices).  The margin, 1e-13 |z| + 1e-9 (|pts[0]| + 2
+    length), covers the float64 rounding: ulps of |z| and of the vertices in
+    the distances, up to an ulp of the length per vertex in the arclengths.
     """
     pts, arcs = gamma.points, gamma.arclengths
     last = len(pts) - 1
     sample = pts[::max(1, math.isqrt(last))]
     # every vertex lies within the loop's length of pts[0]
-    size = 1.0 + abs(pts[0]) + 2 * arcs[-1]
+    size = 1e-9 * (abs(pts[0]) + 2 * arcs[-1])
     s_out, d_out = [], []
     for z in _as_points(zs):
         x, y = z.real, z.imag
-        margin = 1e-9 * (size + abs(z))
+        margin = 1e-13 * abs(z) + size
         bound = min(abs(z - p) for p in sample)
-        best, k, tk = math.inf, 0, 0.0
-        i = 0
+        best, k, tk, i = math.inf, 0, 0.0, 0
         while i < last:
             a = pts[i]
             j = bisect_left(arcs, arcs[i] + abs(z - a) - bound - margin, i + 1) - 1

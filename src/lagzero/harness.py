@@ -219,24 +219,35 @@ def _seeds_for(n: int, alpha: Fraction, spec_m):
     return seeds
 
 
+def _seed_measure(ctx, r):
+    # mu_r on Gamma_r at 8 times the default max_step: the seeds only interpolate it,
+    # and at 16 times (80, -64.7741) took a ninth sweep
+    step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
+    return measure.MeasureSpec(ctx, r, None if math.isinf(r) else contour.trace_gamma(ctx, r, step))
+
+
 def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
     """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
 
-    Returns (zset, spec): spec is the measure.MeasureSpec of the limit
-    measure mu_{r_hat}, which carries the context, r_hat and Gamma_{r_hat}
-    (gamma None for integer alpha), or None when -alpha/n falls outside
-    (0,1). The root finder gets the exact monic coefficients of
-    laguerre.monic_rescaled, for every alpha, and rounds them itself; for
-    integer alpha in {-n..-1} it counts the zero low coefficients as
-    zset.origin_multiplicity. It starts from quantiles of the limit
-    measure (see _seeds_for), and from the circles of the Newton polygon
-    (tropical.initial_guesses) when spec is None, with as many real seeds
-    on each side of 0 as laguerre.real_zero_split counts zeros there.
+    Returns (zset, spec): spec is the measure.MeasureSpec of the limit measure
+    mu_{r_hat}, which carries the context, r_hat and the seeds' Gamma_{r_hat},
+    traced at 8 times the default max_step (_seed_measure; None for integer
+    alpha), or None when -alpha/n falls outside (0,1). The root finder gets
+    the exact monic coefficients of laguerre.monic_rescaled, for every alpha,
+    and rounds them itself; for integer alpha in {-n..-1} it counts the zero
+    low coefficients as zset.origin_multiplicity. It starts from quantiles of
+    the limit measure (see _seeds_for), and from the circles of the Newton
+    polygon (tropical.initial_guesses) when spec is None, with as many real
+    seeds on each side of 0 as laguerre.real_zero_split counts zeros there.
     The default precision is rootfinder.start_precision's. Retries once at
     doubled precision, logging why at DEBUG, on NonConvergence or suspect
-    zeros; a second NonConvergence propagates, and a second suspect set
-    is returned as it is. precision_bits below 64 raises DomainError.
+    zeros; a second NonConvergence propagates, and a second suspect set is
+    returned as it is. precision_bits below 64 raises DomainError.
     """
+    return _compute_zeros(n, alpha, precision_bits, _seed_measure)
+
+
+def _compute_zeros(n, alpha, precision_bits, measure_for):
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
     if precision_bits is not None and precision_bits < 64:
@@ -250,7 +261,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
 
     spec_m = seeds = None
     if 0 < a_n < 1:
-        spec_m = measure.make_measure(make_context(a_n), r_hat_from(n, alpha_f))
+        spec_m = measure_for(make_context(a_n), r_hat_from(n, alpha_f))
         seeds = _seeds_for(n, alpha_f, spec_m)
     elif coeffs[0]:
         # the paired sweeps need as many real seeds as real zeros
@@ -275,14 +286,14 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
 def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> ComparisonReport:
     """Zeros of L_n^{(alpha)}(nz) against the predicted limit set.
 
-    Against the limit measure compute_zeros seeded from. Classification is
-    interval-first inside the tolerance band, then loop, then outlier; the
-    origin multiplicity of integer alpha counts toward the loop mass (the
-    limit measure's atom at 0).
+    Against the limit measure the zeros were seeded from, its Gamma_r traced
+    once, at the default max_step. Classification is interval-first inside
+    the tolerance band, then loop, then outlier; the origin multiplicity of
+    integer alpha counts toward the loop mass (the limit measure's atom at 0).
     """
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
-    zset, spec_m = compute_zeros(n, alpha_f, precision_bits=opts.precision_bits)
+    zset, spec_m = _compute_zeros(n, alpha_f, opts.precision_bits, measure.make_measure)
     ctx, gamma, r_hat = spec_m.ctx, spec_m.gamma, spec_m.r
     origin_mult = zset.origin_multiplicity
     valid = not zset.suspect

@@ -42,8 +42,6 @@ from lagzero.landscape import (
     phi_origin_constant,
 )
 
-INF = math.inf
-
 
 @dataclass(frozen=True)
 class MeasureSpec:
@@ -69,9 +67,7 @@ class MeasureSpec:
 def make_measure(ctx: PotentialContext, r: float) -> MeasureSpec:
     """mu_r for ctx, tracing Gamma_r when r is finite."""
     r = float(r)
-    if math.isinf(r):
-        return MeasureSpec(ctx, INF, None)
-    return MeasureSpec(ctx, r, contour.trace_gamma(ctx, r))
+    return MeasureSpec(ctx, r, None if math.isinf(r) else contour.trace_gamma(ctx, r))
 
 
 # ---------------------------------------------------------------------------

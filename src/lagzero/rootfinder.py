@@ -438,15 +438,15 @@ def _lift(rings, zs, prec, bits, target):
     lifted one after the other, each rounded once for its last word, and
     each ring's roots are certified (_certify) before the next is rounded.
 
-    Level l steps for the goal target / 2^(h - l), rounded up, with h + 1
-    the fewest doublings that take bits to target: each level at most
-    doubles the accuracy, on the shortest words that do so. A root is done after a step for target
-    bits of at most tol max(1, |z|), tol = 2^-(target // 2). A step must
-    stay within 2^-(goal/4) max(1, |z|): a larger one means the
-    approximation did not hold the bits claimed for it, as next to a zero
-    the low words cannot separate from its neighbour. Returns None at such
-    a step or at P' = 0, else (levels, roots): roots[i] is _certify's
-    (z, word, bound) for the lifted z_i, and levels the most any ring took.
+    Level l steps for the goal target / 2^max(0, h - l), rounded up, with h + 1
+    the fewest doublings that take bits to target: each level at most doubles
+    the accuracy, on the shortest words that do so. A root is done after a step
+    for target bits of at most tol max(1, |z|), tol = 2^-(target // 2). A step
+    must stay within 2^-(goal/4) max(1, |z|): a larger one means the
+    approximation did not hold the bits claimed for it, as next to a zero the
+    low words cannot separate from its neighbour. Returns None at such a step
+    or at P' = 0, else (levels, roots): roots[i] is _certify's (z, word, bound)
+    for the lifted z_i, and levels the most any ring took.
     """
     rings_of = {}
     for i, (x, y) in enumerate(zs):
@@ -630,14 +630,18 @@ def _guard_bits(exact) -> int:
                       for c in exact if c))
 
 
+def _below(hull) -> int:
+    # -log2 of the smallest zero modulus the Newton polygon predicts: its first slope, or 0
+    (k0, l0), (k1, l1) = hull[:2] if len(hull) > 1 else [(0, 0), (1, 0)]
+    return max(0, math.ceil((l1 - l0) / (k1 - k0)))
+
+
 def start_precision(coeffs) -> tuple:
     """(bits, below): the default working precision for the coefficients
     and -log2 of the smallest zero modulus their Newton polygon predicts
     (its first slope, or 0): 256 bits, or 2 below + 128 where the lift's
     2^-(bits // 2) would leave such a zero fewer than 64 bits of its own."""
-    hull = tropical.hull(coeffs)
-    (k0, l0), (k1, l1) = hull[:2] if len(hull) > 1 else [(0, 0), (1, 0)]
-    below = max(0, math.ceil((l1 - l0) / (k1 - k0)))
+    below = _below(tropical.hull(coeffs))
     return max(256, 2 * below + 128), below
 
 
@@ -662,9 +666,9 @@ def find_zeros(coeffs: tuple, precision_bits: int, seeds=None) -> ZeroSet:
     as ZeroSet.origin_multiplicity; the rest sees c_m..c_n alone.
 
     The sweeps run at bits = min(LOW_BITS, precision_bits) to tolerance
-    2^-(bits//2), and the lift takes each root on from those bits//2 bits
-    until its step for precision_bits is at most tol max(1, |z|), tol =
-    2^-(precision_bits//2): every returned root ends in the lift.
+    2^-(bits//2), which leaves a root about bits correct bits, and the lift
+    takes each on from them until its step for precision_bits is at most
+    tol max(1, |z|), tol = 2^-(precision_bits//2): every root ends in the lift.
     Sweeps that do not converge, or a lift step that does not contract or
     meets P' = 0, restart the sweeps from the seeds at twice the bits;
     ZeroSet.iterations counts every pass's sweeps. Without seeds the roots
@@ -700,8 +704,8 @@ def find_zeros(coeffs: tuple, precision_bits: int, seeds=None) -> ZeroSet:
             raise ValueError(f"need {n} seeds, got {len(zs)}")
 
         guarded = precision_bits + _guard_bits(coeffs) + 16
-        rings = tropical.Rings(_rounded(coeffs, guarded), guarded, tropical.hull(coeffs))
-        below = start_precision(coeffs)[1]
+        hull = tropical.hull(coeffs)
+        rings, below = tropical.Rings(_rounded(coeffs, guarded), guarded, hull), _below(hull)
         # pair before rounding: to_fixed floors, so to_fixed(-y) != -to_fixed(y)
         reps, twin = _conjugate_classes(zs)
         bits, iterations = min(LOW_BITS, precision_bits), 0
@@ -720,9 +724,8 @@ def find_zeros(coeffs: tuple, precision_bits: int, seeds=None) -> ZeroSet:
             wide = guarded + max(rings.cancellation.values(), default=0)
             if wide > rings.prec:
                 rings.widen(_rounded(coeffs, wide), wide)
-            # the sweeps freeze each root within 2^-(bits//2)
-            lifted = None if sweeps is None else _lift(rings, fixed, pos, bits // 2,
-                                                       precision_bits)
+            # a root frozen by a step of 2^-(bits//2) holds about bits bits
+            lifted = None if sweeps is None else _lift(rings, fixed, pos, bits, precision_bits)
             words = rings.take_words()
             if lifted is not None:
                 levels, roots = lifted

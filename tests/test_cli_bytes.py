@@ -8,10 +8,10 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cli_bytes.py"
 
 
-def _run(parent, change):
+def _run(parent, change, only="betas"):
     return subprocess.run(
         [sys.executable, str(TOOL), str(parent), str(change),
-         "--seeds", "1", "--only", "betas"],
+         "--seeds", "1", "--only", only],
         capture_output=True, text=True, timeout=300)
 
 
@@ -20,6 +20,14 @@ def test_same_checkout_reports_no_difference():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["seed 1 landscape betas: same",
                                         "1 commands, 0 differ"]
+
+
+def test_only_takes_a_comma_list_of_prefixes():
+    proc = _run(ROOT, ROOT, only="betas,contour-rm")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["seed 1 landscape betas: same",
+                                        "seed 1 landscape contour-rmid: same",
+                                        "2 commands, 0 differ"]
 
 
 def test_a_different_output_is_printed_and_fails(tmp_path):

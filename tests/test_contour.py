@@ -1,5 +1,6 @@
 """Level-curve tracing: crossings, closure, orientation, CSV output."""
 
+import bisect
 import cmath
 import math
 import random
@@ -265,6 +266,23 @@ def test_project_to_loop_far_points_match_segment_loop(ctx81):
     rng = random.Random(1)
     zs = [10.0 ** e * complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
           for e in (3, 6, 9, 12, 15) for _ in range(12)]
+    _assert_kernel_matches_reference(ctx81, g, zs)
+
+
+def test_project_to_loop_prunes_a_loop_far_smaller_than_the_point(ctx81, monkeypatch):
+    # Gamma_20 at A = 0.81 is about 6e-12 across: against points at
+    # |z| ~ 0.5 the margin must stay below that for the walk to skip most
+    # segments, and the result must still match the loop over every
+    # segment, bit for bit
+    g = contour.trace_gamma(ctx81, 20.0)
+    assert max(abs(p) for p in g.points) < 1e-11
+    zs = [0.5 * cmath.exp(1j * (k + 0.5)) for k in range(6)] + [0.5 + 0j, -0.5 + 0j]
+    steps = []
+    monkeypatch.setattr(contour, "bisect_left",
+                        lambda *args: steps.append(1) or bisect.bisect_left(*args))
+    contour.project_to_loop(g, zs)
+    assert len(steps) < len(zs) * len(g.points) / 4
+    monkeypatch.undo()
     _assert_kernel_matches_reference(ctx81, g, zs)
 
 

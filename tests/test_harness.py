@@ -139,6 +139,28 @@ def test_run_comparison_and_trace_log_counts(caplog):
                       "KS over 32 loop and 8 interval points"]
 
 
+def test_compute_zeros_seeds_from_a_coarse_trace(caplog):
+    # the seeds only interpolate Gamma_r, so compute_zeros alone traces it
+    # at 8 times the default step; run_comparison traces it once, at the
+    # default step, and seeds and classifies from that one
+    def step(A):
+        ctx = landscape.make_context(A)
+        return (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
+
+    def traced():
+        return [r.getMessage().split(" vertices at ")[1] for r in caplog.records
+                if r.name == contour.__name__]
+
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    _, spec = harness.compute_zeros(88, "-71.2909")
+    coarse = 8 * step(Fraction("71.2909") / 88)
+    assert traced() == [f"max_step {coarse:.3g}"]
+    assert spec.gamma.max_step == coarse and len(spec.gamma.points) < 400
+    caplog.clear()
+    harness.run_comparison(40, "-32.4")
+    assert traced() == [f"max_step {step(Fraction(81, 100)):.3g}"]
+
+
 def test_report_geometry_is_step_converged(monkeypatch):
     # max_deviation and ks_loop read the traced polyline: at the default
     # step they lie within 5e-7 and 1e-5 of a trace 16 times finer

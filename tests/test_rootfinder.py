@@ -253,8 +253,8 @@ def test_zeros_come_back_in_exact_conjugate_pairs():
 def test_horner_calls_per_representative(monkeypatch):
     # (88, -71.2909) has 17 positive zeros, one negative and 35 pairs: 53
     # representatives, each evaluated at most once per pass: per sweep at
-    # LOW_BITS, at each of the three lift levels (104, 208, then the full
-    # 416 bits) and in the certificate, on the last level's ring words
+    # LOW_BITS, at each of the two lift levels (208, then the full 416
+    # bits) and in the certificate, on the last level's ring words
     calls = []
     for name in ("_fixed_horner", "_quadratic_horner"):
         def counted(*args, evaluate=getattr(rootfinder, name)):
@@ -439,11 +439,22 @@ def test_stage_boundaries_are_logged(caplog):
     msgs = [r.getMessage() for r in caplog.records if r.name == rootfinder.__name__]
     assert msgs[:2] == ["5 sweeps at 128 bits (16 rings, 152-176-bit words, "
                         "0 of 115 rows in fixed point)",
-                        "lifted to 256 bits in 2 Newton levels (280-304-bit words)"]
+                        "lifted to 256 bits in 1 Newton levels (280-304-bit words)"]
     # each zero is bounded in its ring, on the lift's last word
     assert msgs[2].startswith("certificate at 280-304-bit words: worst log radius ")
     assert msgs[2].endswith(", 0 suspect")
     assert len(msgs) == 3
+
+
+@pytest.mark.parametrize("n, alpha", [(88, "-71.2909"), (96, "-76.0000011")])
+def test_lift_starts_from_the_sweeps_bits(caplog, n, alpha):
+    # a root frozen after a step of at most 2^-64 holds about 128 bits, so
+    # one Newton level takes it to 256, and nothing escalates or retries
+    caplog.set_level(logging.DEBUG, logger="lagzero")
+    harness.compute_zeros(n, alpha)
+    msgs = [r.getMessage() for r in caplog.records]
+    assert sum(m.startswith("lifted to 256 bits in 1 Newton levels ") for m in msgs) == 1
+    assert not [m for m in msgs if m.startswith(("escalating", "retrying"))]
 
 
 def test_import_leaves_logging_unloaded():

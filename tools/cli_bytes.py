@@ -1,12 +1,13 @@
 """Compare the command-line output of two source checkouts, byte for byte.
 
-    python3 tools/cli_bytes.py PARENT CHANGE --seeds 1,3,7 [--only PREFIX]
+    python3 tools/cli_bytes.py PARENT CHANGE --seeds 1,3,7 [--only PREFIX,...]
 
 Every command of perfbench's workloads (perfbench/workloads.generate, for
 each seed) runs as `python -m lagzero.cli ARGV` in both checkouts, with
 PYTHONPATH=<checkout>/src and without LAGZERO_PRECISION, one process at a
 time. Exit code, stdout and stderr must match; --only keeps the cases
-whose id starts with PREFIX. The first lines that differ are printed for
+whose id starts with one of its comma-separated prefixes (`--only z,v`
+runs every root-finding command). The first lines that differ are printed for
 each command that differs, and the exit status is 1 if any does.
 """
 
@@ -63,7 +64,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", default="1,3,7",
                     help="comma-separated workload seeds (default 1,3,7)")
     ap.add_argument("--only", default="",
-                    help="run only the cases whose id starts with this")
+                    help="comma-separated prefixes: run only the cases whose id "
+                         "starts with one of them")
     args = ap.parse_args(argv)
     workloads = load_workloads()
     parent, change = args.parent.resolve(), args.change.resolve()
@@ -71,11 +73,12 @@ def main(argv=None) -> int:
         if not (tree / "src" / "lagzero").is_dir():
             ap.error(f"no lagzero sources under {tree}/src")
     seeds = [int(s) for s in args.seeds.split(",")]
+    only = tuple(args.only.split(","))
     commands = differ = 0
     for seed in seeds:
         for name in workloads.WORKLOADS:
             for case in workloads.generate(name, seed):
-                if not case.id.startswith(args.only):
+                if not case.id.startswith(only):
                     continue
                 commands += 1
                 lines = differences(run(parent, case.argv), run(change, case.argv))
