@@ -54,7 +54,7 @@ def n11(ctx: PotentialContext, z) -> mp.mpc:
         return (a + 1 / a) / 2
 
 
-def outer_ratio(ctx_n: PotentialContext, n: int, z) -> mp.mpc:
+def outer_ratio(ctx_n: PotentialContext, z) -> mp.mpc:
     """N11(z), the outer parametrix (n11).
 
     The intended comparison is P_n(z) e^{-n g_n(z)} ~ N11(z) with error

@@ -102,9 +102,7 @@ def cmd_contour(args) -> int:
 
 
 def cmd_zeros(args) -> int:
-    zset, _ = harness.compute_zeros(
-        args.n, args.alpha, precision_bits=args.precision
-    )
+    zset = harness.compute_zeros(args.n, args.alpha, precision_bits=args.precision)
     lines = ["re,im,residual"]
     for _ in range(zset.origin_multiplicity):
         lines.append("0.0,0.0,0.0")
@@ -176,7 +174,7 @@ def cmd_asymp(args) -> int:
                 lines.append(f"{tok},{float(exact)!r},{float(pred)!r},{rel!r}")
         elif args.regime == "outer":
             for (tok, z), p in zip(points, values):
-                pred = asymptotics.outer_ratio(ctx, n, z)
+                pred = asymptotics.outer_ratio(ctx, z)
                 exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
                 rel = float(abs(complex(pred) / complex(exact) - 1))
                 lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")

@@ -46,7 +46,7 @@ class ContourPolyline:
     """Closed polyline approximation of Gamma_r.
 
     points[-1] == points[0]; arclengths are cumulative and share the
-    indexing.  Every vertex satisfies |Re phi - r/2| <= level_tol.
+    indexing.  Every vertex satisfies |Re phi - r/2| <= DEFAULT_LEVEL_TOL.
     upper_mass holds Im phi/pi + A/2 at each vertex of upper_arc, the nu_r
     mass from x_r to it: 0 at x_r, A/2 at the positive crossing, and the
     tracer's own phi at the vertices between (empty for a polyline built
@@ -57,16 +57,7 @@ class ContourPolyline:
     r: float
     arclengths: Tuple[float, ...]
     max_step: float
-    level_tol: float
     upper_mass: Tuple[float, ...] = ()
-
-    @property
-    def re_max(self) -> float:
-        return max(p.real for p in self.points)
-
-    @property
-    def im_max(self) -> float:
-        return max(p.imag for p in self.points)
 
     @property
     def upper_arc(self) -> Tuple[complex, ...]:
@@ -216,7 +207,6 @@ def trace_gamma(
         r=float(r),
         arclengths=tuple(arcs),
         max_step=float(max_step),
-        level_tol=DEFAULT_LEVEL_TOL,
         upper_mass=tuple(mass),
     )
 

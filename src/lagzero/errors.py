@@ -48,7 +48,8 @@ class NonConvergence(LagzeroError):
 
 
 class BracketError(LagzeroError):
-    """Bisection bracket could not be established."""
+    """A real-axis crossing of a level curve underflows float64: Newton
+    in log|x| passed the smallest normal double (contour)."""
 
 
 class ClosureError(LagzeroError):

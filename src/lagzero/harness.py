@@ -56,6 +56,8 @@ class RunOptions:
             if not (math.isfinite(tol) and tol > 0):
                 raise DomainError(
                     f"classify_tol and sweep deltas must be finite and > 0, got {tol}")
+        if self.precision_bits is not None and self.precision_bits < 64:
+            raise DomainError(f"precision_bits must be >= 64, got {self.precision_bits}")
 
 
 @dataclass(frozen=True)
@@ -206,66 +208,65 @@ def _ks(cdf: Sequence[float]) -> float:
                 for j, f in enumerate(cdf)), default=0.0)
 
 
-def _seeds_for(n: int, alpha: Fraction, spec_m):
+def _seeds_for(n: int, alpha: Fraction, ctx, loop):
     # the positive zeros live on the interval (laguerre.real_zero_split).
-    # For integer alpha (r = inf) the origin holds the others, which
-    # find_zeros strips; otherwise the loop does, one of them negative
+    # For integer alpha (r = inf, loop None) the origin holds the others,
+    # which find_zeros strips; otherwise the loop does, one of them negative
     # exactly when floor(-alpha) is odd, the rest conjugate pairs, and
     # loop_quantiles has that layout
     positive, _ = laguerre.real_zero_split(n, alpha)
-    seeds = measure.interval_quantiles(spec_m.ctx, positive)
-    if not math.isinf(spec_m.r):
-        seeds.extend(measure.loop_quantiles(spec_m, n - positive))
+    seeds = measure.interval_quantiles(ctx, positive)
+    if loop is not None:
+        seeds.extend(measure.loop_quantiles(loop, n - positive))
     return seeds
 
 
-def _seed_measure(ctx, r):
-    # mu_r on Gamma_r at 8 times the default max_step: the seeds only interpolate it,
-    # and at 16 times (80, -64.7741) took a ninth sweep
-    step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
-    return measure.MeasureSpec(ctx, r, None if math.isinf(r) else contour.trace_gamma(ctx, r, step))
+def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfinder.ZeroSet:
+    """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz), as a ZeroSet.
 
-
-def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None):
-    """Certified zeros of the scaled polynomial L_n^{(alpha)}(nz).
-
-    Returns (zset, spec): spec is the measure.MeasureSpec of the limit measure
-    mu_{r_hat}, which carries the context, r_hat and the seeds' Gamma_{r_hat},
-    traced at 8 times the default max_step (_seed_measure; None for integer
-    alpha), or None when -alpha/n falls outside (0,1). The root finder gets
-    the exact monic coefficients of laguerre.monic_rescaled, for every alpha,
-    and rounds them itself; for integer alpha in {-n..-1} it counts the zero
-    low coefficients as zset.origin_multiplicity. It starts from quantiles of
-    the limit measure (see _seeds_for), and from the circles of the Newton
-    polygon (tropical.initial_guesses) when spec is None, with as many real
-    seeds on each side of 0 as laguerre.real_zero_split counts zeros there.
-    The default precision is rootfinder.start_precision's. Retries once at
-    doubled precision, logging why at DEBUG, on NonConvergence or suspect
-    zeros; a second NonConvergence propagates, and a second suspect set is
-    returned as it is. precision_bits below 64 raises DomainError.
+    The root finder gets the exact monic coefficients of
+    laguerre.monic_rescaled, for every alpha, and rounds them itself; for
+    integer alpha in {-n..-1} it counts the zero low coefficients as
+    zset.origin_multiplicity. Inside the theorem range it starts from
+    quantiles of the limit measure mu_{r_hat} (see _seeds_for), with the
+    loop's interpolated on Gamma_{r_hat} traced at 8 times the default
+    max_step (at 16 times, (80, -64.7741) took a ninth sweep); run_comparison
+    traces the default step. Outside the range it starts from the circles of the Newton polygon
+    (tropical.initial_guesses), with as many real seeds on each side of 0
+    as laguerre.real_zero_split counts zeros there. The default precision
+    is rootfinder.start_precision's. Retries once at doubled precision,
+    logging why at DEBUG, on NonConvergence or suspect zeros; a second
+    NonConvergence propagates, and a second suspect set is returned as it
+    is. precision_bits below 64 raises DomainError.
     """
-    return _compute_zeros(n, alpha, precision_bits, _seed_measure)
-
-
-def _compute_zeros(n, alpha, precision_bits, measure_for):
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
     if precision_bits is not None and precision_bits < 64:
         # 0 is a precision, not "use the default"
         raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
     alpha_f = laguerre.parse_alpha(alpha)
-    a_n = Fraction(-alpha_f, n)
+    a_n, ctx, loop = Fraction(-alpha_f, n), None, None
+    if 0 < a_n < 1:
+        ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
+        if not math.isinf(r_hat):
+            step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
+            loop = contour.trace_gamma(ctx, r_hat, step)
+    return _compute_zeros(n, alpha_f, precision_bits, ctx, loop)
+
+
+def _compute_zeros(n, alpha_f, precision_bits, ctx, loop) -> rootfinder.ZeroSet:
+    # n and precision_bits checked; seeded from mu_r when ctx is given (loop
+    # None at r = inf), else from the Newton polygon
     coeffs = laguerre.monic_rescaled(n, alpha_f)
     bits, below = rootfinder.start_precision(coeffs)
     bits = precision_bits or bits
 
-    spec_m = seeds = None
-    if 0 < a_n < 1:
-        spec_m = measure_for(make_context(a_n), r_hat_from(n, alpha_f))
-        seeds = _seeds_for(n, alpha_f, spec_m)
+    seeds = None
+    if ctx is not None:
+        seeds = _seeds_for(n, alpha_f, ctx, loop)
     elif coeffs[0]:
         # the paired sweeps need as many real seeds as real zeros
-        seeds = tropical.initial_guesses(n, coeffs, laguerre.real_zero_split(n, alpha_f))
+        seeds = tropical.initial_guesses(coeffs, laguerre.real_zero_split(n, alpha_f))
     debug(__name__, "n=%d alpha=%s: starting at %d bits; the Newton polygon puts "
           "the smallest zero near 2^-%d", n, decimal_str(alpha_f), bits, below)
     try:
@@ -280,7 +281,7 @@ def _compute_zeros(n, alpha, precision_bits, measure_for):
     if why:
         debug(__name__, "retrying at %d bits: %s", 2 * bits, why)
         zset = rootfinder.find_zeros(coeffs, 2 * bits, seeds=seeds)
-    return zset, spec_m
+    return zset
 
 
 def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> ComparisonReport:
@@ -293,8 +294,9 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     """
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
-    zset, spec_m = _compute_zeros(n, alpha_f, opts.precision_bits, measure.make_measure)
-    ctx, gamma, r_hat = spec_m.ctx, spec_m.gamma, spec_m.r
+    ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
+    gamma = None if math.isinf(r_hat) else contour.trace_gamma(ctx, r_hat)
+    zset = _compute_zeros(n, alpha_f, opts.precision_bits, ctx, gamma)
     origin_mult = zset.origin_multiplicity
     valid = not zset.suspect
 
@@ -310,7 +312,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     max_dev = max(map(min, d_int, d_loop), default=0.0)
     ks_loop, ss = 0.0, []
     if gamma is not None:
-        arcs, cum = measure.loop_cdf_points(spec_m)
+        arcs, cum = measure.loop_cdf_points(gamma)
         ss = sorted(s for s, lab in zip(s_loop, labels) if lab == "loop")
         ks_loop = _ks([_interp(s, arcs, cum) / cum[-1] for s in ss])
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)

@@ -3,8 +3,10 @@
 nu_r lives on the loop Gamma_r with arclength density |R(p)/p|/(2*pi)
 and total mass A; the interval part is the Marchenko-Pastur-type density
 sqrt((x-beta1)(beta2-x))/(2*pi*x) on [beta1, beta2] with mass 1-A.  The
-r = infinity case replaces the loop by an atom of mass A at the origin,
-stored symbolically.
+r = infinity case replaces the loop by an atom of mass A at the origin.
+No type holds mu_r: the interval part is the PotentialContext, and nu_r
+is the traced polyline of Gamma_r (contour.trace_gamma), which carries
+its own r and mass; callers pass no polyline (None) for the atom.
 
 Both CDFs are closed forms in the landscape module's phi.  On the
 interval F(x) = Im phi_+(x)/pi.  interval_phase evaluates Im phi_+ in
@@ -23,8 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 from mpmath import mp
 
@@ -33,42 +34,12 @@ from lagzero.errors import DomainError
 from lagzero.landscape import (
     LANDSCAPE_BITS,
     QUAD_TOL,
-    BoundarySide,
     PotentialContext,
     ell_constant,
     interval_integral,
     phi_closed_form,
-    phi_eval,
     phi_origin_constant,
 )
-
-
-@dataclass(frozen=True)
-class MeasureSpec:
-    """mu_r for one context; gamma present exactly when r is finite."""
-
-    ctx: PotentialContext
-    r: float
-    gamma: Optional[contour.ContourPolyline] = None
-
-    def __post_init__(self):
-        if math.isinf(self.r):
-            if self.gamma is not None:
-                raise ValueError("the r=inf measure carries no loop polyline")
-        else:
-            if self.gamma is None:
-                raise ValueError("finite r needs a traced Gamma_r polyline")
-            if self.gamma.r != self.r:
-                raise ValueError(
-                    f"polyline level {self.gamma.r} != measure r {self.r}"
-                )
-
-
-def make_measure(ctx: PotentialContext, r: float) -> MeasureSpec:
-    """mu_r for ctx, tracing Gamma_r when r is finite."""
-    r = float(r)
-    return MeasureSpec(ctx, r, None if math.isinf(r) else contour.trace_gamma(ctx, r))
-
 
 # ---------------------------------------------------------------------------
 # densities
@@ -98,43 +69,32 @@ def mp_density(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 
 
 def nu_density_at(ctx: PotentialContext, p: complex) -> float:
-    # raw |R(p)/p| / (2 pi) with no on-curve check; float64
+    """Arclength density |R(p)/p| / (2 pi) of nu_r at a point p of
+    Gamma_r, in float64; p is not checked to lie on the loop.  Positive
+    everywhere on Gamma_r except at the r = 0 corner beta1, where R
+    vanishes."""
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
     rp = cmath.sqrt(p - b1) * cmath.sqrt(p - b2)
     return abs(rp / p) / (2 * math.pi)
-
-
-def nu_arclength_density(spec: MeasureSpec, p: complex) -> float:
-    """Arclength density of nu_r at a point p of the traced curve.
-
-    Positive everywhere on Gamma_r except at the r = 0 corner beta1,
-    where R vanishes.  DomainError if p is not on the polyline.
-    """
-    if math.isinf(spec.r):
-        raise DomainError("the r=inf loop is an atom; no arclength density")
-    gamma = spec.gamma
-    dist = contour.project_to_loop(gamma, complex(p))[1][0]
-    if dist > max(10 * gamma.level_tol, 1e-8):
-        raise DomainError(f"{p} is not on the traced Gamma_{spec.r}")
-    return nu_density_at(spec.ctx, complex(p))
 
 
 # ---------------------------------------------------------------------------
 # masses and CDFs
 
 
-def loop_cdf_points(spec: MeasureSpec) -> Tuple[List[float], List[float]]:
+def loop_cdf_points(gamma: contour.ContourPolyline) -> Tuple[List[float], List[float]]:
     """Cumulative nu_r mass at each vertex, clockwise from x_r, in closed form.
 
     dnu_r = R(s) ds / (2 pi i s) and phi' = R/(2z), with Re phi = r/2
     along Gamma_r, so dnu_r = d(Im phi)/pi: on the upper arc the mass
     from x_r to p is (Im phi(p) + A pi/2)/pi, exactly 0 at x_r and A/2
     at the positive crossing, which the tracer stores as
-    gamma.upper_mass.  The lower half is A minus the mirror.
+    gamma.upper_mass.  The lower half is A minus the mirror, with A read
+    off the polyline as twice its last upper mass (exact).
     """
-    A = float(spec.ctx.A)
-    half = list(spec.gamma.upper_mass)
-    return list(spec.gamma.arclengths), half + [A - m for m in reversed(half[:-1])]
+    half = list(gamma.upper_mass)
+    A = 2 * half[-1]
+    return list(gamma.arclengths), half + [A - m for m in reversed(half[:-1])]
 
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
@@ -166,7 +126,10 @@ def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
         x = _clamp_to_interval(ctx, mp.mpf(x))
         if x == ctx.beta2:
             return 1 - ctx.A
-        return mp.im(phi_eval(ctx, x, side=BoundarySide.ABOVE)) / mp.pi
+        # mpmath has no signed zero: its principal sqrt and log of a negative
+        # real take the limit from above, phi_+ on the cut
+        phi = phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, mp.mpc(x), mp.sqrt, mp.log)
+        return mp.im(phi) / mp.pi
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +175,7 @@ def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
 # quantiles (seed generation and classification support)
 
 
-def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
+def loop_quantiles(gamma: contour.ContourPolyline, k: int) -> List[complex]:
     """k points on the polyline at nu-mass (j+1/2)A/k for even k and
     jA/k for odd k.
 
@@ -222,8 +185,8 @@ def loop_quantiles(spec: MeasureSpec, k: int) -> List[complex]:
     """
     if k <= 0:
         return []
-    pts, cum = spec.gamma.upper_arc, spec.gamma.upper_mass
-    A = float(spec.ctx.A)
+    pts, cum = gamma.upper_arc, gamma.upper_mass
+    A = 2 * cum[-1]
     top = []
     for j in range(k // 2):
         target = (j + (1.0 if k % 2 else 0.5)) * A / k

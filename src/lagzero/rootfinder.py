@@ -698,7 +698,7 @@ def find_zeros(coeffs: tuple, precision_bits: int, seeds=None) -> ZeroSet:
     with mp.workprec(precision_bits):
         tol = mp.mpf(2) ** (-(precision_bits // 2))
         if seeds is None:
-            seeds = initial_guesses(n, coeffs=coeffs)
+            seeds = initial_guesses(coeffs)
         zs = [mp.mpc(s) for s in seeds]
         if len(zs) != n:
             raise ValueError(f"need {n} seeds, got {len(zs)}")

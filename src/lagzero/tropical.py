@@ -47,9 +47,9 @@ def hull(coeffs) -> list:
     return out
 
 
-def initial_guesses(n: int, coeffs, real=None) -> list:
-    """n seeds on the circles of the Newton polygon of the Fraction
-    coefficients c_0..c_n (c_0 != 0).
+def initial_guesses(coeffs, real=None) -> list:
+    """Seeds on the circles of the Newton polygon of the Fraction
+    coefficients c_0..c_n (c_0 != 0), one per zero.
 
     The hull edge from k0 to k1 holds the k1 - k0 roots of its binomial
     c_k0 + c_k1 z^(k1 - k0), on the circle of radius

@@ -261,10 +261,10 @@ def even_odd(gamma, zs):
     return out
 
 
-def _vertex_densities(spec):
-    pts, arcs = as_arrays(spec.gamma)
+def _vertex_densities(ctx, gamma):
+    pts, arcs = as_arrays(gamma)
     dens = np.array(
-        [measure.nu_density_at(spec.ctx, complex(p)) for p in pts], dtype=np.float64
+        [measure.nu_density_at(ctx, complex(p)) for p in pts], dtype=np.float64
     )
     return dens, arcs
 
@@ -299,30 +299,27 @@ def _simpson_irregular(x, y):
     return float(total)
 
 
-def loop_mass(spec):
+def loop_mass(ctx, gamma):
     """Integral of the nu_r density over the polyline arclength (= A)."""
-    if math.isinf(spec.r):
-        return float(spec.ctx.A)
-    dens, arcs = _vertex_densities(spec)
+    dens, arcs = _vertex_densities(ctx, gamma)
     return _simpson_irregular(arcs, dens)
 
 
-def loop_cdf_trapezoid(spec):
+def loop_cdf_trapezoid(ctx, gamma):
     """(arclengths, cumulative nu_r mass) at each vertex, clockwise from
     x_r, by the trapezoid rule on the arclength density."""
-    dens, arcs = _vertex_densities(spec)
+    dens, arcs = _vertex_densities(ctx, gamma)
     seg = np.diff(arcs) * (dens[:-1] + dens[1:]) / 2
     return arcs, np.concatenate([[0.0], np.cumsum(seg)])
 
 
-def log_potential(spec, z):
+def log_potential(ctx, gamma, z):
     """Integral log|z - s| dmu_r(s) for finite r: the parabolic rule over
     the polyline for the loop, quadrature against the density for the
     interval."""
-    ctx = spec.ctx
     z = complex(z)
-    pts, _ = as_arrays(spec.gamma)
-    dens, arcs = _vertex_densities(spec)
+    pts, _ = as_arrays(gamma)
+    dens, arcs = _vertex_densities(ctx, gamma)
     loop_part = _simpson_irregular(
         arcs, np.log(np.abs(z - pts)) * dens)
     with mp.workprec(ORACLE_BITS):

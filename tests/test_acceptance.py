@@ -60,7 +60,7 @@ def test_criterion_03_positive_zero_count():
     details = []
     ok = True
     for n, alpha in cases:
-        zset, _ = harness.compute_zeros(n, alpha)
+        zset = harness.compute_zeros(n, alpha)
         expected = n - math.floor(-laguerre.parse_alpha(alpha))
         pos = sum(1 for z in zset.zeros if z.imag == 0 and z.real > 0)
         neg = sum(1 for z in zset.zeros if z.imag == 0 and z.real < 0)
@@ -77,9 +77,9 @@ def test_criterion_04_measure_masses():
         worst_int = max(worst_int,
                         abs(float(measure.interval_mass(ctx) - (1 - ctx.A))))
         for r in (0.0, 1.0, 3.0):
-            spec = measure.make_measure(ctx, r)
+            gamma = contour.trace_gamma(ctx, r)
             worst_loop = max(worst_loop,
-                             abs(phase_quadrature.loop_mass(spec) - float(A)))
+                             abs(phase_quadrature.loop_mass(ctx, gamma) - float(A)))
     took = time.time() - t0
     ok = worst_loop <= 1e-6 and worst_int <= 1e-8 and took < 60.0
     assert _verdict(

@@ -124,11 +124,16 @@ def test_ks_interval_is_float64_and_matches_cdf_interval(monkeypatch, n, alpha):
     assert abs(rep.ks_interval - want) <= 1e-14
 
 
+def _traced(caplog):
+    # contour's DEBUG lines, one per traced Gamma_r
+    return [r.getMessage() for r in caplog.records if r.name == contour.__name__]
+
+
 def test_run_comparison_and_trace_log_counts(caplog):
     caplog.set_level(logging.DEBUG, logger=harness.__name__)
     caplog.set_level(logging.DEBUG, logger=contour.__name__)
     harness.run_comparison(40, "-32.4")
-    traced = [r.getMessage() for r in caplog.records if r.name == contour.__name__]
+    traced = _traced(caplog)
     assert len(traced) == 1
     assert traced[0].startswith("Gamma_0.0229") and " vertices at max_step " in traced[0]
     # compute_zeros' start, read off the Newton polygon, and no retry
@@ -148,14 +153,14 @@ def test_compute_zeros_seeds_from_a_coarse_trace(caplog):
         return (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
 
     def traced():
-        return [r.getMessage().split(" vertices at ")[1] for r in caplog.records
-                if r.name == contour.__name__]
+        return [m.split(" vertices at ")[1] for m in _traced(caplog)]
 
     caplog.set_level(logging.DEBUG, logger=contour.__name__)
-    _, spec = harness.compute_zeros(88, "-71.2909")
+    harness.compute_zeros(88, "-71.2909")
     coarse = 8 * step(Fraction("71.2909") / 88)
     assert traced() == [f"max_step {coarse:.3g}"]
-    assert spec.gamma.max_step == coarse and len(spec.gamma.points) < 400
+    # "Gamma_<r>: <count> vertices at max_step <step>"
+    assert int(_traced(caplog)[0].split()[1]) < 400
     caplog.clear()
     harness.run_comparison(40, "-32.4")
     assert traced() == [f"max_step {step(Fraction(81, 100)):.3g}"]
@@ -219,21 +224,24 @@ def test_min_modulus_tracks_distance():
     # strictly further toward the origin
     mins = []
     for a in ("-31.99", "-31.9999", "-31.999999"):
-        zset, _ = harness.compute_zeros(40, a)
+        zset = harness.compute_zeros(40, a)
         mins.append(min(abs(complex(z)) for z in zset.zeros))
     assert mins[0] > mins[1] > mins[2]
 
 
 @pytest.mark.parametrize("n,alpha", [(80, "-64"), (112, "-89")])
-def test_integer_alpha_seeds_on_the_interval(n, alpha):
+def test_integer_alpha_seeds_on_the_interval(n, alpha, caplog):
     # past the origin factor every zero is real and on [beta1, beta2];
     # seeded at interval quantiles the sweeps converge at once, where the
-    # Cauchy-circle start took 89 (n=80) and 177 (n=112) sweeps
-    zset, spec = harness.compute_zeros(n, alpha)
-    assert spec.r == math.inf and spec.gamma is None
+    # Cauchy-circle start took 89 (n=80) and 177 (n=112) sweeps.  r = inf
+    # has an atom, not a loop, so no Gamma_r is traced
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    zset = harness.compute_zeros(n, alpha)
+    assert harness.r_hat_from(n, alpha) == math.inf and _traced(caplog) == []
     assert zset.origin_multiplicity == -int(alpha)
     assert zset.iterations <= 10
-    b1, b2 = spec.ctx.beta1, spec.ctx.beta2
+    ctx = landscape.make_context(Fraction(-int(alpha), n))
+    b1, b2 = ctx.beta1, ctx.beta2
     assert all(z.imag == 0 and b1 <= z.real <= b2 for z in zset.zeros)
 
 
@@ -243,14 +251,14 @@ def test_seeds_follow_the_real_complex_split(alpha):
     # floor(-alpha) is odd, and exact conjugate pairs for the rest
     n, alpha_f = 40, laguerre.parse_alpha(alpha)
     ctx = landscape.make_context(Fraction(-alpha_f, n))
-    spec = measure.make_measure(ctx, harness.r_hat_from(n, alpha_f))
-    seeds = harness._seeds_for(n, alpha_f, spec)
+    loop = contour.trace_gamma(ctx, harness.r_hat_from(n, alpha_f))
+    seeds = harness._seeds_for(n, alpha_f, ctx, loop)
     k = math.floor(-alpha_f)
     assert len(seeds) == n
     real = [s for s in seeds if s.imag == 0]
     on_interval = [s for s in real if ctx.beta1 <= s.real <= ctx.beta2]
     assert len(on_interval) == n - k
-    x_r = spec.gamma.points[0]
+    x_r = loop.points[0]
     assert [s for s in real if s not in on_interval] == [x_r] * (k % 2)
     key = lambda w: (float(w.real), float(w.imag))  # noqa: E731
     assert sorted(seeds, key=key) == sorted((mp.conj(s) for s in seeds), key=key)
@@ -308,10 +316,11 @@ def test_run_comparison_domain_errors():
         harness.run_comparison(10, "2.5")
 
 
-def test_compute_zeros_outside_theorem_range():
+def test_compute_zeros_outside_theorem_range(caplog):
     # positive alpha: no limit-set machinery, zeros still come back
-    zset, spec = harness.compute_zeros(3, Fraction(5, 2))
-    assert spec is None
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    zset = harness.compute_zeros(3, Fraction(5, 2))
+    assert _traced(caplog) == []
     assert len(zset.zeros) == 3
     assert all(z.imag == 0 and z.real > 0 for z in zset.zeros)
 
@@ -322,12 +331,13 @@ def _start(n, alpha):
 
 
 @pytest.mark.parametrize("n, alpha, real", [(40, "5.5", 40), (80, "-100.3", 0)])
-def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
+def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real, caplog):
     # seeded from the Newton polygon: alpha > -1 has n positive zeros, and
     # alpha < -n with n even has none real (Szego, Thm 6.73); every zero is
     # certified, with no suspect disk, at the first precision tried
-    zset, spec = harness.compute_zeros(n, alpha)
-    assert spec is None
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    zset = harness.compute_zeros(n, alpha)
+    assert _traced(caplog) == []
     assert zset.precision_bits == _start(n, alpha)
     assert len(zset.zeros) == n
     assert zset.suspect == ()
@@ -337,15 +347,16 @@ def test_compute_zeros_outside_theorem_range_at_scale(n, alpha, real):
         assert all((z.real, -z.imag) in values for z in zset.zeros)
 
 
-def test_compute_zeros_just_below_minus_n():
+def test_compute_zeros_just_below_minus_n(caplog):
     # alpha in (-n - 1, -n): the Newton polygon's binomials have real roots
     # where L_n^(alpha) has no real zero but one negative for odd n (Szego,
     # Thm 6.73); the seeds follow Szego's split, and every zero is
     # certified at the first precision tried
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
     for n in range(2, 61):
         alpha = f"-{n}.5"
-        zset, spec = harness.compute_zeros(n, alpha)
-        assert spec is None
+        zset = harness.compute_zeros(n, alpha)
+        assert _traced(caplog) == [], n
         assert zset.precision_bits == _start(n, alpha), n
         assert zset.suspect == (), n
         assert len(zset.zeros) == n
@@ -364,8 +375,8 @@ def test_small_zeros_raise_the_start(caplog):
     caplog.set_level(logging.DEBUG, logger=harness.__name__)
     alpha = "-8." + "0" * 300 + "1"
     assert rootfinder.start_precision(laguerre.monic_rescaled(10, alpha)) == (384, 128)
-    zset, _ = harness.compute_zeros(10, alpha)
-    ref, _ = harness.compute_zeros(10, alpha, precision_bits=4 * 384)
+    zset = harness.compute_zeros(10, alpha)
+    ref = harness.compute_zeros(10, alpha, precision_bits=4 * 384)
     assert caplog.records[0].getMessage() == (
         f"n=10 alpha={alpha}: starting at 384 bits; the Newton polygon puts the "
         "smallest zero near 2^-128")
@@ -386,7 +397,7 @@ def test_compute_zeros_retries_at_doubled_precision(monkeypatch, caplog):
         return find(coeffs, bits, **kwargs)
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_fails)
-    zset, _ = harness.compute_zeros(12, "-9.6")
+    zset = harness.compute_zeros(12, "-9.6")
     bits = _start(12, "-9.6")
     assert calls == [bits, 2 * bits]
     assert zset.precision_bits == 2 * bits
@@ -413,7 +424,7 @@ def test_compute_zeros_retries_a_suspect_set(monkeypatch, caplog):
         return zset
 
     monkeypatch.setattr(rootfinder, "find_zeros", first_suspect)
-    zset, _ = harness.compute_zeros(12, "-9.6")
+    zset = harness.compute_zeros(12, "-9.6")
     bits = _start(12, "-9.6")
     assert calls == [bits, 2 * bits]
     assert zset is results[1]

@@ -165,6 +165,9 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         # 0 is a precision, not "use the default"
         harness.compute_zeros(3, Fraction(1, 2), precision_bits=0)
+    with pytest.raises(DomainError):
+        # run_comparison's options refuse it before any work
+        harness.RunOptions(precision_bits=32)
     assert laguerre.theorem_ratio(40, "-32.4") == Fraction(81, 100)
     for n, alpha in ((40, "-80"), (40, "-40"), (40, "2"), (0, "-1")):
         with pytest.raises(DomainError):

@@ -15,8 +15,8 @@ from lagzero.errors import DomainError
 
 
 @pytest.fixture(scope="module")
-def mu81_r0(ctx81):
-    return measure.make_measure(ctx81, 0.0)
+def gamma81_r0(ctx81):
+    return contour.trace_gamma(ctx81, 0.0)
 
 
 def test_mp_density_frozen_value(ctx75):
@@ -37,54 +37,34 @@ def test_interval_mass_is_one_minus_a(ctx81, ctx75, ctx99):
 
 def test_loop_mass_is_a(ctx80):
     for r in (0.0, 1.0, 3.0):
-        spec = measure.make_measure(ctx80, r)
-        assert abs(phase_quadrature.loop_mass(spec) - 0.8) <= 1e-6
+        gamma = contour.trace_gamma(ctx80, r)
+        assert abs(phase_quadrature.loop_mass(ctx80, gamma) - 0.8) <= 1e-6
 
 
 def test_loop_mass_halving_tightens(ctx80):
     g = contour.trace_gamma(ctx80, 1.0)
     g2 = contour.trace_gamma(ctx80, 1.0, max_step=g.max_step / 2)
-    e1 = abs(phase_quadrature.loop_mass(measure.MeasureSpec(ctx80, 1.0, g)) - 0.8)
-    e2 = abs(phase_quadrature.loop_mass(measure.MeasureSpec(ctx80, 1.0, g2)) - 0.8)
+    e1 = abs(phase_quadrature.loop_mass(ctx80, g) - 0.8)
+    e2 = abs(phase_quadrature.loop_mass(ctx80, g2) - 0.8)
     assert e2 <= e1 / 2
 
 
-def test_measure_spec_validation(ctx80):
-    g = contour.trace_gamma(ctx80, 1.0)
-    with pytest.raises(ValueError):
-        measure.MeasureSpec(ctx80, math.inf, g)
-    with pytest.raises(ValueError):
-        measure.MeasureSpec(ctx80, 1.0, None)
-    with pytest.raises(ValueError):
-        measure.MeasureSpec(ctx80, 2.0, g)
-    spec = measure.make_measure(ctx80, math.inf)
-    assert spec.gamma is None
-
-
-def test_nu_density_positive_off_the_corner(ctx81, mu81_r0):
+def test_nu_density_positive_off_the_corner(ctx81, gamma81_r0):
     b1 = float(ctx81.beta1)
-    for p in mu81_r0.gamma.points[::17]:
-        d = measure.nu_arclength_density(mu81_r0, p)
+    for p in gamma81_r0.points[::17]:
+        d = measure.nu_density_at(ctx81, p)
         assert d >= 0
         if abs(p - b1) > 1e-9:
             assert d > 0
 
 
-def test_nu_density_hand_value_at_crossing(ctx81, mu81_r0):
+def test_nu_density_hand_value_at_crossing(ctx81):
     # |R(x_0)/x_0| / (2 pi) against the mpmath R
     x0 = contour.axis_crossing(ctx81, 0.0)
-    d = measure.nu_arclength_density(mu81_r0, complex(x0))
+    d = measure.nu_density_at(ctx81, complex(x0))
     with mp.workprec(256):
         ref = abs(landscape.R_eval(ctx81, mp.mpc(x0)) / x0) / (2 * mp.pi)
         assert abs(d - float(ref)) <= 1e-12
-
-
-def test_nu_density_off_curve_rejected(ctx81, mu81_r0):
-    with pytest.raises(DomainError):
-        measure.nu_arclength_density(mu81_r0, 1.0 + 1.0j)
-    atom = measure.make_measure(ctx81, math.inf)
-    with pytest.raises(DomainError):
-        measure.nu_arclength_density(atom, 0j)
 
 
 def test_cdf_interval_range_and_monotonicity(ctx81):
@@ -142,11 +122,11 @@ def test_interval_phase_matches_cdf_interval(A):
     assert all(u < v for u, v in zip(vals, vals[1:]))
 
 
-def test_loop_cdf_points(mu81_r0):
-    arcs, cum = measure.loop_cdf_points(mu81_r0)
-    assert len(arcs) == len(cum) == len(mu81_r0.gamma.points)
+def test_loop_cdf_points(gamma81_r0):
+    arcs, cum = measure.loop_cdf_points(gamma81_r0)
+    assert len(arcs) == len(cum) == len(gamma81_r0.points)
     assert cum[0] == 0
-    assert cum[len(mu81_r0.gamma.upper_arc) - 1] == 0.81 / 2
+    assert cum[len(gamma81_r0.upper_arc) - 1] == 0.81 / 2
     assert cum[-1] == 0.81
     assert all(b > a for a, b in zip(cum, cum[1:]))
 
@@ -160,9 +140,9 @@ def test_loop_cdf_is_im_phi(A, r):
     # the mass from x_r is Im phi/pi + A/2 on the upper arc, against the
     # 256-bit phi at every vertex, endpoints included
     ctx = landscape.make_context(A)
-    spec = measure.make_measure(ctx, r)
-    _, cum = measure.loop_cdf_points(spec)
-    for p, m in zip(spec.gamma.upper_arc, cum):
+    gamma = contour.trace_gamma(ctx, r)
+    _, cum = measure.loop_cdf_points(gamma)
+    for p, m in zip(gamma.upper_arc, cum):
         phi = landscape.phi_eval(ctx, p, side=landscape.BoundarySide.ABOVE)
         assert abs(m - (mp.im(phi) / mp.pi + ctx.A / 2)) <= 1e-12
 
@@ -171,31 +151,32 @@ def test_loop_cdf_is_im_phi(A, r):
 def test_loop_cdf_matches_trapezoid(A, r):
     # the cumulative trapezoid of the arclength density, whose own error
     # is the polyline's
-    spec = measure.make_measure(landscape.make_context(A), r)
-    _, cum = measure.loop_cdf_points(spec)
-    _, want = phase_quadrature.loop_cdf_trapezoid(spec)
+    ctx = landscape.make_context(A)
+    gamma = contour.trace_gamma(ctx, r)
+    _, cum = measure.loop_cdf_points(gamma)
+    _, want = phase_quadrature.loop_cdf_trapezoid(ctx, gamma)
     assert max(abs(cum - want)) <= 5e-6
 
 
-def test_loop_quantiles(ctx81, mu81_r0):
-    qs = measure.loop_quantiles(mu81_r0, 9)
+def test_loop_quantiles(gamma81_r0):
+    qs = measure.loop_quantiles(gamma81_r0, 9)
     assert len(qs) == 9
     assert len(set(qs)) == 9
-    _, dist = contour.project_to_loop(mu81_r0.gamma, qs)
+    _, dist = contour.project_to_loop(gamma81_r0, qs)
     assert all(d <= 1e-9 for d in dist)
 
 
 @pytest.mark.parametrize("k", [8, 9])
-def test_loop_quantiles_are_conjugate_symmetric(mu81_r0, k):
-    qs = measure.loop_quantiles(mu81_r0, k)
+def test_loop_quantiles_are_conjugate_symmetric(gamma81_r0, k):
+    qs = measure.loop_quantiles(gamma81_r0, k)
     assert len(qs) == k
     assert sorted(qs, key=lambda q: (q.real, q.imag)) == sorted(
         (q.conjugate() for q in qs), key=lambda q: (q.real, q.imag))
-    x_r = mu81_r0.gamma.points[0]
+    x_r = gamma81_r0.points[0]
     assert [q for q in qs if q.imag == 0] == [x_r] * (k % 2)
     # masses (j + 1/2) A/k for even k, j A/k for odd k
-    arcs, cum = measure.loop_cdf_points(mu81_r0)
-    s, _ = contour.project_to_loop(mu81_r0.gamma, qs)
+    arcs, cum = measure.loop_cdf_points(gamma81_r0)
+    s, _ = contour.project_to_loop(gamma81_r0, qs)
     got = sorted(np.interp(s, arcs, cum))
     want = (np.arange(k) + (0.0 if k % 2 else 0.5)) * 0.81 / k
     assert max(abs(got - want)) <= 1e-9
@@ -261,18 +242,18 @@ def test_log_potential_far_field_finite_r(ctx80):
 def test_log_potential_inside_loop(ctx80, r):
     # inside Gamma_r, and at its limit point 0, against the polyline
     # Simpson oracle, whose own error is the polyline's
-    spec = measure.make_measure(ctx80, r)
+    gamma = contour.trace_gamma(ctx80, r)
     x_r = contour.axis_crossing(ctx80, r)
-    for z in (0j, complex(x_r / 2), 0.5j * spec.gamma.im_max):
-        assert phase_quadrature.even_odd(spec.gamma, [z]) == [True]
-        want = phase_quadrature.log_potential(spec, z)
+    for z in (0j, complex(x_r / 2), 0.5j * max(p.imag for p in gamma.points)):
+        assert phase_quadrature.even_odd(gamma, [z]) == [True]
+        want = phase_quadrature.log_potential(ctx80, gamma, z)
         assert abs(measure.log_potential(ctx80, r, z) - want) <= 1e-5
 
 
 def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
     # g_eval's support guard projects once a point; the log potential
     # reads inside, outside and its support off phi and projects never
-    spec = measure.make_measure(ctx80, 1.0)
+    im_max = max(p.imag for p in contour.trace_gamma(ctx80, 1.0).points)
     landscape.g_eval(ctx80, 4 + 0j)  # traces Gamma_0 before counting
     calls = []
     project = contour.project_to_loop
@@ -283,7 +264,7 @@ def test_g_eval_and_log_potential_project_once(ctx80, monkeypatch):
 
     monkeypatch.setattr(contour, "project_to_loop", counting)
     x_r = contour.axis_crossing(ctx80, 1.0)
-    for z in (complex(x_r / 2), 0.5j * spec.gamma.im_max, 4 + 0j, -2 + 3j):
+    for z in (complex(x_r / 2), 0.5j * im_max, 4 + 0j, -2 + 3j):
         measure.log_potential(ctx80, 1.0, z)
     assert len(calls) == 0
     for z in (4 + 0j, -2 + 3j):

@@ -89,7 +89,7 @@ def test_sweep_counts_and_moments(n, alpha, bits, sweeps):
     # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2), with
     # the pair sums in float64 (the last three are the fixed-point
     # kernel's counts, which the float rows keep)
-    zset, _ = harness.compute_zeros(n, alpha, precision_bits=bits)
+    zset = harness.compute_zeros(n, alpha, precision_bits=bits)
     assert zset.precision_bits == bits
     assert zset.iterations == sweeps
     # sum z = -c_{n-1} and sum z^2 = c_{n-1}^2 - 2 c_{n-2} (Newton's identities)
@@ -243,7 +243,7 @@ def test_real_zeros_carry_no_imaginary_dust():
 def test_zeros_come_back_in_exact_conjugate_pairs():
     # (96, -76.0000011): 20 positive zeros and 38 pairs (Szego, Thm 6.73);
     # each pair is iterated once, so the twins are exact conjugates
-    zset, _ = harness.compute_zeros(96, "-76.0000011")
+    zset = harness.compute_zeros(96, "-76.0000011")
     assert sum(1 for z in zset.zeros if z.imag == 0) == 20
     values = {(z.real, z.imag) for z in zset.zeros}
     with mp.workprec(zset.precision_bits):
@@ -262,7 +262,7 @@ def test_horner_calls_per_representative(monkeypatch):
             return evaluate(*args)
 
         monkeypatch.setattr(rootfinder, name, counted)
-    zset, _ = harness.compute_zeros(88, "-71.2909", precision_bits=416)
+    zset = harness.compute_zeros(88, "-71.2909", precision_bits=416)
     assert len(zset.zeros) == 88
     assert zset.precision_bits == 416
     assert len(calls) <= (zset.iterations + 4) * (88 + 18) // 2
@@ -284,7 +284,7 @@ def test_certificate_rounds_no_ring_of_its_own(monkeypatch, n, alpha, reps, roun
             return evaluate(*args)
 
         monkeypatch.setattr(mod, name, counted)
-    zset, _ = harness.compute_zeros(n, alpha)
+    zset = harness.compute_zeros(n, alpha)
     assert len(zset.zeros) == n and zset.suspect == ()
     assert calls["_fixed_horner"] == reps
     assert calls["_scaled_coefficients"] <= roundings
@@ -325,7 +325,7 @@ def test_certificate_matches_the_full_distance_matrix(n, alpha, few):
     # set of every distance taken on its own, bit for bit: at the returned
     # zeros, and at them cut to few bits, where some neighbouring disks
     # meet and others do not (with a tolerance of 1 for the radii)
-    zset, _ = harness.compute_zeros(n, alpha)
+    zset = harness.compute_zeros(n, alpha)
     coeffs = laguerre.monic_rescaled(n, alpha)
     prec = zset.precision_bits + rootfinder._guard_bits(coeffs) + 16
     fixed = rootfinder._to_fixed(zset.zeros, prec)
@@ -343,8 +343,8 @@ def test_integer_case_rounds_every_part_correctly():
     # (112, -89) leaves 23 real zeros that lose 40-56 bits to cancellation:
     # with the coefficients widened by it, each of the 46 parts at 512 bits
     # is a 1024-bit run's rounded to 512 bits
-    zset, _ = harness.compute_zeros(112, "-89", precision_bits=512)
-    ref, _ = harness.compute_zeros(112, "-89", precision_bits=1024)
+    zset = harness.compute_zeros(112, "-89", precision_bits=512)
+    ref = harness.compute_zeros(112, "-89", precision_bits=1024)
     assert zset.precision_bits == 512 and len(zset.zeros) == 23
     with mp.workprec(512):
         assert [(z.real, z.imag) for z in zset.zeros] == \
@@ -367,7 +367,7 @@ def test_lift_matches_full_precision_sweeps(monkeypatch, n, alpha):
         return find(coeffs, bits, **kwargs)
 
     monkeypatch.setattr(rootfinder, "find_zeros", spy)
-    zset, _ = harness.compute_zeros(n, alpha)
+    zset = harness.compute_zeros(n, alpha)
     (coeffs, bits, seeds), = runs
     assert bits > rootfinder.LOW_BITS
     assert zset.suspect == ()
@@ -563,7 +563,7 @@ def _sound_case(name):
         mon = _wilkinson(6)
         return mon, rootfinder.find_zeros(mon, 256)
     if name == "compute_zeros":
-        zset, _ = harness.compute_zeros(40, "-31.99999886")
+        zset = harness.compute_zeros(40, "-31.99999886")
         return laguerre.monic_rescaled(40, "-31.99999886"), zset
     if name == "ring-edges":
         # the pair (6 +- 8i) e / 5, of modulus 2e
@@ -684,7 +684,7 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # most of their digits: from the seeds above the sweep still
     # converges, with residuals far below tol, to zeros wrong by far more
     # than tol (up to 1.5e-27 against 1.9e-34 at 224 bits)
-    ref, _ = harness.compute_zeros(60, "-45.25", precision_bits=512)
+    ref = harness.compute_zeros(60, "-45.25", precision_bits=512)
     seeds = [mp.mpc(*z) for z in _TRAPEZOID_LAYOUT_SEEDS]
     coeffs = laguerre.monic_rescaled(60, "-45.25")
     drop = rootfinder._guard_bits(coeffs) + 16
@@ -714,7 +714,7 @@ def test_guardless_run_flags_its_wrong_zeros(monkeypatch, bits):
     # rounding of cs, (n + 1) 2^-(prec + 1) at their prec = bits
     assert min(zset.residuals) >= 61 * mp.mpf(2) ** -(bits + 1)
     # compute_zeros retries a suspect (or unconverged) first pass
-    got, _ = harness.compute_zeros(60, "-45.25", precision_bits=bits)
+    got = harness.compute_zeros(60, "-45.25", precision_bits=bits)
     with mp.workprec(512):
         assert all(min(abs(w - z) for w in ref.zeros) <= tol * max(1, abs(z))
                    for z in got.zeros)
@@ -809,7 +809,7 @@ def test_ring_certificate_bound_holds(n, alpha):
     # the ring they are certified in: those are bounded in their own ring,
     # which keeps no rounding afterwards
     coeffs = laguerre.monic_rescaled(n, alpha)
-    zset, _ = harness.compute_zeros(n, alpha)
+    zset = harness.compute_zeros(n, alpha)
     bits = zset.precision_bits
     prec = bits + rootfinder._guard_bits(coeffs) + 16
     rings = tropical.Rings([round(c * (1 << prec)) for c in coeffs], prec,
@@ -864,7 +864,7 @@ def test_newton_polygon_seeds_follow_the_real_zeros(n, alpha):
     # the polynomial has real zeros there, so that the paired sweeps can
     # reach every zero
     real = laguerre.real_zero_split(n, alpha)
-    seeds = rootfinder.initial_guesses(n, laguerre.monic_rescaled(n, alpha), real)
+    seeds = rootfinder.initial_guesses(laguerre.monic_rescaled(n, alpha), real)
     assert len(seeds) == n
     on_axis = [z.real for z in seeds if z.imag == 0]
     _, twin = rootfinder._conjugate_classes(seeds)
@@ -899,7 +899,7 @@ def test_seeds_split_a_pair_for_a_missing_real_zero():
         quadratic = (a * a + b * b, -2 * a, Fraction(1))
         mon = tuple(sum(mon[i] * quadratic[k - i] for i in range(len(mon))
                         if 0 <= k - i < 3) for k in range(len(mon) + 2))
-    seeds = rootfinder.initial_guesses(9, mon, (0, 3))
+    seeds = rootfinder.initial_guesses(mon, (0, 3))
     on_axis = [z.real for z in seeds if z.imag == 0]
     assert len(on_axis) == 3 and all(x < 0 for x in on_axis)
     zset = rootfinder.find_zeros(mon, 256, seeds=seeds)
@@ -911,7 +911,7 @@ def test_seeds_split_a_pair_for_a_missing_real_zero():
                       key=rootfinder._sorted_key)
         assert all(abs(z - w) <= mp.mpf(2) ** -120 for z, w in zip(zset.zeros, want))
     with pytest.raises(ValueError):
-        rootfinder.initial_guesses(9, mon, (0, 2))
+        rootfinder.initial_guesses(mon, (0, 2))
 
 
 def test_nonconvergence_message_is_short(monkeypatch):
@@ -934,7 +934,7 @@ def test_determinism():
 
 def test_initial_guesses_circle_fallback():
     coeffs = (Fraction(-2 ** 7),) + (Fraction(0),) * 6 + (Fraction(1),)
-    guesses = rootfinder.initial_guesses(7, coeffs)
+    guesses = rootfinder.initial_guesses(coeffs)
     assert len(guesses) == 7
     assert len(set(guesses)) == 7
 
@@ -944,7 +944,7 @@ def test_initial_guesses_circle_fallback():
 def test_seeds_without_a_real_count_run_unpaired(coeffs):
     # no seed is real and none has its conjugate among the seeds, so the
     # kernel runs each on its own and may move it onto or off the axis
-    seeds = rootfinder.initial_guesses(len(coeffs) - 1, coeffs)
+    seeds = rootfinder.initial_guesses(coeffs)
     assert all(z.imag != 0 for z in seeds)
     reps, twin = rootfinder._conjugate_classes(seeds)
     assert reps == seeds and not any(twin)
