@@ -10,8 +10,8 @@ alpha = -n A, A in (0, 1).  Modules:
 - tropical:    the Newton polygon of the coefficients: seeds, and the
                scales and words of the root solver's evaluations
 - landscape:   potential-theoretic machinery (R, phi, g, constants)
-- contour:     tracing of the predicted limit curves Gamma_r; distance
-               and projection to the limit set
+- contour:     tracing of the predicted limit curves Gamma_r; foot
+               points, distance and projection to the limit set
 - measure:     limit measures mu_r, quantiles, CDFs, log potentials
 - asymptotics: strong asymptotics in the outer and oscillatory regions
 - harness:     end-to-end comparison of computed zeros against predictions

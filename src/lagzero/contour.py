@@ -2,9 +2,8 @@
 
 The curves are closed, encircle the origin once clockwise, and avoid
 (beta1, inf); together with [beta1, beta2] they form the predicted limit
-set for the zeros.  Tracing runs in float64 on the landscape module's
-closed-form phi, evaluated with cmath, within 1e-13 of the mpmath phase
-and far below the 1e-9 level tolerance.
+set for the zeros.  Everything here runs on the closed-form phi in cmath,
+within 1e-13 of the mpmath phase, far below the 1e-9 level tolerance.
 
 Only the upper half of each curve is traced, and in w = log z: it is the
 preimage of r/2 + i t, t in [-A pi/2, 0], under phi, and d phi/dw = R/2
@@ -12,10 +11,10 @@ stays bounded away from 0 near the origin, so a loop shrunk to 1e-40 by a
 large r costs what Gamma_0 costs.  Both real-axis crossings come from
 Newton in log|x| (the negative-axis crossing x_r and the positive crossing
 in (0, beta1], which is beta1 itself when r = 0), so the lower half is
-the conjugate mirror and closure is structural.
-
-The polyline serves distances, projections and the loop CDF; which side
-of the loop a point lies on is read off phi itself (point_in_loop).
+the conjugate mirror and closure is structural.  The polyline seeds the
+foot points (foot_points), where phi gives each zero's distance to the
+loop and its loop CDF; the inside of the loop is read off phi itself
+(point_in_loop).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import cmath
 import math
 import numbers
 import sys
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -36,6 +35,7 @@ DEFAULT_LEVEL_TOL = 1e-9
 _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
 _STEP_BUDGET = 100_000
+_FOOT_ITERS = 10
 SPAN_STEPS = 400  # trace_gamma's default max_step is (beta2 - beta1) / SPAN_STEPS
 # log of the smallest normal double: a loop below it underflows
 _LOG_TINY = math.log(sys.float_info.min)
@@ -47,10 +47,9 @@ class ContourPolyline:
 
     points[-1] == points[0]; arclengths are cumulative and share the
     indexing.  Every vertex satisfies |Re phi - r/2| <= DEFAULT_LEVEL_TOL.
-    upper_mass holds Im phi/pi + A/2 at each vertex of upper_arc, the nu_r
-    mass from x_r to it: 0 at x_r, A/2 at the positive crossing, and the
-    tracer's own phi at the vertices between (empty for a polyline built
-    by hand).
+    upper_mass holds the nu_r mass from x_r, Im phi/pi + A/2, at each vertex
+    of upper_arc: 0 at x_r, A/2 at the positive crossing (empty for a
+    polyline built by hand).
     """
 
     points: Tuple[complex, ...]
@@ -61,8 +60,7 @@ class ContourPolyline:
 
     @property
     def upper_arc(self) -> Tuple[complex, ...]:
-        """The traced half, x_r to the positive crossing; every later
-        vertex is the conjugate of one of these."""
+        """The traced half, x_r to the positive crossing; the rest mirror it."""
         return self.points[: len(self.points) // 2 + 1]
 
 
@@ -120,18 +118,16 @@ def trace_gamma(
 
     Along the upper arc Im phi rises monotonically from -A pi/2 at x_r to
     0 at the positive crossing, so the arc is phi^{-1}(r/2 + i t) for t in
-    [-A pi/2, 0].  Continuation in t: the predictor is w + i dt 2/R (the
-    derivative d phi/dw = R/2 is bounded, and |R| -> A at the origin, so a
-    loop of radius 1e-40 costs what Gamma_0 costs), the corrector is Newton
-    on phi(e^w) = r/2 + i t.  Each step is a chord of length
-    h = min(max_step, theta |z|, theta/kappa), theta = max_step/(beta2 -
-    beta1) capped at 1/4, with kappa the curvature of the level line;
-    dt = h |phi'(z)|.  Both real-axis crossings come from Newton in log|x|.
+    [-A pi/2, 0].  Continuation in t: the predictor is w + i dt 2/R (|R| -> A
+    at the origin), the corrector is Newton on phi(e^w) = r/2 + i t.  Each
+    step is a chord of length h = min(max_step, theta |z|, theta/kappa),
+    theta = max_step/(beta2 - beta1) capped at 1/4, with kappa the curvature
+    of the level line; dt = h |phi'(z)|.
 
     For r = 0 the curve ends in a corner at beta1, a branch point where R
     vanishes; within 10 max_step of it the chord is graded to a third of
     the gap down to 3e-6 min(beta2 - beta1, beta1), and beta1 is inserted
-    exactly.  The lower half is the conjugate mirror of the upper half.
+    exactly.
 
     Raises DomainError when beta2 = beta1 (A = 1) or max_step <= 0,
     BracketError when x_r underflows, and ClosureError when Newton fails
@@ -229,15 +225,14 @@ def project_to_loop(
     nearest polyline point and the distance to it, as lists of floats;
     ties go to the first segment.
 
-    Exact, and equal bit for bit to a loop over every segment: distances
-    are abs() of a builtin complex, which rounds like hypot.  Every polyline
-    point within arclength L past a vertex v lies within L of v, so the
-    walk along the polyline skips the segments that end less than
-    |z - v| - best - margin of arclength past v, best being the nearest
-    distance so far (at first that of the nearest of about sqrt(len)
-    evenly spaced vertices).  The margin, 1e-13 |z| + 1e-9 (|pts[0]| + 2
-    length), covers the float64 rounding: ulps of |z| and of the vertices in
-    the distances, up to an ulp of the length per vertex in the arclengths.
+    Exact, and equal bit for bit to a loop over every segment (abs() of a
+    builtin complex rounds like hypot).  Every polyline point within
+    arclength L past a vertex v lies within L of v, so the walk skips the
+    segments that end less than |z - v| - best - margin past v, best being
+    the nearest distance so far (at first that of the nearest of about
+    sqrt(len) evenly spaced vertices).  The margin, 1e-13 |z| + 1e-9
+    (|pts[0]| + 2 length), covers the float64 rounding of distances and
+    arclengths.
     """
     pts, arcs = gamma.points, gamma.arclengths
     last = len(pts) - 1
@@ -273,6 +268,45 @@ def project_to_loop(
     return s_out, d_out
 
 
+def foot_points(ctx: PotentialContext, gamma: ContourPolyline,
+                zs) -> Tuple[List[complex], List[complex]]:
+    """Per point z of zs (one point or an iterable): its foot p, the
+    nearest point of Gamma_r, and phi(p), as two lists.
+
+    Newton in float64 on Re phi(p) = r/2 and Im[(z - p) phi'(p)] = 0, with
+    phi' = R/(2p), phi'' = (p R' - R)/(2p^2) and R' = (p - (beta1 + beta2)/2)/R,
+    from the projection of z onto the polyline (the global nearest point),
+    until the step is at most 1e-12 |p|.  A real z starts on the axis and
+    stays there (Im p = +0.0, x_r on the upper side of the cut).  ClosureError
+    past _FOOT_ITERS steps; DomainError at r = 0 (phi' = 0 at beta1).
+    """
+    if not gamma.r > 0:
+        raise DomainError(f"foot points need r > 0, got {gamma.r}")
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    pts, arcs, zs = gamma.points, gamma.arclengths, _as_points(zs)
+    feet, phis = [], []
+    for z, s in zip(zs, project_to_loop(gamma, zs)[0]):
+        k = min(bisect_right(arcs, s), len(arcs) - 1) - 1
+        p = pts[k] + (s - arcs[k]) / (arcs[k + 1] - arcs[k]) * (pts[k + 1] - pts[k])
+        p = complex(p.real, 0.0) if z.imag == 0 else p
+        for _ in range(_FOOT_ITERS):
+            f, R = _phase(A, b1, b2, p)
+            d1 = R / (2 * p)
+            dg = (z - p) * ((p - (b1 + b2) / 2) / R - R / p) / (2 * p) - d1
+            # solve Re(d1 dp) = r/2 - Re f and Im(dg dp) = -Im((z - p) d1)
+            u, v = gamma.r / 2 - f.real, -((z - p) * d1).imag
+            det = d1.real * dg.real + d1.imag * dg.imag
+            dp = complex(u * dg.real + v * d1.imag, v * d1.real - u * dg.imag) / det
+            if abs(dp) <= 1e-12 * abs(p):
+                break
+            p += dp
+        else:
+            raise ClosureError(f"the foot of {z:.6g} on Gamma_{gamma.r} did not converge")
+        feet.append(p)
+        phis.append(f)
+    return feet, phis
+
+
 def interval_gap(ctx: PotentialContext, zs) -> List[float]:
     """Distance from each point of zs (one point or an iterable) to the
     real segment [beta1, beta2]."""
@@ -292,12 +326,10 @@ def limit_set_distance(
 def point_in_loop(ctx: PotentialContext, r: float, z: complex) -> bool:
     """Whether z lies inside Gamma_r, from phi, which defines the loop.
 
-    Every Gamma_r lies in the disk |z| <= beta1, and inside that disk
-    Re phi > r/2 holds exactly inside the loop (Re phi grows like
-    -(A/2) log|z| at the origin): so True at z = 0, False where
-    |z| >= beta1, and otherwise whether Re phi(z) > r/2, from the
-    tracer's float64 phase.  OnBoundary where |Re phi - r/2| is within
-    DEFAULT_LEVEL_TOL, the tolerance the traced vertices hold.
+    Every Gamma_r lies in |z| <= beta1, and in that disk Re phi > r/2
+    (-(A/2) log|z| at the origin) holds exactly inside the loop: True at
+    z = 0, False where |z| >= beta1, else Re phi(z) > r/2 in float64.
+    OnBoundary where |Re phi - r/2| <= DEFAULT_LEVEL_TOL, as on the vertices.
     """
     z = complex(z)
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
@@ -325,9 +357,8 @@ def winding_number(gamma: ContourPolyline, z: complex = 0j) -> int:
 
 
 def polyline_csv(gamma: ContourPolyline) -> str:
-    """CSV dump: header re,im,arclength, one vertex per row, explicit
-    closure (final row duplicates the first vertex), and a footer comment
-    row recording the winding number."""
+    """CSV dump: header re,im,arclength, one vertex per row, the first
+    repeated last, and a footer comment row with the winding number."""
     lines = ["re,im,arclength"]
     for p, s in zip(gamma.points, gamma.arclengths):
         lines.append(f"{p.real!r},{p.imag!r},{s!r}")

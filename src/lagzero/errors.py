@@ -53,7 +53,7 @@ class BracketError(LagzeroError):
 
 
 class ClosureError(LagzeroError):
-    """Contour continuation failed: Newton stalled or the step budget ran out."""
+    """Contour tracing or a foot point failed: Newton stalled or ran out of steps."""
 
 
 class PlanError(DomainError):

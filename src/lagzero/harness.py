@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -191,15 +190,6 @@ def _counts(labels: Sequence[str]) -> Tuple[int, int, int]:
     return tuple(labels.count(lab) for lab in ("loop", "interval", "outlier"))
 
 
-def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
-    # piecewise-linear interpolation, as slope * (x - xp[j]) + fp[j] on the
-    # last segment with xp[j] <= x; xp increasing and x in [xp[0], xp[-1]]
-    j = bisect_right(xp, x) - 1
-    if j == len(xp) - 1 or xp[j] == x:
-        return fp[j]
-    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
-
-
 def _ks(cdf: Sequence[float]) -> float:
     # cdf: the normalised limit CDF at the sorted sample points; sup
     # distance to the empirical CDF on both sides of each jump
@@ -208,12 +198,18 @@ def _ks(cdf: Sequence[float]) -> float:
                 for j, f in enumerate(cdf)), default=0.0)
 
 
+def _coarse_loop(ctx, r_hat: float) -> contour.ContourPolyline:
+    # Gamma_{r_hat} at 8 times the default max_step, the one trace of zeros and
+    # verify, for seeds and foot points (at 16, (80, -64.7741) took a 9th sweep)
+    step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
+    return contour.trace_gamma(ctx, r_hat, step)
+
+
 def _seeds_for(n: int, alpha: Fraction, ctx, loop):
-    # the positive zeros live on the interval (laguerre.real_zero_split).
-    # For integer alpha (r = inf, loop None) the origin holds the others,
-    # which find_zeros strips; otherwise the loop does, one of them negative
-    # exactly when floor(-alpha) is odd, the rest conjugate pairs, and
-    # loop_quantiles has that layout
+    # the positive zeros live on the interval (laguerre.real_zero_split),
+    # the others at the origin for integer alpha (loop None; find_zeros
+    # strips them), else on the loop: one negative exactly when floor(-alpha)
+    # is odd, the rest conjugate pairs, the layout of loop_quantiles
     positive, _ = laguerre.real_zero_split(n, alpha)
     seeds = measure.interval_quantiles(ctx, positive)
     if loop is not None:
@@ -228,16 +224,14 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfi
     laguerre.monic_rescaled, for every alpha, and rounds them itself; for
     integer alpha in {-n..-1} it counts the zero low coefficients as
     zset.origin_multiplicity. Inside the theorem range it starts from
-    quantiles of the limit measure mu_{r_hat} (see _seeds_for), with the
-    loop's interpolated on Gamma_{r_hat} traced at 8 times the default
-    max_step (at 16 times, (80, -64.7741) took a ninth sweep); run_comparison
-    traces the default step. Outside the range it starts from the circles of the Newton polygon
-    (tropical.initial_guesses), with as many real seeds on each side of 0
-    as laguerre.real_zero_split counts zeros there. The default precision
-    is rootfinder.start_precision's. Retries once at doubled precision,
-    logging why at DEBUG, on NonConvergence or suspect zeros; a second
-    NonConvergence propagates, and a second suspect set is returned as it
-    is. precision_bits below 64 raises DomainError.
+    quantiles of mu_{r_hat} (_seeds_for; the loop's on _coarse_loop), outside
+    it from the circles of the Newton polygon (tropical.initial_guesses),
+    with as many real seeds on each side of 0 as laguerre.real_zero_split
+    counts zeros there. The default precision is rootfinder.start_precision's.
+    Retries once at doubled precision, logging why at DEBUG, on
+    NonConvergence or suspect zeros; a second NonConvergence propagates, and
+    a second suspect set is returned as it is. precision_bits below 64
+    raises DomainError.
     """
     if n < 1:
         raise DomainError(f"degree n must be at least 1, got {n}")
@@ -248,9 +242,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfi
     a_n, ctx, loop = Fraction(-alpha_f, n), None, None
     if 0 < a_n < 1:
         ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
-        if not math.isinf(r_hat):
-            step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
-            loop = contour.trace_gamma(ctx, r_hat, step)
+        loop = None if math.isinf(r_hat) else _coarse_loop(ctx, r_hat)
     return _compute_zeros(n, alpha_f, precision_bits, ctx, loop)
 
 
@@ -288,34 +280,34 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     """Zeros of L_n^{(alpha)}(nz) against the predicted limit set.
 
     Against the limit measure the zeros were seeded from, its Gamma_r traced
-    once, at the default max_step. Classification is interval-first inside
-    the tolerance band, then loop, then outlier; the origin multiplicity of
-    integer alpha counts toward the loop mass (the limit measure's atom at 0).
+    once (_coarse_loop), with each zero's loop distance and CDF read off phi
+    at its foot (contour.foot_points; r_hat >= log 2/n, so never r = 0).
+    Classification is interval-first inside the tolerance band, then loop,
+    then outlier; the origin multiplicity of integer alpha counts toward the
+    loop mass (the limit measure's atom at 0).
     """
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
     ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
-    gamma = None if math.isinf(r_hat) else contour.trace_gamma(ctx, r_hat)
+    gamma = None if math.isinf(r_hat) else _coarse_loop(ctx, r_hat)
     zset = _compute_zeros(n, alpha_f, opts.precision_bits, ctx, gamma)
     origin_mult = zset.origin_multiplicity
     valid = not zset.suspect
 
-    # one projection per zero; every tolerance below only thresholds it
+    # one foot point per zero; every tolerance below only thresholds it
     zeros = [complex(z) for z in zset.zeros]
     d_int = contour.interval_gap(ctx, zeros)
-    if gamma is None:
-        s_loop, d_loop = None, [abs(z) for z in zeros]
-    else:
-        s_loop, d_loop = contour.project_to_loop(gamma, zeros)
+    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    d_loop, cdf = [abs(z) for z in zeros], []
+    if gamma is not None:
+        feet, phis = contour.foot_points(ctx, gamma, zeros)
+        d_loop = [abs(z - p) for z, p in zip(zeros, feet)]
+        # the nu_r mass clockwise from x_r, over A: Im phi/pi + A/2 on both halves
+        cdf = [0.5 + f.imag / (A * math.pi) for f in phis]
     labels = _classify(zeros, d_int, d_loop, opts.classify_tol)
     n_loop, n_int, n_out = _counts(labels)
     max_dev = max(map(min, d_int, d_loop), default=0.0)
-    ks_loop, ss = 0.0, []
-    if gamma is not None:
-        arcs, cum = measure.loop_cdf_points(gamma)
-        ss = sorted(s for s, lab in zip(s_loop, labels) if lab == "loop")
-        ks_loop = _ks([_interp(s, arcs, cum) / cum[-1] for s in ss])
-    A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    ss = sorted(u for u, lab in zip(cdf, labels) if lab == "loop")
     xs = sorted(z.real for z, lab in zip(zeros, labels) if lab == "interval")
     ks_interval = _ks([measure.interval_phase(A, b1, b2, x) / math.pi / (1 - A)
                        for x in xs])
@@ -336,7 +328,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
         interval_count=n_int,
         outlier_count=n_out,
         ks_interval=ks_interval,
-        ks_loop=ks_loop,
+        ks_loop=_ks(ss),
         mass_error=abs(float(mass)),
         residual_max=float(max(zset.residuals, default=mp.mpf(0))),
         origin_multiplicity=origin_mult,

@@ -4,20 +4,20 @@ nu_r lives on the loop Gamma_r with arclength density |R(p)/p|/(2*pi)
 and total mass A; the interval part is the Marchenko-Pastur-type density
 sqrt((x-beta1)(beta2-x))/(2*pi*x) on [beta1, beta2] with mass 1-A.  The
 r = infinity case replaces the loop by an atom of mass A at the origin.
-No type holds mu_r: the interval part is the PotentialContext, and nu_r
-is the traced polyline of Gamma_r (contour.trace_gamma), which carries
-its own r and mass; callers pass no polyline (None) for the atom.
+No type holds mu_r: the interval part is the PotentialContext, nu_r the
+traced Gamma_r (contour.trace_gamma), and None the atom.
 
 Both CDFs are closed forms in the landscape module's phi.  On the
 interval F(x) = Im phi_+(x)/pi.  interval_phase evaluates Im phi_+ in
 cmath, for the interval quantiles (the root finder's seeds) and the
 harness's interval KS statistic; cdf_interval evaluates F in mpmath at
 LANDSCAPE_BITS, for the oscillatory asymptotics only.  Along Gamma_r,
-where Re phi = r/2, dnu_r = d(Im phi)/pi: the tracer keeps Im phi at
-every vertex it places (gamma.upper_mass), and the loop quantiles
-interpolate linearly between the vertices.  The log potential follows
-from phi and the constant ell.  Only the interval mass integrates against
-the density in mpmath (landscape.interval_integral).
+where Re phi = r/2, dnu_r = d(Im phi)/pi: the mass clockwise from x_r is
+Im phi/pi + A/2 on both halves, kept at every upper vertex by the tracer
+(gamma.upper_mass) for the loop quantiles, and read off phi at each
+zero's foot (contour.foot_points) for the harness's loop KS.  The log
+potential follows from phi and the constant ell.  Only the interval mass
+integrates against the density in mpmath (landscape.interval_integral).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from typing import List, Tuple, Union
+from typing import List, Union
 
 from mpmath import mp
 
@@ -69,10 +69,8 @@ def mp_density(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
 
 
 def nu_density_at(ctx: PotentialContext, p: complex) -> float:
-    """Arclength density |R(p)/p| / (2 pi) of nu_r at a point p of
-    Gamma_r, in float64; p is not checked to lie on the loop.  Positive
-    everywhere on Gamma_r except at the r = 0 corner beta1, where R
-    vanishes."""
+    """Arclength density |R(p)/p| / (2 pi) of nu_r at p on Gamma_r (not
+    checked), in float64: positive but at the r = 0 corner beta1, where R = 0."""
     b1, b2 = float(ctx.beta1), float(ctx.beta2)
     rp = cmath.sqrt(p - b1) * cmath.sqrt(p - b2)
     return abs(rp / p) / (2 * math.pi)
@@ -80,21 +78,6 @@ def nu_density_at(ctx: PotentialContext, p: complex) -> float:
 
 # ---------------------------------------------------------------------------
 # masses and CDFs
-
-
-def loop_cdf_points(gamma: contour.ContourPolyline) -> Tuple[List[float], List[float]]:
-    """Cumulative nu_r mass at each vertex, clockwise from x_r, in closed form.
-
-    dnu_r = R(s) ds / (2 pi i s) and phi' = R/(2z), with Re phi = r/2
-    along Gamma_r, so dnu_r = d(Im phi)/pi: on the upper arc the mass
-    from x_r to p is (Im phi(p) + A pi/2)/pi, exactly 0 at x_r and A/2
-    at the positive crossing, which the tracer stores as
-    gamma.upper_mass.  The lower half is A minus the mirror, with A read
-    off the polyline as twice its last upper mass (exact).
-    """
-    half = list(gamma.upper_mass)
-    A = 2 * half[-1]
-    return list(gamma.arclengths), half + [A - m for m in reversed(half[:-1])]
 
 
 def interval_mass(ctx: PotentialContext) -> mp.mpf:
@@ -144,11 +127,10 @@ def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
     Gamma_r, and everywhere for the r = inf atom.  Inside Gamma_r,
     U = B + Re phi - r, which is harmonic (Re phi ~ -(A/2) log|z| at 0)
     and meets the outside value on Gamma_r, where Re phi = r/2.  Inside
-    is where Re phi itself says so: |z| < beta1, the disk that holds every
-    Gamma_r, and 2 Re phi > r (never for the atom); at z = 0 the inside
-    value is its limit.  So is the support, and no loop is traced:
-    DomainError for r not >= 0, on [beta1, beta2], at the atom, and on
-    Gamma_r (|z| < beta1, |Re phi - r/2| <= contour.DEFAULT_LEVEL_TOL).
+    is |z| < beta1 (the disk that holds every Gamma_r) and 2 Re phi > r
+    (never for the atom); at z = 0 the inside value is its limit.  No loop
+    is traced: DomainError for r not >= 0, on [beta1, beta2], at the atom,
+    and on Gamma_r (|z| < beta1, |Re phi - r/2| <= contour.DEFAULT_LEVEL_TOL).
     The precision grows with log2|z|, which B - Re phi loses at large |z|.
     """
     if not r >= 0:
@@ -177,12 +159,8 @@ def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
 
 def loop_quantiles(gamma: contour.ContourPolyline, k: int) -> List[complex]:
     """k points on the polyline at nu-mass (j+1/2)A/k for even k and
-    jA/k for odd k.
-
-    Both layouts are symmetric under conjugation: the points on the upper
-    arc come first, then x_r (exactly real) when k is odd, then the exact
-    conjugates of the upper-arc points.
-    """
+    jA/k for odd k, symmetric under conjugation: the upper-arc points, then
+    x_r (exactly real) when k is odd, then their exact conjugates."""
     if k <= 0:
         return []
     pts, cum = gamma.upper_arc, gamma.upper_mass
@@ -199,9 +177,8 @@ def loop_quantiles(gamma: contour.ContourPolyline, k: int) -> List[complex]:
 def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
     """k real points at Marchenko-Pastur quantiles (j+1/2)/k.
 
-    Bisection on pi F(x) = interval_phase(x) per target; it stops once a
-    halving leaves the bracket as it was, which every later halving would
-    too.
+    Bisection on pi F(x) = interval_phase(x) per target, until a halving
+    leaves the bracket as it was, as every later one would.
     """
     if k <= 0:
         return []

@@ -1,6 +1,7 @@
 """Quadrature reference for the phase phi, phi~, the interval CDF, the
-loop mass and CDF, and the potentials ell, g and U; and the inside of a
-traced polyline by the even-odd rule.
+loop mass and CDF, and the potentials ell, g and U; the inside of a
+traced polyline by the even-odd rule; and the loop CDF interpolated along
+a traced polyline, the oracle for the foot points' distances and CDF.
 
 Test-only: these are path integrals of the definitions, evaluated with
 landscape.quad_seg or summed over a traced polyline, against which the
@@ -16,6 +17,7 @@ reductions of the same integral with square-root substitutions.
 """
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 from mpmath import mp
@@ -303,6 +305,27 @@ def loop_mass(ctx, gamma):
     """Integral of the nu_r density over the polyline arclength (= A)."""
     dens, arcs = _vertex_densities(ctx, gamma)
     return _simpson_irregular(arcs, dens)
+
+
+def loop_cdf_points(gamma):
+    """(arclengths, cumulative nu_r mass) at each vertex, clockwise from x_r.
+
+    The upper arc carries the tracer's closed-form mass Im phi/pi + A/2
+    (gamma.upper_mass), exactly 0 at x_r and A/2 at the positive crossing;
+    the lower half is A minus the mirror, with A twice the last upper mass.
+    """
+    half = list(gamma.upper_mass)
+    A = 2 * half[-1]
+    return list(gamma.arclengths), half + [A - m for m in reversed(half[:-1])]
+
+
+def interp(x, xp, fp):
+    """Piecewise-linear interpolation, as slope * (x - xp[j]) + fp[j] on the
+    last segment with xp[j] <= x; xp increasing and x in [xp[0], xp[-1]]."""
+    j = bisect_right(xp, x) - 1
+    if j == len(xp) - 1 or xp[j] == x:
+        return fp[j]
+    return (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j]) + fp[j]
 
 
 def loop_cdf_trapezoid(ctx, gamma):

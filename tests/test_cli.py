@@ -291,6 +291,16 @@ def test_verify_runs_the_small_loop_regime(capsys, alpha, r_hat, loops):
     assert (doc["loop_count"], doc["outlier_count"]) == (loops, 0)
 
 
+def test_verify_runs_next_to_a_equal_1(capsys):
+    # A_n = 1 - 2e-11: verify traces Gamma_4.6 only at the coarse step,
+    # which closes, and reads the zeros' distances off phi at their feet
+    code, out, err = run_cli(capsys, "verify", "--n", "5", "--alpha", "-4.9999999999")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["valid"] and (doc["loop_count"], doc["outlier_count"]) == (5, 0)
+    assert doc["max_deviation"] == pytest.approx(1.0e-4, rel=0.05)
+
+
 def test_verify_defaults_are_run_options(capsys):
     # without flags, verify runs RunOptions' own sweep and classify_tol
     _, out, _ = run_cli(capsys, "verify", "--n", "12", "--alpha", "-9.6")

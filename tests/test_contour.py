@@ -12,7 +12,7 @@ import pytest
 
 import phase_quadrature
 from lagzero import contour, landscape
-from lagzero.errors import BracketError, DomainError, OnBoundary
+from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
 from lagzero.landscape import BoundarySide
 
 
@@ -375,3 +375,61 @@ def test_winding_number_of_a_loop_below_1e_154():
     g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(range(7)),
                                 max_step=1.0)
     assert contour.winding_number(g) == -1
+
+
+def _coarse(ctx, r):
+    # Gamma_r at 8 times the default step, the trace foot points start from
+    span = float(ctx.beta2) - float(ctx.beta1)
+    return contour.trace_gamma(ctx, r, 8 * span / contour.SPAN_STEPS)
+
+
+@pytest.mark.parametrize("r", [0.5, 6.0])
+def test_foot_points_are_the_nearest_points_of_the_level(ctx81, r):
+    # points off both halves, inside and outside: phi is on the level at
+    # the foot, z - p is normal to the loop there (along the gradient
+    # conj(phi') of Re phi), and the distance matches the one to a trace 64
+    # times finer than the default, whose chords lie within about 1e-10 of
+    # the loop's size
+    g = _coarse(ctx81, r)
+    rng = random.Random(5)
+    zs = [p * (1 + rng.uniform(-0.2, 0.2)) for p in g.upper_arc[1:-1:7]]
+    zs += [z.conjugate() for z in zs]
+    feet, phis = contour.foot_points(ctx81, g, zs)
+    _, want = contour.project_to_loop(contour.trace_gamma(ctx81, r, g.max_step / 512), zs)
+    b1, b2 = float(ctx81.beta1), float(ctx81.beta2)
+    size = max(abs(p) for p in g.points)
+    for z, p, f, d in zip(zs, feet, phis, want):
+        assert abs(f.real - r / 2) <= 1e-12 * max(1.0, r)
+        slope = cmath.sqrt(p - b1) * cmath.sqrt(p - b2) / (2 * p)
+        assert abs(((z - p) * slope).imag) <= 1e-9 * abs(z - p) * abs(slope)
+        assert abs(abs(z - p) - d) <= 1e-9 * size
+
+
+def test_a_real_point_has_its_foot_on_the_axis(ctx81):
+    # a negative real zero (odd floor(-alpha)) lies next to x_r, inside or
+    # outside the loop: its foot is x_r on the upper side of the cut
+    # (Im p = +0.0), where the loop CDF 1/2 + Im phi/(A pi) is 0.  A real
+    # point right of the loop has its foot at the positive crossing
+    g = _coarse(ctx81, 0.5)
+    x_r, x_c = g.points[0].real, g.upper_arc[-1].real
+    feet, phis = contour.foot_points(ctx81, g, [x_r - 0.01, x_r + 0.01, x_c + 0.5])
+    for p, want in zip(feet, (x_r, x_r, x_c)):
+        assert p.imag == 0 and math.copysign(1.0, p.imag) == 1.0
+        assert p.real == pytest.approx(want, rel=1e-12)
+    cdf = [0.5 + f.imag / (0.81 * math.pi) for f in phis]
+    assert cdf == pytest.approx([0.0, 0.0, 0.5], abs=1e-15)
+
+
+def test_foot_points_raise_at_the_cap_and_refuse_gamma_0(ctx81, monkeypatch):
+    # from the coarse projection Newton meets its 1e-12 |p| stop within 4
+    # steps here; at the cap it raises ClosureError, with no other path.
+    # Gamma_0 has its corner at beta1, where phi' = 0
+    g = _coarse(ctx81, 0.5)
+    zs = [1.05 * p for p in g.upper_arc[1:-1:9]]
+    monkeypatch.setattr(contour, "_FOOT_ITERS", 4)
+    contour.foot_points(ctx81, g, zs)
+    monkeypatch.setattr(contour, "_FOOT_ITERS", 1)
+    with pytest.raises(ClosureError):
+        contour.foot_points(ctx81, g, zs)
+    with pytest.raises(DomainError):
+        contour.foot_points(ctx81, contour.trace_gamma(ctx81, 0.0), zs)

@@ -11,6 +11,7 @@ import jsonschema
 import mpmath as mp
 import pytest
 
+import phase_quadrature
 from lagzero import contour, harness, laguerre, landscape, measure, rootfinder
 from lagzero.errors import DomainError, NonConvergence, PlanError
 
@@ -95,9 +96,10 @@ def test_run_comparison_frozen_noninteger():
     assert (rep.loop_count, rep.interval_count, rep.outlier_count) == (32, 8, 0)
     assert rep.alpha == "-32.4"
     assert rep.mass_error == pytest.approx(0.01, abs=1e-12)
-    assert rep.max_deviation == pytest.approx(0.01601895590558563, abs=1e-9)
+    # the loop geometry of the zeros' foot points on Gamma_r
+    assert rep.max_deviation == pytest.approx(0.016018785997521389, abs=1e-9)
     assert rep.ks_interval == pytest.approx(0.08690135070094654, abs=1e-9)
-    assert rep.ks_loop == pytest.approx(0.023266393481939596, abs=1e-9)
+    assert rep.ks_loop == pytest.approx(0.023263861018927412, abs=1e-9)
     assert rep.origin_multiplicity == 0
     assert rep.valid
     assert rep.residual_max < 1e-60
@@ -145,9 +147,9 @@ def test_run_comparison_and_trace_log_counts(caplog):
 
 
 def test_compute_zeros_seeds_from_a_coarse_trace(caplog):
-    # the seeds only interpolate Gamma_r, so compute_zeros alone traces it
-    # at 8 times the default step; run_comparison traces it once, at the
-    # default step, and seeds and classifies from that one
+    # the seeds only interpolate Gamma_r and the foot points only start from
+    # it, so compute_zeros and run_comparison each trace it once, at 8 times
+    # the default step
     def step(A):
         ctx = landscape.make_context(A)
         return (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
@@ -163,20 +165,29 @@ def test_compute_zeros_seeds_from_a_coarse_trace(caplog):
     assert int(_traced(caplog)[0].split()[1]) < 400
     caplog.clear()
     harness.run_comparison(40, "-32.4")
-    assert traced() == [f"max_step {step(Fraction(81, 100)):.3g}"]
+    assert traced() == [f"max_step {8 * step(Fraction(81, 100)):.3g}"]
 
 
-def test_report_geometry_is_step_converged(monkeypatch):
-    # max_deviation and ks_loop read the traced polyline: at the default
-    # step they lie within 5e-7 and 1e-5 of a trace 16 times finer
+def test_report_geometry_is_step_converged():
+    # max_deviation and ks_loop read phi at each zero's foot point; the
+    # oracle projects the zeros onto a trace 64 times finer than the default
+    # and interpolates the loop CDF there.  Its chords are off the exact
+    # distances by about 4e-11, and its CDF, which converges at first
+    # order, by about 1e-7
     opts = harness.RunOptions(classify_tol=0.15)
     rep = harness.run_comparison(40, "-32.4", opts)
-    trace = contour.trace_gamma
-    monkeypatch.setattr(contour, "trace_gamma", lambda ctx, r: trace(
-        ctx, r, max_step=(float(ctx.beta2) - float(ctx.beta1)) / 6400))
-    fine = harness.run_comparison(40, "-32.4", opts)
-    assert abs(rep.max_deviation - fine.max_deviation) <= 5e-7
-    assert abs(rep.ks_loop - fine.ks_loop) <= 1e-5
+    ctx = landscape.make_context(Fraction(81, 100))
+    span = float(ctx.beta2) - float(ctx.beta1)
+    fine = contour.trace_gamma(ctx, rep.r_hat, span / (64 * contour.SPAN_STEPS))
+    zs = [complex(x, y) for x, y, _ in rep.zeros]
+    s, d_loop = contour.project_to_loop(fine, zs)
+    max_dev = max(map(min, contour.interval_gap(ctx, zs), d_loop))
+    arcs, cum = phase_quadrature.loop_cdf_points(fine)
+    cdf = sorted(phase_quadrature.interp(u, arcs, cum) / cum[-1]
+                 for u, (_, _, lab) in zip(s, rep.zeros) if lab == "loop")
+    assert len(cdf) == rep.loop_count == 32
+    assert abs(rep.max_deviation - max_dev) <= 1e-9
+    assert abs(rep.ks_loop - harness._ks(cdf)) <= 5e-7
 
 
 def test_run_comparison_integer_atom():
@@ -205,7 +216,8 @@ def test_sweep_row_at_classify_tol_matches_headline(n, alpha, tol):
 
 
 def test_run_comparison_projects_each_zero_once(monkeypatch):
-    # every tolerance thresholds one projection of all zeros
+    # every tolerance thresholds one foot point per zero, each started
+    # from one projection of all zeros onto the coarse trace
     calls = []
     project = contour.project_to_loop
 
@@ -217,6 +229,26 @@ def test_run_comparison_projects_each_zero_once(monkeypatch):
     rep = harness.run_comparison(25, "-10.5")
     assert calls == [25]
     assert len(rep.sweep) == 3
+
+
+@pytest.mark.parametrize("n,alpha", [(40, "-32.3564"), (80, "-64.7741"), (112, "-89"),
+                                     (40, "-31.99999886"), (96, "-76.0000011")])
+def test_zeros_satisfy_the_stieltjes_relation(n, alpha):
+    # the Laguerre equation x y'' + (alpha + 1 - x) y' + n y = 0 at the
+    # zeros of L_n^(alpha)(n z): sum_{j != k} 1/(z_k - z_j) + m/z_k =
+    # n (z_k + a)/(2 z_k), a = -(alpha + 1)/n, m zeros at the origin.  It
+    # checks laguerre.monic_rescaled and the root finder against the
+    # differential equation, apart from the certificate
+    zset = harness.compute_zeros(n, alpha)
+    a = -(laguerre.parse_alpha(alpha) + 1) / n
+    m = zset.origin_multiplicity
+    with mp.workprec(300):
+        zs = [mp.mpc(z) for z in zset.zeros]
+        a = mp.mpf(a.numerator) / a.denominator
+        worst = max(abs(mp.fsum(1 / (zk - zj) for j, zj in enumerate(zs) if j != k)
+                        - n * (zk + a) / (2 * zk) + m / zk) * abs(zk) / n
+                    for k, zk in enumerate(zs))
+    assert worst <= mp.mpf("1e-60")
 
 
 def test_min_modulus_tracks_distance():

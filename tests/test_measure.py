@@ -123,7 +123,7 @@ def test_interval_phase_matches_cdf_interval(A):
 
 
 def test_loop_cdf_points(gamma81_r0):
-    arcs, cum = measure.loop_cdf_points(gamma81_r0)
+    arcs, cum = phase_quadrature.loop_cdf_points(gamma81_r0)
     assert len(arcs) == len(cum) == len(gamma81_r0.points)
     assert cum[0] == 0
     assert cum[len(gamma81_r0.upper_arc) - 1] == 0.81 / 2
@@ -137,12 +137,11 @@ _LOOP_CASES = [(Fraction(81, 100), 0.0), (Fraction(81, 100), 3.0),
 
 @pytest.mark.parametrize("A,r", _LOOP_CASES)
 def test_loop_cdf_is_im_phi(A, r):
-    # the mass from x_r is Im phi/pi + A/2 on the upper arc, against the
-    # 256-bit phi at every vertex, endpoints included
+    # the tracer's mass from x_r is Im phi/pi + A/2 on the upper arc,
+    # against the 256-bit phi at every vertex, endpoints included
     ctx = landscape.make_context(A)
     gamma = contour.trace_gamma(ctx, r)
-    _, cum = measure.loop_cdf_points(gamma)
-    for p, m in zip(gamma.upper_arc, cum):
+    for p, m in zip(gamma.upper_arc, gamma.upper_mass):
         phi = landscape.phi_eval(ctx, p, side=landscape.BoundarySide.ABOVE)
         assert abs(m - (mp.im(phi) / mp.pi + ctx.A / 2)) <= 1e-12
 
@@ -153,7 +152,7 @@ def test_loop_cdf_matches_trapezoid(A, r):
     # is the polyline's
     ctx = landscape.make_context(A)
     gamma = contour.trace_gamma(ctx, r)
-    _, cum = measure.loop_cdf_points(gamma)
+    _, cum = phase_quadrature.loop_cdf_points(gamma)
     _, want = phase_quadrature.loop_cdf_trapezoid(ctx, gamma)
     assert max(abs(cum - want)) <= 5e-6
 
@@ -175,7 +174,7 @@ def test_loop_quantiles_are_conjugate_symmetric(gamma81_r0, k):
     x_r = gamma81_r0.points[0]
     assert [q for q in qs if q.imag == 0] == [x_r] * (k % 2)
     # masses (j + 1/2) A/k for even k, j A/k for odd k
-    arcs, cum = measure.loop_cdf_points(gamma81_r0)
+    arcs, cum = phase_quadrature.loop_cdf_points(gamma81_r0)
     s, _ = contour.project_to_loop(gamma81_r0, qs)
     got = sorted(np.interp(s, arcs, cum))
     want = (np.arange(k) + (0.0 if k % 2 else 0.5)) * 0.81 / k
