@@ -26,6 +26,7 @@ throughout; the O(1/n) decay of the relative error is what the tests check.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Tuple
 
 from mpmath import mp
@@ -47,10 +48,11 @@ def n11(ctx: PotentialContext, z) -> mp.mpc:
     boundary value N11_+(x) from the upper half plane."""
     with mp.workprec(LANDSCAPE_BITS):
         # (z-b2)/(z-b1) maps the cut plane off the negative reals, so the
-        # principal fourth root realizes the a -> 1 normalization; on the
-        # cut the ratio is negative, and its root is a_+ = t e^{i pi/4}
+        # principal fourth root, two principal square roots, realizes the
+        # a -> 1 normalization; on the cut the ratio is negative, and its
+        # root is a_+ = t e^{i pi/4}
         zc = mp.mpc(z)
-        a = ((zc - ctx.beta2) / (zc - ctx.beta1)) ** mp.mpf("0.25")
+        a = mp.sqrt(mp.sqrt((zc - ctx.beta2) / (zc - ctx.beta1)))
         return (a + 1 / a) / 2
 
 
@@ -73,6 +75,13 @@ def outer_ratio(ctx_n: PotentialContext, z) -> mp.mpc:
     return n11(ctx_n, zc)
 
 
+@lru_cache(maxsize=32)
+def _growth(n: int) -> mp.mpf:
+    # n^n / n!, the factor oscillatory_value's envelope takes at every x
+    with mp.workprec(LANDSCAPE_BITS):
+        return mp.power(n, n) / mp.factorial(n)
+
+
 def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
     """Leading oscillatory term for L_n^{(alpha)}(n x) on (beta1, beta2),
     with ctx the context of A_n = -alpha/n.
@@ -88,23 +97,26 @@ def oscillatory_value(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
             f"x={x} outside the window [{b1 + margin:.6f}, {b2 - margin:.6f}]"
         )
     ell = ell_constant(ctx)
-    phase = oscillatory_phase(ctx, n, x)
     with mp.workprec(LANDSCAPE_BITS):
         xm = mp.mpf(x)
-        envelope = mp.power(n, n) / mp.factorial(n)
-        envelope *= mp.e ** (n * (xm + ctx.A * mp.log(xm) + ell) / 2)
+        n11_x = n11(ctx, xm)
+        envelope = _growth(n) * mp.exp(n * (xm + ctx.A * mp.log(xm) + ell) / 2)
         if n % 2:
             envelope = -envelope
-        return envelope * 2 * abs(n11(ctx, xm)) * mp.cos(phase)
+        return envelope * 2 * abs(n11_x) * mp.cos(_phase(ctx, n, x, n11_x))
 
 
 def oscillatory_phase(ctx: PotentialContext, n: int, x: float) -> mp.mpf:
     """Phase of the cosine in oscillatory_value, for zero counting."""
-    # n pi * signed CDF from beta2 (nonpositive), minus arg N11_+(x);
-    # the integral term vanishes at x = beta2
+    return _phase(ctx, n, x, n11(ctx, x))
+
+
+def _phase(ctx: PotentialContext, n: int, x: float, n11_x: mp.mpc) -> mp.mpf:
+    # n pi * signed CDF from beta2 (nonpositive), minus arg N11_+(x), given
+    # n11_x = N11_+(x); the integral term vanishes at x = beta2
     with mp.workprec(LANDSCAPE_BITS):
         phase = n * mp.pi * (measure.cdf_interval(ctx, x) - (1 - ctx.A))
-        return phase - mp.arg(n11(ctx, x))
+        return phase - mp.arg(n11_x)
 
 
 def nth_root_exponent(ctx: PotentialContext, r: float, n: int, z,

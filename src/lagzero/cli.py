@@ -175,7 +175,7 @@ def cmd_asymp(args) -> int:
         elif args.regime == "outer":
             for (tok, z), p in zip(points, values):
                 pred = asymptotics.outer_ratio(ctx, z)
-                exact = p * mp.e ** (-n * g_eval(ctx, mp.mpc(z)))
+                exact = p * mp.exp(-n * g_eval(ctx, mp.mpc(z)))
                 rel = float(abs(complex(pred) / complex(exact) - 1))
                 lines.append(f"{tok},{complex(exact)!r},{complex(pred)!r},{rel!r}")
         else:

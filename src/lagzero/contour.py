@@ -24,8 +24,7 @@ import math
 import numbers
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from lagzero.debuglog import debug
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
@@ -41,8 +40,7 @@ SPAN_STEPS = 400  # trace_gamma's default max_step is (beta2 - beta1) / SPAN_STE
 _LOG_TINY = math.log(sys.float_info.min)
 
 
-@dataclass(frozen=True)
-class ContourPolyline:
+class ContourPolyline(NamedTuple):
     """Closed polyline approximation of Gamma_r.
 
     points[-1] == points[0]; arclengths are cumulative and share the
@@ -205,6 +203,13 @@ def trace_gamma(
         max_step=float(max_step),
         upper_mass=tuple(mass),
     )
+
+
+def trace_coarse(ctx: PotentialContext, r: float) -> ContourPolyline:
+    """Gamma_r at 8 times the default max_step, the one trace of zeros and
+    verify (seeds and foot points) and of g_eval's Gamma_0 guard; at 16
+    times, (80, -64.7741) took a 9th sweep."""
+    return trace_gamma(ctx, r, 8 * (float(ctx.beta2) - float(ctx.beta1)) / SPAN_STEPS)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from mpmath import mp
 
@@ -36,31 +35,35 @@ _CSV_FIELDS = ("n", "alpha", "r_hat", "max_deviation", "ks_interval",
                "ks_loop", "mass_error")
 
 
-@dataclass(frozen=True)
-class ParameterPlan:
+class ParameterPlan(NamedTuple):
     A: Fraction
     r: float
     n_values: Tuple[int, ...]
     alphas: Tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class RunOptions:
-    classify_tol: float = 0.1
-    sweep: Tuple[float, ...] = (0.05, 0.1, 0.2)
-    precision_bits: Optional[int] = None
+    """run_comparison's options: classify_tol and the sweep's deltas, each
+    finite and > 0, and precision_bits, None for the default or >= 64;
+    DomainError otherwise."""
 
-    def __post_init__(self):
-        for tol in (self.classify_tol, *self.sweep):
+    __slots__ = ("classify_tol", "sweep", "precision_bits")
+
+    def __init__(self, classify_tol: float = 0.1,
+                 sweep: Tuple[float, ...] = (0.05, 0.1, 0.2),
+                 precision_bits: Optional[int] = None):
+        for tol in (classify_tol, *sweep):
             if not (math.isfinite(tol) and tol > 0):
                 raise DomainError(
                     f"classify_tol and sweep deltas must be finite and > 0, got {tol}")
-        if self.precision_bits is not None and self.precision_bits < 64:
-            raise DomainError(f"precision_bits must be >= 64, got {self.precision_bits}")
+        if precision_bits is not None and precision_bits < 64:
+            raise DomainError(f"precision_bits must be >= 64, got {precision_bits}")
+        self.classify_tol = classify_tol
+        self.sweep = sweep
+        self.precision_bits = precision_bits
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     n: int
     alpha: str
     r_hat: float
@@ -198,13 +201,6 @@ def _ks(cdf: Sequence[float]) -> float:
                 for j, f in enumerate(cdf)), default=0.0)
 
 
-def _coarse_loop(ctx, r_hat: float) -> contour.ContourPolyline:
-    # Gamma_{r_hat} at 8 times the default max_step, the one trace of zeros and
-    # verify, for seeds and foot points (at 16, (80, -64.7741) took a 9th sweep)
-    step = 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
-    return contour.trace_gamma(ctx, r_hat, step)
-
-
 def _seeds_for(n: int, alpha: Fraction, ctx, loop):
     # the positive zeros live on the interval (laguerre.real_zero_split),
     # the others at the origin for integer alpha (loop None; find_zeros
@@ -224,10 +220,10 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfi
     laguerre.monic_rescaled, for every alpha, and rounds them itself; for
     integer alpha in {-n..-1} it counts the zero low coefficients as
     zset.origin_multiplicity. Inside the theorem range it starts from
-    quantiles of mu_{r_hat} (_seeds_for; the loop's on _coarse_loop), outside
-    it from the circles of the Newton polygon (tropical.initial_guesses),
-    with as many real seeds on each side of 0 as laguerre.real_zero_split
-    counts zeros there. The default precision is rootfinder.start_precision's.
+    quantiles of mu_{r_hat} (_seeds_for; the loop's on
+    contour.trace_coarse), outside it from the circles of the Newton polygon
+    (tropical.initial_guesses), with as many real seeds on each side of 0
+    as laguerre.real_zero_split counts zeros there. The default precision is rootfinder.start_precision's.
     Retries once at doubled precision, logging why at DEBUG, on
     NonConvergence or suspect zeros; a second NonConvergence propagates, and
     a second suspect set is returned as it is. precision_bits below 64
@@ -242,7 +238,7 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfi
     a_n, ctx, loop = Fraction(-alpha_f, n), None, None
     if 0 < a_n < 1:
         ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
-        loop = None if math.isinf(r_hat) else _coarse_loop(ctx, r_hat)
+        loop = None if math.isinf(r_hat) else contour.trace_coarse(ctx, r_hat)
     return _compute_zeros(n, alpha_f, precision_bits, ctx, loop)
 
 
@@ -280,8 +276,9 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     """Zeros of L_n^{(alpha)}(nz) against the predicted limit set.
 
     Against the limit measure the zeros were seeded from, its Gamma_r traced
-    once (_coarse_loop), with each zero's loop distance and CDF read off phi
-    at its foot (contour.foot_points; r_hat >= log 2/n, so never r = 0).
+    once (contour.trace_coarse), with each zero's loop distance and CDF read
+    off phi at its foot (contour.foot_points; r_hat >= log 2/n, so never
+    r = 0).
     Classification is interval-first inside the tolerance band, then loop,
     then outlier; the origin multiplicity of integer alpha counts toward the
     loop mass (the limit measure's atom at 0).
@@ -289,7 +286,7 @@ def run_comparison(n: int, alpha, opts: RunOptions = RunOptions()) -> Comparison
     alpha_f = laguerre.parse_alpha(alpha)
     a_n = laguerre.theorem_ratio(n, alpha_f)
     ctx, r_hat = make_context(a_n), r_hat_from(n, alpha_f)
-    gamma = None if math.isinf(r_hat) else _coarse_loop(ctx, r_hat)
+    gamma = None if math.isinf(r_hat) else contour.trace_coarse(ctx, r_hat)
     zset = _compute_zeros(n, alpha_f, opts.precision_bits, ctx, gamma)
     origin_mult = zset.origin_multiplicity
     valid = not zset.suspect

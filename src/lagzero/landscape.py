@@ -33,10 +33,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, List, Optional, Union
+from typing import Callable, List, NamedTuple, Optional, Union
 
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
@@ -73,8 +72,7 @@ class BoundarySide(enum.Enum):
     OFF_AXIS = "off_axis"
 
 
-@dataclass(frozen=True)
-class PotentialContext:
+class PotentialContext(NamedTuple):
     """Immutable bundle of the landscape parameters for one value of A.
 
     beta1 and beta2 are the endpoints 2 - A -+ 2*sqrt(1-A); they satisfy
@@ -426,7 +424,7 @@ def _interval_density(ctx: PotentialContext, bits: int) -> dict:
 def _gamma0_for(ctx: PotentialContext):
     from lagzero import contour
 
-    return contour.trace_gamma(ctx, 0.0)
+    return contour.trace_coarse(ctx, 0.0)
 
 
 def g_eval(
@@ -445,8 +443,10 @@ def g_eval(
     realization carries the standard log cut on (-inf, 0].
 
     g(z) - log z -> 0 at infinity.  DomainError on the support of mu_0
-    (loop and interval, with a 2*max_step guard band, the one projection
-    onto Gamma_0) and inside the loop, where Re phi > 0
+    (loop and interval) with a guard band of 2 (beta2 - beta1) /
+    contour.SPAN_STEPS, twice trace_gamma's default step, measured by the
+    one projection onto Gamma_0 traced at the coarse step
+    (contour.trace_coarse); and inside the loop, where Re phi > 0
     (contour.point_in_loop) and no single-valued branch exists.
     """
     from lagzero import contour as _contour
@@ -455,9 +455,8 @@ def g_eval(
         w = mp.mpc(z)
         if mp.im(w) == 0 and ctx.beta1 <= mp.re(w) <= ctx.beta2:
             raise DomainError("g is singular on the support [beta1, beta2]")
-        gamma = _gamma0_for(ctx)
-        dist = _contour.limit_set_distance(ctx, gamma, complex(w))
-        if dist < 2 * gamma.max_step:
+        dist = _contour.limit_set_distance(ctx, _gamma0_for(ctx), complex(w))
+        if dist < 2 * (float(ctx.beta2) - float(ctx.beta1)) / _contour.SPAN_STEPS:
             raise DomainError("query point too close to the cut system of g")
         if _contour.point_in_loop(ctx, 0.0, complex(w)):
             raise DomainError(
@@ -474,6 +473,7 @@ def g_eval(
 # the constant ell
 
 
+@lru_cache(maxsize=32)
 def ell_constant(ctx: PotentialContext) -> mp.mpf:
     """The constant ell in 2g(z) = A log z + z + ell - A pi i - 2 phi(z),
 
@@ -481,7 +481,9 @@ def ell_constant(ctx: PotentialContext) -> mp.mpf:
 
     The interval Stieltjes transform is (z - R - A)/(2z) and phi' = R/(2z),
     so the interval part of g is (z - A Log z - 2 phi~(z) + ell)/2; ell is
-    the constant that makes it log z + O(1/z) at infinity.
+    the constant that makes it log z + O(1/z) at infinity.  Kept per
+    context: the log potential and the oscillatory value ask for it at
+    every point.
     """
     with mp.workprec(LANDSCAPE_BITS):
         return ctx.A - 2 + (1 - ctx.A) * mp.log(1 - ctx.A)

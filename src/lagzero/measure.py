@@ -28,6 +28,7 @@ from bisect import bisect_right
 from typing import List, Union
 
 from mpmath import mp
+from mpmath.libmp import mpf_log_hypot, round_nearest
 
 from lagzero import contour
 from lagzero.errors import DomainError
@@ -102,6 +103,18 @@ def interval_phase(A: float, b1: float, b2: float, x: float) -> float:
     return phi_closed_form(A, b1, b2, complex(x, 0.0), cmath.sqrt, cmath.log).imag
 
 
+def _log_abs(u: mp.mpc) -> mp.mpf:
+    # Re Log u, bit for bit mpmath's, with no atan2: phi_closed_form given
+    # this log keeps the real part of phi and drops the imaginary one
+    return mp.make_mpf(mpf_log_hypot(*u._mpc_, mp.prec, round_nearest))
+
+
+def _i_arg(u: mp.mpc) -> mp.mpc:
+    # i Im Log u, bit for bit mpmath's, with no log of |u|: phi_closed_form
+    # given this log keeps the imaginary part of phi
+    return mp.mpc(0, mp.arg(u))
+
+
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
     """Integral of mp_density from beta1 to x, in closed form as
     Im phi_+(x)/pi; equals 1-A at x = beta2."""
@@ -111,7 +124,7 @@ def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
             return 1 - ctx.A
         # mpmath has no signed zero: its principal sqrt and log of a negative
         # real take the limit from above, phi_+ on the cut
-        phi = phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, mp.mpc(x), mp.sqrt, mp.log)
+        phi = phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, mp.mpc(x), mp.sqrt, _i_arg)
         return mp.im(phi) / mp.pi
 
 
@@ -145,8 +158,8 @@ def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
         ell = ell_constant(ctx)
         if w == 0:
             return float(ell / 2 + phi_origin_constant(A, b1, b2, mp.log) - r)
-        b = (mp.re(w) + A * mp.log(abs(w)) + ell) / 2
-        re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log))
+        b = (mp.re(w) + A * _log_abs(w) + ell) / 2
+        re_phi = mp.re(phi_closed_form(A, b1, b2, w, mp.sqrt, _log_abs))
         if abs(w) < b1 and abs(re_phi - r / 2) <= contour.DEFAULT_LEVEL_TOL:
             raise DomainError(f"z on Gamma_{r}")
         inside = abs(w) < b1 and 2 * re_phi > r

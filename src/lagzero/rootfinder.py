@@ -41,8 +41,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import (from_man_exp, fzero, mpf_add, round_ceiling, round_nearest, to_fixed,
@@ -59,8 +59,7 @@ LOW_BITS = 128
 _LOG2 = math.log(2)
 
 
-@dataclass(frozen=True)
-class ZeroSet:
+class ZeroSet(NamedTuple):
     """Zeros with bounds on |P(z)| / max(1, |z|)^n and log inclusion radii.
     A disk that meets no other holds exactly one zero; suspect lists those
     that meet another, exceed tol max(1, |z|) or do not fix z's doubles."""

@@ -83,6 +83,20 @@ def test_phase_at_midpoint(ctx81):
         assert abs(ph - want) <= 1e-12
 
 
+def test_n11_fourth_root_from_square_roots(ctx81):
+    # two principal square roots against the complex power ** 0.25 (an exp
+    # of a log), off the cut and on it, where the root is a_+ = t e^{i pi/4}
+    b1, b2 = ctx81.beta1, ctx81.beta2
+    off = [complex(x / 2, y / 2) for x in range(-4, 8) for y in (-3, -1, 1, 2)]
+    on = [float(b1 + (b2 - b1) * k / 16) for k in range(1, 16)]
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        for z in off + on:
+            w = mp.mpc(z)
+            a = ((w - b2) / (w - b1)) ** mp.mpf("0.25")
+            want = (a + 1 / a) / 2
+            assert abs(asymptotics.n11(ctx81, z) - want) <= mp.ldexp(abs(want), -250), z
+
+
 def test_sign_changes_count_real_zeros():
     # the cosine's sign changes inside the window should match the exact
     # real zeros there, off by at most one (window-edge zeros)

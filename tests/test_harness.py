@@ -1,6 +1,5 @@
 """Plans, zero runs, classification reports, serialization."""
 
-import dataclasses
 import importlib.resources
 import json
 import logging
@@ -451,7 +450,7 @@ def test_compute_zeros_retries_a_suspect_set(monkeypatch, caplog):
         calls.append(bits)
         zset = find(coeffs, bits, **kwargs)
         if len(calls) == 1:
-            zset = dataclasses.replace(zset, suspect=(0,))
+            zset = zset._replace(suspect=(0,))
         results.append(zset)
         return zset
 

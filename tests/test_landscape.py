@@ -4,7 +4,6 @@ Frozen reference values were computed from closed forms and verified by
 quadrature at 256 bits before being written down here.
 """
 
-import dataclasses
 import inspect
 import logging
 import math
@@ -51,8 +50,7 @@ def test_degenerate_edge_allowed():
 
 def test_context_is_the_landscape_of_A_alone():
     # the landscape owns its precision: no caller passes one in
-    assert [f.name for f in dataclasses.fields(landscape.PotentialContext)] == [
-        "A", "beta1", "beta2"]
+    assert list(landscape.PotentialContext._fields) == ["A", "beta1", "beta2"]
     assert list(inspect.signature(landscape.make_context).parameters) == ["A"]
     assert list(inspect.signature(landscape.c_constant).parameters) == ["n", "A_n"]
 
@@ -68,8 +66,8 @@ def test_make_context_rounds_a_fraction_once():
     # past 256 bits, numerator / denominator as two mpfs rounds three times
     s = "0." + "3" * 90
     exact, parsed = landscape.make_context(Fraction(s)), landscape.make_context(s)
-    for f in dataclasses.fields(landscape.PotentialContext):
-        assert getattr(exact, f.name) == getattr(parsed, f.name), f.name
+    for name in landscape.PotentialContext._fields:
+        assert getattr(exact, name) == getattr(parsed, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +382,19 @@ def test_g_conjugate_symmetry(ctx81):
         assert abs(b - mp.conj(a)) <= 1e-20
 
 
+def test_g_guard_band_is_twice_the_default_step(ctx81):
+    # g_eval projects onto Gamma_0 traced once at the coarse step, and its
+    # band stays 2 (beta2 - beta1) / SPAN_STEPS, not twice that step: left
+    # of x_0, where the loop crosses the axis at a vertex, the distance is
+    # the gap to x_0
+    assert landscape._gamma0_for(ctx81) == contour.trace_coarse(ctx81, 0.0)
+    band = 2 * (float(ctx81.beta2) - float(ctx81.beta1)) / contour.SPAN_STEPS
+    x_0 = contour.axis_crossing(ctx81, 0.0)
+    with pytest.raises(DomainError, match="too close"):
+        landscape.g_eval(ctx81, mp.mpc(x_0 - 0.9 * band))
+    landscape.g_eval(ctx81, mp.mpc(x_0 - 1.1 * band))
+
+
 def test_g_defined_right_of_support(ctx81):
     v = landscape.g_eval(ctx81, mp.mpf(4))
     assert mp.im(v) == 0
@@ -570,4 +581,4 @@ def test_ell_identity_plugback(ctx81):
 
 
 def test_ell_constant_cached(ctx81):
-    assert landscape.ell_constant(ctx81) == landscape.ell_constant(ctx81)
+    assert landscape.ell_constant(ctx81) is landscape.ell_constant(ctx81)

@@ -122,6 +122,25 @@ def test_interval_phase_matches_cdf_interval(A):
     assert all(u < v for u, v in zip(vals, vals[1:]))
 
 
+def test_phi_halves_match_the_complex_phi(ctx81):
+    # log_potential keeps Re phi (log |u|) and cdf_interval Im phi (i arg u),
+    # each from the one phi formula, against its full 256-bit evaluation:
+    # inside Gamma_0 (|z| < 0.1), outside it, and on the cut from above
+    A, b1, b2 = ctx81.A, ctx81.beta1, ctx81.beta2
+    inside = [complex(0.02 * k, 0.03 * j) for k in (-3, -1, 2) for j in (-2, 1, 2)]
+    outside = [complex(x / 2, y / 2) for x in range(-4, 7) for y in (-3, -1, 1, 2)]
+    cut = [float(b1 + (b2 - b1) * k / 16) for k in range(1, 16)]
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        for z in inside + outside + cut:
+            w = mp.mpc(z)
+            full = landscape.phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log)
+            re = mp.re(landscape.phi_closed_form(A, b1, b2, w, mp.sqrt, measure._log_abs))
+            im = mp.im(landscape.phi_closed_form(A, b1, b2, w, mp.sqrt, measure._i_arg))
+            assert abs(re - mp.re(full)) <= mp.ldexp(abs(full), -240), z
+            assert abs(im - mp.im(full)) <= mp.ldexp(abs(full), -240), z
+            assert measure._log_abs(w) == mp.re(mp.log(w)), z
+
+
 def test_loop_cdf_points(gamma81_r0):
     arcs, cum = phase_quadrature.loop_cdf_points(gamma81_r0)
     assert len(arcs) == len(cum) == len(gamma81_r0.points)

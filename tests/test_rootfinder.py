@@ -467,6 +467,17 @@ def test_import_leaves_logging_unloaded():
     assert out.stdout == "False\n"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # the records are NamedTuples and a __slots__ class: dataclasses would
+    # load inspect, dis, ast and tokenize in every command's start-up
+    src = os.path.dirname(os.path.dirname(lagzero.__file__))
+    script = "import sys, lagzero.cli; print('dataclasses' in sys.modules, 'inspect' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False False\n"
+
+
 def test_commands_leave_numpy_unloaded():
     # every command runs in a fresh process, and importing numpy would
     # cost each more start-up than most of them spend computing
