@@ -9,7 +9,8 @@ alpha = -n A, A in (0, 1).  Modules:
 - rootfinder:  simultaneous root solver with inclusion disks
 - tropical:    the Newton polygon of the coefficients: seeds, and the
                scales and words of the root solver's evaluations
-- landscape:   potential-theoretic machinery (R, phi, g, constants)
+- landscape:   the endpoints, the phase phi in closed form, g, the
+               constants c_n and ell, and the one adaptive quadrature
 - contour:     tracing of the predicted limit curves Gamma_r; foot
                points, distance and projection to the limit set
 - measure:     limit measures mu_r, quantiles, CDFs, log potentials

@@ -53,7 +53,6 @@ class ContourPolyline(NamedTuple):
     points: Tuple[complex, ...]
     r: float
     arclengths: Tuple[float, ...]
-    max_step: float
     upper_mass: Tuple[float, ...] = ()
 
     @property
@@ -200,7 +199,6 @@ def trace_gamma(
         points=tuple(points),
         r=float(r),
         arclengths=tuple(arcs),
-        max_step=float(max_step),
         upper_mass=tuple(mass),
     )
 

@@ -15,10 +15,6 @@ class DomainError(LagzeroError):
     """Input outside an operation's mathematical domain."""
 
 
-class BranchCutError(DomainError):
-    """Point lies on a branch cut and no side was specified."""
-
-
 class OnBoundary(DomainError):
     """Point lies on the curve itself; inside/outside is undefined."""
 

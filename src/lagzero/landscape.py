@@ -18,9 +18,9 @@ float64 by the contour tracer, which takes its R from the same square
 roots, and the interval quantiles; ell is closed form too.
 The one adaptive quadrature, Gauss-Legendre with recursive bisection
 (quad_seg), is left for integrals against the interval density
-(interval_integral, used by g and the interval mass), whose cosine
-substitution absorbs the square-root endpoint zeros.  It runs at the
-precision its result needs: QUAD_BITS = 96, or more for a finer tolerance.
+(interval_integral, used by g), whose cosine substitution absorbs the
+square-root endpoint zeros.  It runs at the precision its result needs:
+QUAD_BITS = 96, or more for a finer tolerance.
 mpmath raises the Gauss-Legendre degree until its error estimate meets
 mpmath's own working precision, whatever tol asks: at 96 bits a panel
 stops at the 48-node rule, at LANDSCAPE_BITS only the 96-node rule would
@@ -31,7 +31,6 @@ density at each node per context and precision.
 
 from __future__ import annotations
 
-import enum
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -42,12 +41,12 @@ from mpmath.calculus.quadrature import GaussLegendre
 from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from lagzero.debuglog import debug
-from lagzero.errors import BranchCutError, DomainError, QuadratureError
+from lagzero.errors import DomainError, QuadratureError
 
 Scalar = Union[int, float, str, Fraction]
 
 # working precision of every landscape value outside interval_integral:
-# endpoints, R, phi, phi~, c_n, g and ell
+# endpoints, phi, c_n, g and ell
 LANDSCAPE_BITS = 256
 
 # bits interval_integral adds to the ones a tolerance finer than QUAD_BITS
@@ -62,14 +61,6 @@ QUAD_TOL = 1e-12
 # lost to the n*g amplification in e^{-n g} (n <= 2048), and 32 bits of
 # margin.  65 bits moves the last printed digit of asymp's outer regime
 QUAD_BITS = 96
-
-
-class BoundarySide(enum.Enum):
-    """Which one-sided limit to take when a query point lies on a cut."""
-
-    ABOVE = "above"
-    BELOW = "below"
-    OFF_AXIS = "off_axis"
 
 
 class PotentialContext(NamedTuple):
@@ -208,38 +199,6 @@ def quad_seg(
 
 
 # ---------------------------------------------------------------------------
-# branch function R
-
-
-def R_eval(
-    ctx: PotentialContext,
-    z: Union[complex, mp.mpc, Scalar],
-    side: BoundarySide = BoundarySide.OFF_AXIS,
-) -> mp.mpc:
-    """R(z) = sqrt(z - beta1) * sqrt(z - beta2), cut exactly on [beta1, beta2].
-
-    Principal square roots of each factor realize the cut: R ~ z at
-    infinity, R < 0 on (-inf, beta1), and the boundary values on the cut
-    are R_pm(x) = +-i sqrt((x - beta1)(beta2 - x)).
-    """
-    with mp.workprec(LANDSCAPE_BITS):
-        w = mp.mpc(z)
-        b1, b2 = ctx.beta1, ctx.beta2
-        if mp.im(w) == 0:
-            x = mp.re(w)
-            if b1 < x < b2:
-                if side is BoundarySide.OFF_AXIS:
-                    raise BranchCutError(
-                        "R is two-valued on (beta1, beta2); pass side"
-                    )
-                mag = mp.sqrt((x - b1) * (b2 - x))
-                return mp.mpc(0, mag if side is BoundarySide.ABOVE else -mag)
-            if x == b1 or x == b2:
-                return mp.mpc(0)
-        return mp.sqrt(w - b1) * mp.sqrt(w - b2)
-
-
-# ---------------------------------------------------------------------------
 # phase function phi
 
 
@@ -276,70 +235,6 @@ def phi_origin_constant(A, beta1, beta2, log):
     c = 2 - A
     rho = (beta2 - beta1) / 2
     return (-A - c * log(2 / rho) + A * log(2 * A * A / rho)) / 2
-
-
-def phi_eval(
-    ctx: PotentialContext,
-    z: Union[complex, mp.mpc, Scalar],
-    side: BoundarySide = BoundarySide.OFF_AXIS,
-) -> mp.mpc:
-    """phi(z) = (1/2) Integral_{beta1}^{z} R(s)/s ds, path avoiding
-    (-inf, 0] and [beta1, inf) except at the base point.
-
-    Off the real axis this is phi_closed_form.  On the two cuts `side`
-    selects the one-sided limit: the real part is continuous there and
-    the imaginary part is -+A pi/2 on x < 0, +-pi F(x) on (beta1, beta2)
-    (F the Marchenko-Pastur CDF) and +-pi (1 - A) on [beta2, inf); it
-    vanishes on (0, beta1].
-
-    Raises DomainError at z = 0 and BranchCutError on a cut without a
-    side.
-    """
-    with mp.workprec(LANDSCAPE_BITS):
-        w = mp.mpc(z)
-        if w == 0:
-            raise DomainError("phi has a logarithmic singularity at 0")
-        b1, b2, A = ctx.beta1, ctx.beta2, ctx.A
-        v = phi_closed_form(A, b1, b2, w, mp.sqrt, mp.log)
-        if mp.im(w) != 0:
-            return v
-        x = mp.re(w)
-        if x == b1:
-            return mp.mpc(0)
-        if 0 < x < b1:
-            return mp.mpc(mp.re(v))
-        if side is BoundarySide.OFF_AXIS:
-            if x < 0:
-                raise BranchCutError("phi jumps across (-inf, 0); pass side")
-            raise BranchCutError("phi is two-valued on [beta1, inf); pass side")
-        sgn = 1 if side is BoundarySide.ABOVE else -1
-        if x < 0:
-            return mp.mpc(mp.re(v), -sgn * A * mp.pi / 2)
-        if x < b2:
-            return mp.mpc(0, sgn * mp.im(v))
-        return mp.mpc(mp.re(v) if x > b2 else 0, sgn * mp.pi * (1 - A))
-
-
-def phi_tilde_eval(
-    ctx: PotentialContext, z: Union[complex, mp.mpc, Scalar]
-) -> mp.mpc:
-    """phi~(z) = (1/2) Integral_{beta2}^{z} R(s)/s ds, path in C \\ (-inf, beta2].
-
-    Equals phi(z) -+ i pi (1 - A) in the upper/lower half-plane; real and
-    positive on (beta2, inf).  DomainError on the cut.
-    """
-    with mp.workprec(LANDSCAPE_BITS):
-        w = mp.mpc(z)
-        y = mp.im(w)
-        if y == 0:
-            x = mp.re(w)
-            if x == ctx.beta2:
-                return mp.mpc(0)
-            if x < ctx.beta2:
-                raise DomainError("phi~ is not defined on (-inf, beta2]")
-            return mp.mpc(mp.re(phi_eval(ctx, w, BoundarySide.ABOVE)))
-        sgn = 1 if y > 0 else -1
-        return phi_eval(ctx, w) - mp.mpc(0, sgn * mp.pi * (1 - ctx.A))
 
 
 # ---------------------------------------------------------------------------

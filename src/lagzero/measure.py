@@ -16,8 +16,8 @@ where Re phi = r/2, dnu_r = d(Im phi)/pi: the mass clockwise from x_r is
 Im phi/pi + A/2 on both halves, kept at every upper vertex by the tracer
 (gamma.upper_mass) for the loop quantiles, and read off phi at each
 zero's foot (contour.foot_points) for the harness's loop KS.  The log
-potential follows from phi and the constant ell.  Only the interval mass
-integrates against the density in mpmath (landscape.interval_integral).
+potential follows from phi and the constant ell, so nothing here
+integrates against a density.
 """
 
 from __future__ import annotations
@@ -34,16 +34,14 @@ from lagzero import contour
 from lagzero.errors import DomainError
 from lagzero.landscape import (
     LANDSCAPE_BITS,
-    QUAD_TOL,
     PotentialContext,
     ell_constant,
-    interval_integral,
     phi_closed_form,
     phi_origin_constant,
 )
 
 # ---------------------------------------------------------------------------
-# densities
+# CDFs
 
 
 def _clamp_to_interval(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
@@ -57,38 +55,6 @@ def _clamp_to_interval(ctx: PotentialContext, x: mp.mpf) -> mp.mpf:
     if x < b1 or x > b2:
         raise DomainError(f"{x} outside [beta1, beta2]")
     return x
-
-
-def mp_density(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
-    """sqrt((x-beta1)(beta2-x)) / (2 pi x) on [beta1, beta2]."""
-    with mp.workprec(LANDSCAPE_BITS):
-        x = _clamp_to_interval(ctx, mp.mpf(x))
-        b1, b2 = ctx.beta1, ctx.beta2
-        if x == b1 or x == b2:
-            return mp.mpf(0)
-        return mp.sqrt((x - b1) * (b2 - x)) / (2 * mp.pi * x)
-
-
-def nu_density_at(ctx: PotentialContext, p: complex) -> float:
-    """Arclength density |R(p)/p| / (2 pi) of nu_r at p on Gamma_r (not
-    checked), in float64: positive but at the r = 0 corner beta1, where R = 0."""
-    b1, b2 = float(ctx.beta1), float(ctx.beta2)
-    rp = cmath.sqrt(p - b1) * cmath.sqrt(p - b2)
-    return abs(rp / p) / (2 * math.pi)
-
-
-# ---------------------------------------------------------------------------
-# masses and CDFs
-
-
-def interval_mass(ctx: PotentialContext) -> mp.mpf:
-    """Integral of mp_density over [beta1, beta2] by quadrature (= 1-A),
-    to QUAD_TOL at interval_integral's own precision, not LANDSCAPE_BITS.
-
-    Unlike cdf_interval(ctx, beta2), this never takes the closed-form
-    shortcut, so it exercises the density itself.
-    """
-    return interval_integral(ctx, lambda s: 1, QUAD_TOL)
 
 
 def interval_phase(A: float, b1: float, b2: float, x: float) -> float:
@@ -116,7 +82,7 @@ def _i_arg(u: mp.mpc) -> mp.mpc:
 
 
 def cdf_interval(ctx: PotentialContext, x: Union[float, mp.mpf]) -> mp.mpf:
-    """Integral of mp_density from beta1 to x, in closed form as
+    """Integral of the interval density from beta1 to x, in closed form as
     Im phi_+(x)/pi; equals 1-A at x = beta2."""
     with mp.workprec(LANDSCAPE_BITS):
         x = _clamp_to_interval(ctx, mp.mpf(x))

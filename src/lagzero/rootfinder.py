@@ -72,10 +72,6 @@ class ZeroSet(NamedTuple):
     log_radii: tuple = ()
     suspect: tuple = ()
 
-    @property
-    def count(self) -> int:
-        return len(self.zeros) + self.origin_multiplicity
-
 
 def _sorted_key(z):
     # the printed doubles, so iteration noise in the real parts of a

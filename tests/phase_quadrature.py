@@ -1,11 +1,14 @@
 """Quadrature reference for the phase phi, phi~, the interval CDF, the
 loop mass and CDF, and the potentials ell, g and U; the inside of a
-traced polyline by the even-odd rule; and the loop CDF interpolated along
-a traced polyline, the oracle for the foot points' distances and CDF.
+traced polyline by the even-odd rule; the loop CDF interpolated along a
+traced polyline, the oracle for the foot points' distances and CDF; the
+two densities of mu_r; and the one-sided values of the closed-form phi
+on the real axis.
 
 Test-only: these are path integrals of the definitions, evaluated with
 landscape.quad_seg or summed over a traced polyline, against which the
-closed forms in landscape and measure are checked.  phi is computed in pole-subtracted form,
+closed forms in landscape and measure are checked.  phi is computed in
+pole-subtracted form,
 
     phi(z) = (1/2) I(z) - (A/2) (Log z - log beta1),
     I(z)   = Integral (R(s) + A)/s ds along the path,
@@ -14,19 +17,29 @@ which is regular at s = 0 because R(0) = -A.  Off the axis the path is
 beta1 -> beta1 + i*delta -> z with delta = min(0.1, Im z/2), mirrored by
 conjugation in the lower half-plane; real queries use real-axis
 reductions of the same integral with square-root substitutions.
+
+On the real axis phi jumps across (-inf, 0) and [beta1, inf), and side
+picks the one-sided limit: ABOVE or BELOW.  mpmath has no signed zero,
+so landscape.phi_closed_form at a real x gives the limit from above only
+on (beta1, beta2); closed_phi takes it 2^-300 above the axis instead.
 """
 
+import cmath
 import math
 from bisect import bisect_right
 
 import numpy as np
 from mpmath import mp
 
-from lagzero import landscape, measure
-from lagzero.errors import BranchCutError, DomainError
-from lagzero.landscape import BoundarySide, quad_seg
+from lagzero import landscape
+from lagzero.errors import DomainError
+from lagzero.landscape import quad_seg
 
 GUARD_BITS = 24
+
+# the one-sided limit on the real axis: the sign of the imaginary part
+# it is approached from
+ABOVE, BELOW = 1, -1
 
 # the oracles' own precision: the bits interval_integral meets QUAD_TOL at,
 # plus guard bits for the cancellation in pole-subtracted phi
@@ -104,8 +117,30 @@ def _right_integral(ctx, x):
     return quad_seg(f, 0, mp.sqrt(x - b2), landscape.QUAD_TOL / 2)
 
 
-def phi(ctx, z, side=BoundarySide.OFF_AXIS):
-    """phi(z) by quadrature, with landscape.phi_eval's side convention."""
+def closed_phi(ctx, z, side=ABOVE):
+    """landscape.phi_closed_form in mpmath at LANDSCAPE_BITS.  Off the
+    real axis its value at z; on it the limit from side, read at
+    x + i 2^-300 from above and as the conjugate of that from below."""
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        w = mp.mpc(z)
+        on_axis = mp.im(w) == 0
+        if on_axis:
+            w = mp.mpc(mp.re(w), mp.ldexp(1, -300))
+        v = landscape.phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, w, mp.sqrt, mp.log)
+        return mp.conj(v) if on_axis and side == BELOW else v
+
+
+def branch_root(ctx, z):
+    """R(z) = sqrt(z - beta1) sqrt(z - beta2), principal roots, as
+    phi_closed_form forms it, at LANDSCAPE_BITS."""
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        w = mp.mpc(z)
+        return mp.sqrt(w - ctx.beta1) * mp.sqrt(w - ctx.beta2)
+
+
+def phi(ctx, z, side=None):
+    """phi(z) by quadrature; on the cuts of the real axis side (ABOVE or
+    BELOW) picks the one-sided limit, and None raises DomainError."""
     with mp.workprec(ORACLE_BITS):
         w = mp.mpc(z)
         if w == 0:
@@ -122,9 +157,9 @@ def phi(ctx, z, side=BoundarySide.OFF_AXIS):
         if 0 < x < b1:
             j = _left_integral(ctx, x)
             return mp.mpc(j / 2 - A / 2 * (mp.log(x) - mp.log(b1)))
-        if side is BoundarySide.OFF_AXIS:
-            raise BranchCutError("phi is two-valued on the real axis here")
-        sgn = 1 if side is BoundarySide.ABOVE else -1
+        if side is None:
+            raise DomainError("phi is two-valued on the real axis here; pass side")
+        sgn = side
         if x < 0:
             j = _left_integral(ctx, x)
             log_term = mp.log(-x) + sgn * mp.mpc(0, mp.pi)
@@ -155,6 +190,22 @@ def phi_tilde(ctx, z):
         if y < 0:
             return mp.conj(_upper(ctx, ctx.beta2, ctx.beta1, mp.conj(w)))
         return _upper(ctx, ctx.beta2, ctx.beta1, w)
+
+
+def mp_density(ctx, x):
+    """The interval density sqrt((x-beta1)(beta2-x)) / (2 pi x) on
+    [beta1, beta2], at LANDSCAPE_BITS: 0 at both endpoints."""
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        x = mp.mpf(x)
+        return mp.sqrt((x - ctx.beta1) * (ctx.beta2 - x)) / (2 * mp.pi * x)
+
+
+def nu_density_at(ctx, p):
+    """Arclength density |R(p)/p| / (2 pi) of nu_r at p on Gamma_r (not
+    checked), in float64: positive but at the r = 0 corner beta1, where R = 0."""
+    b1, b2 = float(ctx.beta1), float(ctx.beta2)
+    rp = cmath.sqrt(p - b1) * cmath.sqrt(p - b2)
+    return abs(rp / p) / (2 * math.pi)
 
 
 def cdf_interval(ctx, x):
@@ -204,7 +255,7 @@ def ell_richardson(ctx):
         for y in ys:
             z = mp.mpc(0, y)
             raw.append(2 * landscape.g_eval(ctx, z) - ctx.A * mp.log(z) - z
-                       + 2 * landscape.phi_eval(ctx, z) - off)
+                       + 2 * closed_phi(ctx, z) - off)
 
         def rich(e0, e1, y0, y1):
             return (y1 * y1 * e1 - y0 * y0 * e0) / (y1 * y1 - y0 * y0)
@@ -228,8 +279,8 @@ def loop_log_trapezoid(ctx, gamma, z):
         pts = gamma.points
         total = mp.mpc(0)
         for p, q in zip(pts, pts[1:]):
-            fp = mp.log(1 - mp.mpc(p) / z) * measure.nu_density_at(ctx, p)
-            fq = mp.log(1 - mp.mpc(q) / z) * measure.nu_density_at(ctx, q)
+            fp = mp.log(1 - mp.mpc(p) / z) * nu_density_at(ctx, p)
+            fq = mp.log(1 - mp.mpc(q) / z) * nu_density_at(ctx, q)
             total += (fp + fq) / 2 * abs(q - p)
         return ctx.A * mp.log(z) + total
 
@@ -266,7 +317,7 @@ def even_odd(gamma, zs):
 def _vertex_densities(ctx, gamma):
     pts, arcs = as_arrays(gamma)
     dens = np.array(
-        [measure.nu_density_at(ctx, complex(p)) for p in pts], dtype=np.float64
+        [nu_density_at(ctx, complex(p)) for p in pts], dtype=np.float64
     )
     return dens, arcs
 

@@ -19,10 +19,10 @@ import phase_quadrature
 from lagzero import asymptotics, contour, harness, laguerre, measure
 from lagzero.landscape import (
     LANDSCAPE_BITS,
-    BoundarySide,
-    R_eval,
+    QUAD_TOL,
+    interval_integral,
     make_context,
-    phi_eval,
+    phi_closed_form,
 )
 
 
@@ -74,8 +74,8 @@ def test_criterion_04_measure_masses():
     worst_loop = worst_int = 0.0
     for A in (Fraction(1, 2), Fraction(4, 5), Fraction(99, 100)):
         ctx = make_context(A)
-        worst_int = max(worst_int,
-                        abs(float(measure.interval_mass(ctx) - (1 - ctx.A))))
+        mass = interval_integral(ctx, lambda s: 1, QUAD_TOL)
+        worst_int = max(worst_int, abs(float(mass - (1 - ctx.A))))
         for r in (0.0, 1.0, 3.0):
             gamma = contour.trace_gamma(ctx, r)
             worst_loop = max(worst_loop,
@@ -180,27 +180,35 @@ def test_criterion_09_oscillatory_decay():
 
 
 def test_criterion_10_branch_and_jump_suite():
+    # read off the program's phi_closed_form and its R: 2^-300 above and
+    # below the negative axis, and at real x on the cut (beta1, beta2)
     ctx = make_context(Fraction(81, 100))
+    A, b1, b2 = ctx.A, ctx.beta1, ctx.beta2
     checks = []
 
+    def R(z):
+        return mp.sqrt(z - b1) * mp.sqrt(z - b2)
+
+    def phi(z):
+        return phi_closed_form(A, b1, b2, mp.mpc(z), mp.sqrt, mp.log)
+
     with mp.workprec(256):
+        nudge = mp.ldexp(1, -300)
         # jump across the negative axis
         worst_jump = 0.0
         for j in range(10):
             x = -mp.mpf(10) ** (-2 + mp.mpf(3 * j) / 9)
-            jump = (phi_eval(ctx, x, side=BoundarySide.ABOVE)
-                    - phi_eval(ctx, x, side=BoundarySide.BELOW)
-                    + ctx.A * mp.pi * 1j)
+            jump = (phi(mp.mpc(x, nudge)) - phi(mp.mpc(x, -nudge))
+                    + A * mp.pi * 1j)
             worst_jump = max(worst_jump, float(abs(jump)))
         checks.append(("jump", worst_jump, 1e-10))
 
-        checks.append(("R(0)+A", float(abs(R_eval(ctx, 0) + ctx.A)), 1e-30))
+        checks.append(("R(0)+A", float(abs(R(mp.mpc(0)) + A)), 1e-30))
 
         worst_re = 0.0
         for k in range(1, 6):
-            x = ctx.beta1 + (ctx.beta2 - ctx.beta1) * k / 6
-            v = phi_eval(ctx, x, side=BoundarySide.ABOVE)
-            worst_re = max(worst_re, float(abs(mp.re(v))))
+            x = b1 + (b2 - b1) * k / 6
+            worst_re = max(worst_re, float(abs(mp.re(phi(x)))))
         checks.append(("Re phi on cut", worst_re, 1e-30))
 
         checks.append(("b1*b2-A^2",
@@ -213,9 +221,8 @@ def test_criterion_10_branch_and_jump_suite():
     with mp.workprec(380):
         for _ in range(20):
             z = mp.mpc(rng.uniform(-3, 4), rng.uniform(0.35, 2.5))
-            fd = (phi_eval(ctx, z + h) - phi_eval(ctx, z - h)) / (2 * h)
-            worst_fd = max(worst_fd,
-                           float(abs(fd - R_eval(ctx, z) / (2 * z))))
+            fd = (phi(z + h) - phi(z - h)) / (2 * h)
+            worst_fd = max(worst_fd, float(abs(fd - R(z) / (2 * z))))
     checks.append(("FD phi'", worst_fd, 1e-8))
 
     ok = all(got <= tol for _, got, tol in checks)
@@ -248,8 +255,9 @@ def test_criterion_11_contour_integrity():
     ok = True
     for A in (Fraction(81, 100), Fraction(99, 100)):
         ctx = make_context(A)
+        step = (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
         gamma = contour.trace_gamma(ctx, 0.0)
-        halved = contour.trace_gamma(ctx, 0.0, max_step=gamma.max_step / 2)
+        halved = contour.trace_gamma(ctx, 0.0, max_step=step / 2)
         closed = gamma.points[0] == gamma.points[-1]
         simple = _angles_clockwise(gamma.points)
         sym = _conj_hausdorff(gamma.points)
@@ -258,8 +266,8 @@ def test_criterion_11_contour_integrity():
         dlen = abs(halved.arclengths[-1] - gamma.arclengths[-1]) \
             / gamma.arclengths[-1]
         ok = ok and closed and simple and wind == -1
-        ok = ok and sym <= 2 * gamma.max_step
-        ok = ok and hit_b1 <= gamma.max_step and dlen < 0.01
+        ok = ok and sym <= 2 * step
+        ok = ok and hit_b1 <= step and dlen < 0.01
         details.append(
             f"A={float(A)}: wind={wind}, sym={sym:.1e}, "
             f"b1 gap={hit_b1:.1e}, dL={dlen:.2e}")

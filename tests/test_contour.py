@@ -13,7 +13,6 @@ import pytest
 import phase_quadrature
 from lagzero import contour, landscape
 from lagzero.errors import BracketError, ClosureError, DomainError, OnBoundary
-from lagzero.landscape import BoundarySide
 
 
 def test_axis_crossing_frozen_values(ctx81):
@@ -27,7 +26,7 @@ def test_axis_crossing_sits_on_the_level(ctx81):
     # the float64 search result is verified against the mpmath phi
     for r in (0.0, 0.7, 2.0):
         x = contour.axis_crossing(ctx81, r)
-        v = landscape.phi_eval(ctx81, mp.mpf(x), side=BoundarySide.ABOVE)
+        v = phase_quadrature.closed_phi(ctx81, x)
         assert abs(float(mp.re(v)) - r / 2) <= 1e-9
         assert x < 0
 
@@ -65,7 +64,7 @@ def test_float_re_phi_matches_mp_phi(ctx81):
                                 b1 / 2, b1, (b1 + b2) / 2, b2, mp.mpf(3))]
     with mp.workprec(256):
         for p in pts:
-            ref = mp.re(landscape.phi_eval(ctx81, p, side=BoundarySide.ABOVE))
+            ref = mp.re(phase_quadrature.closed_phi(ctx81, p))
             got = landscape.phi_closed_form(A, f1, f2, complex(p),
                                             cmath.sqrt, cmath.log).real
             assert abs(got - float(ref)) <= 1e-13 * max(1.0, abs(float(ref))), p
@@ -76,7 +75,7 @@ def test_trace_vertices_sit_on_the_level(ctx81):
     for p in g.points[5:-5:40]:
         if p.imag == 0:
             continue
-        v = landscape.phi_eval(ctx81, mp.mpc(p))
+        v = phase_quadrature.closed_phi(ctx81, p)
         assert abs(float(mp.re(v)) - 0.25) <= 2e-9
 
 
@@ -254,8 +253,7 @@ def test_project_to_loop_zero_length_segment(ctx81):
     arcs = [0.0]
     for a, b in zip(pts, pts[1:]):
         arcs.append(arcs[-1] + abs(b - a))
-    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(arcs),
-                                max_step=1.0)
+    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(arcs))
     zs = [0.6j, 0.5j, 0.1 + 0.55j, -0.1 + 0.7j, 0j, 2 + 2j, -0.5 + 0j]
     _assert_kernel_matches_reference(ctx81, g, zs)
 
@@ -298,7 +296,8 @@ def test_project_to_loop(ctx81):
 
 def test_halving_max_step_is_consistent(ctx81):
     g = contour.trace_gamma(ctx81, 1.0)
-    g2 = contour.trace_gamma(ctx81, 1.0, max_step=g.max_step / 2)
+    step = (float(ctx81.beta2) - float(ctx81.beta1)) / contour.SPAN_STEPS
+    g2 = contour.trace_gamma(ctx81, 1.0, max_step=step / 2)
     assert len(g2.points) > len(g.points)
     length, length2 = g.arclengths[-1], g2.arclengths[-1]
     assert abs(length2 - length) / length < 0.01
@@ -363,8 +362,7 @@ def test_trace_holds_down_to_tiny_loops(A, r):
     assert contour.winding_number(g) == -1
     assert {p.conjugate() for p in g.points} == set(g.points)
     for p in g.upper_arc[::50] + (g.upper_arc[-1],):
-        side = BoundarySide.ABOVE if p.imag == 0 else BoundarySide.OFF_AXIS
-        v = landscape.phi_eval(ctx, mp.mpc(p), side=side)
+        v = phase_quadrature.closed_phi(ctx, p)
         assert abs(float(mp.re(v)) - r / 2) <= contour.DEFAULT_LEVEL_TOL
 
 
@@ -372,15 +370,17 @@ def test_winding_number_of_a_loop_below_1e_154():
     # cross products of 1e-200 vertices underflow; the winding must not
     pts = tuple(1e-200 * complex(math.cos(-k * math.pi / 3), math.sin(-k * math.pi / 3))
                 for k in range(7))
-    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(range(7)),
-                                max_step=1.0)
+    g = contour.ContourPolyline(points=pts, r=0.0, arclengths=tuple(range(7)))
     assert contour.winding_number(g) == -1
 
 
+def _coarse_step(ctx):
+    # 8 times the default step, the trace foot points start from
+    return 8 * (float(ctx.beta2) - float(ctx.beta1)) / contour.SPAN_STEPS
+
+
 def _coarse(ctx, r):
-    # Gamma_r at 8 times the default step, the trace foot points start from
-    span = float(ctx.beta2) - float(ctx.beta1)
-    return contour.trace_gamma(ctx, r, 8 * span / contour.SPAN_STEPS)
+    return contour.trace_gamma(ctx, r, _coarse_step(ctx))
 
 
 @pytest.mark.parametrize("r", [0.5, 6.0])
@@ -395,7 +395,7 @@ def test_foot_points_are_the_nearest_points_of_the_level(ctx81, r):
     zs = [p * (1 + rng.uniform(-0.2, 0.2)) for p in g.upper_arc[1:-1:7]]
     zs += [z.conjugate() for z in zs]
     feet, phis = contour.foot_points(ctx81, g, zs)
-    _, want = contour.project_to_loop(contour.trace_gamma(ctx81, r, g.max_step / 512), zs)
+    _, want = contour.project_to_loop(contour.trace_gamma(ctx81, r, _coarse_step(ctx81) / 512), zs)
     b1, b2 = float(ctx81.beta1), float(ctx81.beta2)
     size = max(abs(p) for p in g.points)
     for z, p, f, d in zip(zs, feet, phis, want):

@@ -9,7 +9,7 @@ import pytest
 
 import lagzero
 import laguerre_reference as reference
-from lagzero import harness, laguerre
+from lagzero import contour, errors, harness, laguerre, landscape, measure, rootfinder
 from lagzero.errors import DomainError
 
 
@@ -174,10 +174,22 @@ def test_spec_validation():
             laguerre.theorem_ratio(n, alpha)
 
 
-def test_public_exports():
+@pytest.mark.parametrize("owner,names", [
     # a polynomial is the tuple of its exact coefficients; no wrapper
     # types, and one exact evaluator in place of rounding and Horner
-    for gone in ("LaguerreSpec", "CoefficientList", "round_coefficients", "eval_poly",
-                 "build_coefficients", "integer_reduction"):
+    (laguerre, ("LaguerreSpec", "CoefficientList", "round_coefficients", "eval_poly",
+                "build_coefficients", "integer_reduction")),
+    # phi is phi_closed_form alone: no side-taking front end, and no R or
+    # phi~ of its own; the densities live in the test oracle
+    (landscape, ("BoundarySide", "R_eval", "phi_eval", "phi_tilde_eval")),
+    (errors, ("BranchCutError",)),
+    (measure, ("mp_density", "nu_density_at", "interval_mass")),
+    # fields and properties only tests read
+    (rootfinder.ZeroSet, ("count",)),
+    (contour.ContourPolyline, ("max_step",)),
+], ids=["laguerre", "landscape", "errors", "measure", "ZeroSet", "ContourPolyline"])
+def test_public_exports(owner, names):
+    # vars, not hasattr: a NamedTuple has tuple's count
+    for gone in names:
         assert not hasattr(lagzero, gone)
-        assert not hasattr(laguerre, gone)
+        assert gone not in vars(owner)

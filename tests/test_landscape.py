@@ -16,11 +16,7 @@ from mpmath.calculus.quadrature import GaussLegendre
 
 import phase_quadrature
 from lagzero import contour, landscape
-from lagzero.errors import BranchCutError, DomainError, QuadratureError
-from lagzero.landscape import BoundarySide
-
-ABOVE = BoundarySide.ABOVE
-BELOW = BoundarySide.BELOW
+from lagzero.errors import DomainError, QuadratureError
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +139,20 @@ def test_second_quad_seg_builds_no_node_table(monkeypatch):
 
 def test_r_at_zero_is_minus_a(ctx81):
     with mp.workprec(256):
-        assert abs(landscape.R_eval(ctx81, mp.mpc(0)) + ctx81.A) <= mp.mpf(2) ** -240
+        assert abs(phase_quadrature.branch_root(ctx81, 0) + ctx81.A) <= mp.mpf(2) ** -240
 
 
 def test_r_hand_value(ctx75):
     # R(-1) = -sqrt(1.25 * 3.25) = -sqrt(65)/4
     with mp.workprec(256):
-        v = landscape.R_eval(ctx75, mp.mpc(-1))
+        v = phase_quadrature.branch_root(ctx75, -1)
         assert abs(v + mp.sqrt(65) / 4) <= mp.mpf(2) ** -240
 
 
 def test_r_asymptotically_linear(ctx81):
     with mp.workprec(256):
         z = mp.mpc(1e8)
-        assert abs(landscape.R_eval(ctx81, z) / z - 1) <= 1e-7
-
-
-def test_r_cut_sides(ctx81):
-    mid = (ctx81.beta1 + ctx81.beta2) / 2
-    with pytest.raises(BranchCutError):
-        landscape.R_eval(ctx81, mp.mpc(mid))
-    with mp.workprec(256):
-        up = landscape.R_eval(ctx81, mp.mpc(mid), side=ABOVE)
-        dn = landscape.R_eval(ctx81, mp.mpc(mid), side=BELOW)
-        assert mp.re(up) == 0 and mp.im(up) > 0
-        assert abs(up - mp.conj(dn)) <= mp.mpf(2) ** -240
+        assert abs(phase_quadrature.branch_root(ctx81, z) / z - 1) <= 1e-7
 
 
 def test_r_conjugate_symmetry(ctx81):
@@ -175,60 +160,65 @@ def test_r_conjugate_symmetry(ctx81):
     # round the high-precision operand and fake an asymmetry
     with mp.workprec(256):
         z = mp.mpc("1.7", "0.9")
-        assert landscape.R_eval(ctx81, mp.conj(z)) == mp.conj(
-            landscape.R_eval(ctx81, z))
+        assert phase_quadrature.branch_root(ctx81, mp.conj(z)) == mp.conj(
+            phase_quadrature.branch_root(ctx81, z))
 
 
 # ---------------------------------------------------------------------------
-# phi
+# phi, read off landscape.phi_closed_form (phase_quadrature.closed_phi)
 
 
 def test_phi_base_point(ctx81):
-    assert landscape.phi_eval(ctx81, ctx81.beta1) == 0
+    with mp.workprec(256):
+        assert abs(phase_quadrature.closed_phi(ctx81, ctx81.beta1)) <= mp.mpf(2) ** -240
 
 
 def test_phi_singular_at_origin(ctx81):
-    with pytest.raises(DomainError):
-        landscape.phi_eval(ctx81, 0)
-
-
-def test_phi_needs_side_on_cuts(ctx81):
-    with pytest.raises(BranchCutError):
-        landscape.phi_eval(ctx81, mp.mpf(-1))
-    with pytest.raises(BranchCutError):
-        landscape.phi_eval(ctx81, (ctx81.beta1 + ctx81.beta2) / 2)
+    # Re phi + (A/2) log|z| -> phi_origin_constant at 0, from every side
+    A, b1, b2 = ctx81.A, ctx81.beta1, ctx81.beta2
+    with mp.workprec(256):
+        K = landscape.phi_origin_constant(A, b1, b2, mp.log)
+        for ang in (0.3, 1.6, 3.1, -2.2):
+            z = mp.mpf("1e-30") * mp.expj(ang)
+            v = mp.re(phase_quadrature.closed_phi(ctx81, z))
+            assert v > 20
+            assert abs(v + A / 2 * mp.log(abs(z)) - K) <= 1e-25
 
 
 def test_phi_jump_on_negative_axis(ctx81):
     # phi_+ - phi_- = -A pi i
+    ABOVE, BELOW = phase_quadrature.ABOVE, phase_quadrature.BELOW
     with mp.workprec(256):
         expected = -ctx81.A * mp.pi * mp.mpc(0, 1)
         for x in (mp.mpf("-0.4"), mp.mpf("-2.5")):
-            d = (landscape.phi_eval(ctx81, x, side=ABOVE)
-                 - landscape.phi_eval(ctx81, x, side=BELOW))
+            d = (phase_quadrature.closed_phi(ctx81, x, ABOVE)
+                 - phase_quadrature.closed_phi(ctx81, x, BELOW))
             assert abs(d - expected) <= 1e-30
 
 
 def test_phi_purely_imaginary_on_support(ctx81):
-    for t in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
-        x = ctx81.beta1 + (ctx81.beta2 - ctx81.beta1) * mp.mpf(
-            t.numerator) / t.denominator
-        for side in (ABOVE, BELOW):
-            assert mp.re(landscape.phi_eval(ctx81, x, side=side)) == 0
+    # at a real x in (beta1, beta2), where mpmath's principal branches
+    # take the limit from above
+    A, b1, b2 = ctx81.A, ctx81.beta1, ctx81.beta2
+    with mp.workprec(256):
+        for t in (Fraction(1, 5), Fraction(1, 2), Fraction(9, 10)):
+            x = b1 + (b2 - b1) * mp.mpf(t.numerator) / t.denominator
+            v = landscape.phi_closed_form(A, b1, b2, mp.mpc(x), mp.sqrt, mp.log)
+            assert abs(mp.re(v)) <= 1e-30 and mp.im(v) > 0
 
 
 def test_phi_value_at_beta2(ctx75):
     # phi_+(beta2) = i pi (1 - A); the imaginary part is the interval mass
     with mp.workprec(256):
-        v = landscape.phi_eval(ctx75, ctx75.beta2, side=ABOVE)
+        v = phase_quadrature.closed_phi(ctx75, ctx75.beta2)
         assert abs(v - mp.mpc(0, mp.pi) / 4) <= 1e-30
 
 
 def test_phi_constant_imaginary_right_of_beta2(ctx81):
     with mp.workprec(256):
         im = mp.pi * (1 - ctx81.A)
-        v3 = landscape.phi_eval(ctx81, mp.mpf(3), side=ABOVE)
-        v5 = landscape.phi_eval(ctx81, mp.mpf(5), side=ABOVE)
+        v3 = phase_quadrature.closed_phi(ctx81, mp.mpf(3))
+        v5 = phase_quadrature.closed_phi(ctx81, mp.mpf(5))
         assert abs(mp.im(v3) - im) <= 1e-30
         assert abs(mp.im(v5) - im) <= 1e-30
         assert mp.re(v5) > mp.re(v3) > 0
@@ -237,15 +227,15 @@ def test_phi_constant_imaginary_right_of_beta2(ctx81):
 def test_phi_conjugate_symmetry(ctx81):
     with mp.workprec(256):
         z = mp.mpc("-1.3", "0.8")
-        a = landscape.phi_eval(ctx81, z)
-        b = landscape.phi_eval(ctx81, mp.conj(z))
+        a = phase_quadrature.closed_phi(ctx81, z)
+        b = phase_quadrature.closed_phi(ctx81, mp.conj(z))
         assert abs(b - mp.conj(a)) <= 1e-30
 
 
 def test_phi_boundary_values_are_limits(ctx81):
     x = mp.mpf("-1.1")
-    lim = landscape.phi_eval(ctx81, mp.mpc(x, mp.mpf("1e-9")))
-    bnd = landscape.phi_eval(ctx81, x, side=ABOVE)
+    lim = phase_quadrature.closed_phi(ctx81, mp.mpc(x, mp.mpf("1e-9")))
+    bnd = phase_quadrature.closed_phi(ctx81, x, phase_quadrature.ABOVE)
     assert abs(lim - bnd) <= 1e-6
 
 
@@ -257,10 +247,19 @@ def test_phi_derivative_matches_integrand(ctx81):
         for _ in range(8):
             z = mp.mpc(rng.uniform(-3, 3),
                        rng.choice([-1, 1]) * rng.uniform(0.25, 3))
-            fd = (landscape.phi_eval(ctx81, z + h)
-                  - landscape.phi_eval(ctx81, z - h)) / (2 * h)
-            an = landscape.R_eval(ctx81, z) / (2 * z)
+            fd = (phase_quadrature.closed_phi(ctx81, z + h)
+                  - phase_quadrature.closed_phi(ctx81, z - h)) / (2 * h)
+            an = phase_quadrature.branch_root(ctx81, z) / (2 * z)
             assert abs(fd - an) <= 1e-12
+
+
+def _phi_tilde(ctx, z):
+    # phi~ = phi -+ i pi (1 - A) in the upper/lower half-plane, continued
+    # from above onto the real axis
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        w = mp.mpc(z)
+        sgn = -1 if mp.im(w) < 0 else 1
+        return phase_quadrature.closed_phi(ctx, w) - mp.mpc(0, sgn * mp.pi * (1 - ctx.A))
 
 
 def _off_axis_points(ctx):
@@ -289,16 +288,16 @@ def _real_points(ctx):
 
 
 def test_phi_closed_form_matches_quadrature(ctx81):
+    ABOVE, BELOW = phase_quadrature.ABOVE, phase_quadrature.BELOW
     with mp.workprec(256):
         for z in _off_axis_points(ctx81):
             want = phase_quadrature.phi(ctx81, z)
-            assert abs(landscape.phi_eval(ctx81, z) - want) <= landscape.QUAD_TOL
+            assert abs(phase_quadrature.closed_phi(ctx81, z) - want) <= landscape.QUAD_TOL
         for x in _real_points(ctx81):
-            sides = ((BoundarySide.OFF_AXIS,) if 0 < x <= ctx81.beta1
-                     else (ABOVE, BELOW))
+            sides = (None,) if 0 < x <= ctx81.beta1 else (ABOVE, BELOW)
             for side in sides:
                 want = phase_quadrature.phi(ctx81, x, side)
-                got = landscape.phi_eval(ctx81, x, side=side)
+                got = phase_quadrature.closed_phi(ctx81, x, side or ABOVE)
                 assert abs(got - want) <= landscape.QUAD_TOL, (x, side)
 
 
@@ -307,7 +306,7 @@ def test_phi_tilde_closed_form_matches_quadrature(ctx81):
         right = [x for x in _real_points(ctx81) if x >= ctx81.beta2]
         for z in _off_axis_points(ctx81) + right:
             want = phase_quadrature.phi_tilde(ctx81, z)
-            assert abs(landscape.phi_tilde_eval(ctx81, z) - want) <= landscape.QUAD_TOL
+            assert abs(_phi_tilde(ctx81, z) - want) <= landscape.QUAD_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -315,28 +314,22 @@ def test_phi_tilde_closed_form_matches_quadrature(ctx81):
 
 
 def test_phi_tilde_real_increasing_right_of_beta2(ctx81):
-    v3 = landscape.phi_tilde_eval(ctx81, mp.mpf(3))
-    v5 = landscape.phi_tilde_eval(ctx81, mp.mpf(5))
-    assert mp.im(v3) == 0 and mp.im(v5) == 0
-    assert 0 < mp.re(v3) < mp.re(v5)
-
-
-def test_phi_tilde_cut_is_closed(ctx81):
-    for x in (mp.mpf(-1), ctx81.beta1, (ctx81.beta1 + ctx81.beta2) / 2):
-        with pytest.raises(DomainError):
-            landscape.phi_tilde_eval(ctx81, x)
-    # the base point itself is the one admissible point of the cut
-    assert landscape.phi_tilde_eval(ctx81, ctx81.beta2) == 0
+    with mp.workprec(256):
+        v3 = _phi_tilde(ctx81, mp.mpf(3))
+        v5 = _phi_tilde(ctx81, mp.mpf(5))
+        assert abs(mp.im(v3)) <= 1e-30 and abs(mp.im(v5)) <= 1e-30
+        assert 0 < mp.re(v3) < mp.re(v5)
 
 
 def test_phi_minus_phi_tilde_constant(ctx81):
-    # phi - phi~ = i pi (1 - A) on (beta2, inf) from above
+    # phi - phi~ = i pi (1 - A) on (beta2, inf) from above, against phi~
+    # by quadrature from beta2, real there
     with mp.workprec(256):
-        expected = mp.mpc(0, mp.pi * (1 - ctx81.A))
         for x in (mp.mpf(3), mp.mpf("4.5")):
-            d = (landscape.phi_eval(ctx81, x, side=ABOVE)
-                 - landscape.phi_tilde_eval(ctx81, x))
-            assert abs(d - expected) <= 1e-30
+            d = (phase_quadrature.closed_phi(ctx81, x)
+                 - phase_quadrature.phi_tilde(ctx81, x))
+            assert abs(mp.re(d)) <= landscape.QUAD_TOL
+            assert abs(mp.im(d) - mp.pi * (1 - ctx81.A)) <= 1e-30
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +426,7 @@ def test_g_interval_part_identity(A):
               mp.mpc("1.5", "-1e-3"), mp.mpc(-1), mp.mpc(ctx.beta2 + 1)]
     with mp.workprec(landscape.LANDSCAPE_BITS):
         for z in points:
-            if mp.re(z) < 0 and mp.im(z) == 0:
-                phi_t = (landscape.phi_eval(ctx, z, ABOVE)
-                         - mp.mpc(0, mp.pi * (1 - ctx.A)))
-            else:
-                phi_t = landscape.phi_tilde_eval(ctx, z)
-            want = (z - ctx.A * mp.log(z) - 2 * phi_t + ell) / 2
+            want = (z - ctx.A * mp.log(z) - 2 * _phi_tilde(ctx, z) + ell) / 2
             got = landscape.interval_integral(
                 ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
             assert abs(mp.re(got) - mp.re(want)) <= landscape.QUAD_TOL
@@ -465,8 +453,7 @@ def test_interval_integral_accuracy_at_quad_bits(A, bound):
     with mp.workprec(landscape.LANDSCAPE_BITS):
         for z in points:
             assert 2.6 <= abs(z) <= 5
-            want = (z - ctx.A * mp.log(z) - 2 * landscape.phi_tilde_eval(ctx, z)
-                    + ell) / 2
+            want = (z - ctx.A * mp.log(z) - 2 * _phi_tilde(ctx, z) + ell) / 2
             got = landscape.interval_integral(
                 ctx, lambda s: mp.log(z - s), landscape.QUAD_TOL / 2)
             assert abs(got - want) <= bound
@@ -575,7 +562,7 @@ def test_ell_identity_plugback(ctx81):
         z = mp.mpc(5, 5)
         lhs = 2 * landscape.g_eval(ctx81, z)
         rhs = (landscape.ell_constant(ctx81) + ctx81.A * mp.log(z) + z
-               - 2 * landscape.phi_eval(ctx81, z)
+               - 2 * phase_quadrature.closed_phi(ctx81, z)
                + 2 * (1 - ctx81.A) * mp.pi * mp.mpc(0, 1))
         assert abs(lhs - rhs) <= 1e-11
 

@@ -21,18 +21,20 @@ def gamma81_r0(ctx81):
 
 def test_mp_density_frozen_value(ctx75):
     # sqrt(0.75 * 1.25) / (2 pi)
-    v = measure.mp_density(ctx75, 1)
+    v = phase_quadrature.mp_density(ctx75, 1)
     assert abs(v - mp.mpf("0.15410111101537495")) <= 1e-15
 
 
 def test_mp_density_vanishes_at_endpoints(ctx75):
-    assert measure.mp_density(ctx75, ctx75.beta1) == 0
-    assert measure.mp_density(ctx75, ctx75.beta2) == 0
+    assert phase_quadrature.mp_density(ctx75, ctx75.beta1) == 0
+    assert phase_quadrature.mp_density(ctx75, ctx75.beta2) == 0
 
 
 def test_interval_mass_is_one_minus_a(ctx81, ctx75, ctx99):
+    # by quadrature against the density, never the closed-form shortcut
     for ctx in (ctx81, ctx75, ctx99):
-        assert abs(measure.interval_mass(ctx) - (1 - ctx.A)) <= 1e-10
+        mass = landscape.interval_integral(ctx, lambda s: 1, landscape.QUAD_TOL)
+        assert abs(mass - (1 - ctx.A)) <= 1e-10
 
 
 def test_loop_mass_is_a(ctx80):
@@ -43,7 +45,8 @@ def test_loop_mass_is_a(ctx80):
 
 def test_loop_mass_halving_tightens(ctx80):
     g = contour.trace_gamma(ctx80, 1.0)
-    g2 = contour.trace_gamma(ctx80, 1.0, max_step=g.max_step / 2)
+    step = (float(ctx80.beta2) - float(ctx80.beta1)) / contour.SPAN_STEPS
+    g2 = contour.trace_gamma(ctx80, 1.0, max_step=step / 2)
     e1 = abs(phase_quadrature.loop_mass(ctx80, g) - 0.8)
     e2 = abs(phase_quadrature.loop_mass(ctx80, g2) - 0.8)
     assert e2 <= e1 / 2
@@ -52,7 +55,7 @@ def test_loop_mass_halving_tightens(ctx80):
 def test_nu_density_positive_off_the_corner(ctx81, gamma81_r0):
     b1 = float(ctx81.beta1)
     for p in gamma81_r0.points[::17]:
-        d = measure.nu_density_at(ctx81, p)
+        d = phase_quadrature.nu_density_at(ctx81, p)
         assert d >= 0
         if abs(p - b1) > 1e-9:
             assert d > 0
@@ -61,9 +64,9 @@ def test_nu_density_positive_off_the_corner(ctx81, gamma81_r0):
 def test_nu_density_hand_value_at_crossing(ctx81):
     # |R(x_0)/x_0| / (2 pi) against the mpmath R
     x0 = contour.axis_crossing(ctx81, 0.0)
-    d = measure.nu_density_at(ctx81, complex(x0))
+    d = phase_quadrature.nu_density_at(ctx81, complex(x0))
     with mp.workprec(256):
-        ref = abs(landscape.R_eval(ctx81, mp.mpc(x0)) / x0) / (2 * mp.pi)
+        ref = abs(phase_quadrature.branch_root(ctx81, x0) / x0) / (2 * mp.pi)
         assert abs(d - float(ref)) <= 1e-12
 
 
@@ -161,7 +164,7 @@ def test_loop_cdf_is_im_phi(A, r):
     ctx = landscape.make_context(A)
     gamma = contour.trace_gamma(ctx, r)
     for p, m in zip(gamma.upper_arc, gamma.upper_mass):
-        phi = landscape.phi_eval(ctx, p, side=landscape.BoundarySide.ABOVE)
+        phi = phase_quadrature.closed_phi(ctx, p)
         assert abs(m - (mp.im(phi) / mp.pi + ctx.A / 2)) <= 1e-12
 
 
