@@ -205,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", required=True)
     p.add_argument("--r", required=True, help="level parameter, >= 0")
     p.add_argument("--step", type=float, default=None,
-                   help="max step (default (beta2-beta1)/400)")
+                   help="sets the angle each chord may subtend, step/(beta2-beta1) "
+                        "radians, at most 1/4 (default (beta2-beta1)/400)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_contour)
 

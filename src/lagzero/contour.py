@@ -8,7 +8,10 @@ within 1e-13 of the mpmath phase, far below the 1e-9 level tolerance.
 Only the upper half of each curve is traced, and in w = log z: it is the
 preimage of r/2 + i t, t in [-A pi/2, 0], under phi, and d phi/dw = R/2
 stays bounded away from 0 near the origin, so a loop shrunk to 1e-40 by a
-large r costs what Gamma_0 costs.  Both real-axis crossings come from
+large r costs what Gamma_0 costs.  Chords are bounded by angle alone
+(trace_gamma), so a loop next to A = 1, where beta2 - beta1 -> 0 but
+Gamma_0 stays about 3 long, takes about as many vertices as one at
+A = 1/2: 2,500-3,000 at the default step.  Both real-axis crossings come from
 Newton in log|x| (the negative-axis crossing x_r and the positive crossing
 in (0, beta1], which is beta1 itself when r = 0), so the lower half is
 the conjugate mirror and closure is structural.  The polyline seeds the
@@ -35,7 +38,9 @@ _NEWTON_TOL = 1e-13
 _NEWTON_ITERS = 60
 _STEP_BUDGET = 100_000
 _FOOT_ITERS = 10
-SPAN_STEPS = 400  # trace_gamma's default max_step is (beta2 - beta1) / SPAN_STEPS
+# trace_gamma's default max_step, (beta2 - beta1) / SPAN_STEPS, makes each
+# chord subtend at most 1/SPAN_STEPS radians
+SPAN_STEPS = 400
 # log of the smallest normal double: a loop below it underflows
 _LOG_TINY = math.log(sys.float_info.min)
 
@@ -117,23 +122,30 @@ def trace_gamma(
     0 at the positive crossing, so the arc is phi^{-1}(r/2 + i t) for t in
     [-A pi/2, 0].  Continuation in t: the predictor is w + i dt 2/R (|R| -> A
     at the origin), the corrector is Newton on phi(e^w) = r/2 + i t.  Each
-    step is a chord of length h = min(max_step, theta |z|, theta/kappa),
-    theta = max_step/(beta2 - beta1) capped at 1/4, with kappa the curvature
-    of the level line; dt = h |phi'(z)|.
+    step is a chord bounded by angle alone: h = min(theta |z|, theta/kappa),
+    with kappa the curvature of the level line and theta = max_step/(beta2 -
+    beta1) radians, capped at 1/4; dt = h |phi'(z)|.  A chord of length h
+    on a curve of curvature kappa strays kappa h^2/8 from it, so each chord
+    stays within theta^2 |z|/8 of Gamma_r, on the loop's own scale, and
+    the vertex count does not grow as the span shrinks toward A = 1.
 
     For r = 0 the curve ends in a corner at beta1, a branch point where R
-    vanishes; within 10 max_step of it the chord is graded to a third of
-    the gap down to 3e-6 min(beta2 - beta1, beta1), and beta1 is inserted
-    exactly.
+    vanishes; within 10 max_step of it the chord is min(theta |z|, gap/3),
+    graded to a third of the gap down to 3e-6 min(beta2 - beta1, beta1),
+    and beta1 is inserted exactly.
 
     Raises DomainError when beta2 = beta1 (A = 1) or max_step <= 0,
-    BracketError when x_r underflows, and ClosureError when Newton fails
-    or the step budget is exhausted.
+    BracketError when x_r underflows or when 0 < A < 1 but beta2 - beta1
+    rounds to 0 in float64, and ClosureError when Newton fails or the step
+    budget is exhausted.
     """
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
     span = b2 - b1
-    if span <= 0:
+    if ctx.beta2 <= ctx.beta1:
         raise DomainError(f"beta2 - beta1 = {span} at A = {ctx.A}; Gamma_r needs A < 1")
+    if span <= 0:
+        raise BracketError(
+            f"beta2 - beta1 rounds to 0 in float64 at 1 - A = {float(1 - ctx.A):.3g}")
     if max_step is None:
         max_step = span / SPAN_STEPS
     if not max_step > 0:
@@ -142,7 +154,7 @@ def trace_gamma(
     level = r / 2
     # chords of at most a quarter radian keep a coarse trace a loop, with
     # its last vertex right of the origin
-    theta = min(max_step / span, 0.25)
+    theta = min(0.25, max_step / span)
     c = 2 - A
     tol = _NEWTON_TOL * max(1.0, level)
 
@@ -156,10 +168,10 @@ def trace_gamma(
         if r == 0 and gap < 10 * max_step:
             if gap <= 3e-6 * min(span, b1):
                 break
-            h = min(max_step, theta * abs(z), gap / 3)
+            h = min(theta * abs(z), gap / 3)
         else:
             kappa = abs(((c * z - A * A) / R ** 3).real) * abs(R) / abs(z)
-            h = min(max_step, theta * abs(z), theta / kappa if kappa else math.inf)
+            h = min(theta * abs(z), theta / kappa if kappa else math.inf)
         dt = h * abs(R) / (2 * abs(z))
         if t + dt >= 0:
             break

@@ -44,8 +44,9 @@ class NonConvergence(LagzeroError):
 
 
 class BracketError(LagzeroError):
-    """A real-axis crossing of a level curve underflows float64: Newton
-    in log|x| passed the smallest normal double (contour)."""
+    """Float64 cannot hold a level curve (contour): a real-axis crossing
+    underflows, Newton in log|x| passing the smallest normal double, or
+    0 < A < 1 but beta2 - beta1 rounds to 0."""
 
 
 class ClosureError(LagzeroError):

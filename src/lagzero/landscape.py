@@ -339,10 +339,10 @@ def g_eval(
 
     g(z) - log z -> 0 at infinity.  DomainError on the support of mu_0
     (loop and interval) with a guard band of 2 (beta2 - beta1) /
-    contour.SPAN_STEPS, twice trace_gamma's default step, measured by the
-    one projection onto Gamma_0 traced at the coarse step
-    (contour.trace_coarse); and inside the loop, where Re phi > 0
-    (contour.point_in_loop) and no single-valued branch exists.
+    contour.SPAN_STEPS, measured by the one projection onto Gamma_0
+    traced at the coarse step (contour.trace_coarse); and inside the
+    loop, where Re phi > 0 (contour.point_in_loop) and no single-valued
+    branch exists.
     """
     from lagzero import contour as _contour
 

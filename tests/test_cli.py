@@ -144,6 +144,20 @@ def test_contour_csv_shape(capsys):
     assert "np." not in out
 
 
+def test_contour_traces_next_to_a_equal_1(capsys):
+    # A = 1 - 1e-11: beta2 - beta1 is 1.3e-5, but the chords are bounded by
+    # angle alone, so Gamma_4.6 closes within the step budget
+    code, out, err = run_cli(capsys, "contour", "--A", "0.99999999999", "--r", "4.6")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "re,im,arclength"
+    assert lines[-1].startswith("# winding,-1,")
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:-1]]
+    assert rows[0][:2] == rows[-1][:2]
+    arcs = [row[2] for row in rows]
+    assert arcs[0] == 0.0 and all(a < b for a, b in zip(arcs, arcs[1:]))
+
+
 def test_contour_rejects_infinite_r(capsys):
     code, _, err = run_cli(capsys, "contour", "--A", "0.81", "--r", "inf")
     assert code == cli.EXIT_DOMAIN
@@ -176,6 +190,20 @@ def test_unbracketed_level_exit_code(capsys, argv):
     assert code == cli.EXIT_CLOSURE
     assert out == ""
     assert err.startswith("error: no Re phi > r/2")
+
+
+@pytest.mark.parametrize("argv", [
+    ("contour", "--A", "0.9999999999999999999999999999999999", "--r", "1"),
+    ("zeros", "--n", "10", "--alpha", "-9.999999999999999999999999999999999"),
+    ("verify", "--n", "10", "--alpha", "-9.999999999999999999999999999999999"),
+])
+def test_span_below_float64_exit_code(capsys, argv):
+    # 0 < A < 1, but beta2 - beta1 = 4e-17 rounds to 0 in float64: the
+    # loop cannot be traced there, as where x_r underflows
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_CLOSURE
+    assert out == ""
+    assert err == "error: beta2 - beta1 rounds to 0 in float64 at 1 - A = 1e-34\n"
 
 
 def test_nth_root_needs_no_loop_below_float64(capsys):
@@ -299,6 +327,14 @@ def test_verify_runs_next_to_a_equal_1(capsys):
     doc = json.loads(out)
     assert doc["valid"] and (doc["loop_count"], doc["outlier_count"]) == (5, 0)
     assert doc["max_deviation"] == pytest.approx(1.0e-4, rel=0.05)
+
+
+def test_zeros_run_next_to_a_equal_1(capsys):
+    # A_n = 1 - 1e-24: the seeding trace of Gamma_5.07 closes
+    code, out, err = run_cli(capsys, "zeros", "--n", "10",
+                             "--alpha", "-9.9999999999999999999999")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 1 + 10
 
 
 def test_verify_defaults_are_run_options(capsys):

@@ -30,6 +30,15 @@ def test_only_takes_a_comma_list_of_prefixes():
                                         "2 commands, 0 differ"]
 
 
+def test_edge_commands_run_once_after_the_workloads():
+    # edge-3 is EDGE's third command; a prefix, so edge-1 would select
+    # edge-10 onward too
+    proc = _run(ROOT, ROOT, only="edge-3")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == [
+        "edge-3 zeros --n 20 --alpha -30.5: same", "1 commands, 0 differ"]
+
+
 def test_a_different_output_is_printed_and_fails(tmp_path):
     package = tmp_path / "src" / "lagzero"
     package.mkdir(parents=True)

@@ -351,19 +351,38 @@ def test_small_loop_far_level(ctx81):
     assert max(abs(p) for p in g.points) < 5e-4
 
 
-@pytest.mark.parametrize("A", ["0.2", "0.81", "0.99"])
-@pytest.mark.parametrize("r", [0.0, 3.0, 12.0, 20.0])
+@pytest.mark.parametrize("A", ["0.05", "0.2", "0.81", "0.99", "0.999", "0.99999",
+                               "0.99999999998"])
+@pytest.mark.parametrize("r", [0.0, 0.1, 3.0, 4.6, 12.0, 20.0])
 def test_trace_holds_down_to_tiny_loops(A, r):
-    # at A = 0.2, r = 20 the loop has radius 2e-46; the trace must still
-    # close, wind once clockwise, mirror exactly and sit on the level
+    # at A = 0.2, r = 20 the loop has radius 2e-46, and next to A = 1
+    # beta2 - beta1 shrinks to 1.8e-5 while Gamma_0 stays about 3 long; the
+    # trace must still close in a few thousand vertices, wind once
+    # clockwise, mirror exactly and sit on the level
     ctx = landscape.make_context(Fraction(A))
     g = contour.trace_gamma(ctx, r)
     assert g.points[0] == g.points[-1]
+    assert len(g.points) < 3500
     assert contour.winding_number(g) == -1
     assert {p.conjugate() for p in g.points} == set(g.points)
-    for p in g.upper_arc[::50] + (g.upper_arc[-1],):
-        v = phase_quadrature.closed_phi(ctx, p)
-        assert abs(float(mp.re(v)) - r / 2) <= contour.DEFAULT_LEVEL_TOL
+    # Re phi is read at the real crossings themselves: closed_phi's 2^-300
+    # step off the axis exceeds the loop's 2e-108 at A = 0.05, r = 12
+    with mp.workprec(landscape.LANDSCAPE_BITS):
+        for p in g.upper_arc[::50] + (g.upper_arc[-1],):
+            v = landscape.phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, mp.mpc(p),
+                                          mp.sqrt, mp.log)
+            assert abs(float(mp.re(v)) - r / 2) <= contour.DEFAULT_LEVEL_TOL
+    # each chord's midpoint m lies near the level line on the loop's own
+    # scale: its first-order distance |Re phi(m) - r/2| / |phi'(m)|, with
+    # phi' = R/(2m), is about theta^2 |m|/8 = 7.8e-7 |m| at the default
+    # step, and larger where the r = 0 corner at beta1 bends the line
+    a, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    tol = 1e-5 if r == 0 else 1e-6
+    for p, q in zip(g.upper_arc, g.upper_arc[1:]):
+        m = (p + q) / 2
+        R = cmath.sqrt(m - b1) * cmath.sqrt(m - b2)
+        f = landscape.phi_from_root(a, b1, b2, m, R, cmath.log)
+        assert abs(f.real - r / 2) * abs(2 * m / R) <= tol * abs(m), (p, q)
 
 
 def test_winding_number_of_a_loop_below_1e_154():

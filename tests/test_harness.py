@@ -167,6 +167,18 @@ def test_compute_zeros_seeds_from_a_coarse_trace(caplog):
     assert traced() == [f"max_step {8 * step(Fraction(81, 100)):.3g}"]
 
 
+def test_compute_zeros_traces_few_vertices_next_to_a_equal_1(caplog):
+    # at A_n = 1 - 2e-11 the coarse trace of Gamma_4.6 is bounded by angle,
+    # not by beta2 - beta1 = 1.8e-5, so it takes a few hundred vertices
+    caplog.set_level(logging.DEBUG, logger=contour.__name__)
+    zset = harness.compute_zeros(5, "-4.9999999999")
+    traced = _traced(caplog)
+    assert len(traced) == 1
+    # "Gamma_<r>: <count> vertices at max_step <step>"
+    assert int(traced[0].split()[1]) < 500
+    assert len(zset.zeros) == 5
+
+
 def test_report_geometry_is_step_converged():
     # max_deviation and ks_loop read phi at each zero's foot point; the
     # oracle projects the zeros onto a trace 64 times finer than the default

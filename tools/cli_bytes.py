@@ -3,12 +3,15 @@
     python3 tools/cli_bytes.py PARENT CHANGE --seeds 1,3,7 [--only PREFIX,...]
 
 Every command of perfbench's workloads (perfbench/workloads.generate, for
-each seed) runs as `python -m lagzero.cli ARGV` in both checkouts, with
-PYTHONPATH=<checkout>/src and without LAGZERO_PRECISION, one process at a
-time. Exit code, stdout and stderr must match; --only keeps the cases
-whose id starts with one of its comma-separated prefixes (`--only z,v`
-runs every root-finding command). The first lines that differ are printed for
-each command that differs, and the exit status is 1 if any does.
+each seed), then once each the edge commands of EDGE, as cases edge-1,
+edge-2, ... in EDGE order, run as `python -m lagzero.cli ARGV` in both
+checkouts, with PYTHONPATH=<checkout>/src and without LAGZERO_PRECISION,
+one process at a time. Exit code, stdout and stderr must match; --only
+keeps the cases whose id starts with one of its comma-separated prefixes
+(`--only z,v` runs every root-finding command of the workloads, `--only
+edge-` every edge command; `edge-1` also selects edge-10 onward). The
+first lines that differ are printed for each command that differs, and
+the exit status is 1 if any does.
 """
 
 from __future__ import annotations
@@ -21,6 +24,32 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# what the workloads leave out: outside the theorem range, integer alpha,
+# --grid, --step, --sweep, r = inf and each error exit, zeros at the
+# origin too close for float64, which only the exact pair sums separate,
+# and loops next to A = 1, where beta2 - beta1 -> 0
+EDGE = (
+    ("zeros", "--n", "12", "--alpha", "3.5"),
+    ("zeros", "--n", "10", "--alpha", "-8." + "0" * 300 + "1"),
+    ("zeros", "--n", "20", "--alpha", "-30.5"),
+    ("verify", "--n", "20", "--alpha", "-16"),
+    ("verify", "--n", "20", "--alpha", "-15.2", "--sweep", "0.1,0.2"),
+    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "oscillatory",
+     "--grid", "0.6:1.6:5"),
+    ("contour", "--A", "0.81", "--r", "1", "--step", "0.05"),
+    ("contour", "--A", "0.81", "--r", "inf"),
+    ("contour", "--A", "0.81", "--r", "800"),
+    ("betas", "--A", "1.5"),
+    ("verify", "--n", "20", "--alpha", "-30"),
+    ("zeros", "--n", "12", "--alpha", "-9.6", "--precision", "32"),
+    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "outer",
+     "--points=0.05+0.02j"),
+    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root"),
+    ("contour", "--A", "0.99999999999", "--r", "4.6"),
+    ("zeros", "--n", "10", "--alpha", "-9.9999999999999999999999"),
+    ("verify", "--n", "5", "--alpha", "-4.9999999999"),
+)
 
 
 def load_workloads():
@@ -74,19 +103,21 @@ def main(argv=None) -> int:
             ap.error(f"no lagzero sources under {tree}/src")
     seeds = [int(s) for s in args.seeds.split(",")]
     only = tuple(args.only.split(","))
+    cases = [(f"seed {seed} {name} {case.id}", case.id, case.argv)
+             for seed in seeds for name in workloads.WORKLOADS
+             for case in workloads.generate(name, seed)]
+    cases += [(f"edge-{k} {' '.join(argv)}", f"edge-{k}", argv)
+              for k, argv in enumerate(EDGE, 1)]
     commands = differ = 0
-    for seed in seeds:
-        for name in workloads.WORKLOADS:
-            for case in workloads.generate(name, seed):
-                if not case.id.startswith(only):
-                    continue
-                commands += 1
-                lines = differences(run(parent, case.argv), run(change, case.argv))
-                print(f"seed {seed} {name} {case.id}: "
-                      + ("DIFFERS" if lines else "same"))
-                for line in lines:
-                    print(line)
-                differ += bool(lines)
+    for label, case_id, argv in cases:
+        if not case_id.startswith(only):
+            continue
+        commands += 1
+        lines = differences(run(parent, argv), run(change, argv))
+        print(f"{label}: " + ("DIFFERS" if lines else "same"))
+        for line in lines:
+            print(line)
+        differ += bool(lines)
     print(f"{commands} commands, {differ} differ")
     return 1 if differ else 0
 

@@ -3,7 +3,7 @@
     python3 tools/reach.py [--seeds 1,3,7]
 
 Every command of perfbench's workloads (perfbench/workloads.generate, for
-each seed) and the edge commands of EDGE run in this process, as
+each seed) and the edge commands of cli_bytes.EDGE run in this process, as
 lagzero.cli.main(ARGV) with their output discarded and without
 LAGZERO_PRECISION, under sys.settrace. Each function, method and nested
 function defined in src/lagzero of this checkout that none of them calls
@@ -23,31 +23,9 @@ import sys
 from pathlib import Path
 from typing import NamedTuple, Optional, Tuple
 
-from cli_bytes import ROOT, load_workloads
+from cli_bytes import EDGE, ROOT, load_workloads
 
 PACKAGE = ROOT / "src" / "lagzero"
-
-# what the workloads leave out: outside the theorem range, integer alpha,
-# --grid, --step, --sweep, r = inf and each error exit, and zeros at the
-# origin too close for float64, which only the exact pair sums separate
-EDGE = (
-    ("zeros", "--n", "12", "--alpha", "3.5"),
-    ("zeros", "--n", "10", "--alpha", "-8." + "0" * 300 + "1"),
-    ("zeros", "--n", "20", "--alpha", "-30.5"),
-    ("verify", "--n", "20", "--alpha", "-16"),
-    ("verify", "--n", "20", "--alpha", "-15.2", "--sweep", "0.1,0.2"),
-    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "oscillatory",
-     "--grid", "0.6:1.6:5"),
-    ("contour", "--A", "0.81", "--r", "1", "--step", "0.05"),
-    ("contour", "--A", "0.81", "--r", "inf"),
-    ("contour", "--A", "0.81", "--r", "800"),
-    ("betas", "--A", "1.5"),
-    ("verify", "--n", "20", "--alpha", "-30"),
-    ("zeros", "--n", "12", "--alpha", "-9.6", "--precision", "32"),
-    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "outer",
-     "--points=0.05+0.02j"),
-    ("asymp", "--n", "40", "--alpha", "-32.4", "--regime", "nth_root"),
-)
 
 
 class Function(NamedTuple):
