@@ -202,14 +202,18 @@ def _ks(cdf: Sequence[float]) -> float:
 
 
 def _seeds_for(n: int, alpha: Fraction, ctx, loop):
-    # the positive zeros live on the interval (laguerre.real_zero_split),
-    # the others at the origin for integer alpha (loop None; find_zeros
-    # strips them), else on the loop: one negative exactly when floor(-alpha)
-    # is odd, the rest conjugate pairs, the layout of loop_quantiles
-    positive, _ = laguerre.real_zero_split(n, alpha)
-    seeds = measure.interval_quantiles(ctx, positive)
+    # mu_r's interval mass 1 - A_n is n + alpha zeros, and the interval
+    # takes the nearest whole number of seeds: Szego's positive count
+    # (laguerre.real_zero_split), less the smallest positive zero when the
+    # count exceeds n + alpha by frac(-alpha) > 1/2, for that zero sits at
+    # the loop's positive crossing. The rest lie at the origin for integer
+    # alpha (loop None; find_zeros strips them), else on the loop in
+    # loop_quantiles' layout, x_r among them exactly when floor(-alpha) is odd
+    positive, negative = laguerre.real_zero_split(n, alpha)
+    k = positive - 1 if positive - (n + alpha) > Fraction(1, 2) else positive
+    seeds = measure.interval_quantiles(ctx, k, float(n + alpha))
     if loop is not None:
-        seeds.extend(measure.loop_quantiles(loop, n - positive))
+        seeds.extend(measure.loop_quantiles(loop, n - k, negative))
     return seeds
 
 
@@ -221,9 +225,12 @@ def compute_zeros(n: int, alpha, precision_bits: Optional[int] = None) -> rootfi
     integer alpha in {-n..-1} it counts the zero low coefficients as
     zset.origin_multiplicity. Inside the theorem range it starts from
     quantiles of mu_{r_hat} (_seeds_for; the loop's on
-    contour.trace_coarse), outside it from the circles of the Newton polygon
-    (tropical.initial_guesses), with as many real seeds on each side of 0
-    as laguerre.real_zero_split counts zeros there. The default precision is rootfinder.start_precision's.
+    contour.trace_coarse), round(n + alpha) of them on the interval, and
+    the smallest positive zero at the loop's positive crossing when
+    frac(-alpha) > 1/2; outside it from the circles of the Newton polygon
+    (tropical.initial_guesses). Either way each side of 0 holds as many
+    real seeds as laguerre.real_zero_split counts zeros there. The default
+    precision is rootfinder.start_precision's.
     Retries once at doubled precision, logging why at DEBUG, on
     NonConvergence or suspect zeros; a second NonConvergence propagates, and
     a second suspect set is returned as it is. precision_bits below 64

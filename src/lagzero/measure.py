@@ -136,25 +136,34 @@ def log_potential(ctx: PotentialContext, r: float, z: complex) -> float:
 # quantiles (seed generation and classification support)
 
 
-def loop_quantiles(gamma: contour.ContourPolyline, k: int) -> List[complex]:
-    """k points on the polyline at nu-mass (j+1/2)A/k for even k and
-    jA/k for odd k, symmetric under conjugation: the upper-arc points, then
-    x_r (exactly real) when k is odd, then their exact conjugates."""
+def loop_quantiles(gamma: contour.ContourPolyline, k: int,
+                   negative: int) -> List[complex]:
+    """k points on the polyline, symmetric under conjugation: x_r exactly
+    when negative is 1, the positive crossing exactly when k - negative is
+    odd, and conjugate pairs at nu-mass (j+1)A/k from x_r when x_r is a
+    point, else (j+1/2)A/k, so that neighbours lie A/k apart.  The
+    upper-arc points come first, then the real ones, x_r before the
+    crossing, then the exact conjugates; negative = k % 2 gives x_r for
+    odd k and no real point for even k."""
     if k <= 0:
         return []
     pts, cum = gamma.upper_arc, gamma.upper_mass
     A = 2 * cum[-1]
     top = []
-    for j in range(k // 2):
-        target = (j + (1.0 if k % 2 else 0.5)) * A / k
+    for j in range((k - negative) // 2):
+        target = (j + (1.0 if negative else 0.5)) * A / k
         i = min(max(bisect_right(cum, target) - 1, 0), len(pts) - 2)
         t = (target - cum[i]) / (cum[i + 1] - cum[i])
         top.append(pts[i] + t * (pts[i + 1] - pts[i]))
-    return top + [pts[0]] * (k % 2) + [p.conjugate() for p in top]
+    real = [pts[0]] * negative + [pts[-1]] * ((k - negative) % 2)
+    return top + real + [p.conjugate() for p in top]
 
 
-def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
-    """k real points at Marchenko-Pastur quantiles (j+1/2)/k.
+def interval_quantiles(ctx: PotentialContext, k: int, mass: float) -> List[float]:
+    """k real points at Marchenko-Pastur quantiles
+    (j + 1/2 + max(0, mass - k)) / max(mass, k), with mass the interval's
+    share of the zeros, n + alpha: (j+1/2)/k when mass <= k, else the top
+    k of mass midpoint quantiles, counted from beta2 over the real mass.
 
     Bisection on pi F(x) = interval_phase(x) per target, until a halving
     leaves the bracket as it was, as every later one would.
@@ -162,9 +171,10 @@ def interval_quantiles(ctx: PotentialContext, k: int) -> List[float]:
     if k <= 0:
         return []
     A, b1, b2 = float(ctx.A), float(ctx.beta1), float(ctx.beta2)
+    skip, over = max(0, mass - k), max(mass, k)
     out = []
     for j in range(k):
-        target = (j + 0.5) / k * (1 - A) * math.pi
+        target = (j + 0.5 + skip) / over * (1 - A) * math.pi
         lo, hi = b1, b2
         # 64 halvings shrink beta2 - beta1 < 4 below 2^-62
         for _ in range(64):

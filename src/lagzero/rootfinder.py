@@ -45,8 +45,8 @@ from functools import partial
 from typing import NamedTuple
 
 import mpmath as mp
-from mpmath.libmp import (from_man_exp, fzero, mpf_add, round_ceiling, round_nearest, to_fixed,
-                           to_float)
+from mpmath.libmp import (from_man_exp, fzero, mpf_add, mpf_neg, round_ceiling, round_nearest,
+                           to_fixed, to_float)
 
 from . import tropical
 from .debuglog import debug
@@ -88,11 +88,15 @@ def _conjugate_classes(zs):
     a real seed stands for itself, and one with Im z > 0 for itself and
     its exact conjugate (twin flag set) when every non-real seed has its
     exact conjugate among the seeds; otherwise each seed for itself."""
-    upper = Counter(z for z in zs if z.imag > 0)
-    if upper != Counter(mp.conj(z) for z in zs if z.imag < 0):
+    # on the raw (re, im) mpf tuples: an mpf's sign bit is its tuple's
+    # first entry, and only zero has a zero mantissa, so no seed is hashed
+    # or compared as an mpc
+    parts = [z._mpc_ for z in zs]
+    upper = Counter(p for p in parts if p[1][1] and not p[1][0])
+    if upper != Counter((x, mpf_neg(y)) for x, y in parts if y[0]):
         return zs, [False] * len(zs)
-    reps = [z for z in zs if z.imag >= 0]
-    return reps, [z.imag > 0 for z in reps]
+    reps = [z for z, (_, y) in zip(zs, parts) if not y[0]]
+    return reps, [bool(y[1]) for _, y in parts if not y[0]]
 
 
 def _fixed_horner(cs, x, y, prec):

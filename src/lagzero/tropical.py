@@ -68,7 +68,9 @@ def initial_guesses(coeffs, real=None) -> list:
     Without real, each binomial's roots are turned by pi/(2 (k1 - k0)):
     no seed is real and none has its conjugate among the seeds, so each
     runs on its own. Seeds placed on the predicted limit set come from
-    harness._seeds_for.
+    harness._seeds_for, which takes the real ones off mu_r, one at the
+    loop's positive crossing when the interval's share of the zeros is
+    more than half a zero short of the positive count.
     """
     ks = [k for k, _ in hull(coeffs)]
     sides, pairs, seeds = ([], []), [], []  # sides: real seeds' moduli, + and -

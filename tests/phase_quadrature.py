@@ -21,7 +21,7 @@ reductions of the same integral with square-root substitutions.
 On the real axis phi jumps across (-inf, 0) and [beta1, inf), and side
 picks the one-sided limit: ABOVE or BELOW.  mpmath has no signed zero,
 so landscape.phi_closed_form at a real x gives the limit from above only
-on (beta1, beta2); closed_phi takes it 2^-300 above the axis instead.
+on (beta1, beta2); closed_phi takes it |x| 2^-300 above the axis instead.
 """
 
 import cmath
@@ -120,12 +120,14 @@ def _right_integral(ctx, x):
 def closed_phi(ctx, z, side=ABOVE):
     """landscape.phi_closed_form in mpmath at LANDSCAPE_BITS.  Off the
     real axis its value at z; on it the limit from side, read at
-    x + i 2^-300 from above and as the conjugate of that from below."""
+    x + i |x| 2^-300 from above and as the conjugate of that from below,
+    an offset on x's own scale, so that it stays negligible next to the
+    2e-108 crossings of Gamma_12 at A = 0.05."""
     with mp.workprec(landscape.LANDSCAPE_BITS):
         w = mp.mpc(z)
         on_axis = mp.im(w) == 0
         if on_axis:
-            w = mp.mpc(mp.re(w), mp.ldexp(1, -300))
+            w = mp.mpc(mp.re(w), mp.ldexp(abs(mp.re(w)), -300))
         v = landscape.phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, w, mp.sqrt, mp.log)
         return mp.conj(v) if on_axis and side == BELOW else v
 

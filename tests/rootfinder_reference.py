@@ -1,10 +1,13 @@
 """Test-only references for lagzero.rootfinder's fixed-point kernels: the
 complex Horner pass for P and P', the unscaled Newton step built on it,
-and the certificate's radii and suspect set from the full matrix of
-pairwise distances.
+the certificate's radii and suspect set from the full matrix of
+pairwise distances, and the seeds' conjugate classes from mpc values.
 """
 
 import math
+from collections import Counter
+
+import mpmath as mp
 
 from lagzero import rootfinder
 
@@ -53,3 +56,13 @@ def certificate_radii(fixed, bounds, prec, log_tol):
             if row[j] <= reach and row[j] <= rootfinder._logaddexp(log_r[i], log_r[j]):
                 suspect.update((i, j))
     return log_r, tuple(sorted(suspect))
+
+
+def conjugate_classes(zs):
+    """rootfinder._conjugate_classes by comparing and hashing the seeds as
+    mpc values."""
+    upper = Counter(z for z in zs if z.imag > 0)
+    if upper != Counter(mp.conj(z) for z in zs if z.imag < 0):
+        return zs, [False] * len(zs)
+    reps = [z for z in zs if z.imag >= 0]
+    return reps, [z.imag > 0 for z in reps]

@@ -351,6 +351,19 @@ def test_small_loop_far_level(ctx81):
     assert max(abs(p) for p in g.points) < 5e-4
 
 
+def test_closed_phi_reads_the_axis_on_the_loop_scale():
+    # both real crossings of Gamma_12 at A = 0.05 lie 2e-108 from 0; a
+    # fixed 2^-300 step off the axis, 5e-91, read Re phi - r/2 = -1.0005
+    # there, and closed_phi's |x| 2^-300 step reads the level from either side
+    ctx = landscape.make_context(Fraction(1, 20))
+    g = contour.trace_gamma(ctx, 12.0)
+    for x in (g.upper_arc[0], g.upper_arc[-1]):
+        assert x.imag == 0 and abs(x) < 1e-107
+        for side in (phase_quadrature.ABOVE, phase_quadrature.BELOW):
+            v = phase_quadrature.closed_phi(ctx, x, side)
+            assert abs(float(mp.re(v)) - 6.0) <= contour.DEFAULT_LEVEL_TOL
+
+
 @pytest.mark.parametrize("A", ["0.05", "0.2", "0.81", "0.99", "0.999", "0.99999",
                                "0.99999999998"])
 @pytest.mark.parametrize("r", [0.0, 0.1, 3.0, 4.6, 12.0, 20.0])
@@ -365,13 +378,9 @@ def test_trace_holds_down_to_tiny_loops(A, r):
     assert len(g.points) < 3500
     assert contour.winding_number(g) == -1
     assert {p.conjugate() for p in g.points} == set(g.points)
-    # Re phi is read at the real crossings themselves: closed_phi's 2^-300
-    # step off the axis exceeds the loop's 2e-108 at A = 0.05, r = 12
-    with mp.workprec(landscape.LANDSCAPE_BITS):
-        for p in g.upper_arc[::50] + (g.upper_arc[-1],):
-            v = landscape.phi_closed_form(ctx.A, ctx.beta1, ctx.beta2, mp.mpc(p),
-                                          mp.sqrt, mp.log)
-            assert abs(float(mp.re(v)) - r / 2) <= contour.DEFAULT_LEVEL_TOL
+    for p in g.upper_arc[::50] + (g.upper_arc[-1],):
+        v = phase_quadrature.closed_phi(ctx, p)
+        assert abs(float(mp.re(v)) - r / 2) <= contour.DEFAULT_LEVEL_TOL
     # each chord's midpoint m lies near the level line on the loop's own
     # scale: its first-order distance |Re phi(m) - r/2| / |phi'(m)|, with
     # phi' = R/(2m), is about theta^2 |m|/8 = 7.8e-7 |m| at the default

@@ -288,23 +288,43 @@ def test_integer_alpha_seeds_on_the_interval(n, alpha, caplog):
     assert all(z.imag == 0 and b1 <= z.real <= b2 for z in zset.zeros)
 
 
-@pytest.mark.parametrize("alpha", ["-32.4", "-31.99999886"])
+@pytest.mark.parametrize("alpha", ["-32.4", "-31.99999886", "-32.7", "-31.3"])
 def test_seeds_follow_the_real_complex_split(alpha):
-    # n - floor(-alpha) seeds on [beta1, beta2], one at x_r exactly when
-    # floor(-alpha) is odd, and exact conjugate pairs for the rest
+    # round(n + alpha) seeds on [beta1, beta2], mu_r's interval share; x_r
+    # exactly when floor(-alpha) is odd and the loop's positive crossing
+    # exactly when frac(-alpha) > 1/2, so that each side of 0 holds
+    # Szego's count of real seeds; exact conjugate pairs for the rest
     n, alpha_f = 40, laguerre.parse_alpha(alpha)
     ctx = landscape.make_context(Fraction(-alpha_f, n))
     loop = contour.trace_gamma(ctx, harness.r_hat_from(n, alpha_f))
     seeds = harness._seeds_for(n, alpha_f, ctx, loop)
-    k = math.floor(-alpha_f)
+    m = math.floor(-alpha_f)
     assert len(seeds) == n
     real = [s for s in seeds if s.imag == 0]
     on_interval = [s for s in real if ctx.beta1 <= s.real <= ctx.beta2]
-    assert len(on_interval) == n - k
-    x_r = loop.points[0]
-    assert [s for s in real if s not in on_interval] == [x_r] * (k % 2)
+    assert len(on_interval) == round(n + alpha_f)
+    x_r, crossing = loop.upper_arc[0], loop.upper_arc[-1]
+    assert [s for s in real if s not in on_interval] == (
+        [x_r] * (m % 2) + [crossing] * (-alpha_f - m > Fraction(1, 2)))
+    assert (sum(s.real > 0 for s in real), sum(s.real < 0 for s in real)) == (
+        laguerre.real_zero_split(n, alpha_f))
     key = lambda w: (float(w.real), float(w.imag))  # noqa: E731
     assert sorted(seeds, key=key) == sorted((mp.conj(s) for s in seeds), key=key)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+@pytest.mark.parametrize("frac", ["6", "9", "999999"])
+def test_the_extra_positive_zero_seeded_on_the_loop_converges_at_once(caplog, n, frac):
+    # frac(-alpha) > 1/2 at A near 1/2: with the smallest positive zero
+    # seeded at the loop's positive crossing, no interval seed starts a
+    # spacing off its zero, and the sweeps end in 5, where seeding that
+    # zero on the interval took 6-14
+    caplog.set_level(logging.DEBUG, logger="lagzero")
+    zset = harness.compute_zeros(n, f"-{n // 2 - 1}.{frac}")
+    assert zset.iterations <= 5
+    assert zset.suspect == ()
+    msgs = [r.getMessage() for r in caplog.records]
+    assert not [m for m in msgs if m.startswith(("escalating", "retrying"))]
 
 
 def test_run_comparison_deterministic():

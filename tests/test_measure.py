@@ -180,7 +180,7 @@ def test_loop_cdf_matches_trapezoid(A, r):
 
 
 def test_loop_quantiles(gamma81_r0):
-    qs = measure.loop_quantiles(gamma81_r0, 9)
+    qs = measure.loop_quantiles(gamma81_r0, 9, 1)
     assert len(qs) == 9
     assert len(set(qs)) == 9
     _, dist = contour.project_to_loop(gamma81_r0, qs)
@@ -189,7 +189,7 @@ def test_loop_quantiles(gamma81_r0):
 
 @pytest.mark.parametrize("k", [8, 9])
 def test_loop_quantiles_are_conjugate_symmetric(gamma81_r0, k):
-    qs = measure.loop_quantiles(gamma81_r0, k)
+    qs = measure.loop_quantiles(gamma81_r0, k, k % 2)
     assert len(qs) == k
     assert sorted(qs, key=lambda q: (q.real, q.imag)) == sorted(
         (q.conjugate() for q in qs), key=lambda q: (q.real, q.imag))
@@ -203,8 +203,29 @@ def test_loop_quantiles_are_conjugate_symmetric(gamma81_r0, k):
     assert max(abs(got - want)) <= 1e-9
 
 
+@pytest.mark.parametrize("k, negative", [(8, 0), (9, 1), (9, 0), (10, 1)])
+def test_loop_quantiles_place_each_parity(gamma81_r0, k, negative):
+    # x_r when negative is 1 and the positive crossing when k - negative
+    # is odd, each exactly real and in that order, and pairs in between:
+    # neighbours sit A/k apart in nu-mass from x_r, at j A/k with x_r
+    # among the points and at (j + 1/2) A/k without it
+    qs = measure.loop_quantiles(gamma81_r0, k, negative)
+    arc = gamma81_r0.upper_arc
+    crossing = (k - negative) % 2
+    assert len(qs) == k
+    assert [q for q in qs if q.imag == 0] == [arc[0]] * negative + [arc[-1]] * crossing
+    pairs = (k - negative - crossing) // 2
+    assert all(q.imag > 0 for q in qs[:pairs])
+    assert qs[k - pairs:] == [q.conjugate() for q in qs[:pairs]]
+    arcs, cum = phase_quadrature.loop_cdf_points(gamma81_r0)
+    s, _ = contour.project_to_loop(gamma81_r0, qs)
+    got = sorted(np.interp(s, arcs, cum))
+    want = (np.arange(k) + (0.0 if negative else 0.5)) * 0.81 / k
+    assert max(abs(got - want)) <= 1e-9
+
+
 def test_interval_quantiles(ctx81):
-    qs = measure.interval_quantiles(ctx81, 8)
+    qs = measure.interval_quantiles(ctx81, 8, 8)
     b1, b2 = float(ctx81.beta1), float(ctx81.beta2)
     assert all(b1 < q < b2 for q in qs)
     assert all(a < b for a, b in zip(qs, qs[1:]))
@@ -212,6 +233,17 @@ def test_interval_quantiles(ctx81):
     # quantile solver's own tolerance
     for j, q in enumerate(qs):
         target = (j + 0.5) / 8 * (1 - 0.81)
+        assert abs(float(measure.cdf_interval(ctx81, q)) - target) <= 1e-6
+
+
+def test_interval_quantiles_count_from_beta2_past_the_share(ctx81):
+    # 7.6 zeros' worth of interval mass and 7 seeds: the top seven of the
+    # 7.6 midpoint targets, F(q_j) = (j + 1/2 + 0.6)/7.6 * (1 - A), the
+    # last half a spacing below beta2
+    qs = measure.interval_quantiles(ctx81, 7, 7.6)
+    assert len(qs) == 7
+    for j, q in enumerate(qs):
+        target = (j + 1.1) / 7.6 * (1 - 0.81)
         assert abs(float(measure.cdf_interval(ctx81, q)) - target) <= 1e-6
 
 
@@ -232,8 +264,10 @@ _SEEDS_80_16 = (
 
 def test_interval_quantiles_frozen(ctx81, ctx80):
     # the 16 are the interval seeds of (80, -64)
-    assert repr(measure.interval_quantiles(ctx81, 8)) == _SEEDS_81_8
-    assert repr(measure.interval_quantiles(ctx80, 16)) == _SEEDS_80_16
+    assert repr(measure.interval_quantiles(ctx81, 8, 8)) == _SEEDS_81_8
+    assert repr(measure.interval_quantiles(ctx80, 16, 16)) == _SEEDS_80_16
+    # a share below k moves nothing: the seeds of a frac(-alpha) <= 1/2
+    assert repr(measure.interval_quantiles(ctx81, 8, 7.6)) == _SEEDS_81_8
 
 
 def test_log_potential_r_independent_outside(ctx80):

@@ -15,7 +15,7 @@ import pytest
 
 import lagzero
 import rootfinder_reference as reference
-from lagzero import harness, laguerre, rootfinder, tropical
+from lagzero import contour, harness, laguerre, landscape, rootfinder, tropical
 from lagzero.errors import NonConvergence
 
 
@@ -77,15 +77,18 @@ def test_matches_polyroots_near_integer():
 
 @pytest.mark.parametrize("n, alpha, bits, sweeps", [
     pytest.param(40, "-32.3564", 256, 5, id="-32.3564-256-5"),
-    pytest.param(40, "-31.99999886", 360, 9, id="-31.99999886-360-9"),
+    pytest.param(40, "-31.99999886", 360, 5, id="-31.99999886-360-5"),
     (88, "-71.2909", 416, 5),
     (96, "-76.0000011", 584, 5),
-    (80, "-64.7741", 384, 8),
+    (80, "-64.7741", 384, 5),
 ])
 def test_sweep_counts_and_moments(n, alpha, bits, sweeps):
     # the counts come from the seeding: one seed per zero of the exact
     # real/complex split, the loop seeds in exact conjugate pairs, so the
-    # odd case no longer waits for float rounding to break a symmetry;
+    # odd case no longer waits for float rounding to break a symmetry, and
+    # round(n + alpha) of them on the interval, so that at frac(-alpha) >
+    # 1/2 (-31.99999886, -64.7741) the smallest positive zero starts at the
+    # loop's crossing, not an interval seed a spacing off (9 and 8 sweeps);
     # the sweeps run at LOW_BITS, to 2^-64 instead of 2^-(bits/2), with
     # the pair sums in float64 (the last three are the fixed-point
     # kernel's counts, which the float rows keep)
@@ -948,6 +951,42 @@ def test_initial_guesses_circle_fallback():
     guesses = rootfinder.initial_guesses(coeffs)
     assert len(guesses) == 7
     assert len(set(guesses)) == 7
+
+
+def _pairing_cases():
+    # the Newton-polygon and unpaired seeds of the tests above, the
+    # limit-measure seeds of both layouts, and hand-made sets: a missing
+    # or a one-ulp-off conjugate, a repeated pair, a seed at the origin
+    cases = [rootfinder.initial_guesses(laguerre.monic_rescaled(n, a),
+                                        laguerre.real_zero_split(n, a))
+             for n, a in [(40, "5.5"), (40, "-50.3"), (41, "-50.3"),
+                          (12, "-9.6"), (25, "-10.5"), (20, "0"),
+                          (8, "-8.5"), (9, "-9.01")]]
+    cases += [rootfinder.initial_guesses(c) for c in (_wilkinson(6),
+                                                      laguerre.monic_rescaled(8, "-8.5"))]
+    for n, a in [(88, "-71.2909"), (40, "-31.99999886"), (40, "-32.7")]:
+        a = laguerre.parse_alpha(a)
+        ctx = landscape.make_context(Fraction(-a, n))
+        loop = contour.trace_coarse(ctx, harness.r_hat_from(n, a))
+        cases.append(harness._seeds_for(n, a, ctx, loop))
+    with mp.workprec(128):
+        z, w = mp.mpc("0.25", "0.5"), mp.mpc("-1.5", "2")
+        up = mp.mpc(z.real, z.imag + mp.eps)
+        cases += [[z, mp.conj(z), w], [z, mp.conj(up)], [z, mp.conj(z), z, mp.conj(z)],
+                  [mp.mpc(0), z, mp.conj(z), mp.mpc(-2)], [w, mp.conj(w), mp.conj(z)]]
+    return cases
+
+
+def test_conjugate_classes_match_the_value_pairing():
+    # the raw-tuple pairing classes every seed set as mpc values do
+    for seeds in _pairing_cases():
+        with mp.workprec(256):
+            zs = [mp.mpc(s) for s in seeds]
+            reps, twin = rootfinder._conjugate_classes(zs)
+            want_reps, want_twin = reference.conjugate_classes(zs)
+        assert twin == want_twin
+        assert len(reps) == len(want_reps)
+        assert all(a is b for a, b in zip(reps, want_reps))
 
 
 @pytest.mark.parametrize("coeffs", [_wilkinson(6), laguerre.monic_rescaled(8, "-8.5")],

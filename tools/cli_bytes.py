@@ -28,7 +28,8 @@ ROOT = Path(__file__).resolve().parents[1]
 # what the workloads leave out: outside the theorem range, integer alpha,
 # --grid, --step, --sweep, r = inf and each error exit, zeros at the
 # origin too close for float64, which only the exact pair sums separate,
-# and loops next to A = 1, where beta2 - beta1 -> 0
+# loops next to A = 1, where beta2 - beta1 -> 0, and frac(-alpha) > 1/2
+# away from A = 0.81, where the loop seeds the smallest positive zero
 EDGE = (
     ("zeros", "--n", "12", "--alpha", "3.5"),
     ("zeros", "--n", "10", "--alpha", "-8." + "0" * 300 + "1"),
@@ -49,6 +50,8 @@ EDGE = (
     ("contour", "--A", "0.99999999999", "--r", "4.6"),
     ("zeros", "--n", "10", "--alpha", "-9.9999999999999999999999"),
     ("verify", "--n", "5", "--alpha", "-4.9999999999"),
+    ("zeros", "--n", "20", "--alpha", "-2.999999"),
+    ("verify", "--n", "40", "--alpha", "-38.9"),
 )
 
 
